@@ -309,6 +309,18 @@ def test_criterion_8_special_case_ideals():
                 not failures, time.monotonic() - started)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def verify_report(spec_path: Path, out: Path) -> tuple[int, str]:
+    """Exit code and the `verify` report of one spec with `timing` removed."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--spec", str(spec_path), "--out", str(out)])
+    doc = json.loads(out.read_text())
+    del doc["timing"]
+    return code, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_criterion_9_deterministic_reports(tmp_path):
     started = time.monotonic()
     failures = []
@@ -316,16 +328,26 @@ def test_criterion_9_deterministic_reports(tmp_path):
     for spec_path in SPECS:
         payloads = []
         for run in (1, 2):
-            out = tmp_path / f"{spec_path.stem}.{run}.json"
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["verify", "--spec", str(spec_path), "--out", str(out)])
+            code, payload = verify_report(spec_path, tmp_path / f"{spec_path.stem}.{run}.json")
             if code != 0:
                 failures.append(("exit", spec_path.name, code))
-            doc = json.loads(out.read_text())
-            del doc["timing"]
-            payloads.append(json.dumps(doc, indent=2, sort_keys=True))
+            payloads.append(payload)
         if payloads[0] != payloads[1]:
             failures.append(("mismatch", spec_path.name))
+        golden = GOLDEN / spec_path.name
+        if not golden.exists() or payloads[0] != golden.read_text():
+            failures.append(("golden", spec_path.name))
     report_line("criterion 9: byte-identical verify reports outside the "
-                "timing block, every shipped spec",
+                "timing block, every shipped spec, equal to tests/golden",
                 not failures, time.monotonic() - started)
+
+
+if __name__ == "__main__":
+    # Rewrites tests/golden from the current code:  python tests/test_acceptance.py
+    import tempfile
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec_path in SPECS:
+            code, payload = verify_report(spec_path, Path(tmp) / spec_path.name)
+            assert code == 0, spec_path.name
+            (GOLDEN / spec_path.name).write_text(payload)
