@@ -30,7 +30,7 @@ from .modules import (
 from .resolution import (
     AModule, FreeResolution, ExtResult,
     free_amodule, quotient_amodule, free_cover, build_resolution, ext,
-    higher_cohomology, bar_dimension, bar_oracle, lift_chain_map,
+    higher_cohomology, bar_dimension, lift_chain_map,
 )
 from .cocycle import HomSpace, hom_a_space, alpha_map, h_q1_cocycle
 from .les import (

@@ -47,8 +47,8 @@ class GroupAlgebra:
             for h in range(n):
                 lm[group.mult[g][h]][h] = one
                 rm[group.mult[h][g]][h] = one
-            left.append(Matrix(field, lm, n, n))
-            right.append(Matrix(field, rm, n, n))
+            left.append(Matrix._canonical(field, tuple(map(tuple, lm)), n, n))
+            right.append(Matrix._canonical(field, tuple(map(tuple, rm)), n, n))
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", n)
@@ -130,12 +130,12 @@ def sigma_ideal(algebra: GroupAlgebra, sigma: NormalSubgroup) -> Subspace:
 
 
 def _certify_two_sided(algebra: GroupAlgebra, sub: Subspace):
-    for g in range(algebra.dim):
-        for row in sub.basis.entries:
-            if not sub.contains_vector(algebra.left_mult[g].apply(row)):
-                raise AlgebraError(f"not left-stable under element {g}")
-            if not sub.contains_vector(algebra.right_mult[g].apply(row)):
-                raise AlgebraError(f"not right-stable under element {g}")
+    """Raise AlgebraError unless sub is stable under left and right
+    multiplication by every group generator (hence by all of A)."""
+    for g in algebra.group.gen_indices:
+        for side, mult in (("left", algebra.left_mult), ("right", algebra.right_mult)):
+            if sub.first_outside(sub.basis @ mult[g].transpose()) is not None:
+                raise AlgebraError(f"not {side}-stable under element {g}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,9 @@ def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup,
     I^{q+1} is spanned by {x (g - e) : x in basis(I^q), g in G}; since I is
     two-sided this equals the ideal product.  Each J_q is certified
     two-sided.  Stops at the first q with J_q = J_{q+1} (always at most
-    dim I steps), or at q_max + 1 if that is later.
+    dim I + 1 steps, since the chain strictly descends until then), or at
+    q_max + 1 if that is later; raises AlgebraError if the chain has not
+    stabilized after dim I + 1 steps.
     """
     if q_max is not None and q_max < 1:
         raise AlgebraError("q_max must be >= 1")
@@ -192,18 +194,19 @@ def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup,
     target = q_max if q_max is not None else 1
     q = 1
     while stabilization is None or q < max(target, stabilization + 1):
-        prev_power = i_powers[-1]
-        vectors = []
-        for row in prev_power.basis.entries:
-            for g in range(1, algebra.dim):
-                shifted = algebra.right_mult[g].apply(row)
-                vectors.append(tuple(f.sub(a, b) for a, b in zip(shifted, row)))
-        next_power = Subspace.from_vectors(f, algebra.dim, vectors)
+        prev = i_powers[-1].basis
+        next_power = Subspace.from_vectors(f, algebra.dim, [
+            row for g in range(1, algebra.dim)
+            for row in (prev @ algebra.right_mult[g].transpose() - prev).entries])
         i_powers.append(next_power)
         next_j = next_power + sig
         j_list.append(next_j)
-        if stabilization is None and next_j == j_list[q - 1]:
-            stabilization = q
+        if stabilization is None:
+            if next_j == j_list[q - 1]:
+                stabilization = q
+            elif q > aug.dim:
+                raise AlgebraError(
+                    f"J_q did not stabilize within dim I + 1 = {aug.dim + 1} steps")
         q += 1
     for sub in j_list:
         _certify_two_sided(algebra, sub)

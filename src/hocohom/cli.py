@@ -8,7 +8,8 @@ problems).  Input is a JSON problem file; output is a deterministic JSON
 report (timing is segregated under its own key so reports are diffable),
 with an optional plain-text table rendering.
 
-Exit codes: 0 all verdicts pass, 1 verification failure, 2 input error.
+Exit codes: 0 all verdicts pass, 1 verification failure, 2 input error
+(including algebra and linear-algebra errors, reported with their message).
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ import sys
 import time
 
 from . import __version__
-from .algebra import augmentation_ideal, i_power_by_products, j_by_left_route
+from .algebra import (
+    AlgebraError, augmentation_ideal, i_power_by_products, j_by_left_route,
+)
 from .cocycle import h_q1_cocycle
 from .groups import NotNormalError
 from .les import long_exact_sequence, power_identification, vanishing_check
+from .linalg import LinalgError
 from .modules import coinduced_module, h_q0_annihilator, h_q0_inductive
 from .problem import ProblemSpec, SpecError, load_problem
 from .resolution import (
@@ -469,6 +473,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except BudgetExceeded as err:
         sys.stderr.write(f"input error: {err}\n")
+        return EXIT_INPUT_ERROR
+    except (AlgebraError, LinalgError) as err:
+        sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT_ERROR
     report["timing"] = {"elapsed_seconds": round(time.monotonic() - started, 6)}
     _emit(report, args)

@@ -7,9 +7,21 @@ unique reduced row-echelon form of its input (leading entries 1, pivot
 columns cleared, pivots strictly increasing), so subspace bases are
 bit-identical across runs and directly diffable.
 
-Prime-field elimination is vectorized with numpy int64 arithmetic; rational
-elimination runs on integer-scaled rows with gcd normalization so Fraction
-arithmetic never enters the inner loops.  Both paths are exact.
+Canonical data.  The public constructor `Matrix(field, entries)` is the
+only place where entries are coerced into the field.  Every matrix this
+module produces (zeros, identities, stacks, blocks, row selections,
+transposes, sums, scalings, products, row-reduced forms) is built from
+entries that are already canonical and goes through `Matrix._canonical`,
+which wraps them without touching a single entry.
+
+Kernels.  Prime-field products and eliminations run on numpy arrays.  They
+use int64 only while no intermediate can overflow: a product with inner
+dimension k needs k*(p-1)^2 < 2^63, and an elimination step needs
+(p-1)^2 + p < 2^63.  Past those bounds the same code runs on Python-int
+(`object`) arrays.  Ranks over F_2 pack each row into uint64 words and
+eliminate by XOR of whole rows.  Rational elimination runs on
+integer-scaled rows with gcd normalization, so Fraction arithmetic never
+enters the inner loops.  Every path is exact.
 """
 
 from __future__ import annotations
@@ -94,17 +106,19 @@ class Field:
 
     def coerce(self, x):
         """Coerce an int, string, or Fraction to a canonical scalar."""
-        if self.p is None:
-            if isinstance(x, str):
-                return Fraction(x)
-            return Fraction(x)
-        if isinstance(x, str):
+        p = self.p
+        kind = type(x)
+        if p is None:
+            return x if kind is Fraction else Fraction(x)
+        if kind is int:
+            return x % p
+        if kind is str:
             x = Fraction(x)
         if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise LinalgError(f"{x} has no image in F_{self.p}")
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
+            if x.denominator % p == 0:
+                raise LinalgError(f"{x} has no image in F_{p}")
+            return x.numerator * pow(x.denominator, -1, p) % p
+        return int(x) % p
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
@@ -129,13 +143,27 @@ class Field:
         return str(a)
 
 
+_INT64_BOUND = 2 ** 63
+
+
+def _product_dtype(p: int, k: int):
+    """int64 while a length-k dot product of residues cannot overflow."""
+    return np.int64 if k * (p - 1) ** 2 < _INT64_BOUND else object
+
+
+def _elimination_dtype(p: int):
+    """int64 while an elimination update x - a*b of residues cannot overflow."""
+    return np.int64 if (p - 1) ** 2 + p < _INT64_BOUND else object
+
+
 class Matrix:
     """Immutable dense matrix with exact entries over a fixed field."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, entries, rows: int | None = None, cols: int | None = None):
-        data = tuple(tuple(field.coerce(x) for x in row) for row in entries)
+        coerce = field.coerce
+        data = tuple(tuple(map(coerce, row)) for row in entries)
         if rows is None:
             rows = len(data)
         if cols is None:
@@ -147,18 +175,38 @@ class Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", data)
 
+    @classmethod
+    def _canonical(cls, field: Field, data: tuple, rows: int, cols: int) -> "Matrix":
+        """Wrap a tuple of row tuples of canonical scalars, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", data)
+        return m
+
+    @classmethod
+    def _from_array(cls, field: Field, a: np.ndarray) -> "Matrix":
+        """Wrap a 2-d array of residues in [0, p)."""
+        return cls._canonical(field, tuple(map(tuple, a.tolist())), *a.shape)
+
+    def _array(self, dtype=np.int64) -> np.ndarray:
+        """The entries of an F_p matrix as a fresh rows x cols array."""
+        return np.array(self.entries, dtype=dtype).reshape(self.rows, self.cols)
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        zero = field.zero()
-        return Matrix(field, [[zero] * cols for _ in range(rows)], rows, cols)
+        row = (field.zero(),) * cols
+        return Matrix._canonical(field, (row,) * rows, rows, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         zero, one = field.zero(), field.one()
-        return Matrix(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n, n)
+        data = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return Matrix._canonical(field, data, n, n)
 
     @staticmethod
     def from_columns(field: Field, columns, rows: int | None = None) -> "Matrix":
@@ -181,10 +229,10 @@ class Matrix:
         width = mats[0].cols
         grid = []
         for m in mats:
-            if m.cols != width:
-                raise DimensionMismatch("vstack width mismatch")
+            if m.cols != width or m.field != field:
+                raise DimensionMismatch("vstack width or field mismatch")
             grid.extend(m.entries)
-        return Matrix(field, grid, sum(m.rows for m in mats), width)
+        return Matrix._canonical(field, tuple(grid), len(grid), width)
 
     @staticmethod
     def hstack(field: Field, mats) -> "Matrix":
@@ -192,15 +240,11 @@ class Matrix:
         if not mats:
             raise DimensionMismatch("hstack of nothing")
         height = mats[0].rows
-        grid = []
-        for i in range(height):
-            row = []
-            for m in mats:
-                if m.rows != height:
-                    raise DimensionMismatch("hstack height mismatch")
-                row.extend(m.entries[i])
-            grid.append(row)
-        return Matrix(field, grid, height, sum(m.cols for m in mats))
+        if any(m.rows != height or m.field != field for m in mats):
+            raise DimensionMismatch("hstack height or field mismatch")
+        grid = tuple(sum(parts, ()) for parts in zip(*(m.entries for m in mats))) \
+            if height else ()
+        return Matrix._canonical(field, grid, height, sum(m.cols for m in mats))
 
     @staticmethod
     def block(field: Field, grid, row_dims, col_dims) -> "Matrix":
@@ -221,16 +265,22 @@ class Matrix:
         return self.entries[i]
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[tuple]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries)) if self.rows else [() for _ in range(self.cols)]
 
     def take_rows(self, indices) -> "Matrix":
-        return Matrix(self.field, [self.entries[i] for i in indices], len(list(indices)), self.cols)
+        data = tuple(self.entries[i] for i in indices)
+        return Matrix._canonical(self.field, data, len(data), self.cols)
+
+    def take_columns(self, indices) -> "Matrix":
+        indices = tuple(indices)
+        data = tuple(tuple(row[j] for j in indices) for row in self.entries)
+        return Matrix._canonical(self.field, data, self.rows, len(indices))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.cols)], self.cols, self.rows)
+        return Matrix._canonical(self.field, tuple(self.columns()), self.cols, self.rows)
 
     def is_zero(self) -> bool:
         zero = self.field.zero()
@@ -247,26 +297,25 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
 
+    def _entrywise(self, op, *others: "Matrix") -> "Matrix":
+        for other in others:
+            self._check_same_shape(other)
+        data = tuple(tuple(map(op, *rows)) for rows in zip(self.entries, *(o.entries for o in others)))
+        return Matrix._canonical(self.field, data, self.rows, self.cols)
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)], self.rows, self.cols)
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)], self.rows, self.cols)
+        return self._entrywise(self.field.sub, other)
 
     def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.neg(a) for a in row] for row in self.entries], self.rows, self.cols)
+        return self._entrywise(self.field.neg)
 
     def scale(self, s) -> "Matrix":
         f = self.field
         s = f.coerce(s)
-        return Matrix(f, [[f.mul(s, a) for a in row] for row in self.entries], self.rows, self.cols)
+        return self._entrywise(lambda a: f.mul(s, a))
 
     def _check_same_shape(self, other: "Matrix"):
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
@@ -276,16 +325,12 @@ class Matrix:
         if self.field != other.field or self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
-        if self.rows == 0 or other.cols == 0:
-            return Matrix.zeros(f, self.rows, other.cols)
-        if self.cols == 0:
+        if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zeros(f, self.rows, other.cols)
         if f.p is not None:
-            a = np.array(self.entries, dtype=np.int64)
-            b = np.array(other.entries, dtype=np.int64)
-            c = (a @ b) % f.p
-            return Matrix(f, c.tolist(), self.rows, other.cols)
-        bt = other.transpose().entries
+            dtype = _product_dtype(f.p, self.cols)
+            return Matrix._from_array(f, (self._array(dtype) @ other._array(dtype)) % f.p)
+        bt = other.columns()
         grid = []
         for row in self.entries:
             out = []
@@ -295,8 +340,8 @@ class Matrix:
                     if x and y:
                         acc += x * y
                 out.append(acc)
-            grid.append(out)
-        return Matrix(f, grid, self.rows, other.cols)
+            grid.append(tuple(out))
+        return Matrix._canonical(f, tuple(grid), self.rows, other.cols)
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector, returned as a tuple."""
@@ -308,9 +353,9 @@ class Matrix:
                 return ()
             if self.cols == 0:
                 return (0,) * self.rows
-            a = np.array(self.entries, dtype=np.int64)
-            v = np.array([f.coerce(x) for x in vec], dtype=np.int64)
-            return tuple(int(t) for t in (a @ v) % f.p)
+            dtype = _product_dtype(f.p, self.cols)
+            v = np.array([f.coerce(x) for x in vec], dtype=dtype)
+            return tuple(((self._array(dtype) @ v) % f.p).tolist())
         out = []
         for row in self.entries:
             acc = Fraction(0)
@@ -340,8 +385,9 @@ class RrefResult:
     pivots: tuple[int, ...]
 
 
-def _rref_modp(entries, rows: int, cols: int, p: int):
-    a = np.array(entries, dtype=np.int64).reshape(rows, cols) % p
+def _rref_modp(a: np.ndarray, p: int):
+    """Reduced row-echelon form over F_p of an array of residues, in place."""
+    rows, cols = a.shape
     r = 0
     pivots = []
     for c in range(cols):
@@ -359,20 +405,22 @@ def _rref_modp(entries, rows: int, cols: int, p: int):
         others = np.nonzero(a[:, c])[0]
         others = others[others != r]
         if others.size:
-            a[np.ix_(others, range(c, cols))] = (
-                a[np.ix_(others, range(c, cols))] - np.outer(a[others, c], a[r, c:])
-            ) % p
+            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
-    return r, a.tolist(), tuple(pivots)
+    return r, a, tuple(pivots)
 
 
 def _row_lcm_scale(row):
+    """Integer multiple of a row of ints and Fractions, by the lcm of its denominators."""
     den = 1
     for x in row:
         d = x.denominator
-        den = den * d // gcd(den, d)
-    return [int(x * den) for x in row]
+        if d != 1:
+            den = den * d // gcd(den, d)
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _normalize_int_row(row):
@@ -426,24 +474,33 @@ def rref(m: Matrix) -> RrefResult:
     """The unique reduced row-echelon form of m, with rank and pivot columns."""
     if m.rows == 0 or m.cols == 0:
         return RrefResult(0, m, ())
-    if m.field.p is not None:
-        rank, grid, pivots = _rref_modp(m.entries, m.rows, m.cols, m.field.p)
-    else:
-        rank, grid, pivots = _rref_rational(m.entries, m.rows, m.cols)
-    return RrefResult(rank, Matrix(m.field, grid, m.rows, m.cols), pivots)
+    p = m.field.p
+    if p is not None:
+        rank, a, pivots = _rref_modp(m._array(_elimination_dtype(p)), p)
+        return RrefResult(rank, Matrix._from_array(m.field, a), pivots)
+    rank, grid, pivots = _rref_rational(m.entries, m.rows, m.cols)
+    return RrefResult(rank, Matrix._canonical(m.field, tuple(map(tuple, grid)),
+                                              m.rows, m.cols), pivots)
 
 
 def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.field.p is not None:
-        return _rank_modp_array(np.array(m.entries, dtype=np.int64), m.field.p)
+        return _rank_modp(np.array(m.entries, dtype=_elimination_dtype(m.field.p)), m.field.p)
     return _rank_int_rows([_row_lcm_scale(row) for row in m.entries], m.cols)
 
 
+def _rank_modp(a: np.ndarray, p: int) -> int:
+    """Rank over F_p of an integer array, destroying it: F_2 goes to the packed kernel."""
+    if p == 2:
+        return _rank_f2(a)
+    np.remainder(a, p, out=a)
+    return _rank_modp_array(a, p)
+
+
 def _rank_modp_array(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an int64 array; forward elimination only."""
-    a = a % p
+    """Rank over F_p of an array of residues; forward elimination only."""
     rows, cols = a.shape
     r = 0
     for c in range(cols):
@@ -460,9 +517,40 @@ def _rank_modp_array(a: np.ndarray, p: int) -> int:
             a[r, c:] = (a[r, c:] * inv) % p
         below = r + 1 + np.nonzero(a[r + 1:, c])[0]
         if below.size:
-            a[np.ix_(below, range(c, cols))] = (
-                a[np.ix_(below, range(c, cols))] - np.outer(a[below, c], a[r, c:])
-            ) % p
+            a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
+        r += 1
+    return r
+
+
+def _rank_f2(a: np.ndarray) -> int:
+    """Rank over F_2 of an int64 array, destroying it.
+
+    Each row is packed into uint64 words (column j is bit j % 64 of word
+    j // 64), the layout of M4RI, and a pivot clears its column below it by
+    one XOR of whole rows.
+    """
+    rows, cols = a.shape
+    a &= 1
+    packed = np.packbits(a, axis=1, bitorder="little")
+    words = -(-cols // 64)
+    if packed.shape[1] != 8 * words:
+        packed = np.concatenate(
+            [packed, np.zeros((rows, 8 * words - packed.shape[1]), dtype=np.uint8)], axis=1)
+    w = packed.view("<u8")
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        word, bit = divmod(c, 64)
+        nz = np.flatnonzero((w[r:, word] >> np.uint64(bit)) & np.uint64(1))
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            w[[r, i]] = w[[i, r]]
+        below = r + nz[1:]
+        if below.size:
+            w[below, word:] ^= w[r, word:]
         r += 1
     return r
 
@@ -508,10 +596,8 @@ def rank_of_int_rows(field: Field, rows, cols: int) -> int:
     if not rows or cols == 0:
         return 0
     if field.p is not None:
-        return _rank_modp_array(np.array(rows, dtype=np.int64), field.p)
-    scaled = [_row_lcm_scale([x if isinstance(x, Fraction) else Fraction(x) for x in row])
-              for row in rows]
-    return _rank_int_rows(scaled, cols)
+        return _rank_modp(np.array(rows, dtype=_elimination_dtype(field.p)), field.p)
+    return _rank_int_rows([_row_lcm_scale(row) for row in rows], cols)
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -519,22 +605,23 @@ def kernel(m: Matrix) -> "Subspace":
     res = rref(m)
     n = m.cols
     piv = set(res.pivots)
-    free = [j for j in range(n) if j not in piv]
     f = m.field
     zero, one = f.zero(), f.one()
     vectors = []
     red = res.reduced.entries
-    for j in free:
+    for j in range(n):
+        if j in piv:
+            continue
         v = [zero] * n
         v[j] = one
         for r_i, c in enumerate(res.pivots):
             v[c] = f.neg(red[r_i][j])
-        vectors.append(v)
-    return Subspace.from_vectors(f, n, vectors)
+        vectors.append(tuple(v))
+    return Subspace._spanned_by(Matrix._canonical(f, tuple(vectors), len(vectors), n))
 
 
 def column_space(m: Matrix) -> "Subspace":
-    return Subspace.from_vectors(m.field, m.rows, m.columns())
+    return Subspace._spanned_by(m.transpose())
 
 
 def solve_column(m: Matrix, b) -> tuple:
@@ -579,11 +666,15 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector does not live in the ambient space")
-        if not vectors:
-            return Subspace(ambient_dim, Matrix.zeros(field, 0, ambient_dim), ())
-        res = rref(Matrix(field, vectors, len(vectors), ambient_dim))
-        basis = res.reduced.take_rows(range(res.rank))
-        return Subspace(ambient_dim, basis, res.pivots)
+        return Subspace._spanned_by(Matrix(field, vectors, len(vectors), ambient_dim))
+
+    @staticmethod
+    def _spanned_by(m: Matrix) -> "Subspace":
+        """The span of the rows of m."""
+        if m.rows == 0:
+            return Subspace.zero(m.field, m.cols)
+        res = rref(m)
+        return Subspace(m.cols, res.reduced.take_rows(range(res.rank)), res.pivots)
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
@@ -632,10 +723,20 @@ class Subspace:
     def contains_vector(self, vec) -> bool:
         return vec_is_zero(self.field, self.reduce(vec))
 
+    def first_outside(self, m: Matrix) -> int | None:
+        """Index of the first row of m outside this subspace, or None."""
+        if m.cols != self.ambient_dim:
+            raise DimensionMismatch("vector/ambient mismatch")
+        residue = m - m.take_columns(self.pivots) @ self.basis
+        for i, row in enumerate(residue.entries):
+            if any(row):
+                return i
+        return None
+
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimension mismatch")
-        return all(self.contains_vector(row) for row in other.basis.entries)
+        return self.first_outside(other.basis) is None
 
     def coords(self, vec) -> tuple:
         """Coordinates of a member vector in the RREF basis (pivot extraction)."""
@@ -643,21 +744,12 @@ class Subspace:
 
     def lift(self, coords) -> tuple:
         """The member vector with the given basis coordinates."""
-        f = self.field
-        out = [f.zero()] * self.ambient_dim
-        for s, row in zip(coords, self.basis.entries):
-            if s:
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] = f.add(out[j], f.mul(s, x))
-        return tuple(out)
+        return _row_combination(self.basis, coords)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimension mismatch")
-        return Subspace.from_vectors(
-            self.field, self.ambient_dim,
-            list(self.basis.entries) + list(other.basis.entries))
+        return Subspace._spanned_by(Matrix.vstack(self.field, [self.basis, other.basis]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -666,20 +758,9 @@ class Subspace:
             return Subspace.zero(self.field, self.ambient_dim)
         stacked = Matrix.vstack(self.field, [self.basis, other.basis])
         ker = kernel(stacked.transpose())
-        vectors = []
-        f = self.field
-        a = self.dim
-        for coeffs in ker.basis.entries:
-            v = [f.zero()] * self.ambient_dim
-            for i in range(a):
-                s = coeffs[i]
-                if s:
-                    row = self.basis.entries[i]
-                    for j, x in enumerate(row):
-                        if x:
-                            v[j] = f.add(v[j], f.mul(s, x))
-            vectors.append(v)
-        return Subspace.from_vectors(f, self.ambient_dim, vectors)
+        # a kernel vector (a, b) gives a*basis = -b*basis(other), a common vector
+        coeffs = ker.basis.take_columns(range(self.dim))
+        return Subspace._spanned_by(coeffs @ self.basis)
 
 
 class QuotientMap:
@@ -701,24 +782,22 @@ class QuotientMap:
             raise LinalgError("sub is not contained in sup")
         f = sup.field
         s = sup.dim
-        sub_in_sup = Subspace.from_vectors(
-            f, s, [sup.coords(row) for row in sub.basis.entries])
-        comp = [i for i in range(s) if i not in set(sub_in_sup.pivots)]
+        sub_in_sup = Subspace._spanned_by(sub.basis.take_columns(sup.pivots))
+        sub_pivots = set(sub_in_sup.pivots)
+        comp = [i for i in range(s) if i not in sub_pivots]
         dim = len(comp)
-        # extraction of sup coordinates as a matrix
-        extract = Matrix(f, [[f.one() if j == c else f.zero() for j in range(sup.ambient_dim)]
-                             for c in sup.pivots], s, sup.ambient_dim)
-        # reduction modulo sub (in sup coordinates), then complement restriction:
-        # complement coordinate i of (c reduced mod sub) is c_i - sum_r c_{piv_r} S[r][i]
+        # complement coordinate i of a vector c (in sup coordinates, read off
+        # at sup's pivot columns) after reduction modulo sub:
+        # c_i - sum_r c_{piv_r} S[r][i]
+        zero, one = f.zero(), f.one()
         rows = []
         for i in comp:
-            row = [f.zero()] * s
-            row[i] = f.one()
+            row = [zero] * sup.ambient_dim
+            row[sup.pivots[i]] = one
             for r_i, c in enumerate(sub_in_sup.pivots):
-                row[c] = f.sub(row[c], sub_in_sup.basis.entries[r_i][i])
-            rows.append(row)
-        red = Matrix(f, rows, dim, s)
-        matrix = red @ extract
+                row[sup.pivots[c]] = f.sub(row[sup.pivots[c]], sub_in_sup.basis.entries[r_i][i])
+            rows.append(tuple(row))
+        matrix = Matrix._canonical(f, tuple(rows), dim, sup.ambient_dim)
         reps = sup.basis.take_rows(comp)
         object.__setattr__(self, "sup", sup)
         object.__setattr__(self, "sub", sub)
@@ -726,9 +805,8 @@ class QuotientMap:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "_sub_in_sup", sub_in_sup)
-        for k in range(dim):
-            if self.coords(self.reps.entries[k]) != unit_vector(f, dim, k):
-                raise LinalgError("quotient coordinate construction failed")
+        if matrix @ reps.transpose() != Matrix.identity(f, dim):
+            raise LinalgError("quotient coordinate construction failed")
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientMap is immutable")
@@ -737,11 +815,13 @@ class QuotientMap:
         return self.matrix.apply(vec)
 
     def lift(self, coords) -> tuple:
-        f = self.sup.field
-        out = [f.zero()] * self.sup.ambient_dim
-        for s, row in zip(coords, self.reps.entries):
-            if s:
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] = f.add(out[j], f.mul(s, x))
-        return tuple(out)
+        return _row_combination(self.reps, coords)
+
+
+def _row_combination(m: Matrix, coeffs) -> tuple:
+    """sum_i coeffs[i] * (row i of m)."""
+    f = m.field
+    row = tuple(f.coerce(x) for x in coeffs)
+    if len(row) != m.rows:
+        raise DimensionMismatch("coefficient vector length mismatch")
+    return (Matrix._canonical(f, (row,), 1, m.rows) @ m).entries[0]

@@ -29,9 +29,15 @@ class NotARepresentationError(ValueError):
 
 
 class GammaModule:
-    """A finite-dimensional representation of a finite group."""
+    """A finite-dimensional representation of a finite group.
 
-    __slots__ = ("group", "field", "dim", "action")
+    A permutation module (`GammaModule.permutation`) stores only the index
+    table `perm`, with element g sending basis vector e_j to e_{perm[g][j]};
+    its dense `action` matrices are built on first access, and `act_rows`
+    acts by permuting coordinates without them.
+    """
+
+    __slots__ = ("group", "field", "dim", "perm", "_action")
 
     def __init__(self, group: FiniteGroup, field: Field, action, check: bool = False):
         action = tuple(action)
@@ -44,9 +50,51 @@ class GammaModule:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "perm", None)
+        object.__setattr__(self, "_action", action)
         if check:
             self.check_homomorphism()
+
+    @classmethod
+    def permutation(cls, group: FiniteGroup, field: Field, perm) -> "GammaModule":
+        """The module on which element g sends e_j to e_{perm[g][j]}."""
+        perm = tuple(tuple(images) for images in perm)
+        dim = len(perm[0]) if perm else 0
+        if len(perm) != group.order or any(sorted(images) != list(range(dim))
+                                           for images in perm):
+            raise ValueError("one permutation of the basis per group element required")
+        module = object.__new__(cls)
+        object.__setattr__(module, "group", group)
+        object.__setattr__(module, "field", field)
+        object.__setattr__(module, "dim", dim)
+        object.__setattr__(module, "perm", perm)
+        object.__setattr__(module, "_action", None)
+        return module
+
+    @property
+    def action(self) -> tuple[Matrix, ...]:
+        """One dense matrix per group element."""
+        if self._action is None:
+            zero, one = self.field.zero(), self.field.one()
+            mats = []
+            for images in self.perm:
+                grid = [[zero] * self.dim for _ in range(self.dim)]
+                for j, i in enumerate(images):
+                    grid[i][j] = one
+                mats.append(Matrix._canonical(self.field, tuple(map(tuple, grid)),
+                                              self.dim, self.dim))
+            object.__setattr__(self, "_action", tuple(mats))
+        return self._action
+
+    def act_rows(self, g: int, vectors: Matrix) -> Matrix:
+        """The matrix whose rows are action[g] applied to the rows of `vectors`."""
+        if self.perm is not None:
+            # (g v)[perm[g][j]] = v[j], so g v reads v at the inverse permutation
+            inverse = [0] * self.dim
+            for j, i in enumerate(self.perm[g]):
+                inverse[i] = j
+            return vectors.take_columns(inverse)
+        return vectors @ self.action[g].transpose()
 
     def __setattr__(self, name, value):
         raise AttributeError("GammaModule is immutable")
@@ -135,7 +183,7 @@ def make_module(group: FiniteGroup, field: Field, gen_matrices) -> GammaModule:
 
 def regular_module(algebra: GroupAlgebra) -> GammaModule:
     """A as a left module over itself: action by left multiplication."""
-    return GammaModule(algebra.group, algebra.field, algebra.left_mult)
+    return GammaModule.permutation(algebra.group, algebra.field, algebra.group.mult)
 
 
 def coinduced_module(group: FiniteGroup, field: Field, base_dim: int = 1) -> GammaModule:

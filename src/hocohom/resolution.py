@@ -67,15 +67,14 @@ class AModule:
 
 
 def free_amodule(algebra: GroupAlgebra, k: int) -> AModule:
-    """A^k with coordinates (generator, group element)."""
-    f = algebra.field
+    """A^k with coordinates (generator, group element), acting by permutation.
+
+    Element g sends the basis vector (i, h) to (i, g h), read off the group
+    multiplication table; no action matrix is built.
+    """
     n = algebra.dim
-    action = []
-    for g in range(n):
-        blocks = [[algebra.left_mult[g] if i == j else None for j in range(k)]
-                  for i in range(k)]
-        action.append(Matrix.block(f, blocks, [n] * k, [n] * k) if k else Matrix.zeros(f, 0, 0))
-    return AModule(algebra, GammaModule(algebra.group, f, action),
+    perm = [[i * n + gh for i in range(k) for gh in row] for row in algebra.group.mult]
+    return AModule(algebra, GammaModule.permutation(algebra.group, algebra.field, perm),
                    f"free rank {k}", free_rank=k)
 
 
@@ -85,27 +84,36 @@ def amap_from_generator_images(algebra: GroupAlgebra, target: GammaModule, image
     Column (j, g) of the underlying R-matrix is action[g] applied to
     images[j], matching the free coordinate layout of free_amodule.
     """
-    cols = []
-    for v in images:
-        for g in range(algebra.dim):
-            cols.append(target.action[g].apply(v))
-    return Matrix.from_columns(algebra.field, cols, rows=target.dim)
+    f = algebra.field
+    images = Matrix(f, images, len(images), target.dim)
+    moved = [target.act_rows(g, images).entries for g in range(algebra.dim)]
+    columns = tuple(moved[g][j] for j in range(images.rows) for g in range(algebra.dim))
+    return Matrix._canonical(f, columns, len(columns), target.dim).transpose()
+
+
+def _certify_stable(module: GammaModule, sub: Subspace):
+    """Raise NotStableError unless every group generator maps sub into itself.
+
+    The generators generate the finite group G, so a subspace stable under
+    each of them is stable under every element.
+    """
+    for g in module.group.gen_indices:
+        bad = sub.first_outside(module.act_rows(g, sub.basis))
+        if bad is not None:
+            raise NotStableError(g, sub.basis.entries[bad])
 
 
 def amodule_from_subspace(algebra: GroupAlgebra, ambient: GammaModule,
                           sub: Subspace, label: str) -> AModule:
-    """A stable subspace repackaged as a module in its RREF basis coordinates."""
-    f = algebra.field
-    action = []
-    for g in range(algebra.dim):
-        cols = []
-        for row in sub.basis.entries:
-            moved = ambient.action[g].apply(row)
-            if not sub.contains_vector(moved):
-                raise NotStableError(g, row)
-            cols.append(sub.coords(moved))
-        action.append(Matrix.from_columns(f, cols, rows=sub.dim))
-    return AModule(algebra, GammaModule(algebra.group, f, action), label)
+    """A stable subspace repackaged as a module in its RREF basis coordinates.
+
+    Stability is certified under the group generators; the coordinates of
+    g b (b in the basis) are then read off at the pivot columns.
+    """
+    _certify_stable(ambient, sub)
+    action = [ambient.act_rows(g, sub.basis).take_columns(sub.pivots).transpose()
+              for g in range(algebra.dim)]
+    return AModule(algebra, GammaModule(algebra.group, algebra.field, action), label)
 
 
 def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
@@ -120,20 +128,12 @@ def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
     from .modules import regular_module
     if ambient is None:
         ambient = regular_module(algebra)
-    f = algebra.field
-    for g in range(algebra.dim):
-        for row in sup.basis.entries:
-            if not sup.contains_vector(ambient.action[g].apply(row)):
-                raise NotStableError(g, row)
-        for row in sub.basis.entries:
-            if not sub.contains_vector(ambient.action[g].apply(row)):
-                raise NotStableError(g, row)
+    _certify_stable(ambient, sup)
+    _certify_stable(ambient, sub)
     qmap = QuotientMap(sup, sub)
-    action = []
-    for g in range(algebra.dim):
-        cols = [qmap.coords(ambient.action[g].apply(rep)) for rep in qmap.reps.entries]
-        action.append(Matrix.from_columns(f, cols, rows=qmap.dim))
-    return AModule(algebra, GammaModule(algebra.group, f, action), label), qmap
+    action = [qmap.matrix @ ambient.act_rows(g, qmap.reps).transpose()
+              for g in range(algebra.dim)]
+    return AModule(algebra, GammaModule(algebra.group, algebra.field, action), label), qmap
 
 
 @dataclass(frozen=True)
@@ -461,11 +461,6 @@ def bar_dimension(group: FiniteGroup, v: GammaModule, p: int,
     rows_prev, cols_prev = _bar_delta_int_rows(group, v, p - 1)
     rank_prev = rank_of_int_rows(field, rows_prev, cols_prev)
     return (cols_p - rank_p) - rank_prev
-
-
-def bar_oracle(group: FiniteGroup, v: GammaModule, p: int,
-               budget: int = DEFAULT_BAR_BUDGET) -> int:
-    return bar_dimension(group, v, p, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from hocohom import cli
+from hocohom.algebra import AlgebraError, j_filtration
+from hocohom.linalg import LinalgError, Subspace
 from hocohom.problem import SpecError, parse_problem, load_problem
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -280,3 +283,38 @@ def test_reports_deterministic_in_process(tmp_path):
         del doc["timing"]
         return json.dumps(doc, indent=2, sort_keys=True)
     assert strip_timing(out1) == strip_timing(out2)
+
+
+def test_verify_large_prime_terminates_with_maschke_grid(tmp_path):
+    # p = 4294967311 does not divide |S3| = 6: H^p = 0 for p > 0 (Maschke)
+    doc = json.loads((SPECS / "s3_f3.json").read_text())
+    doc["field"] = "F4294967311"
+    out = tmp_path / "report.json"
+    started = time.monotonic()
+    code = cli.main(["verify", "--spec", write_spec(tmp_path, doc), "--out", str(out)])
+    assert time.monotonic() - started < 30
+    assert code == cli.EXIT_OK
+    grids = json.loads(out.read_text())["verify"]["grids"]
+    for name, grid in grids.items():
+        for row in grid:
+            assert row[1:] == [0] * (len(row) - 1), name
+    assert grids["trivial"][0][0] == 1 and grids["sign"][0][0] == 0
+
+
+@pytest.mark.parametrize("error", [AlgebraError("chain did not stabilize"),
+                                   LinalgError("no image in F_5")])
+def test_algebra_and_linalg_errors_exit_2(monkeypatch, capsys, error):
+    def fail(spec, recheck=False):
+        raise error
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    code = cli.main(["verify", "--spec", str(SPECS / "c2_f2.json")])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert str(error) in capsys.readouterr().err
+
+
+def test_j_filtration_stops_at_its_cap(monkeypatch):
+    # a chain that never compares equal must raise, not loop forever
+    spec = load_problem(SPECS / "c4_f2.json")
+    monkeypatch.setattr(Subspace, "__eq__", lambda self, other: False)
+    with pytest.raises(AlgebraError, match="did not stabilize"):
+        j_filtration(spec.algebra(), spec.sigma)

@@ -223,3 +223,103 @@ def test_subspace_reduce_membership():
     assert not s.contains_vector((0, 1, 0, 0))
     c = s.coords((1, 2, 1, 2))
     assert s.lift(c) == (1, 2, 1, 2)
+
+
+# --- canonical construction --------------------------------------------------
+
+def test_public_constructor_still_coerces():
+    m = Matrix(F5, [[7, -1, "1/2"]])
+    assert m.entries == ((2, 4, 3),)
+    assert Matrix(Q, [[1, "2/4"]]).entries == ((Fraction(1), Fraction(1, 2)),)
+    with pytest.raises(LinalgError):
+        Matrix(F5, [["1/5"]])
+
+
+def test_internal_producers_stay_canonical():
+    rng = random.Random(7)
+    a = random_matrix(rng, F5, 3, 4)
+    b = random_matrix(rng, F5, 4, 2)
+    for m in (a + a, a - a, -a, a.scale(-3), a @ b, a.transpose(), rref(a).reduced,
+              Matrix.block(F5, [[a, None]], [3], [4, 2])):
+        assert all(type(x) is int and 0 <= x < 5 for row in m.entries for x in row)
+        assert Matrix(F5, m.entries) == m
+
+
+# --- large primes against a pure-Python reference -----------------------------
+
+LARGE_PRIMES = (1000000007, 2147483647, 4294967311)
+
+
+def _reference_matmul(a, b, p):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b))
+                 for row in a)
+
+
+def _reference_rref(grid, p):
+    grid = [[x % p for x in row] for row in grid]
+    r = 0
+    for c in range(len(grid[0]) if grid else 0):
+        sel = next((i for i in range(r, len(grid)) if grid[i][c]), None)
+        if sel is None:
+            continue
+        grid[r], grid[sel] = grid[sel], grid[r]
+        inv = pow(grid[r][c], -1, p)
+        grid[r] = [x * inv % p for x in grid[r]]
+        for i in range(len(grid)):
+            if i != r and grid[i][c]:
+                f = grid[i][c]
+                grid[i] = [(x - f * y) % p for x, y in zip(grid[i], grid[r])]
+        r += 1
+    return r, tuple(tuple(row) for row in grid)
+
+
+def test_large_prime_matmul_overflow_case():
+    p = 1000000007
+    field = Field.prime(p)
+    m = Matrix(field, [[p - 1] * 12 for _ in range(12)])
+    assert (m @ m).entries[0][0] == 12
+    assert m.apply((p - 1,) * 12) == (12,) * 12
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_large_prime_kernels_match_reference(p):
+    field = Field.prime(p)
+    rng = random.Random(p)
+    for rows, cols, inner in ((5, 7, 6), (8, 4, 9), (6, 6, 3)):
+        a = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(inner)]
+             for _ in range(rows)]
+        b = [[rng.choice((0, p - 1, rng.randrange(p))) for _ in range(cols)]
+             for _ in range(inner)]
+        ma, mb = Matrix(field, a), Matrix(field, b)
+        assert (ma @ mb).entries == _reference_matmul(a, b, p)
+        vec = tuple(row[0] for row in b)
+        assert ma.apply(vec) == tuple(row[0] for row in _reference_matmul(a, b, p))
+        # a deficient-rank stack: the last row is a combination of two others
+        a.append([(x * (p - 1) + y * 3) % p for x, y in zip(a[0], a[1])])
+        r, reduced = _reference_rref(a, p)
+        res = rref(Matrix(field, a))
+        assert res.rank == r == rank(Matrix(field, a))
+        assert res.reduced.entries == reduced
+        assert rank_of_int_rows(field, a, inner) == r
+
+
+# --- the packed F2 kernel ------------------------------------------------------
+
+@pytest.mark.parametrize("cols", [1, 2, 7, 63, 64, 65, 100, 127, 128, 129, 200])
+def test_packed_f2_rank_matches_int64_elimination(cols):
+    import numpy as np
+    from hocohom.linalg import _rank_f2, _rank_modp_array
+    rng = np.random.default_rng(cols)
+    for rows in (1, 3, cols // 2 + 1, cols, cols + 5):
+        for density in (0.05, 0.5):
+            a = (rng.random((rows, cols)) < density).astype(np.int64)
+            a *= rng.integers(-3, 4, size=(rows, cols))    # negative and >= 2 entries
+            a[rng.integers(0, rows)] = 0                    # a zero row
+            expected = _rank_modp_array(a % 2, 2)
+            assert _rank_f2(a.copy()) == expected
+            assert rank_of_int_rows(F2, a.tolist(), cols) == expected
+    full = np.eye(cols, dtype=np.int64)
+    assert _rank_f2(full.copy()) == cols
+    deficient = np.vstack([full, full[:1] + full[-1:]])
+    assert _rank_f2(deficient) == cols
+    assert _rank_f2(np.zeros((4, cols), dtype=np.int64)) == 0

@@ -12,7 +12,7 @@ from hocohom.modules import (
     h_q0_annihilator, ModuleMap,
 )
 from hocohom.resolution import (
-    AModule, free_amodule, quotient_amodule,
+    AModule, amodule_from_subspace, free_amodule, quotient_amodule,
     free_cover, build_resolution, cochain_complex, ext, hom_precompose,
     higher_cohomology, quotient_by_j, filtration_for, resolution_of_quotient,
     bar_dimension, lift_chain_map,
@@ -406,3 +406,53 @@ def test_lift_projection_induces_iso_on_ext0():
     image = induced.apply(e1.representatives.entries[0])
     assert e2.cocycles.contains_vector(image)
     assert e2.classes.coords(image) != (0,) * e2.dim  # an isomorphism here
+
+
+# --- permutation-action free modules and generator-only stability -------------
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_free_module_permutation_action_matches_dense_blocks(k):
+    for group, field in [(s3(), F2), (cyclic(4), F3), (s3(), Q)]:
+        alg = GroupAlgebra(group, field)
+        free = free_amodule(alg, k).module
+        n = alg.dim
+        rng_rows = Matrix(field, [[(3 * i + j) % 5 for j in range(n * k)] for i in range(4)])
+        for g in range(n):
+            blocks = [[alg.left_mult[g] if i == j else None for j in range(k)]
+                      for i in range(k)]
+            dense = (Matrix.block(field, blocks, [n] * k, [n] * k) if k
+                     else Matrix.zeros(field, 0, 0))
+            assert free.action[g] == dense
+            assert free.act_rows(g, rng_rows) == rng_rows @ dense.transpose()
+
+
+def test_unstable_subspace_of_free_module_rejected_by_generators():
+    g = s3()
+    alg = GroupAlgebra(g, F2)
+    free = free_amodule(alg, 2).module
+    # span of (e, 0) and (0, e): not stable, since g e = g is not in it
+    unstable = Subspace.from_vectors(
+        F2, 12, [[1] + [0] * 11, [0] * 6 + [1] + [0] * 5])
+    with pytest.raises(NotStableError) as err:
+        amodule_from_subspace(alg, free, unstable, "unstable")
+    assert err.value.element_index in g.gen_indices
+    # the sum-of-all-elements line of the first copy is stable
+    stable = Subspace.from_vectors(F2, 12, [[1] * 6 + [0] * 6])
+    m = amodule_from_subspace(alg, free, stable, "norm line")
+    assert all(mat == Matrix.identity(F2, 1) for mat in m.module.action)
+
+
+def test_unstable_subspace_rejected_when_only_one_generator_moves_it():
+    g = s3()
+    alg = GroupAlgebra(g, Q)
+    # the A3 norm e + c + c^2 spans a line that the 3-cycle c fixes and the
+    # transposition moves
+    c = g.gen_indices[0]
+    c2 = g.mult[c][c]
+    vec = [0] * 6
+    for h in (0, c, c2):
+        vec[h] = 1
+    line = Subspace.from_vectors(Q, 6, [vec])
+    with pytest.raises(NotStableError) as err:
+        quotient_amodule(alg, Subspace.zero(Q, 6), line)
+    assert err.value.element_index == g.gen_indices[1]
