@@ -242,8 +242,7 @@ class Matrix:
         height = mats[0].rows
         if any(m.rows != height or m.field != field for m in mats):
             raise DimensionMismatch("hstack height or field mismatch")
-        grid = tuple(sum(parts, ()) for parts in zip(*(m.entries for m in mats))) \
-            if height else ()
+        grid = tuple(sum(parts, ()) for parts in zip(*(m.entries for m in mats)))
         return Matrix._canonical(field, grid, height, sum(m.cols for m in mats))
 
     @staticmethod
@@ -605,13 +604,12 @@ def kernel(m: Matrix) -> "Subspace":
     res = rref(m)
     n = m.cols
     piv = set(res.pivots)
+    free = [j for j in range(n) if j not in piv]
     f = m.field
     zero, one = f.zero(), f.one()
     vectors = []
     red = res.reduced.entries
-    for j in range(n):
-        if j in piv:
-            continue
+    for j in free:
         v = [zero] * n
         v[j] = one
         for r_i, c in enumerate(res.pivots):
