@@ -343,11 +343,13 @@ def test_criterion_9_deterministic_reports(tmp_path):
 
 
 if __name__ == "__main__":
-    # Rewrites tests/golden from the current code:  python tests/test_acceptance.py
+    # Rewrites tests/golden from the current code:
+    #   PYTHONPATH=src python tests/test_acceptance.py
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for spec_path in SPECS:
             code, payload = verify_report(spec_path, Path(tmp) / spec_path.name)
-            assert code == 0, spec_path.name
+            if code != 0:
+                raise SystemExit(f"verify failed on {spec_path.name} (exit {code})")
             (GOLDEN / spec_path.name).write_text(payload)
