@@ -312,10 +312,17 @@ def test_criterion_8_special_case_ideals():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def verify_report(spec_path: Path, out: Path) -> tuple[int, str]:
+def golden_path(spec_path: Path, recheck: bool = False) -> Path:
+    return GOLDEN / (f"{spec_path.stem}.recheck.json" if recheck else spec_path.name)
+
+
+def verify_report(spec_path: Path, out: Path, recheck: bool = False) -> tuple[int, str]:
     """Exit code and the `verify` report of one spec with `timing` removed."""
+    argv = ["verify", "--spec", str(spec_path), "--out", str(out)]
+    if recheck:
+        argv.append("--recheck")
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["verify", "--spec", str(spec_path), "--out", str(out)])
+        code = cli.main(argv)
     doc = json.loads(out.read_text())
     del doc["timing"]
     return code, json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -334,7 +341,7 @@ def test_criterion_9_deterministic_reports(tmp_path):
             payloads.append(payload)
         if payloads[0] != payloads[1]:
             failures.append(("mismatch", spec_path.name))
-        golden = GOLDEN / spec_path.name
+        golden = golden_path(spec_path)
         if not golden.exists() or payloads[0] != golden.read_text():
             failures.append(("golden", spec_path.name))
     report_line("criterion 9: byte-identical verify reports outside the "
@@ -342,14 +349,35 @@ def test_criterion_9_deterministic_reports(tmp_path):
                 not failures, time.monotonic() - started)
 
 
+def test_recheck_reports_match_golden(tmp_path):
+    """`verify --recheck` once per shipped spec, against its golden report.
+
+    The recheck path adds the reversed-sweep resolutions, whose verdicts go
+    through the rational rank on the Q spec.
+    """
+    started = time.monotonic()
+    failures = []
+    for spec_path in SPECS:
+        code, payload = verify_report(spec_path, tmp_path / spec_path.name, recheck=True)
+        if code != 0:
+            failures.append(("exit", spec_path.name, code))
+        golden = golden_path(spec_path, recheck=True)
+        if not golden.exists() or payload != golden.read_text():
+            failures.append(("golden", spec_path.name))
+    report_line("verify --recheck reports outside the timing block equal "
+                "tests/golden, every shipped spec", not failures,
+                time.monotonic() - started)
+
+
 if __name__ == "__main__":
-    # Rewrites tests/golden from the current code:
+    # Rewrites tests/golden (plain and --recheck reports) from the current code:
     #   PYTHONPATH=src python tests/test_acceptance.py
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for spec_path in SPECS:
-            code, payload = verify_report(spec_path, Path(tmp) / spec_path.name)
-            if code != 0:
-                raise SystemExit(f"verify failed on {spec_path.name} (exit {code})")
-            (GOLDEN / spec_path.name).write_text(payload)
+            for recheck in (False, True):
+                code, payload = verify_report(spec_path, Path(tmp) / spec_path.name, recheck)
+                if code != 0:
+                    raise SystemExit(f"verify failed on {spec_path.name} (exit {code})")
+                golden_path(spec_path, recheck).write_text(payload)
