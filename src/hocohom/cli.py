@@ -127,7 +127,8 @@ def cmd_cohom(spec: ProblemSpec, module_name: str | None = None,
                        for q in range(1, spec.q_max + 1)]
             checks["resolution_independence"] = reverse == grid
         ok = ok and all(checks.values())
-        out[name] = {"grid": grid, "checks": checks}
+        # bar_row[p] is None where the bar budget skipped degree p
+        out[name] = {"grid": grid, "checks": checks, "bar_row": bar_row}
     return {"modules": out, "q_max": spec.q_max, "p_max": spec.p_max}, ok
 
 

@@ -19,16 +19,28 @@ use int64 only while no intermediate can overflow: a product with inner
 dimension k needs k*(p-1)^2 < 2^63, and an elimination step needs
 (p-1)^2 + p < 2^63.  Past those bounds the same code runs on Python-int
 (`object`) arrays.  Ranks over F_2 pack each row into uint64 words and
-eliminate by XOR of whole rows.  Rational elimination runs on
-integer-scaled rows with gcd normalization, so Fraction arithmetic never
-enters the inner loops.  Every path is exact.
+eliminate by XOR of whole rows.  Every path is exact.
+
+Rational rank.  A rank over Q is taken of an integer matrix M (rows of a
+rational matrix are scaled by the lcm of their denominators) and is
+certified, never estimated.  r = rank of M mod p is a lower bound for
+rank_Q(M), for the fixed primes 2^31 - 1, 2^31 - 19 and 2^31 - 61 in
+turn.  The reduced echelon rows mod p give cols - r kernel vectors, one
+per free column; their entries are lifted to Q by rational reconstruction
+(Wang 1981) and their denominators cleared.  If M K = 0 holds exactly,
+those independent vectors give rank_Q(M) <= r, so the rank is r.  A prime
+for which reconstruction or the check fails gives way to the next one;
+after the last prime, and for entries of 2^62 or more, exact elimination
+on integer rows with gcd normalization decides.  Rational row reduction
+(`rref`) runs on the same integer-scaled rows, so Fraction arithmetic
+never enters the inner loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -144,6 +156,17 @@ class Field:
 
 
 _INT64_BOUND = 2 ** 63
+
+
+# Cells of one temporary in the blocked elimination updates and kernel checks.
+_BLOCK_CELLS = 1 << 15
+
+# The certified rational rank eliminates modulo these primes in turn.  Each
+# is below 2^31, so an elimination update (p-1)^2 + p stays inside int64.
+_CERTIFICATE_PRIMES = (2147483647, 2147483629, 2147483587)
+
+# Integer matrices with an entry this large go straight to exact elimination.
+_CERTIFICATE_ENTRY_BOUND = 2 ** 62
 
 
 def _product_dtype(p: int, k: int):
@@ -384,6 +407,22 @@ class RrefResult:
     pivots: tuple[int, ...]
 
 
+def _clear_column(a: np.ndarray, targets: np.ndarray, r: int, c: int, p: int):
+    """Subtract a[t, c] times pivot row r from each row t in targets, mod p.
+
+    Only columns c onward change.  The rows are updated in blocks, so no
+    temporary exceeds _BLOCK_CELLS cells however tall the array is.
+    """
+    pivot = a[r, c:]
+    step = max(1, _BLOCK_CELLS // pivot.size)
+    for start in range(0, targets.size, step):
+        block = targets[start:start + step]
+        t = a[block, c:]
+        t -= np.multiply.outer(t[:, 0], pivot)
+        np.remainder(t, p, out=t)
+        a[block, c:] = t
+
+
 def _rref_modp(a: np.ndarray, p: int):
     """Reduced row-echelon form over F_p of an array of residues, in place."""
     rows, cols = a.shape
@@ -404,7 +443,7 @@ def _rref_modp(a: np.ndarray, p: int):
         others = np.nonzero(a[:, c])[0]
         others = others[others != r]
         if others.size:
-            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
+            _clear_column(a, others, r, c, p)
         pivots.append(c)
         r += 1
     return r, a, tuple(pivots)
@@ -487,19 +526,31 @@ def rank(m: Matrix) -> int:
         return 0
     if m.field.p is not None:
         return _rank_modp(np.array(m.entries, dtype=_elimination_dtype(m.field.p)), m.field.p)
-    return _rank_int_rows([_row_lcm_scale(row) for row in m.entries], m.cols)
+    return _rank_rational(_integer_array([_row_lcm_scale(row) for row in m.entries]))
+
+
+def _integer_array(rows) -> np.ndarray:
+    """Rows of Python ints as an int64 array, or an object array past int64."""
+    big = max((abs(x) for row in rows for x in row), default=0)
+    return np.array(rows, dtype=np.int64 if big < _INT64_BOUND else object)
 
 
 def _rank_modp(a: np.ndarray, p: int) -> int:
     """Rank over F_p of an integer array, destroying it: F_2 goes to the packed kernel."""
     if p == 2:
         return _rank_f2(a)
+    dtype = _elimination_dtype(p)
+    if a.dtype != dtype:
+        a = a.astype(dtype)
     np.remainder(a, p, out=a)
     return _rank_modp_array(a, p)
 
 
 def _rank_modp_array(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an array of residues; forward elimination only."""
+    """Rank over F_p of an array of residues, in place; forward elimination only.
+
+    Rows 0 .. rank-1 are left in echelon form with leading entries 1.
+    """
     rows, cols = a.shape
     r = 0
     for c in range(cols):
@@ -514,15 +565,17 @@ def _rank_modp_array(a: np.ndarray, p: int) -> int:
         inv = pow(int(a[r, c]), -1, p)
         if inv != 1:
             a[r, c:] = (a[r, c:] * inv) % p
-        below = r + 1 + np.nonzero(a[r + 1:, c])[0]
+        # the rows below the pivot with a nonzero entry in column c; the swap
+        # moved a row with a zero there, so the indices past nz[0] still hold
+        below = r + nz[1:]
         if below.size:
-            a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
+            _clear_column(a, below, r, c, p)
         r += 1
     return r
 
 
 def _rank_f2(a: np.ndarray) -> int:
-    """Rank over F_2 of an int64 array, destroying it.
+    """Rank over F_2 of an integer array (int8 or int64), destroying it.
 
     Each row is packed into uint64 words (column j is bit j % 64 of word
     j // 64), the layout of M4RI, and a pivot clears its column below it by
@@ -554,8 +607,122 @@ def _rank_f2(a: np.ndarray) -> int:
     return r
 
 
+def _rank_rational(a: np.ndarray) -> int:
+    """Rank over Q of an integer array, certified by an exactly checked kernel.
+
+    `a` is left unchanged.  See the module docstring for the certificate.
+    """
+    rows, cols = a.shape
+    bound = max(int(a.max()), -int(a.min()))
+    if bound == 0:
+        return 0
+    if bound < _CERTIFICATE_ENTRY_BOUND:
+        for p in _CERTIFICATE_PRIMES:
+            reduced, pivots = _row_space_modp(a, p)
+            r = len(pivots)
+            if r == cols:
+                return r
+            certificate = _lifted_kernel(reduced, pivots, p)
+            if certificate is not None and _annihilates(a, bound, certificate):
+                return r
+    return _rank_int_rows(a.tolist(), cols)
+
+
+def _row_space_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced echelon basis and pivot columns of the row space of a mod p.
+
+    The rows of a are taken in blocks, each reduced together with the basis
+    so far, so the work array never holds more than cols + a block of rows.
+    Stops early once the basis spans the whole row space F_p^cols.
+    """
+    rows, cols = a.shape
+    basis, pivots = np.zeros((0, cols), dtype=np.int64), ()
+    step = max(1, _BLOCK_CELLS // cols)
+    for start in range(0, rows, step):
+        work = np.vstack([basis, a[start:start + step]]).astype(np.int64, copy=False)
+        np.remainder(work, p, out=work)
+        r, work, pivots = _rref_modp(work, p)
+        basis = work[:r]
+        if r == cols:
+            break
+    return basis, pivots
+
+
+def _lifted_kernel(reduced: np.ndarray, pivots: tuple[int, ...], p: int) -> np.ndarray | None:
+    """Integer kernel vectors lifted from a reduced echelon basis mod p, as columns.
+
+    The vector of free column j has entry 1 at j and -R[k, j] at pivot k of
+    the reduced rows R.  Its entries are lifted to fractions by rational
+    reconstruction and multiplied by the lcm of their denominators, so
+    column j of the result is nonzero at free column j and zero at the
+    other free columns.  Returns None when some entry has no reconstruction.
+    """
+    cols = reduced.shape[1]
+    free = np.ones(cols, dtype=bool)
+    free[list(pivots)] = False
+    free = np.flatnonzero(free)
+    lifted = _rational_reconstruction((-reduced[:, free]) % p, p)
+    if lifted is None:
+        return None
+    num, den = lifted
+    scales = [lcm(*column) for column in den.T.tolist()]
+    if max(scales) < 2 ** 31:
+        # |num| and den are below 2^15, so every entry stays below 2^46
+        out = np.zeros((cols, free.size), dtype=np.int64)
+        scale = np.array(scales, dtype=np.int64)
+    else:
+        out = np.zeros((cols, free.size), dtype=object)
+        scale = np.array(scales, dtype=object)
+        num, den = num.astype(object), den.astype(object)
+    out[list(pivots)] = num * (scale // den)
+    out[free, np.arange(free.size)] = scale
+    return out
+
+
+def _rational_reconstruction(u: np.ndarray, p: int):
+    """Fractions n/d = u mod p with |n|, d <= sqrt((p-1)/2), entrywise, or None.
+
+    The extended Euclidean algorithm on (p, u) runs for all entries at once
+    and stops for each entry at the first remainder within the bound (Wang
+    1981); remainder r and cofactor t satisfy r = t u mod p throughout.
+    None when a cofactor ends past the bound.
+    """
+    bound = isqrt((p - 1) // 2)
+    r0 = np.full(u.shape, p, dtype=np.int64)
+    r1 = u.astype(np.int64)
+    t0 = np.zeros(u.shape, dtype=np.int64)
+    t1 = np.ones(u.shape, dtype=np.int64)
+    live = r1 > bound
+    while live.any():
+        q = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - q * r1[live]
+        t0[live], t1[live] = t1[live], t0[live] - q * t1[live]
+        live &= r1 > bound
+    if (np.abs(t1) > bound).any():
+        return None
+    sign = np.where(t1 < 0, -1, 1)
+    return sign * r1, sign * t1
+
+
+def _annihilates(a: np.ndarray, bound: int, k: np.ndarray) -> bool:
+    """Whether a @ k == 0 exactly, checked in blocks of rows of a.
+
+    int64 while bound * max|k| * cols < 2^62 bounds every partial sum,
+    Python ints past that.
+    """
+    rows, cols = a.shape
+    k_bound = max(int(k.max()), -int(k.min()))
+    dtype = np.int64 if bound * k_bound * cols < _CERTIFICATE_ENTRY_BOUND else object
+    k = k.astype(dtype)
+    step = max(1, _BLOCK_CELLS // cols)
+    for start in range(0, rows, step):
+        if (a[start:start + step].astype(dtype) @ k).any():
+            return False
+    return True
+
+
 def _rank_int_rows(work, cols: int) -> int:
-    """Rank over Q of integer rows; destructive, pivot chosen smallest |value|."""
+    """Rank over Q of integer rows by exact elimination; destructive, pivot chosen smallest |value|."""
     rows = len(work)
     r = 0
     for c in range(cols):
@@ -586,17 +753,23 @@ def _rank_int_rows(work, cols: int) -> int:
 
 
 def rank_of_int_rows(field: Field, rows, cols: int) -> int:
-    """Rank of a matrix given as raw scalar rows, interpreted in the field.
+    """Rank of an integer matrix, interpreted in the field.
 
-    Fast path used by the brute-force cochain computations, which build
-    large matrices directly: int entries for prime fields, ints or
-    Fractions over Q (rows are lcm-scaled to integers before elimination).
+    Fast path of the brute-force cochain computations, which build their
+    matrices as integer numpy arrays (int8, int64 or Python ints); such an
+    array is used as it is and may be overwritten.  Rows given as lists
+    hold ints for prime fields and ints or Fractions over Q, where each row
+    is first scaled by the lcm of its denominators.  Over Q the rank is the
+    certified one of `_rank_rational`.
     """
-    if not rows or cols == 0:
+    if len(rows) == 0 or cols == 0:
         return 0
-    if field.p is not None:
-        return _rank_modp(np.array(rows, dtype=_elimination_dtype(field.p)), field.p)
-    return _rank_int_rows([_row_lcm_scale(row) for row in rows], cols)
+    p = field.p
+    if isinstance(rows, np.ndarray):
+        return _rank_modp(rows, p) if p is not None else _rank_rational(rows)
+    if p is not None:
+        return _rank_modp(np.array(rows, dtype=_elimination_dtype(p)), p)
+    return _rank_rational(_integer_array([_row_lcm_scale(row) for row in rows]))
 
 
 def kernel(m: Matrix) -> "Subspace":

@@ -13,12 +13,21 @@ coboundary is precomposition with the boundary.
 inhomogeneous cochain complex C^p = maps(G^p, V).  It shares no code with
 the resolution path and serves as the independent oracle for the q = 1 row
 of the higher-order theory and for the coefficient-power identification.
+Each coboundary is built directly as one integer numpy array: every term
+of the coboundary formula is a single vectorized addition at column
+indices read off the multiplication table, rows over Q are scaled to
+integers, and the dtype is the smallest that holds the entries (int8 for
+small fields and small rational actions).  Its rank is taken in the field
+by `rank_of_int_rows`, certified over Q.  The bar budget bounds the
+largest cochain space touched, dim C^{p+1}, before anything is built.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import lcm
+
+import numpy as np
 
 from .algebra import GroupAlgebra, IdealFiltration, j_filtration
 from .groups import FiniteGroup, NormalSubgroup
@@ -396,44 +405,57 @@ def higher_cohomology(algebra: GroupAlgebra, sigma: NormalSubgroup,
 # ---------------------------------------------------------------------------
 # brute-force classical cohomology (independent oracle)
 
-def _bar_delta_int_rows(group: FiniteGroup, v: GammaModule, i: int) -> tuple[list, int]:
+def _bar_coboundary(group: FiniteGroup, v: GammaModule, i: int) -> np.ndarray:
     """Integer matrix of the inhomogeneous coboundary C^i -> C^{i+1}.
 
     (d phi)(g_1..g_{i+1}) = g_1 phi(g_2..g_{i+1})
                             + sum_m (-1)^m phi(.., g_m g_{m+1}, ..)
                             + (-1)^{i+1} phi(g_1..g_i).
-    Entries are small integers regardless of the field; rank is taken in the
-    field afterwards.
+    Row (sigma, t) is sigma * dim V + t and column (tau, s) is
+    tau * dim V + s, with a tuple read as a base-|G| number, g_1 leading.
+    Each term of the formula is one vectorized addition over all rows at
+    once, at column indices computed from the multiplication table.
+
+    Over F_p the entries are residues of the action and +-1.  Over Q row
+    (sigma, t) is multiplied by the lcm of the denominators in row t of
+    action[g_1], its +-1 terms included; that makes it integral and leaves
+    the rank unchanged.  The dtype is int8, int64 or Python ints, the
+    smallest that holds every entry.
     """
-    n = group.order
-    d_v = v.dim
-    cols = n ** i * d_v
-    act = [v.action[g].entries for g in range(n)]
+    n, d = group.order, v.dim
+    rows = [row for g in range(n) for row in v.action[g].entries]
+    if v.field.is_rational:
+        scales = [lcm(*(x.denominator for x in row)) for row in rows]
+        rows = [[x.numerator * (s // x.denominator) for x in row]
+                for row, s in zip(rows, scales)]
+    else:
+        scales = [1] * len(rows)
+    # |entry| <= max |action entry| + (i + 1) * scale, per row of the action
+    bound = max(max(map(abs, row)) + (i + 1) * s for row, s in zip(rows, scales))
+    dtype = np.int8 if bound < 2 ** 7 else np.int64 if bound < 2 ** 63 else object
+    act = np.array(rows, dtype=dtype).reshape(n, d, d)
+    scale = np.array(scales, dtype=dtype).reshape(n, d)
 
-    def col_index(tup, s):
-        idx = 0
-        for t in tup:
-            idx = idx * n + t
-        return idx * d_v + s
+    sigma = np.arange(n ** (i + 1))
+    digits = [sigma // n ** (i - k) % n for k in range(i + 1)]     # g_1 .. g_{i+1}
+    head = digits[0]
+    out = np.zeros((n ** (i + 1), d, n ** i, d), dtype=dtype)
+    # g_1 phi(g_2..g_{i+1}): the block action[g_1] at column tuple (g_2..g_{i+1})
+    out[sigma, :, sigma % n ** i, :] += act[head]
+    t = np.arange(d)
+    mult = np.array(group.mult)
 
-    rows = []
-    for sigma in itertools.product(range(n), repeat=i + 1):
-        head, tail = sigma[0], sigma[1:]
-        merged = []
-        for m in range(i):
-            merged.append(sigma[:m] + (group.mult[sigma[m]][sigma[m + 1]],) + sigma[m + 2:])
-        front = sigma[:i]
-        for t in range(d_v):
-            row = [0] * cols
-            for s in range(d_v):
-                a = act[head][t][s]
-                if a:
-                    row[col_index(tail, s)] += a
-            for m, tup in enumerate(merged, start=1):
-                row[col_index(tup, t)] += -1 if m % 2 else 1
-            row[col_index(front, t)] += 1 if (i + 1) % 2 == 0 else -1
-            rows.append(row)
-    return rows, cols
+    def face(tau, sign):
+        out[sigma[:, None], t, tau[:, None], t] += sign * scale[head]
+
+    for m in range(1, i + 1):
+        merged = digits[:m - 1] + [mult[digits[m - 1], digits[m]]] + digits[m + 1:]
+        tau = np.zeros_like(sigma)
+        for digit in merged:
+            tau = tau * n + digit
+        face(tau, (-1) ** m)
+    face(sigma // n, (-1) ** (i + 1))
+    return out.reshape(n ** (i + 1) * d, n ** i * d)
 
 
 def bar_dimension(group: FiniteGroup, v: GammaModule, p: int,
@@ -441,25 +463,29 @@ def bar_dimension(group: FiniteGroup, v: GammaModule, p: int,
     """dim H^p(G, V) from the inhomogeneous cochain complex.
 
     This path never touches resolutions or Hom complexes.  Raises
-    BudgetExceeded when p > 3 or |G|^p * dim V exceeds the budget.
+    BudgetExceeded, before anything is built, when p > 3 or when
+    dim C^{p+1} = |G|^{p+1} * dim V, the largest cochain space touched,
+    exceeds the budget.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
     if p > 3:
         raise BudgetExceeded("inhomogeneous cochains are limited to p <= 3")
     n = group.order
-    if n ** p * v.dim > budget:
+    if n ** (p + 1) * v.dim > budget:
         raise BudgetExceeded(
-            f"|G|^p * dim V = {n ** p * v.dim} exceeds budget {budget}")
+            f"|G|^(p+1) * dim V = {n ** (p + 1) * v.dim} exceeds budget {budget}")
     field = v.field
     if v.dim == 0:
         return 0
-    rows_p, cols_p = _bar_delta_int_rows(group, v, p)
-    rank_p = rank_of_int_rows(field, rows_p, cols_p)
+    delta_p = _bar_coboundary(group, v, p)
+    cols_p = delta_p.shape[1]
+    rank_p = rank_of_int_rows(field, delta_p, cols_p)
+    del delta_p  # freed before the next coboundary is built
     if p == 0:
         return cols_p - rank_p
-    rows_prev, cols_prev = _bar_delta_int_rows(group, v, p - 1)
-    rank_prev = rank_of_int_rows(field, rows_prev, cols_prev)
+    delta_prev = _bar_coboundary(group, v, p - 1)
+    rank_prev = rank_of_int_rows(field, delta_prev, delta_prev.shape[1])
     return (cols_p - rank_p) - rank_prev
 
 

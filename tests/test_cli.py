@@ -228,6 +228,22 @@ def test_budget_overrides(tmp_path):
     assert len(grid[0]) == 2
 
 
+def test_cohom_skips_bar_degree_past_budget():
+    # S4 over F2, p_max 3: dim C^3 = 13824 fits the default bar budget, but
+    # delta^3 would map into C^4 of dimension 331776, so degree 3 is skipped
+    spec = parse_problem({
+        "field": "F2",
+        "group": {"generators": [[1, 2, 3, 0], [1, 0, 2, 3]]},
+        "modules": {"trivial": {"kind": "trivial", "dim": 1}},
+        "budgets": {"q_max": 1, "p_max": 3},
+    })
+    fragment, ok = cli.cmd_cohom(spec)
+    entry = fragment["modules"]["trivial"]
+    assert entry["bar_row"] == [1, 1, 2, None]
+    assert entry["grid"] == [[1, 1, 2, 3]]
+    assert ok
+
+
 def test_selftest(tmp_path):
     proc = run_cli(["selftest"])
     assert proc.returncode == 0

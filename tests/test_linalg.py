@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,6 +10,7 @@ from hocohom.linalg import (
     Field, Matrix, Subspace, QuotientMap,
     rref, rank, kernel, solve_column, solve_columns,
     rank_of_int_rows, InconsistentSystem, LinalgError, unit_vector,
+    _rank_int_rows,
 )
 
 Q = Field.rationals()
@@ -323,3 +325,116 @@ def test_packed_f2_rank_matches_int64_elimination(cols):
     deficient = np.vstack([full, full[:1] + full[-1:]])
     assert _rank_f2(deficient) == cols
     assert _rank_f2(np.zeros((4, cols), dtype=np.int64)) == 0
+
+
+# --- the certified rational rank -------------------------------------------------
+
+CERTIFICATE_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def _exact_rank(rows, cols):
+    """Rank by exact elimination, bound at import so that no spy counts it."""
+    return _rank_int_rows([list(map(int, row)) for row in rows], cols)
+
+
+@pytest.fixture
+def certificate_spy(monkeypatch):
+    """Records the primes tried and the calls that reach exact elimination."""
+    import hocohom.linalg as linalg
+    seen = {"primes": [], "exact": 0}
+    row_space, exact = linalg._row_space_modp, linalg._rank_int_rows
+
+    def spy_row_space(a, p):
+        seen["primes"].append(p)
+        return row_space(a, p)
+
+    def spy_exact(work, cols):
+        seen["exact"] += 1
+        return exact(work, cols)
+
+    monkeypatch.setattr(linalg, "_row_space_modp", spy_row_space)
+    monkeypatch.setattr(linalg, "_rank_int_rows", spy_exact)
+    return seen
+
+
+def test_certified_rank_matches_exact_elimination():
+    # dense random rows: wide ones have kernel entries past the reconstruction
+    # bound and reach exact elimination, the others are certified mod p
+    import numpy as np
+    rng = np.random.default_rng(5)
+    for cols in range(1, 61):
+        rows = int(rng.integers(1, 9)) if cols > 12 else cols + 3
+        full = rng.integers(-4, 5, size=(rows, cols))
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        deficient = rng.integers(-3, 4, size=(rows, k)) @ rng.integers(-3, 4, size=(k, cols))
+        deficient[int(rng.integers(0, rows))] = 0                       # a zero row
+        for a in (full, deficient, np.zeros((rows, cols), dtype=np.int64)):
+            expected = _exact_rank(a.tolist(), cols)
+            assert rank_of_int_rows(Q, a.tolist(), cols) == expected
+            assert rank_of_int_rows(Q, a.astype(np.int8), cols) == expected
+            assert rank(Matrix(Q, a.tolist())) == expected
+
+
+def test_certified_rank_decides_the_rational_bar_oracle(certificate_spy):
+    # the S3 coboundaries over Q have small kernel entries: the first prime
+    # certifies every rank and exact elimination never runs
+    from hocohom.algebra import GroupAlgebra
+    from hocohom.groups import Permutation, close_generators
+    from hocohom.modules import make_module, regular_module
+    from hocohom.resolution import bar_dimension
+    g = close_generators([Permutation([1, 2, 0]), Permutation([1, 0, 2])])
+    regular = regular_module(GroupAlgebra(g, Q))
+    sign = make_module(g, Q, [Matrix(Q, [[1]]), Matrix(Q, [[-1]])])
+    assert [bar_dimension(g, regular, p) for p in range(3)] == [1, 0, 0]
+    assert [bar_dimension(g, sign, p) for p in range(3)] == [0, 0, 0]
+    assert certificate_spy["exact"] == 0
+    assert set(certificate_spy["primes"]) == {CERTIFICATE_PRIMES[0]}
+
+
+def test_certified_rank_passes_a_bad_prime(certificate_spy):
+    # the rows agree mod 2^31 - 1, so that prime sees rank 1 and its kernel
+    # vector (-1, 1) fails the exact check; the second prime sees rank 2
+    assert rank_of_int_rows(Q, [[1, 1], [1, 1 + 2147483647]], 2) == 2
+    assert certificate_spy["primes"] == list(CERTIFICATE_PRIMES[:2])
+    assert certificate_spy["exact"] == 0
+
+
+def test_certified_rank_falls_back_when_the_kernel_cannot_be_lifted(certificate_spy):
+    # the kernel vector (-2^40, 1) has no reconstruction within sqrt(p/2)
+    assert rank_of_int_rows(Q, [[1, 2 ** 40]], 2) == 1
+    assert certificate_spy["primes"] == list(CERTIFICATE_PRIMES)
+    assert certificate_spy["exact"] == 1
+
+
+def test_certified_rank_sends_huge_entries_to_exact_elimination(certificate_spy):
+    assert rank_of_int_rows(Q, [[2 ** 62, 1], [2 ** 63, 2]], 2) == 1
+    assert rank(Matrix(Q, [[2 ** 70, 1], [1, 0]])) == 2
+    assert rank(Matrix(Q, [[Fraction(2 ** 80, 3), 1], [1, Fraction(3, 2 ** 80)]])) == 1
+    assert certificate_spy["primes"] == []
+    assert certificate_spy["exact"] == 3
+
+
+def test_certified_rank_past_int64_products(certificate_spy):
+    # entries just below 2^62: the exact check a @ K runs on Python ints
+    assert rank_of_int_rows(Q, [[2 ** 61, 2 ** 61], [2 ** 61, 2 ** 61]], 2) == 1
+    # kernel denominators 2, 3, ..., 29 have an lcm past 2^31: K holds Python ints
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    rows = [[p if j == i else 0 for j, _ in enumerate(primes)] + [1]
+            for i, p in enumerate(primes)]
+    assert rank_of_int_rows(Q, rows, len(primes) + 1) == len(primes)
+    assert certificate_spy["exact"] == 0
+
+
+def test_certified_rank_of_fraction_matrices():
+    rng = random.Random(29)
+    for _ in range(30):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        grid = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 12)) for _ in range(cols)]
+                for _ in range(rows)]
+        if rows > 1:
+            grid[-1] = [x * Fraction(2, 7) - y for x, y in zip(grid[0], grid[1 % rows])]
+        scaled = [[x * lcm(*(y.denominator for y in row)) for x in row] for row in grid]
+        assert rank(Matrix(Q, grid)) == _exact_rank(scaled, cols)
+        assert rank_of_int_rows(Q, grid, cols) == rank(Matrix(Q, grid))
+    half = Matrix(Q, [["1/2", "1/3", "1/5"], ["3/2", "1", "3/5"], ["1/7", 0, "-1/9"]])
+    assert rank(half) == 2

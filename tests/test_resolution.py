@@ -1,5 +1,10 @@
 """Free resolutions, Ext, the brute-force cochain oracle, and chain lifting."""
 
+import itertools
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
 import pytest
 
 from hocohom.algebra import GroupAlgebra, j_filtration
@@ -17,6 +22,7 @@ from hocohom.resolution import (
     higher_cohomology, quotient_by_j, filtration_for, resolution_of_quotient,
     bar_dimension, lift_chain_map,
     NotStableError, ResolutionTooShort, BudgetExceeded,
+    _bar_coboundary,
 )
 
 Q = Field.rationals()
@@ -268,6 +274,131 @@ def test_bar_budget():
         bar_dimension(g, v, 2, budget=10)
     with pytest.raises(BudgetExceeded):
         bar_dimension(g, v, 4)
+
+
+def test_bar_budget_counts_the_next_cochain_space():
+    # S4, trivial F2 module: dim C^3 = 13824 fits the budget of 20000, but
+    # delta^3 reaches C^4 of dimension 331776, so p = 3 is refused up front
+    s4 = close_generators([Permutation([1, 2, 3, 0]), Permutation([1, 0, 2, 3])])
+    v = trivial_module(s4, F2, 1)
+    with pytest.raises(BudgetExceeded, match="331776"):
+        bar_dimension(s4, v, 3)
+    with pytest.raises(BudgetExceeded):
+        bar_dimension(s4, v, 1, budget=24 ** 2 - 1)
+    assert bar_dimension(s4, v, 1, budget=24 ** 2) == 1
+
+
+# --- the array coboundary against the list-built reference ---------------------
+
+def _bar_delta_reference(group, v, i):
+    """Rows of the inhomogeneous coboundary C^i -> C^{i+1}, built as Python lists.
+
+    The construction the package used before its coboundaries became
+    arrays: one loop per row, entries of the field (Fractions over Q).
+    """
+    n = group.order
+    d_v = v.dim
+    cols = n ** i * d_v
+    act = [v.action[g].entries for g in range(n)]
+
+    def col_index(tup, s):
+        idx = 0
+        for t in tup:
+            idx = idx * n + t
+        return idx * d_v + s
+
+    rows = []
+    for sigma in itertools.product(range(n), repeat=i + 1):
+        head, tail = sigma[0], sigma[1:]
+        merged = [sigma[:m] + (group.mult[sigma[m]][sigma[m + 1]],) + sigma[m + 2:]
+                  for m in range(i)]
+        front = sigma[:i]
+        for t in range(d_v):
+            row = [0] * cols
+            for s in range(d_v):
+                a = act[head][t][s]
+                if a:
+                    row[col_index(tail, s)] += a
+            for m, tup in enumerate(merged, start=1):
+                row[col_index(tup, t)] += -1 if m % 2 else 1
+            row[col_index(front, t)] += 1 if (i + 1) % 2 == 0 else -1
+            rows.append(row)
+    return rows
+
+
+def _row_scales(group, v, i):
+    """The documented factor of row (sigma, t): the lcm of the denominators
+    in row t of action[sigma_1] (1 over a prime field)."""
+    per_row = [[lcm(*(Fraction(x).denominator for x in row)) for row in v.action[g].entries]
+               for g in range(group.order)]
+    return [per_row[sigma // group.order ** i][t]
+            for sigma in range(group.order ** (i + 1)) for t in range(v.dim)]
+
+
+def _check_against_reference(group, v, degrees):
+    for i in degrees:
+        got = _bar_coboundary(group, v, i)
+        ref = _bar_delta_reference(group, v, i)
+        assert got.shape == (len(ref), group.order ** i * v.dim)
+        scaled = [[x * s for x in row] for row, s in zip(ref, _row_scales(group, v, i))]
+        assert got.tolist() == scaled
+
+
+def test_array_coboundary_d4_f2_coinduced():
+    d4 = close_generators([Permutation([1, 2, 3, 0]), Permutation([3, 2, 1, 0])])
+    assert d4.order == 8
+    _check_against_reference(d4, coinduced_module(d4, F2, 1), (0, 1, 2))
+
+
+def test_array_coboundary_s3_q_regular_and_sign():
+    g = s3()
+    sign = make_module(g, Q, [Matrix(Q, [[1]]), Matrix(Q, [[-1]])])
+    _check_against_reference(g, regular_module(GroupAlgebra(g, Q)), (0, 1, 2))
+    _check_against_reference(g, sign, (0, 1, 2))
+
+
+def test_array_coboundary_s3_f3_trivial():
+    g = s3()
+    _check_against_reference(g, trivial_module(g, F3, 2), (0, 1, 2))
+
+
+def test_array_coboundary_large_prime_is_int64():
+    g = s3()
+    big = Field.prime(2147483647)
+    sign = make_module(g, big, [Matrix(big, [[1]]), Matrix(big, [[-1]])])
+    assert _bar_coboundary(g, sign, 1).dtype == np.int64
+    _check_against_reference(g, sign, (0, 1, 2))
+    assert [bar_dimension(g, sign, p) for p in range(3)] == [0, 0, 0]
+
+
+def test_array_coboundary_rational_action_scales_rows():
+    # C2 swapping two lines with weights 2 and 1/2: rows through the second
+    # row of the action are doubled, +-1 terms included
+    g = c2()
+    v = make_module(g, Q, [Matrix(Q, [[0, 2], ["1/2", 0]])])
+    _check_against_reference(g, v, (0, 1, 2))
+    delta0 = _bar_coboundary(g, v, 0)
+    assert delta0.tolist() == [[0, 0], [0, 0], [-1, 2], [1, -2]]
+    # V ~ Q[C2]: H^0 is the line of (2, 1), and higher cohomology vanishes
+    assert [bar_dimension(g, v, p) for p in range(3)] == [1, 0, 0]
+
+
+def test_array_coboundary_dtype_boundary():
+    # over F127 the sign module acts by 126: delta^0 entries are bounded by
+    # 126 + 1 = 127, which fits int8; delta^1 by 126 + 2 = 128, which does not
+    g = c2()
+    f127 = Field.prime(127)
+    sign = make_module(g, f127, [Matrix(f127, [[-1]])])
+    assert _bar_coboundary(g, sign, 0).dtype == np.int8
+    assert _bar_coboundary(g, sign, 1).dtype == np.int64
+    _check_against_reference(g, sign, (0, 1, 2))
+    assert [bar_dimension(g, sign, p) for p in range(3)] == [0, 0, 0]
+    # over Q the bound counts the row scale: the row [1/126, 0] is scaled by
+    # 126, so delta^0 is bounded by 1 + 126 and delta^1 by 1 + 2 * 126
+    v = make_module(g, Q, [Matrix(Q, [[0, 126], ["1/126", 0]])])
+    assert _bar_coboundary(g, v, 0).dtype == np.int8
+    assert _bar_coboundary(g, v, 1).dtype == np.int64
+    _check_against_reference(g, v, (0, 1, 2))
 
 
 # --- the composed pipeline --------------------------------------------------
