@@ -722,7 +722,10 @@ def _annihilates(a: np.ndarray, bound: int, k: np.ndarray) -> bool:
 
 
 def _rank_int_rows(work, cols: int) -> int:
-    """Rank over Q of integer rows by exact elimination; destructive, pivot chosen smallest |value|."""
+    """Rank over Q of integer rows by exact elimination; destructive.
+
+    The pivot of each column is an entry of smallest absolute value.
+    """
     rows = len(work)
     r = 0
     for c in range(cols):
