@@ -311,14 +311,19 @@ def test_criterion_8_special_case_ideals():
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# Verbs whose `--recheck` reports are pinned in tests/golden besides `verify`.
+RECHECK_VERBS = ("verify", "cohom", "h1", "ideals")
 
-def golden_path(spec_path: Path, recheck: bool = False) -> Path:
-    return GOLDEN / (f"{spec_path.stem}.recheck.json" if recheck else spec_path.name)
+
+def golden_path(spec_path: Path, recheck: bool = False, verb: str = "verify") -> Path:
+    stem = spec_path.stem if verb == "verify" else f"{spec_path.stem}.{verb}"
+    return GOLDEN / (f"{stem}.recheck.json" if recheck else f"{stem}.json")
 
 
-def verify_report(spec_path: Path, out: Path, recheck: bool = False) -> tuple[int, str]:
-    """Exit code and the `verify` report of one spec with `timing` removed."""
-    argv = ["verify", "--spec", str(spec_path), "--out", str(out)]
+def cli_report(spec_path: Path, out: Path, recheck: bool = False,
+               verb: str = "verify") -> tuple[int, str]:
+    """Exit code and the report of one verb on one spec with `timing` removed."""
+    argv = [verb, "--spec", str(spec_path), "--out", str(out)]
     if recheck:
         argv.append("--recheck")
     with contextlib.redirect_stdout(io.StringIO()):
@@ -335,7 +340,7 @@ def test_criterion_9_deterministic_reports(tmp_path):
     for spec_path in SPECS:
         payloads = []
         for run in (1, 2):
-            code, payload = verify_report(spec_path, tmp_path / f"{spec_path.stem}.{run}.json")
+            code, payload = cli_report(spec_path, tmp_path / f"{spec_path.stem}.{run}.json")
             if code != 0:
                 failures.append(("exit", spec_path.name, code))
             payloads.append(payload)
@@ -350,34 +355,41 @@ def test_criterion_9_deterministic_reports(tmp_path):
 
 
 def test_recheck_reports_match_golden(tmp_path):
-    """`verify --recheck` once per shipped spec, against its golden report.
+    """`verify`, `cohom`, `h1` and `ideals` with `--recheck`, once per shipped
+    spec, against their golden reports.
 
     The recheck path adds the reversed-sweep resolutions, whose verdicts go
-    through the rational rank on the Q spec.
+    through the rational rank on the Q spec, and every alternate oracle of
+    the other verbs.
     """
     started = time.monotonic()
     failures = []
     for spec_path in SPECS:
-        code, payload = verify_report(spec_path, tmp_path / spec_path.name, recheck=True)
-        if code != 0:
-            failures.append(("exit", spec_path.name, code))
-        golden = golden_path(spec_path, recheck=True)
-        if not golden.exists() or payload != golden.read_text():
-            failures.append(("golden", spec_path.name))
-    report_line("verify --recheck reports outside the timing block equal "
-                "tests/golden, every shipped spec", not failures,
+        for verb in RECHECK_VERBS:
+            code, payload = cli_report(spec_path, tmp_path / f"{verb}.{spec_path.name}",
+                                       recheck=True, verb=verb)
+            if code != 0:
+                failures.append(("exit", verb, spec_path.name, code))
+            golden = golden_path(spec_path, recheck=True, verb=verb)
+            if not golden.exists() or payload != golden.read_text():
+                failures.append(("golden", verb, spec_path.name))
+    report_line("--recheck reports of verify, cohom, h1 and ideals outside the "
+                "timing block equal tests/golden, every shipped spec", not failures,
                 time.monotonic() - started)
 
 
 if __name__ == "__main__":
-    # Rewrites tests/golden (plain and --recheck reports) from the current code:
+    # Rewrites tests/golden (plain `verify` and the --recheck reports of every
+    # verb in RECHECK_VERBS) from the current code:
     #   PYTHONPATH=src python tests/test_acceptance.py
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for spec_path in SPECS:
-            for recheck in (False, True):
-                code, payload = verify_report(spec_path, Path(tmp) / spec_path.name, recheck)
+            runs = [("verify", False)] + [(verb, True) for verb in RECHECK_VERBS]
+            for verb, recheck in runs:
+                code, payload = cli_report(spec_path, Path(tmp) / spec_path.name,
+                                           recheck, verb)
                 if code != 0:
-                    raise SystemExit(f"verify failed on {spec_path.name} (exit {code})")
-                golden_path(spec_path, recheck).write_text(payload)
+                    raise SystemExit(f"{verb} failed on {spec_path.name} (exit {code})")
+                golden_path(spec_path, recheck, verb).write_text(payload)
