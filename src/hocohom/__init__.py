@@ -30,12 +30,12 @@ from .modules import (
 from .resolution import (
     AModule, FreeResolution, ExtResult,
     free_amodule, quotient_amodule, free_cover, build_resolution, ext,
-    higher_cohomology, bar_dimension, lift_chain_map,
+    higher_cohomology, bar_dimension,
 )
 from .cocycle import HomSpace, hom_a_space, alpha_map, h_q1_cocycle
 from .les import (
     ShortExactSequence, LongExactSequenceReport,
     quotient_ses, trivial_action_witness, horseshoe, long_exact_sequence,
-    power_identification, vanishing_check, les_naturality,
+    power_identification, vanishing_check,
 )
 from .problem import ProblemSpec, SpecError, parse_problem, load_problem

@@ -28,7 +28,7 @@ from .groups import NotNormalError
 from .les import long_exact_sequence, power_identification, vanishing_check
 from .linalg import LinalgError
 from .modules import coinduced_module, h_q0_annihilator, h_q0_inductive
-from .problem import ProblemSpec, SpecError, load_problem
+from .problem import ProblemSpec, SpecError, load_problem, parse_problem
 from .resolution import (
     BudgetExceeded, bar_dimension, filtration_for, higher_cohomology,
 )
@@ -82,10 +82,42 @@ def cmd_ideals(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
     return fragment, ok
 
 
-def _grid(spec: ProblemSpec, algebra, filt, v) -> list[list[int]]:
-    return [[higher_cohomology(algebra, spec.sigma, v, q, p, filt).dim
+def _grid(spec: ProblemSpec, algebra, filt, v, order: str = "forward") -> list[list[int]]:
+    """The H_q^p grid, rows q = 1..q_max and columns p = 0..p_max, from
+    resolutions built in the given sweep order."""
+    return [[higher_cohomology(algebra, spec.sigma, v, q, p, filt, order=order).dim
              for p in range(spec.p_max + 1)]
             for q in range(1, spec.q_max + 1)]
+
+
+def _bar_row(spec: ProblemSpec, algebra, v) -> list[int | None]:
+    """dim H^p(G, V) for p = 0..p_max by the bar oracle; None where the bar
+    budget skips degree p."""
+    row = []
+    for p in range(spec.p_max + 1):
+        try:
+            row.append(bar_dimension(algebra.group, v, p, spec.budgets["bar_budget"]))
+        except BudgetExceeded:
+            row.append(None)
+    return row
+
+
+def _cocycle_column(spec: ProblemSpec, algebra, filt, v):
+    """dim H_q^1 for q = 1..q_max by the cocycle model, computed lazily so a
+    caller that stops at the first mismatch computes no more."""
+    return (h_q1_cocycle(algebra, spec.sigma, v, q, filt) for q in range(1, spec.q_max + 1))
+
+
+def _h0_columns(spec: ProblemSpec, filt, v, q_top: int):
+    """H_q^0 for q = 1..q_top as the annihilator of J_q and by the inductive
+    recursion, two lists of subspaces."""
+    ann = [h_q0_annihilator(v, filt, q) for q in range(1, q_top + 1)]
+    ind = [h_q0_inductive(v, spec.sigma, q) for q in range(1, q_top + 1)]
+    return ann, ind
+
+
+def _matches_q1_row(bar_row, grid) -> bool:
+    return all(b is None or b == grid[0][p] for p, b in enumerate(bar_row))
 
 
 def cmd_cohom(spec: ProblemSpec, module_name: str | None = None,
@@ -100,32 +132,18 @@ def cmd_cohom(spec: ProblemSpec, module_name: str | None = None,
         grid = _grid(spec, algebra, filt, v)
         checks = {}
         # ordinary-cohomology recovery along the q = 1 row
-        bar_row = []
-        for p in range(spec.p_max + 1):
-            try:
-                bar_row.append(bar_dimension(algebra.group, v, p,
-                                             spec.budgets["bar_budget"]))
-            except BudgetExceeded:
-                bar_row.append(None)
-        checks["q1_row_matches_brute_force"] = all(
-            b is None or b == grid[0][p] for p, b in enumerate(bar_row))
+        bar_row = _bar_row(spec, algebra, v)
+        checks["q1_row_matches_brute_force"] = _matches_q1_row(bar_row, grid)
         # cocycle model along the p = 1 column
         if spec.p_max >= 1:
-            cocycle_col = [h_q1_cocycle(algebra, spec.sigma, v, q, filt)
-                           for q in range(1, spec.q_max + 1)]
-            checks["p1_column_matches_cocycle_model"] = all(
-                c == grid[q - 1][1] for q, c in enumerate(cocycle_col, start=1))
+            cocycle_col = list(_cocycle_column(spec, algebra, filt, v))
+            checks["p1_column_matches_cocycle_model"] = cocycle_col == [row[1] for row in grid]
         if recheck:
-            ann = [h_q0_annihilator(v, filt, q).dim for q in range(1, spec.q_max + 1)]
-            ind = [h_q0_inductive(v, spec.sigma, q).dim for q in range(1, spec.q_max + 1)]
-            checks["p0_column_matches_annihilator"] = all(
-                a == grid[q - 1][0] for q, a in enumerate(ann, start=1))
-            checks["annihilator_matches_inductive"] = ann == ind
-            reverse = [[higher_cohomology(algebra, spec.sigma, v, q, p, filt,
-                                          order="reverse").dim
-                        for p in range(spec.p_max + 1)]
-                       for q in range(1, spec.q_max + 1)]
-            checks["resolution_independence"] = reverse == grid
+            ann, ind = _h0_columns(spec, filt, v, spec.q_max)
+            ann_dims = [a.dim for a in ann]
+            checks["p0_column_matches_annihilator"] = ann_dims == [row[0] for row in grid]
+            checks["annihilator_matches_inductive"] = ann_dims == [b.dim for b in ind]
+            checks["resolution_independence"] = _grid(spec, algebra, filt, v, "reverse") == grid
         ok = ok and all(checks.values())
         # bar_row[p] is None where the bar budget skipped degree p
         out[name] = {"grid": grid, "checks": checks, "bar_row": bar_row}
@@ -141,8 +159,7 @@ def cmd_h1(spec: ProblemSpec, module_name: str | None = None,
     ok = True
     for name in names:
         v = spec.build_module(name)
-        dims = [h_q1_cocycle(algebra, spec.sigma, v, q, filt)
-                for q in range(1, spec.q_max + 1)]
+        dims = list(_cocycle_column(spec, algebra, filt, v))
         entry = {"dims_by_q": dims}
         if recheck:
             ext_dims = [higher_cohomology(algebra, spec.sigma, v, q, 1, filt).dim
@@ -218,30 +235,16 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
         grid = _grid(spec, algebra, filt, v)
         grids[name] = grid
 
-        bar_dims = {}
-        bar_ok = True
-        for p in range(spec.p_max + 1):
-            try:
-                bar_dims[p] = bar_dimension(algebra.group, v, p, spec.budgets["bar_budget"])
-            except BudgetExceeded:
-                continue
-            if bar_dims[p] != grid[0][p]:
-                bar_ok = False
-        record(f"cohom.{name}.q1_row_matches_brute_force", bar_ok)
+        bar_row = _bar_row(spec, algebra, v)
+        record(f"cohom.{name}.q1_row_matches_brute_force", _matches_q1_row(bar_row, grid))
 
         if spec.p_max >= 1:
-            cocycle_ok = all(
-                h_q1_cocycle(algebra, spec.sigma, v, q, filt) == grid[q - 1][1]
-                for q in range(1, spec.q_max + 1))
+            cocycle_ok = all(c == row[1] for c, row in
+                             zip(_cocycle_column(spec, algebra, filt, v), grid))
             record(f"cohom.{name}.p1_column_matches_cocycle_model", cocycle_ok)
 
-        h0_ok = True
-        for q in range(1, q_top + 1):
-            ann = h_q0_annihilator(v, filt, q)
-            if ann != h_q0_inductive(v, spec.sigma, q):
-                h0_ok = False
-            if ann.dim != grid[q - 1][0]:
-                h0_ok = False
+        ann, ind = _h0_columns(spec, filt, v, q_top)
+        h0_ok = ann == ind and all(a.dim == row[0] for a, row in zip(ann, grid))
         record(f"cohom.{name}.h0_annihilator_inductive_ext_agree", h0_ok)
 
         les_ok = True
@@ -252,21 +255,18 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
 
         power_ok = True
         for q in range(1, q_top + 1):
-            for p in range(spec.p_max + 1):
-                if p not in bar_dims:
+            for p, classical in enumerate(bar_row):
+                if classical is None:
                     continue
                 lhs, rhs = power_identification(algebra, spec.sigma, v, q, p, filt,
-                                                classical_dim=bar_dims[p])
+                                                classical_dim=classical)
                 if lhs != rhs:
                     power_ok = False
         record(f"power.{name}.ext_of_layer_equals_n_times_classical", power_ok)
 
         if recheck:
-            reverse = [[higher_cohomology(algebra, spec.sigma, v, q, p, filt,
-                                          order="reverse").dim
-                        for p in range(spec.p_max + 1)]
-                       for q in range(1, spec.q_max + 1)]
-            record(f"cohom.{name}.resolution_independence", reverse == grid)
+            record(f"cohom.{name}.resolution_independence",
+                   _grid(spec, algebra, filt, v, "reverse") == grid)
 
     coinduced = coinduced_module(spec.group, spec.field, 1)
     vreport = vanishing_check(algebra, spec.sigma, coinduced,
@@ -316,7 +316,6 @@ SELFTEST_PROBLEMS = {
 
 
 def cmd_selftest() -> tuple[dict, bool]:
-    from .problem import parse_problem
     results = {}
     ok = True
     for name, doc in sorted(SELFTEST_PROBLEMS.items()):
@@ -430,7 +429,6 @@ def _load(args) -> ProblemSpec:
     if overrides:
         doc = {k: v for k, v in spec.echo.items()}
         doc["budgets"] = {**spec.budgets, **overrides}
-        from .problem import parse_problem
         spec = parse_problem(doc)
     return spec
 
@@ -466,13 +464,7 @@ def main(argv=None) -> int:
                 report["verify"] = fragment
             else:  # pragma: no cover
                 raise SpecError(f"unknown verb {args.verb}")
-    except SpecError as err:
-        sys.stderr.write(f"input error: {err}\n")
-        return EXIT_INPUT_ERROR
-    except NotNormalError as err:
-        sys.stderr.write(f"input error: {err}\n")
-        return EXIT_INPUT_ERROR
-    except BudgetExceeded as err:
+    except (SpecError, NotNormalError, BudgetExceeded) as err:
         sys.stderr.write(f"input error: {err}\n")
         return EXIT_INPUT_ERROR
     except (AlgebraError, LinalgError) as err:

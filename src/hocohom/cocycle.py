@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 from .algebra import GroupAlgebra, IdealFiltration
 from .groups import NormalSubgroup
-from .linalg import Matrix, QuotientMap, Subspace, column_space, kernel, rank
+from .linalg import Matrix, Subspace, kernel, rank
 from .modules import GammaModule
+from .resolution import filtration_for
 
 
 class AlphaNotAHomError(RuntimeError):
@@ -103,52 +104,8 @@ def h_q1_cocycle(algebra: GroupAlgebra, sigma: NormalSubgroup, v: GammaModule,
     """dim H_q^1 = dim Hom_A(J_q, V) - rank(alpha)."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    from .resolution import filtration_for
     filt = filtration if filtration is not None else filtration_for(algebra, sigma)
     hom = hom_a_space(algebra, filt, q, v)
     alpha = alpha_map(algebra, filt, q, v, hom)
     return hom.dim - rank(alpha)
 
-
-def alpha_kernel(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
-                 v: GammaModule) -> Subspace:
-    """ker(alpha) = {v : J_q v = 0}, which must equal H_q^0."""
-    return kernel(alpha_map(algebra, filtration, q, v))
-
-
-def h1_restriction_class_matrix(algebra: GroupAlgebra, filtration: IdealFiltration,
-                                q: int, v: GammaModule) -> Matrix:
-    """The map H_q^1 -> H_{q+1}^1 in the cocycle model, on class coordinates.
-
-    Restriction of maps along J_{q+1} <= J_q descends to the alpha-quotients
-    because alpha_q(v) restricts to alpha_{q+1}(v).
-    """
-    f = algebra.field
-    j_lo = filtration.j(q + 1)
-    j_hi = filtration.j(q)
-    d_v = v.dim
-    hom_hi = hom_a_space(algebra, filtration, q, v)
-    hom_lo = hom_a_space(algebra, filtration, q + 1, v)
-    alpha_hi = alpha_map(algebra, filtration, q, v, hom_hi)
-    alpha_lo = alpha_map(algebra, filtration, q + 1, v, hom_lo)
-    # restriction on raw value tuples
-    cols_total = j_hi.dim * d_v
-    rows_total = j_lo.dim * d_v
-    zero = f.zero()
-    grid = [[zero] * cols_total for _ in range(rows_total)]
-    for m, row_vec in enumerate(j_lo.basis.entries):
-        coeffs = j_hi.coords(row_vec)
-        for l, c in enumerate(coeffs):
-            if c:
-                for t in range(d_v):
-                    grid[m * d_v + t][l * d_v + t] = c
-    restrict = Matrix(f, grid, rows_total, cols_total)
-    classes_hi = QuotientMap(hom_hi.maps, column_space(alpha_hi))
-    classes_lo = QuotientMap(hom_lo.maps, column_space(alpha_lo))
-    cols = []
-    for rep in classes_hi.reps.entries:
-        moved = restrict.apply(rep)
-        if not hom_lo.maps.contains_vector(moved):
-            raise RuntimeError("restriction left the A-linear maps")
-        cols.append(classes_lo.coords(moved))
-    return Matrix.from_columns(f, cols, rows=classes_lo.dim)

@@ -111,9 +111,6 @@ class FiniteGroup:
     def product(self, i: int, j: int) -> int:
         return self.mult[i][j]
 
-    def inverse_of(self, i: int) -> int:
-        return self.inv[i]
-
     def __len__(self) -> int:
         return self.order
 

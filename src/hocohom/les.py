@@ -30,9 +30,10 @@ from .linalg import (
 )
 from .modules import GammaModule, ModuleMap
 from .resolution import (
-    AModule, FreeResolution, amap_from_generator_images, bar_dimension, ext,
-    filtration_for, free_amodule, hom_delta, layer_module, quotient_by_j,
-    resolution_of_layer, resolution_of_quotient,
+    AModule, BudgetExceeded, FreeResolution, amap_from_generator_images,
+    bar_dimension, ext, filtration_for, free_amodule, higher_cohomology,
+    hom_delta, layer_module, quotient_by_j, resolution_of_layer,
+    resolution_of_quotient,
 )
 
 
@@ -264,7 +265,6 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
     if p_max > 3:
-        from .resolution import BudgetExceeded
         raise BudgetExceeded("long-exact-sequence degrees are limited to p_max <= 3")
     f = algebra.field
     filt = filtration if filtration is not None else filtration_for(algebra, sigma)
@@ -359,69 +359,6 @@ def power_identification(algebra: GroupAlgebra, sigma: NormalSubgroup,
     return lhs, rhs
 
 
-def les_naturality(algebra: GroupAlgebra, sigma: NormalSubgroup, f: ModuleMap,
-                   q: int, p_max: int,
-                   filtration: IdealFiltration | None = None) -> bool:
-    """Optional check: a module map V -> W makes the two sequences commute.
-
-    Post-composition with f induces vertical maps between the cochain
-    complexes; the squares with both horizontal maps and the connecting
-    homomorphism are verified on class coordinates.  Signs are the ones
-    fixed by the split snake construction used throughout.
-    """
-    fld = algebra.field
-    filt = filtration if filtration is not None else filtration_for(algebra, sigma)
-    ses = quotient_ses(algebra, filt, q)
-    length = p_max + 2
-    shoe = horseshoe(ses, length)
-    v, w = f.source, f.target
-
-    def blockdiag(k: int) -> Matrix:
-        blocks = [[f.matrix if i == j else None for j in range(k)] for i in range(k)]
-        if k == 0:
-            return Matrix.zeros(fld, 0, 0)
-        return Matrix.block(fld, blocks, [w.dim] * k, [v.dim] * k)
-
-    reports = {}
-    for module in (v, w):
-        reports[id(module)] = long_exact_sequence(
-            algebra, sigma, module, q, p_max, filt)
-    rep_v = reports[id(v)]
-    rep_w = reports[id(w)]
-    res_n = shoe.res_right
-    res_m = shoe.res_middle
-    res_l = shoe.res_left
-
-    def vertical(res, p, h_src: CohomologySpace, h_dst: CohomologySpace) -> Matrix:
-        return _induced_matrix(blockdiag(res.ranks[p]), h_src, h_dst)
-
-    top = p_max + 1
-    deltas = {}
-    spaces = {}
-    for tag, res in (("n", res_n), ("m", res_m), ("l", res_l)):
-        for module in (v, w):
-            ds = [hom_delta(res, module, i) for i in range(length)]
-            deltas[(tag, id(module))] = ds
-            spaces[(tag, id(module))] = _cohomology_spaces(ds, top, fld)
-
-    ok = True
-    for p in range(p_max + 1):
-        vert_n = vertical(res_n, p, spaces[("n", id(v))][p], spaces[("n", id(w))][p])
-        vert_n1 = vertical(res_n, p + 1, spaces[("n", id(v))][p + 1],
-                           spaces[("n", id(w))][p + 1])
-        vert_m = vertical(res_m, p, spaces[("m", id(v))][p], spaces[("m", id(w))][p])
-        vert_l = vertical(res_l, p, spaces[("l", id(v))][p], spaces[("l", id(w))][p])
-        deg_v = rep_v.degrees[p]
-        deg_w = rep_w.degrees[p]
-        if vert_m @ deg_v.map_lower_to_upper != deg_w.map_lower_to_upper @ vert_n:
-            ok = False
-        if vert_l @ deg_v.map_upper_to_power != deg_w.map_upper_to_power @ vert_m:
-            ok = False
-        if vert_n1 @ deg_v.connecting != deg_w.connecting @ vert_l:
-            ok = False
-    return ok
-
-
 @dataclass(frozen=True)
 class VanishingReport:
     acyclic_certified: bool
@@ -437,7 +374,6 @@ def vanishing_check(algebra: GroupAlgebra, sigma: NormalSubgroup,
     An acyclic module must have H_q^p = 0 for all q >= 1, p >= 1; the report
     carries every computed dimension so failures are diagnosable.
     """
-    from .resolution import higher_cohomology
     filt = filtration if filtration is not None else filtration_for(algebra, sigma)
     certified = all(
         bar_dimension(algebra.group, v_acyclic, p) == 0 for p in range(1, p_max + 1))

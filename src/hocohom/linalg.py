@@ -14,12 +14,16 @@ transposes, sums, scalings, products, row-reduced forms) is built from
 entries that are already canonical and goes through `Matrix._canonical`,
 which wraps them without touching a single entry.
 
-Kernels.  Prime-field products and eliminations run on numpy arrays.  They
-use int64 only while no intermediate can overflow: a product with inner
-dimension k needs k*(p-1)^2 < 2^63, and an elimination step needs
-(p-1)^2 + p < 2^63.  Past those bounds the same code runs on Python-int
-(`object`) arrays.  Ranks over F_2 pack each row into uint64 words and
-eliminate by XOR of whole rows.  Every path is exact.
+Kernels.  Each field has one elimination kernel.  Over F_p it is
+`_rref_modp` on numpy arrays; ranks and the certificate primes below feed
+it the rows in blocks through `_row_space_modp`.  Ranks over F_2 instead
+pack each row into uint64 words and eliminate by XOR of whole rows
+(`_rank_f2`).  Over Q it is one fraction-free elimination of integer rows
+(`_rref_int`).  Prime-field products and eliminations use int64 only while
+no intermediate can overflow: a product with inner dimension k needs
+k*(p-1)^2 < 2^63, and an elimination step needs (p-1)^2 + p < 2^63.  Past
+those bounds the same code runs on Python-int (`object`) arrays.  Every
+path is exact.
 
 Rational rank.  A rank over Q is taken of an integer matrix M (rows of a
 rational matrix are scaled by the lcm of their denominators) and is
@@ -30,10 +34,9 @@ per free column; their entries are lifted to Q by rational reconstruction
 (Wang 1981) and their denominators cleared.  If M K = 0 holds exactly,
 those independent vectors give rank_Q(M) <= r, so the rank is r.  A prime
 for which reconstruction or the check fails gives way to the next one;
-after the last prime, and for entries of 2^62 or more, exact elimination
-on integer rows with gcd normalization decides.  Rational row reduction
-(`rref`) runs on the same integer-scaled rows, so Fraction arithmetic
-never enters the inner loops.
+after the last prime, and for entries of 2^62 or more, `_rref_int`
+decides.  Rational row reduction (`rref`) runs the same kernel on the
+integer-scaled rows, so Fraction arithmetic never enters the inner loops.
 """
 
 from __future__ import annotations
@@ -143,16 +146,6 @@ class Field:
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a):
-        if self.p is None:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 / a
-        return pow(a, -1, self.p)
-
-    def format(self, a) -> str:
-        return str(a)
 
 
 _INT64_BOUND = 2 ** 63
@@ -283,9 +276,6 @@ class Matrix:
             rows.append(Matrix.hstack(field, strips) if strips else Matrix.zeros(field, row_dims[bi], 0))
         return Matrix.vstack(field, rows, cols=sum(col_dims))
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
 
@@ -392,10 +382,6 @@ def vec_is_zero(field: Field, v) -> bool:
     zero = field.zero()
     return all(a == zero for a in v)
 
-def unit_vector(field: Field, n: int, i: int) -> tuple:
-    zero, one = field.zero(), field.one()
-    return tuple(one if j == i else zero for j in range(n))
-
 
 # ---------------------------------------------------------------------------
 # row reduction
@@ -472,8 +458,17 @@ def _normalize_int_row(row):
     return row
 
 
-def _rref_rational(entries, rows: int, cols: int):
-    work = [_row_lcm_scale(row) for row in entries]
+def _rref_int(work, cols: int):
+    """Reduced echelon form over Q of integer rows, by fraction-free elimination.
+
+    Works in place on the list of rows `work`.  The pivot of each column is
+    its first nonzero entry at or below the current row; every other row is
+    cleared by an integer combination and divided by the gcd of its entries.
+    Returns (rank, work, pivots): rows 0 .. rank-1 have pivots at the pivot
+    columns, each row a rational multiple of its reduced echelon row, and
+    the remaining rows are zero.
+    """
+    rows = len(work)
     r = 0
     pivots = []
     for c in range(cols):
@@ -498,14 +493,7 @@ def _rref_rational(entries, rows: int, cols: int):
                 work[i] = _normalize_int_row([a * x - b * y for x, y in zip(row, piv)])
         pivots.append(c)
         r += 1
-    out = []
-    for i in range(rows):
-        if i < r:
-            lead = work[i][pivots[i]]
-            out.append([Fraction(x, lead) for x in work[i]])
-        else:
-            out.append([Fraction(0)] * cols)
-    return r, out, tuple(pivots)
+    return r, work, tuple(pivots)
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -516,7 +504,10 @@ def rref(m: Matrix) -> RrefResult:
     if p is not None:
         rank, a, pivots = _rref_modp(m._array(_elimination_dtype(p)), p)
         return RrefResult(rank, Matrix._from_array(m.field, a), pivots)
-    rank, grid, pivots = _rref_rational(m.entries, m.rows, m.cols)
+    rank, work, pivots = _rref_int([_row_lcm_scale(row) for row in m.entries], m.cols)
+    leads = [work[i][c] for i, c in enumerate(pivots)]
+    grid = [[Fraction(x, lead) for x in row] for row, lead in zip(work, leads)]
+    grid += [[Fraction(0)] * m.cols] * (m.rows - rank)
     return RrefResult(rank, Matrix._canonical(m.field, tuple(map(tuple, grid)),
                                               m.rows, m.cols), pivots)
 
@@ -536,42 +527,11 @@ def _integer_array(rows) -> np.ndarray:
 
 
 def _rank_modp(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an integer array, destroying it: F_2 goes to the packed kernel."""
+    """Rank over F_p of an integer array: F_2 goes to the packed kernel, which
+    destroys it, and odd primes to the blocked row space, which leaves it."""
     if p == 2:
         return _rank_f2(a)
-    dtype = _elimination_dtype(p)
-    if a.dtype != dtype:
-        a = a.astype(dtype)
-    np.remainder(a, p, out=a)
-    return _rank_modp_array(a, p)
-
-
-def _rank_modp_array(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an array of residues, in place; forward elimination only.
-
-    Rows 0 .. rank-1 are left in echelon form with leading entries 1.
-    """
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
-        # the rows below the pivot with a nonzero entry in column c; the swap
-        # moved a row with a zero there, so the indices past nz[0] still hold
-        below = r + nz[1:]
-        if below.size:
-            _clear_column(a, below, r, c, p)
-        r += 1
-    return r
+    return len(_row_space_modp(a, p)[1])
 
 
 def _rank_f2(a: np.ndarray) -> int:
@@ -625,7 +585,7 @@ def _rank_rational(a: np.ndarray) -> int:
             certificate = _lifted_kernel(reduced, pivots, p)
             if certificate is not None and _annihilates(a, bound, certificate):
                 return r
-    return _rank_int_rows(a.tolist(), cols)
+    return _rref_int(a.tolist(), cols)[0]
 
 
 def _row_space_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -636,10 +596,11 @@ def _row_space_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]
     Stops early once the basis spans the whole row space F_p^cols.
     """
     rows, cols = a.shape
-    basis, pivots = np.zeros((0, cols), dtype=np.int64), ()
+    dtype = _elimination_dtype(p)
+    basis, pivots = np.zeros((0, cols), dtype=dtype), ()
     step = max(1, _BLOCK_CELLS // cols)
     for start in range(0, rows, step):
-        work = np.vstack([basis, a[start:start + step]]).astype(np.int64, copy=False)
+        work = np.vstack([basis, a[start:start + step]]).astype(dtype, copy=False)
         np.remainder(work, p, out=work)
         r, work, pivots = _rref_modp(work, p)
         basis = work[:r]
@@ -721,40 +682,6 @@ def _annihilates(a: np.ndarray, bound: int, k: np.ndarray) -> bool:
     return True
 
 
-def _rank_int_rows(work, cols: int) -> int:
-    """Rank over Q of integer rows by exact elimination; destructive.
-
-    The pivot of each column is an entry of smallest absolute value.
-    """
-    rows = len(work)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        sel = None
-        best = None
-        for i in range(r, rows):
-            v = work[i][c]
-            if v:
-                if best is None or abs(v) < best:
-                    best = abs(v)
-                    sel = i
-                    if best == 1:
-                        break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        piv = work[r]
-        a = piv[c]
-        for i in range(r + 1, rows):
-            b = work[i][c]
-            if b:
-                row = work[i]
-                work[i] = _normalize_int_row([a * x - b * y for x, y in zip(row, piv)])
-        r += 1
-    return r
-
-
 def rank_of_int_rows(field: Field, rows, cols: int) -> int:
     """Rank of an integer matrix, interpreted in the field.
 
@@ -810,12 +737,6 @@ def solve_column(m: Matrix, b) -> tuple:
     for r_i, c in enumerate(res.pivots):
         x[c] = res.reduced.entries[r_i][m.cols]
     return tuple(x)
-
-
-def solve_columns(m: Matrix, rhs: Matrix) -> Matrix:
-    """Solve m X = rhs column by column; canonical particular solutions."""
-    cols = [solve_column(m, rhs.column(j)) for j in range(rhs.cols)]
-    return Matrix.from_columns(m.field, cols, rows=m.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +868,7 @@ class QuotientMap:
     and applying `matrix` to `reps` gives the identity.
     """
 
-    __slots__ = ("sup", "sub", "dim", "matrix", "reps", "_sub_in_sup")
+    __slots__ = ("sup", "sub", "dim", "matrix", "reps")
 
     def __init__(self, sup: Subspace, sub: Subspace):
         if sup.ambient_dim != sub.ambient_dim:
@@ -978,7 +899,6 @@ class QuotientMap:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "_sub_in_sup", sub_in_sup)
         if matrix @ reps.transpose() != Matrix.identity(f, dim):
             raise LinalgError("quotient coordinate construction failed")
 

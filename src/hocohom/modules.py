@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .algebra import GroupAlgebra, IdealFiltration
 from .groups import FiniteGroup, NormalSubgroup
-from .linalg import Field, Matrix, QuotientMap, Subspace
+from .linalg import Field, Matrix, QuotientMap, Subspace, kernel
 
 
 class NotARepresentationError(ValueError):
@@ -128,7 +128,6 @@ class GammaModule:
 
 
 def _joint_kernel(field: Field, dim: int, mats) -> Subspace:
-    from .linalg import kernel
     mats = [m for m in mats]
     if not mats:
         return Subspace.whole(field, dim)

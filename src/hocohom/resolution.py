@@ -33,9 +33,9 @@ from .algebra import GroupAlgebra, IdealFiltration, j_filtration
 from .groups import FiniteGroup, NormalSubgroup
 from .linalg import (
     Matrix, QuotientMap, Subspace,
-    column_space, kernel, rank, rank_of_int_rows, solve_column,
+    column_space, kernel, rank, rank_of_int_rows,
 )
-from .modules import GammaModule, ModuleMap
+from .modules import GammaModule, regular_module
 
 
 class NotStableError(ValueError):
@@ -134,7 +134,6 @@ def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
     regular module, i.e. quotients of ideals of A).  Returns the module and
     the quotient coordinate map used to build it.
     """
-    from .modules import regular_module
     if ambient is None:
         ambient = regular_module(algebra)
     _certify_stable(ambient, sup)
@@ -284,11 +283,6 @@ def hom_delta(resolution: FreeResolution, v: GammaModule, i: int) -> Matrix:
         raise ResolutionTooShort(f"need boundary {i + 1}, have {resolution.length}")
     return hom_precompose(resolution.algebra, resolution.boundaries[i],
                           resolution.ranks[i + 1], resolution.ranks[i], v)
-
-
-def cochain_complex(resolution: FreeResolution, v: GammaModule) -> list[Matrix]:
-    """All coboundaries delta^0 ... delta^{L-1} of Hom_A(resolution, V)."""
-    return [hom_delta(resolution, v, i) for i in range(resolution.length)]
 
 
 @dataclass(frozen=True)
@@ -488,46 +482,3 @@ def bar_dimension(group: FiniteGroup, v: GammaModule, p: int,
     rank_prev = rank_of_int_rows(field, delta_prev, delta_prev.shape[1])
     return (cols_p - rank_p) - rank_prev
 
-
-# ---------------------------------------------------------------------------
-# chain map lifting
-
-def lift_chain_map(f: ModuleMap, res_source: FreeResolution,
-                   res_target: FreeResolution) -> list[Matrix]:
-    """Lift a module map to a chain map between resolutions, degree by degree.
-
-    Existence is guaranteed by freeness of the sources and exactness of the
-    target resolution; each lift solves the commuting-square equation with
-    canonical particular solutions, and every square is verified before
-    returning.  Lifting the identity along one and the same resolution short
-    circuits to identity matrices.
-    """
-    algebra = res_source.algebra
-    fld = algebra.field
-    n = algebra.dim
-    depth = min(res_source.length, res_target.length)
-    if (res_source is res_target
-            and f.matrix == Matrix.identity(fld, f.source.dim)):
-        return [Matrix.identity(fld, res_source.ranks[i] * n) for i in range(depth + 1)]
-
-    lifts: list[Matrix] = []
-    target_free = [free_amodule(algebra, res_target.ranks[i]) for i in range(depth + 1)]
-    # degree 0: solve aug_target . x = f(aug_source(generator))
-    images = []
-    for j in range(res_source.ranks[0]):
-        y = f.matrix.apply(res_source.augmentation.column(j * n))
-        images.append(solve_column(res_target.augmentation, y))
-    lifts.append(amap_from_generator_images(algebra, target_free[0].module, images))
-    if res_target.augmentation @ lifts[0] != f.matrix @ res_source.augmentation:
-        raise RuntimeError("degree-0 lifting square failed")
-    for i in range(1, depth + 1):
-        d_src = res_source.boundaries[i - 1]
-        d_tgt = res_target.boundaries[i - 1]
-        images = []
-        for j in range(res_source.ranks[i]):
-            w = lifts[i - 1].apply(d_src.column(j * n))
-            images.append(solve_column(d_tgt, w))
-        lifts.append(amap_from_generator_images(algebra, target_free[i].module, images))
-        if d_tgt @ lifts[i] != lifts[i - 1] @ d_src:
-            raise RuntimeError(f"degree-{i} lifting square failed")
-    return lifts

@@ -4,16 +4,13 @@ from hocohom.algebra import GroupAlgebra, j_filtration
 from hocohom.groups import (
     Permutation, close_generators, subgroup_closure, trivial_subgroup, full_subgroup,
 )
-from hocohom.linalg import Field, Matrix, column_space, kernel, rank
-from hocohom.modules import (
-    trivial_module, regular_module, coinduced_module, ModuleMap,
-)
+from hocohom.linalg import Field, Matrix, column_space, rank
+from hocohom.modules import trivial_module, regular_module, coinduced_module
 from hocohom.resolution import filtration_for, higher_cohomology, bar_dimension
 from hocohom.les import (
     quotient_ses, trivial_action_witness, horseshoe, long_exact_sequence,
-    power_identification, vanishing_check, les_naturality,
+    power_identification, vanishing_check,
 )
-from hocohom.cocycle import h1_restriction_class_matrix
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -211,30 +208,6 @@ def test_les_alternating_sum_identity():
         tail_sign = 1 if (len(terms) - 1) % 2 == 0 else -1
         total -= tail_sign * rank(report.degrees[-1].connecting)
         assert total == 0
-
-
-def test_les_h1_node_matches_cocycle_restriction():
-    g = s3()
-    alg = GroupAlgebra(g, F2)
-    sigma = a3_in(g)
-    v = regular_module(alg)
-    filt = filtration_for(alg, sigma)
-    report = long_exact_sequence(alg, sigma, v, 1, 1, filt)
-    les_map = report.degrees[1].map_lower_to_upper
-    cocycle_map = h1_restriction_class_matrix(alg, filt, 1, v)
-    assert les_map.rows == cocycle_map.rows and les_map.cols == cocycle_map.cols
-    assert rank(les_map) == rank(cocycle_map)
-    assert kernel(les_map).dim == kernel(cocycle_map).dim
-
-
-def test_les_naturality_in_module():
-    g = c2()
-    alg = GroupAlgebra(g, F2)
-    sigma = trivial_subgroup(g)
-    v = trivial_module(g, F2, 1)
-    w = regular_module(alg)
-    norm = ModuleMap(v, w, Matrix(F2, [[1], [1]]))
-    assert les_naturality(alg, sigma, norm, 1, 1)
 
 
 # --- the two dimension laws -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Free resolutions, Ext, the brute-force cochain oracle, and chain lifting."""
+"""Free resolutions, Ext and the brute-force cochain oracle."""
 
 import itertools
 from fractions import Fraction
@@ -14,13 +14,13 @@ from hocohom.groups import (
 from hocohom.linalg import Field, Matrix, Subspace, column_space, rank
 from hocohom.modules import (
     trivial_module, regular_module, coinduced_module, make_module,
-    h_q0_annihilator, ModuleMap,
+    h_q0_annihilator,
 )
 from hocohom.resolution import (
     AModule, amodule_from_subspace, free_amodule, quotient_amodule,
-    free_cover, build_resolution, cochain_complex, ext, hom_precompose,
+    free_cover, build_resolution, ext, hom_delta,
     higher_cohomology, quotient_by_j, filtration_for, resolution_of_quotient,
-    bar_dimension, lift_chain_map,
+    bar_dimension,
     NotStableError, ResolutionTooShort, BudgetExceeded,
     _bar_coboundary,
 )
@@ -221,7 +221,7 @@ def test_delta_squared_zero():
     a3 = subgroup_closure(g, [g.gen_indices[0]])
     res = resolution_of_quotient(alg, a3, 2, 3)
     for v in (trivial_module(g, F2, 1), regular_module(alg)):
-        deltas = cochain_complex(res, v)
+        deltas = [hom_delta(res, v, i) for i in range(res.length)]
         for d0, d1 in zip(deltas, deltas[1:]):
             assert (d1 @ d0).is_zero()
 
@@ -487,56 +487,6 @@ def test_resolution_cache_returns_same_object():
     assert r1 is r2
     r3 = resolution_of_quotient(alg, sigma, 1, 4)
     assert r3.length >= 4
-
-
-# --- chain lifting ----------------------------------------------------------
-
-def test_lift_identity_is_identity():
-    g = c2()
-    alg = GroupAlgebra(g, F2)
-    sigma = trivial_subgroup(g)
-    res = resolution_of_quotient(alg, sigma, 1, 2)
-    m, _ = quotient_by_j(alg, sigma, 1)
-    ident = ModuleMap(m.module, m.module, Matrix.identity(F2, m.dim))
-    lifts = lift_chain_map(ident, res, res)
-    for i, lam in enumerate(lifts):
-        assert lam == Matrix.identity(F2, res.ranks[i] * alg.dim)
-
-
-def test_lift_zero_map():
-    g = c2()
-    alg = GroupAlgebra(g, F2)
-    sigma = trivial_subgroup(g)
-    m2, _ = quotient_by_j(alg, sigma, 2)
-    m1, _ = quotient_by_j(alg, sigma, 1)
-    zero = ModuleMap(m2.module, m1.module, Matrix.zeros(F2, m1.dim, m2.dim))
-    res2 = resolution_of_quotient(alg, sigma, 2, 2)
-    res1 = resolution_of_quotient(alg, sigma, 1, 2)
-    lifts = lift_chain_map(zero, res2, res1)
-    for lam in lifts:
-        assert lam.is_zero()
-
-
-def test_lift_projection_induces_iso_on_ext0():
-    g = c2()
-    alg = GroupAlgebra(g, F2)
-    sigma = trivial_subgroup(g)
-    m2, qm2 = quotient_by_j(alg, sigma, 2)
-    m1, qm1 = quotient_by_j(alg, sigma, 1)
-    # natural surjection A/J_2 -> A/J_1 in quotient coordinates
-    cols = [qm1.coords(rep) for rep in qm2.reps.entries]
-    proj = ModuleMap(m2.module, m1.module, Matrix.from_columns(F2, cols, rows=m1.dim))
-    res2 = resolution_of_quotient(alg, sigma, 2, 2)
-    res1 = resolution_of_quotient(alg, sigma, 1, 2)
-    lifts = lift_chain_map(proj, res2, res1)
-    v = trivial_module(g, F2, 1)
-    e1 = ext(res1, v, 0)
-    e2 = ext(res2, v, 0)
-    assert e1.dim == 1 and e2.dim == 1
-    induced = hom_precompose(alg, lifts[0], res2.ranks[0], res1.ranks[0], v)
-    image = induced.apply(e1.representatives.entries[0])
-    assert e2.cocycles.contains_vector(image)
-    assert e2.classes.coords(image) != (0,) * e2.dim  # an isomorphism here
 
 
 # --- permutation-action free modules and generator-only stability -------------
