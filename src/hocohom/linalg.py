@@ -464,9 +464,9 @@ def _rref_int(work, cols: int):
     Works in place on the list of rows `work`.  The pivot of each column is
     its first nonzero entry at or below the current row; every other row is
     cleared by an integer combination and divided by the gcd of its entries.
-    Returns (rank, work, pivots): rows 0 .. rank-1 have pivots at the pivot
-    columns, each row a rational multiple of its reduced echelon row, and
-    the remaining rows are zero.
+    Returns (rank, work, pivots): row i < rank is a rational multiple of row
+    i of the reduced echelon form, led by column pivots[i], and the other
+    rows are zero.
     """
     rows = len(work)
     r = 0
