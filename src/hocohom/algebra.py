@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .groups import FiniteGroup, NormalSubgroup
 from .linalg import Field, Matrix, Subspace
 
@@ -38,22 +40,16 @@ class GroupAlgebra:
 
     def __init__(self, group: FiniteGroup, field: Field):
         n = group.order
-        zero, one = field.zero(), field.one()
-        left = []
-        right = []
-        for g in range(n):
-            lm = [[zero] * n for _ in range(n)]
-            rm = [[zero] * n for _ in range(n)]
-            for h in range(n):
-                lm[group.mult[g][h]][h] = one
-                rm[group.mult[h][g]][h] = one
-            left.append(Matrix._canonical(field, tuple(map(tuple, lm)), n, n))
-            right.append(Matrix._canonical(field, tuple(map(tuple, rm)), n, n))
+        # column h of left_mult[g] is the unit vector of g*h, of right_mult[g] that of h*g
+        mult = np.array(group.mult, dtype=np.intp)
+        ident = Matrix.identity(field, n)
+        left = tuple(ident.take_columns(row) for row in mult)
+        right = tuple(ident.take_columns(col) for col in mult.T)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "left_mult", tuple(left))
-        object.__setattr__(self, "right_mult", tuple(right))
+        object.__setattr__(self, "left_mult", left)
+        object.__setattr__(self, "right_mult", right)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -64,16 +60,15 @@ class GroupAlgebra:
         return tuple(one if i == g else zero for i in range(self.dim))
 
     def multiply(self, a, b) -> tuple:
-        """Product of two algebra elements given as coefficient vectors."""
-        f = self.field
-        out = [f.zero()] * self.dim
-        for g, coeff in enumerate(a):
-            if coeff:
-                gb = self.left_mult[g].apply(b)
-                for i, x in enumerate(gb):
-                    if x:
-                        out[i] = f.add(out[i], f.mul(coeff, x))
-        return tuple(out)
+        """Product of two algebra elements given as coefficient vectors.
+
+        a b = sum_g a_g (g b): the row a times the matrix whose row g is g b.
+        """
+        f, n = self.field, self.dim
+        b_row = Matrix(f, [b], 1, n)
+        shifted = np.empty((n, n), dtype=b_row.array.dtype)
+        shifted[np.arange(n)[:, None], self.group.mult] = b_row.array   # (g b)[g h] = b[h]
+        return (Matrix(f, [a], 1, n) @ Matrix._wrap(f, shifted)).entries[0]
 
     def augmentation(self, a) -> object:
         """The augmentation functional sum c_g g -> sum c_g."""
@@ -195,9 +190,9 @@ def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup,
     q = 1
     while stabilization is None or q < max(target, stabilization + 1):
         prev = i_powers[-1].basis
-        next_power = Subspace.from_vectors(f, algebra.dim, [
-            row for g in range(1, algebra.dim)
-            for row in (prev @ algebra.right_mult[g].transpose() - prev).entries])
+        next_power = Subspace._spanned_by(Matrix.vstack(f, [
+            prev @ algebra.right_mult[g].transpose() - prev
+            for g in range(1, algebra.dim)], cols=algebra.dim))
         i_powers.append(next_power)
         next_j = next_power + sig
         j_list.append(next_j)
@@ -250,12 +245,9 @@ def j_by_left_route(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int) -> Sub
     n = algebra.dim
     current = augmentation_ideal(algebra)
     for _ in range(q - 1):
-        vectors = []
-        for row in current.basis.entries:
-            for g in range(1, n):
-                shifted = algebra.left_mult[g].apply(row)
-                vectors.append(tuple(f.sub(a, b) for a, b in zip(shifted, row)))
-        current = Subspace.from_vectors(f, n, vectors)
+        basis = current.basis
+        current = Subspace._spanned_by(Matrix.vstack(f, [
+            basis @ algebra.left_mult[g].transpose() - basis for g in range(1, n)], cols=n))
     sig_vectors = []
     for s in sigma.members:
         if s == 0:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import GroupAlgebra, IdealFiltration
 from .groups import NormalSubgroup
 from .linalg import Matrix, Subspace, kernel, rank
@@ -53,28 +55,20 @@ def hom_a_space(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
     total = k * d_v
     if total == 0:
         return HomSpace(k, v, Subspace.zero(f, total))
-    rows = []
-    zero = f.zero()
+    # row (m, t) of the block of gamma: sum_l c[m, l] phi_l[t] - (action[gamma] phi_m)[t],
+    # where gamma x_m = sum_l c[m, l] x_l
+    t = np.arange(d_v)
+    blocks = []
     for gamma in algebra.group.gen_indices:
-        act = v.action[gamma]
-        for m in range(k):
-            moved = algebra.left_mult[gamma].apply(jq.basis.entries[m])
-            if not jq.contains_vector(moved):
-                raise RuntimeError("J_q is not left-stable; filtration is broken")
-            coeffs = jq.coords(moved)
-            for t in range(d_v):
-                row = [zero] * total
-                for l, c in enumerate(coeffs):
-                    if c:
-                        row[l * d_v + t] = f.add(row[l * d_v + t], c)
-                for s in range(d_v):
-                    a = act.entries[t][s]
-                    if a:
-                        row[m * d_v + s] = f.sub(row[m * d_v + s], a)
-                rows.append(row)
-    if not rows:
-        return HomSpace(k, v, Subspace.whole(f, total))
-    return HomSpace(k, v, kernel(Matrix(f, rows, len(rows), total)))
+        moved = jq.basis @ algebra.left_mult[gamma].transpose()
+        if jq.first_outside(moved) is not None:
+            raise RuntimeError("J_q is not left-stable; filtration is broken")
+        spread = np.full((k, d_v, k, d_v), f.zero(), dtype=moved.array.dtype)
+        spread[:, t, :, t] = moved.take_columns(jq.pivots).array   # c[m, l] at ((m, t), (l, t))
+        acting = Matrix.block(f, [[v.action[gamma] if m == l else None for l in range(k)]
+                                  for m in range(k)], [d_v] * k, [d_v] * k)
+        blocks.append(Matrix._wrap(f, spread.reshape(total, total)) - acting)
+    return HomSpace(k, v, kernel(Matrix.vstack(f, blocks, cols=total)))
 
 
 def alpha_map(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
@@ -84,18 +78,12 @@ def alpha_map(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
     Certified to land inside hom_a_space; a failure raises AlphaNotAHomError
     (it would indicate a bug, not a mathematical possibility).
     """
-    f = algebra.field
-    jq = filtration.j(q)
-    blocks = [v.algebra_action(row) for row in jq.basis.entries]
-    if blocks:
-        matrix = Matrix.vstack(f, blocks)
-    else:
-        matrix = Matrix.zeros(f, 0, v.dim)
+    matrix = v.algebra_action(filtration.j(q).basis)
     if hom is None:
         hom = hom_a_space(algebra, filtration, q, v)
-    for j in range(matrix.cols):
-        if not hom.maps.contains_vector(matrix.column(j)):
-            raise AlphaNotAHomError(f"alpha of basis vector {j} is not A-linear")
+    bad = hom.maps.first_outside(matrix.transpose())
+    if bad is not None:
+        raise AlphaNotAHomError(f"alpha of basis vector {bad} is not A-linear")
     return matrix
 
 

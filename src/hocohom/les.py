@@ -57,16 +57,13 @@ class ShortExactSequence:
 def quotient_ses(algebra: GroupAlgebra, filtration: IdealFiltration,
                  q: int) -> ShortExactSequence:
     """Build and certify the quotient short exact sequence at level q."""
-    f = algebra.field
     left, left_qm = layer_module(algebra, filtration.sigma, q, filtration)
     middle, middle_qm = quotient_by_j(algebra, filtration.sigma, q + 1, filtration)
     right, right_qm = quotient_by_j(algebra, filtration.sigma, q, filtration)
-    inj_cols = [middle_qm.coords(rep) for rep in left_qm.reps.entries]
     inject = ModuleMap(left.module, middle.module,
-                       Matrix.from_columns(f, inj_cols, rows=middle.dim))
-    sur_cols = [right_qm.coords(rep) for rep in middle_qm.reps.entries]
+                       middle_qm.matrix @ left_qm.reps.transpose())
     surject = ModuleMap(middle.module, right.module,
-                        Matrix.from_columns(f, sur_cols, rows=right.dim))
+                        right_qm.matrix @ middle_qm.reps.transpose())
     if rank(inject.matrix) != left.dim:
         raise RuntimeError("injection is not injective")
     if rank(surject.matrix) != right.dim:
@@ -129,11 +126,9 @@ def horseshoe(ses: ShortExactSequence, length: int,
 
     # augmentation: on the left block, inject after the left augmentation;
     # on the right block, a lift of the right augmentation through the surjection
-    lift_images = []
-    for j in range(res_right.ranks[0]):
-        target = res_right.augmentation.column(j * n)
-        lift_images.append(solve_column(ses.surject.matrix, target))
-    lambda0 = amap_from_generator_images(algebra, middle_mod, lift_images)
+    generators = range(0, res_right.ranks[0] * n, n)
+    lambda0 = _lift_generators(algebra, middle_mod, ses.surject.matrix,
+                               res_right.augmentation.take_columns(generators))
     aug_left_part = inj @ res_left.augmentation
     aug_middle = Matrix.hstack(f, [aug_left_part, lambda0]) \
         if res_left.ranks[0] + res_right.ranks[0] > 0 else Matrix.zeros(f, ses.middle.dim, 0)
@@ -150,13 +145,8 @@ def horseshoe(ses: ShortExactSequence, length: int,
         r_l, r_n = res_left.ranks[i], res_right.ranks[i]
         d_l = res_left.boundaries[i - 1]
         d_n = res_right.boundaries[i - 1]
-        images = []
-        for j in range(r_n):
-            w = prev_corrector_full.apply(d_n.column(j * n))
-            neg_w = tuple(f.neg(x) for x in w)
-            images.append(solve_column(prev_solver, neg_w))
-        target_free = free_amodule(algebra, r_l_prev)
-        h_i = amap_from_generator_images(algebra, target_free.module, images)
+        w = prev_corrector_full @ d_n.take_columns(range(0, r_n * n, n))
+        h_i = _lift_generators(algebra, free_amodule(algebra, r_l_prev).module, prev_solver, -w)
         correctors.append(h_i)
         boundary = Matrix.block(
             f, [[d_l, h_i], [None, d_n]],
@@ -177,6 +167,15 @@ def horseshoe(ses: ShortExactSequence, length: int,
     res_middle = FreeResolution(ses.middle, tuple(ranks), aug_middle,
                                 tuple(boundaries), tuple(kernels), order)
     return HorseshoeData(ses, res_left, res_middle, res_right, tuple(correctors))
+
+
+def _lift_generators(algebra: GroupAlgebra, target: GammaModule, solver: Matrix,
+                     targets: Matrix) -> Matrix:
+    """The A-map into target sending generator j to the canonical solution x
+    of solver x = column j of targets."""
+    images = [solve_column(solver, column) for column in targets.columns()]
+    return amap_from_generator_images(
+        algebra, target, Matrix(algebra.field, images, targets.cols, target.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +209,10 @@ def _cohomology_spaces(deltas: list[Matrix], up_to: int, field) -> list[Cohomolo
 def _induced_matrix(map_matrix: Matrix, src: CohomologySpace,
                     dst: CohomologySpace) -> Matrix:
     """The map on cohomology classes induced by a cochain-level map."""
-    f = map_matrix.field
-    cols = []
-    for rep in src.classes.reps.entries:
-        moved = map_matrix.apply(rep)
-        if not dst.cocycles.contains_vector(moved):
-            raise RuntimeError("cochain map did not send cocycles to cocycles")
-        cols.append(dst.classes.coords(moved))
-    return Matrix.from_columns(f, cols, rows=dst.dim)
+    moved = map_matrix @ src.classes.reps.transpose()
+    if dst.cocycles.first_outside(moved.transpose()) is not None:
+        raise RuntimeError("cochain map did not send cocycles to cocycles")
+    return dst.classes.matrix @ moved
 
 
 @dataclass(frozen=True)
@@ -268,10 +263,19 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
         raise BudgetExceeded("long-exact-sequence degrees are limited to p_max <= 3")
     f = algebra.field
     filt = filtration if filtration is not None else filtration_for(algebra, sigma)
-    ses = quotient_ses(algebra, filt, q)
-    trivial_action_witness(ses)
     length = p_max + 2
-    shoe = horseshoe(ses, length, order)
+    # the sequence and its horseshoe depend only on (S, q), not on V
+    key = ("ses", sigma.members, q)
+    ses = algebra._cache.get(key)
+    if ses is None:
+        ses = quotient_ses(algebra, filt, q)
+        trivial_action_witness(ses)
+        algebra._cache[key] = ses
+    key = ("horseshoe", sigma.members, q, length, order)
+    shoe = algebra._cache.get(key)
+    if shoe is None:
+        shoe = horseshoe(ses, length, order)
+        algebra._cache[key] = shoe
     res_l, res_m, res_n = shoe.res_left, shoe.res_middle, shoe.res_right
 
     deltas_n = [hom_delta(res_n, v, i) for i in range(length)]
@@ -304,20 +308,16 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
     upper_maps = [_induced_matrix(project[p], h_m[p], h_l[p]) for p in range(top + 1)]
 
     def connecting(p: int) -> Matrix:
-        cols = []
-        r_l, r_n = res_l.ranks[p], res_n.ranks[p]
-        r_l1, r_n1 = res_l.ranks[p + 1], res_n.ranks[p + 1]
-        for rep in h_l[p].classes.reps.entries:
-            lifted = tuple(rep) + (f.zero(),) * (r_n * d_v)
-            moved = deltas_m[p].apply(lifted)
-            p_part = moved[:r_l1 * d_v]
-            if any(x != f.zero() for x in p_part):
-                raise RuntimeError("snake lift has a nonzero projection part")
-            w = moved[r_l1 * d_v:]
-            if not h_n[p + 1].cocycles.contains_vector(w):
-                raise RuntimeError("connecting image is not a cocycle")
-            cols.append(h_n[p + 1].classes.coords(w))
-        return Matrix.from_columns(f, cols, rows=h_n[p + 1].dim)
+        # lift each class of C_L^p by zero on the C_N block, apply delta_M
+        r_l, r_l1 = res_l.ranks[p], res_l.ranks[p + 1]
+        moved = (deltas_m[p].take_columns(range(r_l * d_v))
+                 @ h_l[p].classes.reps.transpose())
+        if not moved.take_rows(range(r_l1 * d_v)).is_zero():
+            raise RuntimeError("snake lift has a nonzero projection part")
+        w = moved.take_rows(range(r_l1 * d_v, moved.rows))
+        if h_n[p + 1].cocycles.first_outside(w.transpose()) is not None:
+            raise RuntimeError("connecting image is not a cocycle")
+        return h_n[p + 1].classes.matrix @ w
 
     connectings = [connecting(p) for p in range(p_max + 1)]
 

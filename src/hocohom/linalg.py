@@ -7,12 +7,17 @@ unique reduced row-echelon form of its input (leading entries 1, pivot
 columns cleared, pivots strictly increasing), so subspace bases are
 bit-identical across runs and directly diffable.
 
-Canonical data.  The public constructor `Matrix(field, entries)` is the
-only place where entries are coerced into the field.  Every matrix this
-module produces (zeros, identities, stacks, blocks, row selections,
-transposes, sums, scalings, products, row-reduced forms) is built from
-entries that are already canonical and goes through `Matrix._canonical`,
-which wraps them without touching a single entry.
+Canonical data.  A matrix stores one read-only 2-d numpy array, `array`.
+Over F_p its entries are residues in [0, p) in the narrowest unsigned dtype
+that holds p - 1 (uint8 for p <= 256, then uint16, uint32 and uint64),
+and Python ints (`object`) for p past int64; over Q they are Fractions in
+an `object` array.  Arithmetic widens to `_product_dtype` or
+`_elimination_dtype` only inside a product or an elimination and stores
+the reduced result in the narrow dtype again.  `entries` is a derived
+tuple-of-tuples view for reports and tests.  The public constructor
+`Matrix(field, entries)` is the only place where entries are coerced into
+the field; every other matrix is wrapped from an array of canonical
+entries by `Matrix._wrap`, which never reads them.
 
 Kernels.  Each field has one elimination kernel.  Over F_p it is
 `_rref_modp` on numpy arrays; ranks and the certificate primes below feed
@@ -141,12 +146,6 @@ class Field:
     def sub(self, a, b):
         return a - b if self.p is None else (a - b) % self.p
 
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
 
 _INT64_BOUND = 2 ** 63
 
@@ -172,57 +171,103 @@ def _elimination_dtype(p: int):
     return np.int64 if (p - 1) ** 2 + p < _INT64_BOUND else object
 
 
-class Matrix:
-    """Immutable dense matrix with exact entries over a fixed field."""
+def _storage_dtype(p: int | None):
+    """The dtype of stored entries: the narrowest unsigned integer dtype that
+    holds p - 1, Python ints (`object`) past int64, Fractions over Q."""
+    if p is None or p >= _INT64_BOUND:
+        return object
+    return (np.uint8 if p <= 2 ** 8 else np.uint16 if p <= 2 ** 16
+            else np.uint32 if p <= 2 ** 32 else np.uint64)
 
-    __slots__ = ("field", "rows", "cols", "entries")
+
+def _filled(field: Field, shape, value) -> np.ndarray:
+    return np.full(shape, value, dtype=_storage_dtype(field.p))
+
+
+def contract(field: Field, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_g coeffs[..., g] * mats[g], for canonical arrays, as a canonical array.
+
+    Over Q both factors are scaled to Python integers by the lcm of their
+    denominators, so the contraction multiplies ints, not Fractions.
+    """
+    p = field.p
+    if p is None:
+        (c, c_den), (m, m_den) = _integer_scaled(coeffs), _integer_scaled(mats)
+        out = np.tensordot(c, m, axes=1)
+        den = c_den * m_den
+        return np.array([Fraction(x, den) for x in out.flat],
+                        dtype=object).reshape(out.shape)
+    dtype = _product_dtype(p, mats.shape[0])
+    out = np.tensordot(coeffs.astype(dtype), mats.astype(dtype), axes=1) % p
+    return out.astype(_storage_dtype(p), copy=False)
+
+
+def _integer_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a * den, den) for an array of Fractions, den the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in a.flat))
+    return np.array([x.numerator * (den // x.denominator) for x in a.flat],
+                    dtype=object).reshape(a.shape), den
+
+
+class Matrix:
+    """Immutable dense matrix with exact entries over a fixed field.
+
+    `array` is the one read-only 2-d array of entries, in the field's
+    storage dtype; `entries` is a tuple-of-tuples view of it.
+    """
+
+    __slots__ = ("field", "array")
 
     def __init__(self, field: Field, entries, rows: int | None = None, cols: int | None = None):
         coerce = field.coerce
-        data = tuple(tuple(map(coerce, row)) for row in entries)
+        data = [list(map(coerce, row)) for row in entries]
         if rows is None:
             rows = len(data)
         if cols is None:
             cols = len(data[0]) if data else 0
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch("ragged or mis-sized entry grid")
+        a = _filled(field, (rows, cols), field.zero())
+        if rows and cols:
+            a[:] = data
+        self._own(field, a)
+
+    def _own(self, field: Field, a: np.ndarray):
+        a.flags.writeable = False
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", data)
+        object.__setattr__(self, "array", a)
 
     @classmethod
-    def _canonical(cls, field: Field, data: tuple, rows: int, cols: int) -> "Matrix":
-        """Wrap a tuple of row tuples of canonical scalars, unchecked."""
+    def _wrap(cls, field: Field, a: np.ndarray) -> "Matrix":
+        """Take a 2-d array of canonical entries, unchecked; nothing may write to it later."""
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", data)
+        m._own(field, a.astype(_storage_dtype(field.p), copy=False))
         return m
-
-    @classmethod
-    def _from_array(cls, field: Field, a: np.ndarray) -> "Matrix":
-        """Wrap a 2-d array of residues in [0, p)."""
-        return cls._canonical(field, tuple(map(tuple, a.tolist())), *a.shape)
-
-    def _array(self, dtype=np.int64) -> np.ndarray:
-        """The entries of an F_p matrix as a fresh rows x cols array."""
-        return np.array(self.entries, dtype=dtype).reshape(self.rows, self.cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(map(tuple, self.array.tolist()))
+
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        row = (field.zero(),) * cols
-        return Matrix._canonical(field, (row,) * rows, rows, cols)
+        return Matrix._wrap(field, _filled(field, (rows, cols), field.zero()))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        zero, one = field.zero(), field.one()
-        data = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        return Matrix._canonical(field, data, n, n)
+        a = _filled(field, (n, n), field.zero())
+        np.fill_diagonal(a, field.one())
+        return Matrix._wrap(field, a)
 
     @staticmethod
     def from_columns(field: Field, columns, rows: int | None = None) -> "Matrix":
@@ -231,9 +276,7 @@ class Matrix:
             if rows is None:
                 raise DimensionMismatch("row count required for a matrix with no columns")
             return Matrix.zeros(field, rows, 0)
-        n = len(columns[0])
-        grid = [[columns[j][i] for j in range(len(columns))] for i in range(n)]
-        return Matrix(field, grid, n, len(columns))
+        return Matrix(field, columns, len(columns), len(columns[0])).transpose()
 
     @staticmethod
     def vstack(field: Field, mats, cols: int | None = None) -> "Matrix":
@@ -242,92 +285,85 @@ class Matrix:
             if cols is None:
                 raise DimensionMismatch("column count required for an empty stack")
             return Matrix.zeros(field, 0, cols)
-        width = mats[0].cols
-        grid = []
-        for m in mats:
-            if m.cols != width or m.field != field:
-                raise DimensionMismatch("vstack width or field mismatch")
-            grid.extend(m.entries)
-        return Matrix._canonical(field, tuple(grid), len(grid), width)
+        if any(m.cols != mats[0].cols or m.field != field for m in mats):
+            raise DimensionMismatch("vstack width or field mismatch")
+        return Matrix._wrap(field, np.concatenate([m.array for m in mats]))
 
     @staticmethod
     def hstack(field: Field, mats) -> "Matrix":
         mats = list(mats)
         if not mats:
             raise DimensionMismatch("hstack of nothing")
-        height = mats[0].rows
-        if any(m.rows != height or m.field != field for m in mats):
+        if any(m.rows != mats[0].rows or m.field != field for m in mats):
             raise DimensionMismatch("hstack height or field mismatch")
-        grid = tuple(sum(parts, ()) for parts in zip(*(m.entries for m in mats)))
-        return Matrix._canonical(field, grid, height, sum(m.cols for m in mats))
+        return Matrix._wrap(field, np.concatenate([m.array for m in mats], axis=1))
 
     @staticmethod
     def block(field: Field, grid, row_dims, col_dims) -> "Matrix":
         """Assemble a block matrix; None blocks are zero of the declared shape."""
-        rows = []
+        out = _filled(field, (sum(row_dims), sum(col_dims)), field.zero())
+        r0 = 0
         for bi, block_row in enumerate(grid):
-            strips = []
+            c0 = 0
             for bj, blk in enumerate(block_row):
-                if blk is None:
-                    blk = Matrix.zeros(field, row_dims[bi], col_dims[bj])
-                if blk.rows != row_dims[bi] or blk.cols != col_dims[bj]:
-                    raise DimensionMismatch("block shape mismatch")
-                strips.append(blk)
-            rows.append(Matrix.hstack(field, strips) if strips else Matrix.zeros(field, row_dims[bi], 0))
-        return Matrix.vstack(field, rows, cols=sum(col_dims))
+                if blk is not None:
+                    if blk.rows != row_dims[bi] or blk.cols != col_dims[bj] or blk.field != field:
+                        raise DimensionMismatch("block shape mismatch")
+                    out[r0:r0 + blk.rows, c0:c0 + blk.cols] = blk.array
+                c0 += col_dims[bj]
+            r0 += row_dims[bi]
+        return Matrix._wrap(field, out)
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
+        return tuple(self.array[:, j].tolist())
 
     def columns(self) -> list[tuple]:
-        return list(zip(*self.entries)) if self.rows else [() for _ in range(self.cols)]
+        return list(map(tuple, self.array.T.tolist()))
 
     def take_rows(self, indices) -> "Matrix":
-        data = tuple(self.entries[i] for i in indices)
-        return Matrix._canonical(self.field, data, len(data), self.cols)
+        return Matrix._wrap(self.field, self.array[_index(indices)])
 
     def take_columns(self, indices) -> "Matrix":
-        indices = tuple(indices)
-        data = tuple(tuple(row[j] for j in indices) for row in self.entries)
-        return Matrix._canonical(self.field, data, self.rows, len(indices))
+        return Matrix._wrap(self.field, self.array[:, _index(indices)])
 
     def transpose(self) -> "Matrix":
-        return Matrix._canonical(self.field, tuple(self.columns()), self.cols, self.rows)
+        return Matrix._wrap(self.field, self.array.T)
 
     def is_zero(self) -> bool:
-        zero = self.field.zero()
-        return all(x == zero for row in self.entries for x in row)
+        return not self.array.any()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and np.array_equal(self.array, other.array))
 
     def __hash__(self) -> int:
-        return hash((self.field, self.rows, self.cols, self.entries))
+        a = self.array
+        return hash((self.field, a.shape, a.tobytes() if a.dtype != object else tuple(a.flat)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
 
-    def _entrywise(self, op, *others: "Matrix") -> "Matrix":
-        for other in others:
-            self._check_same_shape(other)
-        data = tuple(tuple(map(op, *rows)) for rows in zip(self.entries, *(o.entries for o in others)))
-        return Matrix._canonical(self.field, data, self.rows, self.cols)
+    def _pointwise(self, ufunc, *operands) -> "Matrix":
+        """ufunc(array, *operands) reduced into the field."""
+        p = self.field.p
+        if p is None:
+            return Matrix._wrap(self.field, ufunc(self.array, *operands))
+        wide = ufunc(self.array, *operands, dtype=_elimination_dtype(p))
+        return Matrix._wrap(self.field, wide % p)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.add, other)
+        self._check_same_shape(other)
+        return self._pointwise(np.add, other.array)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.sub, other)
+        self._check_same_shape(other)
+        return self._pointwise(np.subtract, other.array)
 
     def __neg__(self) -> "Matrix":
-        return self._entrywise(self.field.neg)
+        return self._pointwise(np.negative)
 
     def scale(self, s) -> "Matrix":
-        f = self.field
-        s = f.coerce(s)
-        return self._entrywise(lambda a: f.mul(s, a))
+        return self._pointwise(np.multiply, self.field.coerce(s))
 
     def _check_same_shape(self, other: "Matrix"):
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
@@ -341,46 +377,28 @@ class Matrix:
             return Matrix.zeros(f, self.rows, other.cols)
         if f.p is not None:
             dtype = _product_dtype(f.p, self.cols)
-            return Matrix._from_array(f, (self._array(dtype) @ other._array(dtype)) % f.p)
-        bt = other.columns()
-        grid = []
-        for row in self.entries:
-            out = []
-            for col in bt:
+            return Matrix._wrap(f, (self.array.astype(dtype) @ other.array.astype(dtype)) % f.p)
+        bt = other.array.T.tolist()
+        out = np.empty((self.rows, other.cols), dtype=object)
+        for i, row in enumerate(self.array.tolist()):
+            for j, col in enumerate(bt):
                 acc = Fraction(0)
                 for x, y in zip(row, col):
                     if x and y:
                         acc += x * y
-                out.append(acc)
-            grid.append(tuple(out))
-        return Matrix._canonical(f, tuple(grid), self.rows, other.cols)
+                out[i, j] = acc
+        return Matrix._wrap(f, out)
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        f = self.field
-        if f.p is not None:
-            if self.rows == 0:
-                return ()
-            if self.cols == 0:
-                return (0,) * self.rows
-            dtype = _product_dtype(f.p, self.cols)
-            v = np.array([f.coerce(x) for x in vec], dtype=dtype)
-            return tuple(((self._array(dtype) @ v) % f.p).tolist())
-        out = []
-        for row in self.entries:
-            acc = Fraction(0)
-            for x, y in zip(row, vec):
-                if x and y:
-                    acc += x * y
-            out.append(acc)
-        return tuple(out)
+        column = Matrix(self.field, [vec], 1, self.cols).transpose()
+        return tuple((self @ column).array[:, 0].tolist())
 
 
-def vec_is_zero(field: Field, v) -> bool:
-    zero = field.zero()
-    return all(a == zero for a in v)
+def _index(indices) -> np.ndarray:
+    return np.fromiter(indices, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -502,22 +520,21 @@ def rref(m: Matrix) -> RrefResult:
         return RrefResult(0, m, ())
     p = m.field.p
     if p is not None:
-        rank, a, pivots = _rref_modp(m._array(_elimination_dtype(p)), p)
-        return RrefResult(rank, Matrix._from_array(m.field, a), pivots)
-    rank, work, pivots = _rref_int([_row_lcm_scale(row) for row in m.entries], m.cols)
-    leads = [work[i][c] for i, c in enumerate(pivots)]
-    grid = [[Fraction(x, lead) for x in row] for row, lead in zip(work, leads)]
-    grid += [[Fraction(0)] * m.cols] * (m.rows - rank)
-    return RrefResult(rank, Matrix._canonical(m.field, tuple(map(tuple, grid)),
-                                              m.rows, m.cols), pivots)
+        rank, a, pivots = _rref_modp(m.array.astype(_elimination_dtype(p)), p)
+        return RrefResult(rank, Matrix._wrap(m.field, a), pivots)
+    rank, work, pivots = _rref_int([_row_lcm_scale(row) for row in m.array.tolist()], m.cols)
+    out = _filled(m.field, m.array.shape, Fraction(0))
+    for i, c in enumerate(pivots):
+        out[i] = [Fraction(x, work[i][c]) for x in work[i]]
+    return RrefResult(rank, Matrix._wrap(m.field, out), pivots)
 
 
 def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.field.p is not None:
-        return _rank_modp(np.array(m.entries, dtype=_elimination_dtype(m.field.p)), m.field.p)
-    return _rank_rational(_integer_array([_row_lcm_scale(row) for row in m.entries]))
+        return _rank_modp(m.array.copy(), m.field.p)
+    return _rank_rational(_integer_array([_row_lcm_scale(row) for row in m.array.tolist()]))
 
 
 def _integer_array(rows) -> np.ndarray:
@@ -527,15 +544,16 @@ def _integer_array(rows) -> np.ndarray:
 
 
 def _rank_modp(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an integer array: F_2 goes to the packed kernel, which
-    destroys it, and odd primes to the blocked row space, which leaves it."""
+    """Rank over F_p of an integer array (signed, or unsigned residues): F_2
+    goes to the packed kernel, which destroys it, and odd primes to the
+    blocked row space, which leaves it."""
     if p == 2:
         return _rank_f2(a)
     return len(_row_space_modp(a, p)[1])
 
 
 def _rank_f2(a: np.ndarray) -> int:
-    """Rank over F_2 of an integer array (int8 or int64), destroying it.
+    """Rank over F_2 of an integer array (int8, uint8 or int64), destroying it.
 
     Each row is packed into uint64 words (column j is bit j % 64 of word
     j // 64), the layout of M4RI, and a pivot clears its column below it by
@@ -705,20 +723,13 @@ def rank_of_int_rows(field: Field, rows, cols: int) -> int:
 def kernel(m: Matrix) -> "Subspace":
     """Right null space {x : m x = 0} as a subspace of the column space."""
     res = rref(m)
-    n = m.cols
-    piv = set(res.pivots)
-    free = [j for j in range(n) if j not in piv]
     f = m.field
-    zero, one = f.zero(), f.one()
-    vectors = []
-    red = res.reduced.entries
-    for j in free:
-        v = [zero] * n
-        v[j] = one
-        for r_i, c in enumerate(res.pivots):
-            v[c] = f.neg(red[r_i][j])
-        vectors.append(tuple(v))
-    return Subspace._spanned_by(Matrix._canonical(f, tuple(vectors), len(vectors), n))
+    free = [j for j in range(m.cols) if j not in set(res.pivots)]
+    # the vector of free column j: 1 at j, minus column j of the reduced rows at the pivots
+    vectors = _filled(f, (len(free), m.cols), f.zero())
+    vectors[np.arange(len(free)), free] = f.one()
+    vectors[:, list(res.pivots)] = (-res.reduced.take_rows(range(res.rank))).array[:, free].T
+    return Subspace._spanned_by(Matrix._wrap(f, vectors))
 
 
 def column_space(m: Matrix) -> "Subspace":
@@ -732,11 +743,9 @@ def solve_column(m: Matrix, b) -> tuple:
     res = rref(aug)
     if res.pivots and res.pivots[-1] == m.cols:
         raise InconsistentSystem("no solution")
-    zero = f.zero()
-    x = [zero] * m.cols
-    for r_i, c in enumerate(res.pivots):
-        x[c] = res.reduced.entries[r_i][m.cols]
-    return tuple(x)
+    x = _filled(f, m.cols, f.zero())
+    x[list(res.pivots)] = res.reduced.array[:res.rank, m.cols]
+    return tuple(x.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -801,32 +810,18 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim}, {self.field.name})"
 
-    def reduce(self, vec) -> tuple:
-        """Residue of vec after eliminating this subspace's pivot coordinates."""
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector/ambient mismatch")
-        for row, c in zip(self.basis.entries, self.pivots):
-            coeff = v[c]
-            if coeff:
-                for j in range(c, self.ambient_dim):
-                    if row[j]:
-                        v[j] = f.sub(v[j], f.mul(coeff, row[j]))
-        return tuple(v)
-
     def contains_vector(self, vec) -> bool:
-        return vec_is_zero(self.field, self.reduce(vec))
+        if len(vec) != self.ambient_dim:
+            raise DimensionMismatch("vector/ambient mismatch")
+        return self.first_outside(Matrix(self.field, [vec], 1, self.ambient_dim)) is None
 
     def first_outside(self, m: Matrix) -> int | None:
         """Index of the first row of m outside this subspace, or None."""
         if m.cols != self.ambient_dim:
             raise DimensionMismatch("vector/ambient mismatch")
-        residue = m - m.take_columns(self.pivots) @ self.basis
-        for i, row in enumerate(residue.entries):
-            if any(row):
-                return i
-        return None
+        # a row minus its pivot coordinates times the RREF basis is zero exactly for members
+        outside = np.nonzero((m - m.take_columns(self.pivots) @ self.basis).array)[0]
+        return int(outside[0]) if outside.size else None
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -876,23 +871,18 @@ class QuotientMap:
         if not sup.contains_subspace(sub):
             raise LinalgError("sub is not contained in sup")
         f = sup.field
-        s = sup.dim
         sub_in_sup = Subspace._spanned_by(sub.basis.take_columns(sup.pivots))
-        sub_pivots = set(sub_in_sup.pivots)
-        comp = [i for i in range(s) if i not in sub_pivots]
+        comp = [i for i in range(sup.dim) if i not in set(sub_in_sup.pivots)]
         dim = len(comp)
         # complement coordinate i of a vector c (in sup coordinates, read off
         # at sup's pivot columns) after reduction modulo sub:
         # c_i - sum_r c_{piv_r} S[r][i]
-        zero, one = f.zero(), f.one()
-        rows = []
-        for i in comp:
-            row = [zero] * sup.ambient_dim
-            row[sup.pivots[i]] = one
-            for r_i, c in enumerate(sub_in_sup.pivots):
-                row[sup.pivots[c]] = f.sub(row[sup.pivots[c]], sub_in_sup.basis.entries[r_i][i])
-            rows.append(tuple(row))
-        matrix = Matrix._canonical(f, tuple(rows), dim, sup.ambient_dim)
+        in_sup = _filled(f, (dim, sup.dim), f.zero())
+        in_sup[np.arange(dim), comp] = f.one()
+        in_sup[:, list(sub_in_sup.pivots)] = (-sub_in_sup.basis).array[:, comp].T
+        rows = _filled(f, (dim, sup.ambient_dim), f.zero())
+        rows[:, list(sup.pivots)] = in_sup
+        matrix = Matrix._wrap(f, rows)
         reps = sup.basis.take_rows(comp)
         object.__setattr__(self, "sup", sup)
         object.__setattr__(self, "sub", sub)
@@ -915,7 +905,6 @@ class QuotientMap:
 def _row_combination(m: Matrix, coeffs) -> tuple:
     """sum_i coeffs[i] * (row i of m)."""
     f = m.field
-    row = tuple(f.coerce(x) for x in coeffs)
-    if len(row) != m.rows:
+    if len(coeffs) != m.rows:
         raise DimensionMismatch("coefficient vector length mismatch")
-    return (Matrix._canonical(f, (row,), 1, m.rows) @ m).entries[0]
+    return (Matrix(f, [coeffs], 1, m.rows) @ m).entries[0]

@@ -14,9 +14,11 @@ H_q^0 for all g}.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import GroupAlgebra, IdealFiltration
 from .groups import FiniteGroup, NormalSubgroup
-from .linalg import Field, Matrix, QuotientMap, Subspace, kernel
+from .linalg import Field, Matrix, QuotientMap, Subspace, contract, kernel
 
 
 class NotARepresentationError(ValueError):
@@ -31,13 +33,14 @@ class NotARepresentationError(ValueError):
 class GammaModule:
     """A finite-dimensional representation of a finite group.
 
-    A permutation module (`GammaModule.permutation`) stores only the index
-    table `perm`, with element g sending basis vector e_j to e_{perm[g][j]};
-    its dense `action` matrices are built on first access, and `act_rows`
-    acts by permuting coordinates without them.
+    `stack` holds the action as one |G| x dim x dim array, and the `action`
+    matrices are views of it.  A permutation module
+    (`GammaModule.permutation`) stores only the index table `perm`, with
+    element g sending basis vector e_j to e_{perm[g][j]}; its stack is built
+    on first access, and `act_rows` acts by permuting coordinates without it.
     """
 
-    __slots__ = ("group", "field", "dim", "perm", "_action")
+    __slots__ = ("group", "field", "dim", "perm", "_stack", "_action")
 
     def __init__(self, group: FiniteGroup, field: Field, action, check: bool = False):
         action = tuple(action)
@@ -51,7 +54,9 @@ class GammaModule:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "perm", None)
-        object.__setattr__(self, "_action", action)
+        object.__setattr__(self, "_stack", np.stack([m.array for m in action]))
+        self._stack.flags.writeable = False
+        object.__setattr__(self, "_action", None)
         if check:
             self.check_homomorphism()
 
@@ -68,22 +73,27 @@ class GammaModule:
         object.__setattr__(module, "field", field)
         object.__setattr__(module, "dim", dim)
         object.__setattr__(module, "perm", perm)
+        object.__setattr__(module, "_stack", None)
         object.__setattr__(module, "_action", None)
         return module
 
     @property
+    def stack(self):
+        """The read-only |G| x dim x dim array of the action matrices."""
+        if self._stack is None:
+            # column j of action[g] is column perm[g][j] of the identity
+            perm = np.array(self.perm, dtype=np.intp).reshape(self.group.order, self.dim)
+            stack = Matrix.identity(self.field, self.dim).array[:, perm].transpose(1, 0, 2)
+            stack.flags.writeable = False
+            object.__setattr__(self, "_stack", stack)
+        return self._stack
+
+    @property
     def action(self) -> tuple[Matrix, ...]:
-        """One dense matrix per group element."""
+        """One dense matrix per group element, each a view of `stack`."""
         if self._action is None:
-            zero, one = self.field.zero(), self.field.one()
-            mats = []
-            for images in self.perm:
-                grid = [[zero] * self.dim for _ in range(self.dim)]
-                for j, i in enumerate(images):
-                    grid[i][j] = one
-                mats.append(Matrix._canonical(self.field, tuple(map(tuple, grid)),
-                                              self.dim, self.dim))
-            object.__setattr__(self, "_action", tuple(mats))
+            object.__setattr__(self, "_action",
+                               tuple(Matrix._wrap(self.field, a) for a in self.stack))
         return self._action
 
     def act_rows(self, g: int, vectors: Matrix) -> Matrix:
@@ -108,14 +118,11 @@ class GammaModule:
                 if self.action[i] @ self.action[j] != self.action[self.group.mult[i][j]]:
                     raise NotARepresentationError(i, j)
 
-    def algebra_action(self, avec) -> Matrix:
-        """The matrix of sum_g c_g g acting through the module."""
-        f = self.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for g, coeff in enumerate(avec):
-            if coeff:
-                out = out + self.action[g].scale(coeff)
-        return out
+    def algebra_action(self, elements: Matrix) -> Matrix:
+        """The matrices of the algebra elements sum_g c_g g in the rows of
+        `elements`, acting through the module, stacked vertically."""
+        return Matrix._wrap(self.field, contract(self.field, elements.array, self.stack)
+                            .reshape(elements.rows * self.dim, self.dim))
 
     def fixed_points(self) -> Subspace:
         """V^G, cut out by the group generators."""
@@ -189,25 +196,16 @@ def coinduced_module(group: FiniteGroup, field: Field, base_dim: int = 1) -> Gam
     """Functions G -> R^b with (g.f)(x) = f(xg); coordinates (element, component)."""
     if base_dim < 1:
         raise ValueError("base_dim must be >= 1")
-    n = group.order
-    dim = n * base_dim
-    zero, one = field.zero(), field.one()
-    action = []
-    for g in range(n):
-        grid = [[zero] * dim for _ in range(dim)]
-        for i in range(n):
-            k = group.mult[i][g]
-            for j in range(base_dim):
-                grid[i * base_dim + j][k * base_dim + j] = one
-        action.append(Matrix(field, grid, dim, dim))
-    return GammaModule(group, field, action)
+    # g sends the basis vector (x, j) to (x g^-1, j)
+    return GammaModule.permutation(group, field, [
+        [group.mult[x][group.inv[g]] * base_dim + j for x in range(group.order)
+         for j in range(base_dim)] for g in range(group.order)])
 
 
 def h_q0_annihilator(v: GammaModule, filtration: IdealFiltration, q: int) -> Subspace:
     """H_q^0 as {v : a v = 0 for every a in J_q} (the annihilator of J_q)."""
     j = filtration.j(q)
-    mats = [v.algebra_action(row) for row in j.basis.entries]
-    return _joint_kernel(v.field, v.dim, mats)
+    return _joint_kernel(v.field, v.dim, [v.algebra_action(j.basis)])
 
 
 def h_q0_inductive(v: GammaModule, sigma: NormalSubgroup, q: int) -> Subspace:

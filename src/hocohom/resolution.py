@@ -33,7 +33,7 @@ from .algebra import GroupAlgebra, IdealFiltration, j_filtration
 from .groups import FiniteGroup, NormalSubgroup
 from .linalg import (
     Matrix, QuotientMap, Subspace,
-    column_space, kernel, rank, rank_of_int_rows,
+    column_space, contract, kernel, rank, rank_of_int_rows,
 )
 from .modules import GammaModule, regular_module
 
@@ -90,14 +90,12 @@ def free_amodule(algebra: GroupAlgebra, k: int) -> AModule:
 def amap_from_generator_images(algebra: GroupAlgebra, target: GammaModule, images) -> Matrix:
     """The A-linear map A^k -> target sending the j-th generator to images[j].
 
-    Column (j, g) of the underlying R-matrix is action[g] applied to
-    images[j], matching the free coordinate layout of free_amodule.
+    `images` is a Matrix whose row j is images[j].  Column (j, g) of the
+    underlying R-matrix is action[g] applied to images[j], matching the free
+    coordinate layout of free_amodule.
     """
-    f = algebra.field
-    images = Matrix(f, images, len(images), target.dim)
-    moved = [target.act_rows(g, images).entries for g in range(algebra.dim)]
-    columns = tuple(moved[g][j] for j in range(images.rows) for g in range(algebra.dim))
-    return Matrix._canonical(f, columns, len(columns), target.dim).transpose()
+    moved = np.stack([target.act_rows(g, images).array for g in range(algebra.dim)], axis=1)
+    return Matrix._wrap(algebra.field, moved.reshape(images.rows * algebra.dim, target.dim).T)
 
 
 def _certify_stable(module: GammaModule, sub: Subspace):
@@ -160,18 +158,17 @@ def free_cover(m: AModule, order: str = "forward") -> FreeCover:
     f = algebra.field
     dim = m.dim
     candidates = range(dim) if order == "forward" else range(dim - 1, -1, -1)
+    units = Matrix.identity(f, dim)
     span = Subspace.zero(f, dim)
     chosen = []
     for i in candidates:
-        e_i = tuple(f.one() if j == i else f.zero() for j in range(dim))
-        if not span.contains_vector(e_i):
+        if span.first_outside(units.take_rows([i])) is not None:
             chosen.append(i)
-            orbit = [mat.column(i) for mat in m.module.action]
-            span = span + Subspace.from_vectors(f, dim, orbit)
+            orbit = Matrix._wrap(f, m.module.stack[:, :, i])
+            span = Subspace._spanned_by(Matrix.vstack(f, [span.basis, orbit]))
     if span.dim != dim:
         raise RuntimeError("free cover failed to span the module")
-    images = [tuple(f.one() if j == i else f.zero() for j in range(dim)) for i in chosen]
-    surjection = amap_from_generator_images(algebra, m.module, images)
+    surjection = amap_from_generator_images(algebra, m.module, units.take_rows(chosen))
     return FreeCover(len(chosen), tuple(chosen), surjection)
 
 
@@ -232,9 +229,9 @@ def build_resolution(m: AModule, length: int, order: str = "forward") -> FreeRes
                 algebra, free_amodule(algebra, prev_rank).module, ker_sub,
                 f"ker step {i} of {m.label}")
             kcover = free_cover(khat, order)
-            images = [ker_sub.basis.entries[t] for t in kcover.chosen]
             boundary = amap_from_generator_images(
-                algebra, free_amodule(algebra, prev_rank).module, images)
+                algebra, free_amodule(algebra, prev_rank).module,
+                ker_sub.basis.take_rows(kcover.chosen))
             next_rank = kcover.rank
             if rank(boundary) != ker_sub.dim:
                 raise RuntimeError("resolution step failed exactness certification")
@@ -259,22 +256,17 @@ def hom_precompose(algebra: GroupAlgebra, amap: Matrix, gens_from: int,
 
     Returns the induced map V^{gens_to} -> V^{gens_from}: block (j, k) is
     the action through V of the algebra coefficient of generator k in the
-    image of generator j.
+    image of generator j, all blocks in one contraction with the action.
     """
     n = algebra.dim
-    f = algebra.field
     d_v = v.dim
     if gens_from == 0 or gens_to == 0 or d_v == 0:
-        return Matrix.zeros(f, gens_from * d_v, gens_to * d_v)
-    blocks = []
-    for j in range(gens_from):
-        gen_image = amap.column(j * n)
-        row = []
-        for k in range(gens_to):
-            coeff = gen_image[k * n:(k + 1) * n]
-            row.append(v.algebra_action(coeff))
-        blocks.append(row)
-    return Matrix.block(f, blocks, [d_v] * gens_from, [d_v] * gens_to)
+        return Matrix.zeros(algebra.field, gens_from * d_v, gens_to * d_v)
+    # coeffs[j, k, g]: entry (k, g) of column (j, e), the image of generator j
+    coeffs = amap.array[:, ::n].T.reshape(gens_from, gens_to, n)
+    blocks = contract(algebra.field, coeffs, v.stack)        # [j, k, row, col]
+    return Matrix._wrap(algebra.field, blocks.transpose(0, 2, 1, 3)
+                        .reshape(gens_from * d_v, gens_to * d_v))
 
 
 def hom_delta(resolution: FreeResolution, v: GammaModule, i: int) -> Matrix:
@@ -417,7 +409,7 @@ def _bar_coboundary(group: FiniteGroup, v: GammaModule, i: int) -> np.ndarray:
     smallest that holds every entry.
     """
     n, d = group.order, v.dim
-    rows = [row for g in range(n) for row in v.action[g].entries]
+    rows = v.stack.reshape(n * d, d).tolist()
     if v.field.is_rational:
         scales = [lcm(*(x.denominator for x in row)) for row in rows]
         rows = [[x.numerator * (s // x.denominator) for x in row]

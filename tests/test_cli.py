@@ -1,6 +1,7 @@
 """The batch interface: parsing, verbs, reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -8,18 +9,23 @@ from pathlib import Path
 
 import pytest
 
+import hocohom
 from hocohom import cli
 from hocohom.algebra import AlgebraError, j_filtration
 from hocohom.linalg import LinalgError, Subspace
 from hocohom.problem import SpecError, parse_problem, load_problem
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+PACKAGE_ROOT = str(Path(hocohom.__file__).resolve().parent.parent)
 
 
 def run_cli(args):
+    """Run the CLI in a child process that imports the package under test."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "hocohom.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     return proc
 
 

@@ -115,6 +115,38 @@ def test_horseshoe_middle_matches_direct_ext():
             assert ext(shoe.res_middle, v, p).dim == ext(direct, v, p).dim
 
 
+def test_horseshoe_and_ses_built_once_per_level(monkeypatch):
+    from hocohom import les
+    built = {"ses": [], "horseshoe": []}
+    quotient_ses_body, horseshoe_body = les.quotient_ses, les.horseshoe
+
+    def spy_ses(algebra, filtration, q):
+        built["ses"].append(q)
+        return quotient_ses_body(algebra, filtration, q)
+
+    def spy_horseshoe(ses, length, order="forward"):
+        built["horseshoe"].append((ses.q, length, order))
+        return horseshoe_body(ses, length, order)
+
+    monkeypatch.setattr(les, "quotient_ses", spy_ses)
+    monkeypatch.setattr(les, "horseshoe", spy_horseshoe)
+    g = s3()
+    alg = GroupAlgebra(g, F2)
+    sigma = a3_in(g)
+    filt = filtration_for(alg, sigma)
+    trivial, regular = trivial_module(g, F2, 1), regular_module(alg)
+    reports = {(q, v.dim): long_exact_sequence(alg, sigma, v, q, 2, filt)
+               for q in (1, 2) for v in (trivial, regular)}
+    assert built["ses"] == [1, 2]
+    assert built["horseshoe"] == [(1, 4, "forward"), (2, 4, "forward")]
+    long_exact_sequence(alg, sigma, regular, 1, 2, filt, order="reverse")
+    assert built["ses"] == [1, 2]
+    assert built["horseshoe"][2:] == [(1, 4, "reverse")]
+    # the second module's report, from the cached horseshoe, equals a fresh one
+    assert reports[(1, regular.dim)] == long_exact_sequence(
+        GroupAlgebra(g, F2), sigma, regular, 1, 2)
+
+
 # --- the long exact sequence ------------------------------------------------
 
 def test_les_c2_f2_trivial_full_detail():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from hocohom.linalg import (
@@ -243,6 +244,55 @@ def test_internal_producers_stay_canonical():
               Matrix.block(F5, [[a, None]], [3], [4, 2])):
         assert all(type(x) is int and 0 <= x < 5 for row in m.entries for x in row)
         assert Matrix(F5, m.entries) == m
+
+
+# --- array storage -----------------------------------------------------------
+
+F_BIG = Field.prime(4294967311)   # past every int64 product: the object-dtype path
+
+
+def test_matrix_storage_is_read_only():
+    m = Matrix(F5, [[1, 2], [3, 4]])
+    for stored in (m, m.transpose(), m.take_columns([1, 0]), m @ m, rref(m).reduced,
+                   Matrix.identity(Q, 2)):
+        with pytest.raises(ValueError):
+            stored.array[0, 0] = 0
+    with pytest.raises(AttributeError):
+        m.array = m.array.copy()
+
+
+def test_entries_are_python_scalars():
+    grid = [[7, -1, "1/2"], [0, 3, "-2/3"]]
+    for field in (F5, F_BIG, Q):
+        m = Matrix(field, grid)
+        for derived in (m, m @ m.transpose(), -m, m - m.scale(3), rref(m).reduced,
+                        kernel(m).basis):
+            for x in (x for row in derived.entries for x in row):
+                if field.is_rational:
+                    assert type(x) is Fraction
+                else:
+                    assert type(x) is int and 0 <= x < field.p
+
+
+def test_equal_matrices_compare_and_hash_equal_across_routes():
+    for field in (F3, F_BIG, Q):
+        grid = [[1, -1, 0], [2, 0, "1/2"]]
+        a = Matrix(field, grid)
+        routes = (Matrix(field, grid), a @ Matrix.identity(field, 3),
+                  a.transpose().transpose(), a.take_columns([0, 1, 2]),
+                  Matrix.hstack(field, [a.take_columns([0]), a.take_columns([1, 2])]),
+                  Matrix(field, a.entries))
+        for b in routes:
+            assert b == a and hash(b) == hash(a)
+        assert a != a.scale(2) and a != a.take_columns([0, 1])
+
+
+def test_f2_and_f3_are_stored_as_uint8():
+    for field in (F2, F3):
+        m = Matrix(field, [[1, 2], [0, 1]])
+        for stored in (m, m @ m, m + m, -m, rref(m).reduced, kernel(m).basis,
+                       Matrix.identity(field, 2), Matrix.zeros(field, 1, 2)):
+            assert stored.array.dtype == np.uint8
 
 
 # --- large primes against a pure-Python reference -----------------------------

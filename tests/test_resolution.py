@@ -478,6 +478,55 @@ def test_a4_order_twelve_smoke():
     assert higher_cohomology(alg, sigma, v, 1, 1).dim == 0
 
 
+# --- the contracted Hom functor against the per-block reference ----------------
+
+def _hom_precompose_reference(algebra, amap, gens_from, gens_to, v):
+    """Hom_A(-, V) of an A-map, built one block at a time.
+
+    The construction the package used before the contraction: block (j, k)
+    is sum_g c_g action[g], summed matrix by matrix, for the coefficients c
+    of generator k in the image of generator j.
+    """
+    n, f, d = algebra.dim, algebra.field, v.dim
+    blocks = []
+    for j in range(gens_from):
+        image = amap.column(j * n)
+        row = []
+        for k in range(gens_to):
+            out = Matrix.zeros(f, d, d)
+            for g, c in enumerate(image[k * n:(k + 1) * n]):
+                if c:
+                    out = out + v.action[g].scale(c)
+            row.append(out)
+        blocks.append(row)
+    return Matrix.block(f, blocks, [d] * gens_from, [d] * gens_to)
+
+
+def test_hom_precompose_matches_per_block_reference():
+    d4 = close_generators([Permutation([1, 2, 3, 0]), Permutation([3, 2, 1, 0])])
+    big = Field.prime(2147483647)
+    c2_q = make_module(c2(), Q, [Matrix(Q, [[0, 2], ["1/2", 0]])])
+
+    def sign(field):   # -1 is p - 1 over F_p: products past int64 over the large prime
+        return make_module(s3(), field, [Matrix(field, [[1]]), Matrix(field, [[-1]])])
+
+    cases = [
+        (GroupAlgebra(d4, F2), [coinduced_module(d4, F2, 1)]),
+        (GroupAlgebra(s3(), Q), [regular_module(GroupAlgebra(s3(), Q)), sign(Q)]),
+        (GroupAlgebra(s3(), big), [regular_module(GroupAlgebra(s3(), big)), sign(big)]),
+        (GroupAlgebra(c2(), Q), [c2_q]),
+    ]
+    for alg, modules in cases:
+        sigma = trivial_subgroup(alg.group)
+        res = resolution_of_quotient(alg, sigma, 2, 3)
+        for v in modules:
+            for i in range(res.length):
+                got = hom_delta(res, v, i)
+                assert got == _hom_precompose_reference(
+                    alg, res.boundaries[i], res.ranks[i + 1], res.ranks[i], v)
+                assert got.array.dtype == Matrix.zeros(alg.field, 0, 0).array.dtype
+
+
 def test_resolution_cache_returns_same_object():
     g = c2()
     alg = GroupAlgebra(g, F2)
