@@ -55,10 +55,6 @@ class GroupAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("GroupAlgebra is immutable")
 
-    def element_vector(self, g: int) -> tuple:
-        zero, one = self.field.zero(), self.field.one()
-        return tuple(one if i == g else zero for i in range(self.dim))
-
     def multiply(self, a, b) -> tuple:
         """Product of two algebra elements given as coefficient vectors.
 
@@ -68,31 +64,31 @@ class GroupAlgebra:
         b_row = Matrix(f, [b], 1, n)
         shifted = np.empty((n, n), dtype=b_row.array.dtype)
         shifted[np.arange(n)[:, None], self.group.mult] = b_row.array   # (g b)[g h] = b[h]
-        return (Matrix(f, [a], 1, n) @ Matrix._wrap(f, shifted)).entries[0]
+        return (Matrix(f, [a], 1, n) @ Matrix._wrap(f, shifted, b_row.den)).entries[0]
 
     def augmentation(self, a) -> object:
         """The augmentation functional sum c_g g -> sum c_g."""
-        f = self.field
-        acc = f.zero()
-        for x in a:
-            acc = f.add(acc, x)
-        return acc
+        return self.field.coerce(sum(a))
 
     def __repr__(self) -> str:
         return f"GroupAlgebra({self.field.name}[G], |G|={self.dim})"
 
 
+def _differences(n: int, plus, minus) -> list[list[int]]:
+    """The integer rows e_plus[k] - e_minus[k] of length n, for the field's
+    constructor to coerce."""
+    rows = np.zeros((len(plus), n), dtype=np.int64)
+    k = np.arange(len(plus))
+    rows[k, plus] = 1
+    rows[k, minus] = -1
+    return rows.tolist()
+
+
 def augmentation_ideal(algebra: GroupAlgebra) -> Subspace:
     """span{g - e}: the kernel of the augmentation functional, dim |G| - 1."""
-    f = algebra.field
     n = algebra.dim
-    e = algebra.element_vector(0)
-    vectors = []
-    for g in range(1, n):
-        v = list(algebra.element_vector(g))
-        v[0] = f.sub(v[0], f.one())
-        vectors.append(v)
-    sub = Subspace.from_vectors(f, n, vectors)
+    sub = Subspace.from_vectors(algebra.field, n,
+                                _differences(n, list(range(1, n)), [0] * (n - 1)))
     assert sub.dim == n - 1 or n == 1
     return sub
 
@@ -105,18 +101,11 @@ def sigma_ideal(algebra: GroupAlgebra, sigma: NormalSubgroup) -> Subspace:
     g s1 (s2 - e) + g(s1 - e)).  Closure under left and right multiplication
     by every group element is verified before returning.
     """
-    f = algebra.field
     n = algebra.dim
-    group = algebra.group
     gens = [s for s in (sigma.gen_indices or sigma.members) if s != 0]
-    vectors = []
-    for g in range(n):
-        for s in gens:
-            v = [f.zero()] * n
-            v[group.mult[g][s]] = f.add(v[group.mult[g][s]], f.one())
-            v[g] = f.sub(v[g], f.one())
-            vectors.append(v)
-    sub = Subspace.from_vectors(f, n, vectors)
+    mult = np.array(algebra.group.mult, dtype=np.intp)
+    sub = Subspace.from_vectors(algebra.field, n, _differences(
+        n, mult[:, gens].ravel(), np.repeat(np.arange(n), len(gens))))
     expected = n - n // sigma.order
     if sub.dim != expected:
         raise AlgebraError(f"A*I_S has dimension {sub.dim}, expected {expected}")
@@ -248,13 +237,7 @@ def j_by_left_route(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int) -> Sub
         basis = current.basis
         current = Subspace._spanned_by(Matrix.vstack(f, [
             basis @ algebra.left_mult[g].transpose() - basis for g in range(1, n)], cols=n))
-    sig_vectors = []
-    for s in sigma.members:
-        if s == 0:
-            continue
-        for g in range(n):
-            v = [f.zero()] * n
-            v[group.mult[s][g]] = f.add(v[group.mult[s][g]], f.one())
-            v[g] = f.sub(v[g], f.one())
-            sig_vectors.append(v)
-    return current + Subspace.from_vectors(f, n, sig_vectors)
+    members = [s for s in sigma.members if s != 0]
+    mult = np.array(group.mult, dtype=np.intp)
+    return current + Subspace.from_vectors(f, n, _differences(
+        n, mult[members].ravel(), np.tile(np.arange(n), len(members))))

@@ -30,7 +30,7 @@ from .linalg import LinalgError
 from .modules import coinduced_module, h_q0_annihilator, h_q0_inductive
 from .problem import ProblemSpec, SpecError, load_problem, parse_problem
 from .resolution import (
-    BudgetExceeded, bar_dimension, filtration_for, higher_cohomology,
+    BudgetExceeded, bar_dimension_or_none, filtration_for, higher_cohomology,
 )
 
 EXIT_OK = 0
@@ -93,13 +93,8 @@ def _grid(spec: ProblemSpec, algebra, filt, v, order: str = "forward") -> list[l
 def _bar_row(spec: ProblemSpec, algebra, v) -> list[int | None]:
     """dim H^p(G, V) for p = 0..p_max by the bar oracle; None where the bar
     budget skips degree p."""
-    row = []
-    for p in range(spec.p_max + 1):
-        try:
-            row.append(bar_dimension(algebra.group, v, p, spec.budgets["bar_budget"]))
-        except BudgetExceeded:
-            row.append(None)
-    return row
+    return [bar_dimension_or_none(algebra.group, v, p, spec.budgets["bar_budget"])
+            for p in range(spec.p_max + 1)]
 
 
 def _cocycle_column(spec: ProblemSpec, algebra, filt, v):
@@ -270,9 +265,12 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
 
     coinduced = coinduced_module(spec.group, spec.field, 1)
     vreport = vanishing_check(algebra, spec.sigma, coinduced,
-                              min(spec.q_max, 3), spec.p_max, filt)
-    record("vanishing.coinduced_module", vreport.ok,
-           detail={"acyclic_certified": vreport.acyclic_certified})
+                              min(spec.q_max, 3), spec.p_max, filt,
+                              budget=spec.budgets["bar_budget"])
+    detail = {"acyclic_certified": vreport.acyclic_certified}
+    if vreport.skipped:
+        detail["bar_budget_skipped_p"] = list(vreport.skipped)
+    record("vanishing.coinduced_module", vreport.ok, detail=detail)
 
     if stab == 1:
         constant = all(all(row == grid[0] for row in grid) for grid in grids.values())

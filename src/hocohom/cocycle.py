@@ -63,11 +63,12 @@ def hom_a_space(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
         moved = jq.basis @ algebra.left_mult[gamma].transpose()
         if jq.first_outside(moved) is not None:
             raise RuntimeError("J_q is not left-stable; filtration is broken")
-        spread = np.full((k, d_v, k, d_v), f.zero(), dtype=moved.array.dtype)
-        spread[:, t, :, t] = moved.take_columns(jq.pivots).array   # c[m, l] at ((m, t), (l, t))
+        coords = moved.take_columns(jq.pivots)
+        spread = np.zeros((k, d_v, k, d_v), dtype=coords.array.dtype)
+        spread[:, t, :, t] = coords.array   # c[m, l] at ((m, t), (l, t))
         acting = Matrix.block(f, [[v.action[gamma] if m == l else None for l in range(k)]
                                   for m in range(k)], [d_v] * k, [d_v] * k)
-        blocks.append(Matrix._wrap(f, spread.reshape(total, total)) - acting)
+        blocks.append(Matrix._wrap(f, spread.reshape(total, total), coords.den) - acting)
     return HomSpace(k, v, kernel(Matrix.vstack(f, blocks, cols=total)))
 
 

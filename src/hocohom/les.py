@@ -30,10 +30,10 @@ from .linalg import (
 )
 from .modules import GammaModule, ModuleMap
 from .resolution import (
-    AModule, BudgetExceeded, FreeResolution, amap_from_generator_images,
-    bar_dimension, ext, filtration_for, free_amodule, higher_cohomology,
-    hom_delta, layer_module, quotient_by_j, resolution_of_layer,
-    resolution_of_quotient,
+    DEFAULT_BAR_BUDGET, AModule, BudgetExceeded, FreeResolution,
+    amap_from_generator_images, bar_dimension_or_none, ext, filtration_for,
+    free_amodule, higher_cohomology, hom_delta, layer_module, quotient_by_j,
+    resolution_of_layer, resolution_of_quotient,
 )
 
 
@@ -173,9 +173,7 @@ def _lift_generators(algebra: GroupAlgebra, target: GammaModule, solver: Matrix,
                      targets: Matrix) -> Matrix:
     """The A-map into target sending generator j to the canonical solution x
     of solver x = column j of targets."""
-    images = [solve_column(solver, column) for column in targets.columns()]
-    return amap_from_generator_images(
-        algebra, target, Matrix(algebra.field, images, targets.cols, target.dim))
+    return amap_from_generator_images(algebra, target, solve_column(solver, targets).transpose())
 
 
 # ---------------------------------------------------------------------------
@@ -344,42 +342,54 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
 def power_identification(algebra: GroupAlgebra, sigma: NormalSubgroup,
                          v: GammaModule, q: int, p: int,
                          filtration: IdealFiltration | None = None,
-                         classical_dim: int | None = None) -> tuple[int, int]:
+                         classical_dim: int | None = None,
+                         budget: int = DEFAULT_BAR_BUDGET) -> tuple[int, int | None]:
     """(dim Ext^p(J_q/J_{q+1}, V),  N(q) * dim H^p(G, V)) for equality assertion.
 
     classical_dim short-circuits the brute-force factor when the caller has
-    already computed dim H^p(G, V).
+    already computed dim H^p(G, V).  Otherwise the bar oracle computes it
+    within `budget`; the right side is None where the budget skips degree p.
     """
     filt = filtration if filtration is not None else filtration_for(algebra, sigma)
     res = resolution_of_layer(algebra, sigma, q, p + 1, filtration=filt)
     lhs = ext(res, v, p).dim
     if classical_dim is None:
-        classical_dim = bar_dimension(algebra.group, v, p)
-    rhs = filt.n(q) * classical_dim
-    return lhs, rhs
+        classical_dim = bar_dimension_or_none(algebra.group, v, p, budget)
+        if classical_dim is None:
+            return lhs, None
+    return lhs, filt.n(q) * classical_dim
 
 
 @dataclass(frozen=True)
 class VanishingReport:
-    acyclic_certified: bool
+    """`acyclic_certified` is None when the bar budget skipped a degree (and
+    no computed degree failed); `skipped` lists those degrees p."""
+
+    acyclic_certified: bool | None
     dims: dict
     ok: bool
+    skipped: tuple[int, ...]
 
 
 def vanishing_check(algebra: GroupAlgebra, sigma: NormalSubgroup,
                     v_acyclic: GammaModule, q_max: int, p_max: int,
-                    filtration: IdealFiltration | None = None) -> VanishingReport:
+                    filtration: IdealFiltration | None = None,
+                    budget: int = DEFAULT_BAR_BUDGET) -> VanishingReport:
     """Certify acyclicity at q = 1 by brute force, then sweep the grid.
 
     An acyclic module must have H_q^p = 0 for all q >= 1, p >= 1; the report
-    carries every computed dimension so failures are diagnosable.
+    carries every computed dimension so failures are diagnosable.  A degree
+    that the bar budget skips certifies nothing: the grid is still swept,
+    and `ok` then rests on the grid alone.
     """
     filt = filtration if filtration is not None else filtration_for(algebra, sigma)
-    certified = all(
-        bar_dimension(algebra.group, v_acyclic, p) == 0 for p in range(1, p_max + 1))
+    bar = {p: bar_dimension_or_none(algebra.group, v_acyclic, p, budget)
+           for p in range(1, p_max + 1)}
+    skipped = tuple(p for p, d in bar.items() if d is None)
+    certified = False if any(bar.values()) else None if skipped else True
     dims = {}
     for q in range(1, q_max + 1):
         for p in range(1, p_max + 1):
             dims[(q, p)] = higher_cohomology(algebra, sigma, v_acyclic, q, p, filt).dim
-    ok = certified and all(d == 0 for d in dims.values())
-    return VanishingReport(certified, dims, ok)
+    ok = certified is not False and all(d == 0 for d in dims.values())
+    return VanishingReport(certified, dims, ok, skipped)

@@ -7,41 +7,49 @@ unique reduced row-echelon form of its input (leading entries 1, pivot
 columns cleared, pivots strictly increasing), so subspace bases are
 bit-identical across runs and directly diffable.
 
-Canonical data.  A matrix stores one read-only 2-d numpy array, `array`.
-Over F_p its entries are residues in [0, p) in the narrowest unsigned dtype
-that holds p - 1 (uint8 for p <= 256, then uint16, uint32 and uint64),
-and Python ints (`object`) for p past int64; over Q they are Fractions in
-an `object` array.  Arithmetic widens to `_product_dtype` or
-`_elimination_dtype` only inside a product or an elimination and stores
-the reduced result in the narrow dtype again.  `entries` is a derived
-tuple-of-tuples view for reports and tests.  The public constructor
-`Matrix(field, entries)` is the only place where entries are coerced into
-the field; every other matrix is wrapped from an array of canonical
-entries by `Matrix._wrap`, which never reads them.
+Canonical data.  A matrix stores one read-only 2-d integer array, `array`,
+over one positive denominator, `den`.  Over F_p the entries are residues in
+[0, p) in the narrowest unsigned dtype that holds p - 1 (uint8 for p <= 256,
+then uint16, uint32 and uint64), Python ints (`object`) for p past int64,
+and `den` is 1.  Over Q the matrix is array / den in lowest terms
+(gcd(den, every numerator) = 1, so a zero matrix has den 1); the numerators
+are int64 when every one fits and Python ints (`object`) past that.  The
+dtype depends on the values alone, so equal matrices built by different
+routes compare and hash equal.  Arithmetic widens to `_product_dtype` or
+`_elimination_dtype` only inside a product or an elimination over F_p; over
+Q a product, sum or scaling runs in int64 while its bound says that no
+partial result can overflow, on Python ints past that, and is reduced to
+lowest terms.  `entries` is a derived tuple-of-tuples view (Fractions over
+Q) for reports and tests, and the only place where Fractions are built
+from stored data.  The public constructor `Matrix(field, entries)` is the
+only place where entries are coerced into the field; every other matrix is
+wrapped from canonical integers by `Matrix._wrap`.
 
 Kernels.  Each field has one elimination kernel.  Over F_p it is
 `_rref_modp` on numpy arrays; ranks and the certificate primes below feed
 it the rows in blocks through `_row_space_modp`.  Ranks over F_2 instead
 pack each row into uint64 words and eliminate by XOR of whole rows
-(`_rank_f2`).  Over Q it is one fraction-free elimination of integer rows
-(`_rref_int`).  Prime-field products and eliminations use int64 only while
-no intermediate can overflow: a product with inner dimension k needs
+(`_rank_f2`).  Over Q it is one fraction-free elimination of the numerator
+rows (`_rref_int`); a rational matrix and its numerators have the same
+reduced echelon form.  Prime-field products and eliminations use int64 only
+while no intermediate can overflow: a product with inner dimension k needs
 k*(p-1)^2 < 2^63, and an elimination step needs (p-1)^2 + p < 2^63.  Past
 those bounds the same code runs on Python-int (`object`) arrays.  Every
 path is exact.
 
-Rational rank.  A rank over Q is taken of an integer matrix M (rows of a
-rational matrix are scaled by the lcm of their denominators) and is
-certified, never estimated.  r = rank of M mod p is a lower bound for
-rank_Q(M), for the fixed primes 2^31 - 1, 2^31 - 19 and 2^31 - 61 in
-turn.  The reduced echelon rows mod p give cols - r kernel vectors, one
-per free column; their entries are lifted to Q by rational reconstruction
-(Wang 1981) and their denominators cleared.  If M K = 0 holds exactly,
-those independent vectors give rank_Q(M) <= r, so the rank is r.  A prime
-for which reconstruction or the check fails gives way to the next one;
-after the last prime, and for entries of 2^62 or more, `_rref_int`
-decides.  Rational row reduction (`rref`) runs the same kernel on the
-integer-scaled rows, so Fraction arithmetic never enters the inner loops.
+Rational rank.  A rank over Q is taken of an integer matrix M (the
+numerators of a rational matrix) and is certified, never estimated.
+r = rank of M mod p is a lower bound for rank_Q(M), for the fixed primes
+2^31 - 1, 2^31 - 19 and 2^31 - 61 in turn.  The reduced echelon rows mod p
+give cols - r kernel vectors, one per free column; their entries are lifted
+to Q by rational reconstruction (Wang 1981) and their denominators cleared.
+If M K = 0 holds exactly, those independent vectors give rank_Q(M) <= r, so
+the rank is r.  The first prime is tried alone.  When it fails, each later
+prime with the same pivot columns is joined to it by the Chinese remainder
+theorem, which raises the reconstruction bound from about 2^15 to about
+2^30 and then 2^46; a prime with a larger rank, or the same rank at earlier
+pivots, replaces the primes before it.  After the last prime, and for
+entries of 2^62 or more, `_rref_int` decides.
 """
 
 from __future__ import annotations
@@ -118,12 +126,6 @@ class Field:
     def characteristic(self) -> int:
         return 0 if self.p is None else self.p
 
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    def one(self):
-        return Fraction(1) if self.p is None else 1
-
     def coerce(self, x):
         """Coerce an int, string, or Fraction to a canonical scalar."""
         p = self.p
@@ -139,12 +141,6 @@ class Field:
                 raise LinalgError(f"{x} has no image in F_{p}")
             return x.numerator * pow(x.denominator, -1, p) % p
         return int(x) % p
-
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
 
 
 _INT64_BOUND = 2 ** 63
@@ -172,51 +168,93 @@ def _elimination_dtype(p: int):
 
 
 def _storage_dtype(p: int | None):
-    """The dtype of stored entries: the narrowest unsigned integer dtype that
-    holds p - 1, Python ints (`object`) past int64, Fractions over Q."""
-    if p is None or p >= _INT64_BOUND:
+    """The dtype of stored entries: int64 numerators over Q (Python ints when
+    a matrix needs them); over F_p the narrowest unsigned integer dtype that
+    holds p - 1, and Python ints (`object`) past int64."""
+    if p is None:
+        return np.int64
+    if p >= _INT64_BOUND:
         return object
     return (np.uint8 if p <= 2 ** 8 else np.uint16 if p <= 2 ** 16
             else np.uint32 if p <= 2 ** 32 else np.uint64)
 
 
-def _filled(field: Field, shape, value) -> np.ndarray:
-    return np.full(shape, value, dtype=_storage_dtype(field.p))
+def _int_bound(a: np.ndarray) -> int:
+    """max |x| over an integer array; 0 for an empty one."""
+    if a.size == 0:
+        return 0
+    return max(int(a.max()), -int(a.min()))
+
+
+def _widened(bound: int, *arrays):
+    """The integer arrays as they are while `bound` on every result of an
+    operation on them is below 2^63, as Python-int arrays past that."""
+    if bound < _INT64_BOUND:
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
+def _times(a: np.ndarray, k: int) -> np.ndarray:
+    """a * k exactly, for an integer array a."""
+    if k == 1:
+        return a
+    bound = _int_bound(a)
+    if bound == 0:
+        return a
+    (a,) = _widened(bound * abs(k), a)
+    return a * k
+
+
+def _lowest_terms(a: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """(a / g, den / g) for g = gcd(den, every entry of a), with the
+    numerators in int64 when every one fits and Python ints past that."""
+    if a.dtype != object:
+        a = a.astype(np.int64, copy=False)
+    if den != 1:
+        g = gcd(den, gcd(*a.flat) if a.dtype == object else int(np.gcd.reduce(a, axis=None)))
+        if g != 1:
+            # g divides every entry, so it exceeds int64 only for a zero array
+            a, den = (a // g if a.any() else a), den // g
+    if a.dtype == object and _int_bound(a) < _INT64_BOUND:
+        a = a.astype(np.int64)
+    return a, den
+
+
+def common_denominator(mats) -> tuple[list[np.ndarray], int]:
+    """The arrays of the matrices rescaled to the lcm of their denominators,
+    and that lcm.  Over F_p every denominator is 1 and the arrays come back
+    as they are."""
+    den = lcm(*(m.den for m in mats))
+    return [_times(m.array, den // m.den) for m in mats], den
 
 
 def contract(field: Field, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """sum_g coeffs[..., g] * mats[g], for canonical arrays, as a canonical array.
+    """sum_g coeffs[..., g] * mats[g], for stored arrays, as a stored array.
 
-    Over Q both factors are scaled to Python integers by the lcm of their
-    denominators, so the contraction multiplies ints, not Fractions.
+    Over F_p the result is reduced mod p.  Over Q the arguments are integer
+    numerators and so is the result; its denominator is the product of
+    theirs.  The contraction runs in int64 while no partial sum can
+    overflow and on Python ints past that.
     """
     p = field.p
     if p is None:
-        (c, c_den), (m, m_den) = _integer_scaled(coeffs), _integer_scaled(mats)
-        out = np.tensordot(c, m, axes=1)
-        den = c_den * m_den
-        return np.array([Fraction(x, den) for x in out.flat],
-                        dtype=object).reshape(out.shape)
+        coeffs, mats = _widened(mats.shape[0] * _int_bound(coeffs) * _int_bound(mats),
+                                coeffs, mats)
+        return np.tensordot(coeffs, mats, axes=1)
     dtype = _product_dtype(p, mats.shape[0])
     out = np.tensordot(coeffs.astype(dtype), mats.astype(dtype), axes=1) % p
     return out.astype(_storage_dtype(p), copy=False)
 
 
-def _integer_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(a * den, den) for an array of Fractions, den the lcm of their denominators."""
-    den = lcm(*(x.denominator for x in a.flat))
-    return np.array([x.numerator * (den // x.denominator) for x in a.flat],
-                    dtype=object).reshape(a.shape), den
-
-
 class Matrix:
     """Immutable dense matrix with exact entries over a fixed field.
 
-    `array` is the one read-only 2-d array of entries, in the field's
-    storage dtype; `entries` is a tuple-of-tuples view of it.
+    `array` is the one read-only 2-d integer array of the matrix and `den`
+    its denominator (always 1 over F_p); `entries` is a tuple-of-tuples view
+    of array / den.
     """
 
-    __slots__ = ("field", "array")
+    __slots__ = ("field", "array", "den")
 
     def __init__(self, field: Field, entries, rows: int | None = None, cols: int | None = None):
         coerce = field.coerce
@@ -227,21 +265,35 @@ class Matrix:
             cols = len(data[0]) if data else 0
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch("ragged or mis-sized entry grid")
-        a = _filled(field, (rows, cols), field.zero())
-        if rows and cols:
-            a[:] = data
-        self._own(field, a)
+        if field.p is None:
+            # numerators over the lcm of the denominators: already in lowest terms
+            den = lcm(*(x.denominator for row in data for x in row))
+            a = np.zeros((rows, cols), dtype=object)
+            if rows and cols:
+                a[:] = [[x.numerator * (den // x.denominator) for x in row] for row in data]
+            self._own(field, *_lowest_terms(a, den))
+        else:
+            a = np.zeros((rows, cols), dtype=_storage_dtype(field.p))
+            if rows and cols:
+                a[:] = data
+            self._own(field, a, 1)
 
-    def _own(self, field: Field, a: np.ndarray):
+    def _own(self, field: Field, a: np.ndarray, den: int):
         a.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "array", a)
+        object.__setattr__(self, "den", den)
 
     @classmethod
-    def _wrap(cls, field: Field, a: np.ndarray) -> "Matrix":
-        """Take a 2-d array of canonical entries, unchecked; nothing may write to it later."""
+    def _wrap(cls, field: Field, a: np.ndarray, den: int = 1) -> "Matrix":
+        """Take a 2-d array of canonical residues over F_p, or of integer
+        numerators over the positive den over Q, unchecked; nothing may write
+        to it later.  Over Q the matrix is brought to lowest terms."""
         m = object.__new__(cls)
-        m._own(field, a.astype(_storage_dtype(field.p), copy=False))
+        if field.p is None:
+            m._own(field, *_lowest_terms(a, den))
+        else:
+            m._own(field, a.astype(_storage_dtype(field.p), copy=False), 1)
         return m
 
     def __setattr__(self, name, value):
@@ -257,26 +309,21 @@ class Matrix:
 
     @property
     def entries(self) -> tuple:
-        return tuple(map(tuple, self.array.tolist()))
+        rows = self.array.tolist()
+        if self.field.p is not None:
+            return tuple(map(tuple, rows))
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        return Matrix._wrap(field, _filled(field, (rows, cols), field.zero()))
+        return Matrix._wrap(field, np.zeros((rows, cols), dtype=_storage_dtype(field.p)))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        a = _filled(field, (n, n), field.zero())
-        np.fill_diagonal(a, field.one())
+        a = np.zeros((n, n), dtype=_storage_dtype(field.p))
+        np.fill_diagonal(a, 1)
         return Matrix._wrap(field, a)
-
-    @staticmethod
-    def from_columns(field: Field, columns, rows: int | None = None) -> "Matrix":
-        columns = [list(c) for c in columns]
-        if not columns:
-            if rows is None:
-                raise DimensionMismatch("row count required for a matrix with no columns")
-            return Matrix.zeros(field, rows, 0)
-        return Matrix(field, columns, len(columns), len(columns[0])).transpose()
 
     @staticmethod
     def vstack(field: Field, mats, cols: int | None = None) -> "Matrix":
@@ -287,7 +334,8 @@ class Matrix:
             return Matrix.zeros(field, 0, cols)
         if any(m.cols != mats[0].cols or m.field != field for m in mats):
             raise DimensionMismatch("vstack width or field mismatch")
-        return Matrix._wrap(field, np.concatenate([m.array for m in mats]))
+        arrays, den = common_denominator(mats)
+        return Matrix._wrap(field, np.concatenate(arrays), den)
 
     @staticmethod
     def hstack(field: Field, mats) -> "Matrix":
@@ -296,12 +344,13 @@ class Matrix:
             raise DimensionMismatch("hstack of nothing")
         if any(m.rows != mats[0].rows or m.field != field for m in mats):
             raise DimensionMismatch("hstack height or field mismatch")
-        return Matrix._wrap(field, np.concatenate([m.array for m in mats], axis=1))
+        arrays, den = common_denominator(mats)
+        return Matrix._wrap(field, np.concatenate(arrays, axis=1), den)
 
     @staticmethod
     def block(field: Field, grid, row_dims, col_dims) -> "Matrix":
         """Assemble a block matrix; None blocks are zero of the declared shape."""
-        out = _filled(field, (sum(row_dims), sum(col_dims)), field.zero())
+        placed = []
         r0 = 0
         for bi, block_row in enumerate(grid):
             c0 = 0
@@ -309,65 +358,76 @@ class Matrix:
                 if blk is not None:
                     if blk.rows != row_dims[bi] or blk.cols != col_dims[bj] or blk.field != field:
                         raise DimensionMismatch("block shape mismatch")
-                    out[r0:r0 + blk.rows, c0:c0 + blk.cols] = blk.array
+                    placed.append((r0, c0, blk))
                 c0 += col_dims[bj]
             r0 += row_dims[bi]
-        return Matrix._wrap(field, out)
+        arrays, den = common_denominator([blk for _, _, blk in placed])
+        out = np.zeros((sum(row_dims), sum(col_dims)),
+                       dtype=np.result_type(_storage_dtype(field.p), *arrays))
+        for (r0, c0, blk), a in zip(placed, arrays):
+            out[r0:r0 + blk.rows, c0:c0 + blk.cols] = a
+        return Matrix._wrap(field, out, den)
 
     def column(self, j: int) -> tuple:
-        return tuple(self.array[:, j].tolist())
-
-    def columns(self) -> list[tuple]:
-        return list(map(tuple, self.array.T.tolist()))
+        return self.take_columns([j]).transpose().entries[0]
 
     def take_rows(self, indices) -> "Matrix":
-        return Matrix._wrap(self.field, self.array[_index(indices)])
+        return Matrix._wrap(self.field, self.array[_index(indices)], self.den)
 
     def take_columns(self, indices) -> "Matrix":
-        return Matrix._wrap(self.field, self.array[:, _index(indices)])
+        return Matrix._wrap(self.field, self.array[:, _index(indices)], self.den)
 
     def transpose(self) -> "Matrix":
-        return Matrix._wrap(self.field, self.array.T)
+        return Matrix._wrap(self.field, self.array.T, self.den)
 
     def is_zero(self) -> bool:
         return not self.array.any()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
-                and np.array_equal(self.array, other.array))
+                and self.den == other.den and np.array_equal(self.array, other.array))
 
     def __hash__(self) -> int:
         a = self.array
-        return hash((self.field, a.shape, a.tobytes() if a.dtype != object else tuple(a.flat)))
+        return hash((self.field, a.shape, self.den,
+                     a.tobytes() if a.dtype != object else tuple(a.flat)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
 
     def _pointwise(self, ufunc, *operands) -> "Matrix":
-        """ufunc(array, *operands) reduced into the field."""
+        """ufunc(array, *operands) reduced mod p, over F_p."""
         p = self.field.p
-        if p is None:
-            return Matrix._wrap(self.field, ufunc(self.array, *operands))
         wide = ufunc(self.array, *operands, dtype=_elimination_dtype(p))
         return Matrix._wrap(self.field, wide % p)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return self._pointwise(np.add, other.array)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return self._pointwise(np.subtract, other.array)
-
-    def __neg__(self) -> "Matrix":
-        return self._pointwise(np.negative)
-
-    def scale(self, s) -> "Matrix":
-        return self._pointwise(np.multiply, self.field.coerce(s))
-
-    def _check_same_shape(self, other: "Matrix"):
+    def _combine(self, other: "Matrix", ufunc) -> "Matrix":
+        """ufunc (np.add or np.subtract) of two matrices of the same shape."""
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape or field mismatch")
+        if self.field.p is not None:
+            return self._pointwise(ufunc, other.array)
+        (a, b), den = common_denominator([self, other])
+        a, b = _widened(_int_bound(a) + _int_bound(b), a, b)
+        return Matrix._wrap(self.field, ufunc(a, b), den)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, np.add)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, np.subtract)
+
+    def __neg__(self) -> "Matrix":
+        if self.field.p is not None:
+            return self._pointwise(np.negative)
+        return Matrix._wrap(self.field, -self.array, self.den)
+
+    def scale(self, s) -> "Matrix":
+        s = self.field.coerce(s)
+        if self.field.p is not None:
+            return self._pointwise(np.multiply, s)
+        return Matrix._wrap(self.field, _times(self.array, s.numerator),
+                            self.den * s.denominator)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.cols != other.rows:
@@ -378,23 +438,16 @@ class Matrix:
         if f.p is not None:
             dtype = _product_dtype(f.p, self.cols)
             return Matrix._wrap(f, (self.array.astype(dtype) @ other.array.astype(dtype)) % f.p)
-        bt = other.array.T.tolist()
-        out = np.empty((self.rows, other.cols), dtype=object)
-        for i, row in enumerate(self.array.tolist()):
-            for j, col in enumerate(bt):
-                acc = Fraction(0)
-                for x, y in zip(row, col):
-                    if x and y:
-                        acc += x * y
-                out[i, j] = acc
-        return Matrix._wrap(f, out)
+        a, b = _widened(self.cols * _int_bound(self.array) * _int_bound(other.array),
+                        self.array, other.array)
+        return Matrix._wrap(f, a @ b, self.den * other.den)
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector, returned as a tuple."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         column = Matrix(self.field, [vec], 1, self.cols).transpose()
-        return tuple((self @ column).array[:, 0].tolist())
+        return (self @ column).transpose().entries[0]
 
 
 def _index(indices) -> np.ndarray:
@@ -451,18 +504,6 @@ def _rref_modp(a: np.ndarray, p: int):
         pivots.append(c)
         r += 1
     return r, a, tuple(pivots)
-
-
-def _row_lcm_scale(row):
-    """Integer multiple of a row of ints and Fractions, by the lcm of its denominators."""
-    den = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    if den == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _normalize_int_row(row):
@@ -522,11 +563,14 @@ def rref(m: Matrix) -> RrefResult:
     if p is not None:
         rank, a, pivots = _rref_modp(m.array.astype(_elimination_dtype(p)), p)
         return RrefResult(rank, Matrix._wrap(m.field, a), pivots)
-    rank, work, pivots = _rref_int([_row_lcm_scale(row) for row in m.array.tolist()], m.cols)
-    out = _filled(m.field, m.array.shape, Fraction(0))
-    for i, c in enumerate(pivots):
-        out[i] = [Fraction(x, work[i][c]) for x in work[i]]
-    return RrefResult(rank, Matrix._wrap(m.field, out), pivots)
+    # row i of the echelon form is work[i] / lead_i, or work[i] * (den / lead_i) over den
+    rank, work, pivots = _rref_int(m.array.tolist(), m.cols)
+    leads = [work[i][c] for i, c in enumerate(pivots)]
+    den = lcm(*leads)
+    out = np.zeros(m.array.shape, dtype=object)
+    for i, lead in enumerate(leads):
+        out[i] = [x * (den // lead) for x in work[i]]
+    return RrefResult(rank, Matrix._wrap(m.field, out, den), pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -534,13 +578,7 @@ def rank(m: Matrix) -> int:
         return 0
     if m.field.p is not None:
         return _rank_modp(m.array.copy(), m.field.p)
-    return _rank_rational(_integer_array([_row_lcm_scale(row) for row in m.array.tolist()]))
-
-
-def _integer_array(rows) -> np.ndarray:
-    """Rows of Python ints as an int64 array, or an object array past int64."""
-    big = max((abs(x) for row in rows for x in row), default=0)
-    return np.array(rows, dtype=np.int64 if big < _INT64_BOUND else object)
+    return _rank_rational(m.array)
 
 
 def _rank_modp(a: np.ndarray, p: int) -> int:
@@ -591,19 +629,45 @@ def _rank_rational(a: np.ndarray) -> int:
     `a` is left unchanged.  See the module docstring for the certificate.
     """
     rows, cols = a.shape
-    bound = max(int(a.max()), -int(a.min()))
+    bound = _int_bound(a)
     if bound == 0:
         return 0
     if bound < _CERTIFICATE_ENTRY_BOUND:
+        best = None     # (pivots, kernel residues, modulus) of the primes joined so far
         for p in _CERTIFICATE_PRIMES:
             reduced, pivots = _row_space_modp(a, p)
-            r = len(pivots)
-            if r == cols:
-                return r
-            certificate = _lifted_kernel(reduced, pivots, p)
+            if len(pivots) == cols:
+                return cols
+            residues = (-reduced[:, _free_columns(cols, pivots)]) % p
+            if best is None or _better_profile(pivots, best[0]):
+                best = (pivots, residues, p)
+            elif pivots == best[0]:
+                best = (pivots, _crt(best[1], best[2], residues, p), best[2] * p)
+            else:
+                continue    # pivots worse than those joined: this prime adds nothing
+            certificate = _lifted_kernel(*best, cols)
             if certificate is not None and _annihilates(a, bound, certificate):
-                return r
+                return len(pivots)
     return _rref_int(a.tolist(), cols)[0]
+
+
+def _free_columns(cols: int, pivots) -> np.ndarray:
+    free = np.ones(cols, dtype=bool)
+    free[list(pivots)] = False
+    return np.flatnonzero(free)
+
+
+def _better_profile(pivots, other) -> bool:
+    """Whether the pivot columns mod one prime are closer to those over Q than
+    `other`: the rank mod p of every leading block of columns is at most its
+    rank over Q, so a larger rank, or the same rank at earlier pivots, wins."""
+    return len(pivots) > len(other) or (len(pivots) == len(other) and pivots < other)
+
+
+def _crt(u: np.ndarray, m: int, v: np.ndarray, p: int) -> np.ndarray:
+    """The residues mod m*p that are u mod m and v mod p, as Python ints."""
+    u = u.astype(object)
+    return u + m * ((v.astype(object) - u) * pow(m, -1, p) % p)
 
 
 def _row_space_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -627,50 +691,47 @@ def _row_space_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]
     return basis, pivots
 
 
-def _lifted_kernel(reduced: np.ndarray, pivots: tuple[int, ...], p: int) -> np.ndarray | None:
-    """Integer kernel vectors lifted from a reduced echelon basis mod p, as columns.
+def _lifted_kernel(pivots: tuple[int, ...], residues: np.ndarray, modulus: int,
+                   cols: int) -> np.ndarray | None:
+    """Integer kernel vectors lifted from a reduced echelon basis R mod
+    `modulus`, as the columns of a Python-int array.
 
-    The vector of free column j has entry 1 at j and -R[k, j] at pivot k of
-    the reduced rows R.  Its entries are lifted to fractions by rational
-    reconstruction and multiplied by the lcm of their denominators, so
-    column j of the result is nonzero at free column j and zero at the
-    other free columns.  Returns None when some entry has no reconstruction.
+    `residues` holds -R[k, j] mod the modulus for the free columns j.  The
+    vector of free column j has entry 1 at j and -R[k, j] at pivot k.  Its
+    entries are lifted to fractions by rational reconstruction and
+    multiplied by the lcm of their denominators, so column j of the result
+    is nonzero at free column j and zero at the other free columns.
+    Returns None when some entry has no reconstruction.
     """
-    cols = reduced.shape[1]
-    free = np.ones(cols, dtype=bool)
-    free[list(pivots)] = False
-    free = np.flatnonzero(free)
-    lifted = _rational_reconstruction((-reduced[:, free]) % p, p)
+    free = _free_columns(cols, pivots)
+    lifted = _rational_reconstruction(residues, modulus)
     if lifted is None:
         return None
-    num, den = lifted
-    scales = [lcm(*column) for column in den.T.tolist()]
-    if max(scales) < 2 ** 31:
-        # |num| and den are below 2^15, so every entry stays below 2^46
-        out = np.zeros((cols, free.size), dtype=np.int64)
-        scale = np.array(scales, dtype=np.int64)
-    else:
-        out = np.zeros((cols, free.size), dtype=object)
-        scale = np.array(scales, dtype=object)
-        num, den = num.astype(object), den.astype(object)
-    out[list(pivots)] = num * (scale // den)
-    out[free, np.arange(free.size)] = scale
+    num, den = (x.astype(object) for x in lifted)
+    scales = np.array([lcm(*column) for column in den.T.tolist()], dtype=object)
+    out = np.zeros((cols, free.size), dtype=object)
+    out[list(pivots)] = num * (scales // den)
+    out[free, np.arange(free.size)] = scales
     return out
 
 
-def _rational_reconstruction(u: np.ndarray, p: int):
-    """Fractions n/d = u mod p with |n|, d <= sqrt((p-1)/2), entrywise, or None.
+def _rational_reconstruction(u: np.ndarray, modulus: int):
+    """Fractions n/d = u mod the modulus with |n|, d <= sqrt((modulus-1)/2),
+    entrywise, or None.
 
-    The extended Euclidean algorithm on (p, u) runs for all entries at once
-    and stops for each entry at the first remainder within the bound (Wang
-    1981); remainder r and cofactor t satisfy r = t u mod p throughout.
-    None when a cofactor ends past the bound.
+    The extended Euclidean algorithm on (modulus, u) runs for all entries at
+    once and stops for each entry at the first remainder within the bound
+    (Wang 1981); remainder r and cofactor t satisfy r = t u mod the modulus
+    throughout, and every |t| stays below the modulus.  int64 for a modulus
+    below 2^63, Python ints past it.  None when a cofactor ends past the
+    bound.
     """
-    bound = isqrt((p - 1) // 2)
-    r0 = np.full(u.shape, p, dtype=np.int64)
-    r1 = u.astype(np.int64)
-    t0 = np.zeros(u.shape, dtype=np.int64)
-    t1 = np.ones(u.shape, dtype=np.int64)
+    bound = isqrt((modulus - 1) // 2)
+    dtype = np.int64 if modulus < _INT64_BOUND else object
+    r0 = np.full(u.shape, modulus, dtype=dtype)
+    r1 = u.astype(dtype)
+    t0 = np.zeros(u.shape, dtype=dtype)
+    t1 = np.ones(u.shape, dtype=dtype)
     live = r1 > bound
     while live.any():
         q = r0[live] // r1[live]
@@ -690,8 +751,7 @@ def _annihilates(a: np.ndarray, bound: int, k: np.ndarray) -> bool:
     Python ints past that.
     """
     rows, cols = a.shape
-    k_bound = max(int(k.max()), -int(k.min()))
-    dtype = np.int64 if bound * k_bound * cols < _CERTIFICATE_ENTRY_BOUND else object
+    dtype = np.int64 if bound * _int_bound(k) * cols < _CERTIFICATE_ENTRY_BOUND else object
     k = k.astype(dtype)
     step = max(1, _BLOCK_CELLS // cols)
     for start in range(0, rows, step):
@@ -706,46 +766,52 @@ def rank_of_int_rows(field: Field, rows, cols: int) -> int:
     Fast path of the brute-force cochain computations, which build their
     matrices as integer numpy arrays (int8, int64 or Python ints); such an
     array is used as it is and may be overwritten.  Rows given as lists
-    hold ints for prime fields and ints or Fractions over Q, where each row
-    is first scaled by the lcm of its denominators.  Over Q the rank is the
-    certified one of `_rank_rational`.
+    hold ints for prime fields and ints or Fractions over Q; they are
+    coerced into the field first.  Over Q the rank is the certified one of
+    `_rank_rational`.
     """
     if len(rows) == 0 or cols == 0:
         return 0
+    if not isinstance(rows, np.ndarray):
+        rows = Matrix(field, rows, len(rows), cols).array.copy()
     p = field.p
-    if isinstance(rows, np.ndarray):
-        return _rank_modp(rows, p) if p is not None else _rank_rational(rows)
-    if p is not None:
-        return _rank_modp(np.array(rows, dtype=_elimination_dtype(p)), p)
-    return _rank_rational(_integer_array([_row_lcm_scale(row) for row in rows]))
+    return _rank_modp(rows, p) if p is not None else _rank_rational(rows)
+
+
+def _free_column_rows(reduced: Matrix, pivots: tuple[int, ...]) -> Matrix:
+    """One row per free column j of a reduced echelon basis: 1 at j and
+    minus column j of the basis at the pivots, so the basis kills it."""
+    f, den = reduced.field, reduced.den
+    free = _free_columns(reduced.cols, pivots)
+    out = np.zeros((free.size, reduced.cols),
+                   dtype=object if den >= _INT64_BOUND else reduced.array.dtype)
+    out[np.arange(free.size), free] = den
+    out[:, list(pivots)] = (-reduced).array[:, free].T
+    return Matrix._wrap(f, out, den)
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Right null space {x : m x = 0} as a subspace of the column space."""
     res = rref(m)
-    f = m.field
-    free = [j for j in range(m.cols) if j not in set(res.pivots)]
-    # the vector of free column j: 1 at j, minus column j of the reduced rows at the pivots
-    vectors = _filled(f, (len(free), m.cols), f.zero())
-    vectors[np.arange(len(free)), free] = f.one()
-    vectors[:, list(res.pivots)] = (-res.reduced.take_rows(range(res.rank))).array[:, free].T
-    return Subspace._spanned_by(Matrix._wrap(f, vectors))
+    return Subspace._spanned_by(
+        _free_column_rows(res.reduced.take_rows(range(res.rank)), res.pivots))
 
 
 def column_space(m: Matrix) -> "Subspace":
     return Subspace._spanned_by(m.transpose())
 
 
-def solve_column(m: Matrix, b) -> tuple:
-    """A canonical particular solution x of m x = b (free variables zero)."""
+def solve_column(m: Matrix, b: Matrix) -> Matrix:
+    """The canonical solutions x of m x = b (free variables zero), one column
+    of x per column of b, all from one elimination of [m | b]."""
     f = m.field
-    aug = Matrix.hstack(f, [m, Matrix.from_columns(f, [list(b)])])
-    res = rref(aug)
-    if res.pivots and res.pivots[-1] == m.cols:
+    res = rref(Matrix.hstack(f, [m, b]))
+    if res.pivots and res.pivots[-1] >= m.cols:
         raise InconsistentSystem("no solution")
-    x = _filled(f, m.cols, f.zero())
-    x[list(res.pivots)] = res.reduced.array[:res.rank, m.cols]
-    return tuple(x.tolist())
+    reduced = res.reduced
+    x = np.zeros((m.cols, b.cols), dtype=reduced.array.dtype)
+    x[list(res.pivots)] = reduced.array[:res.rank, m.cols:]
+    return Matrix._wrap(f, x, reduced.den)
 
 
 # ---------------------------------------------------------------------------
@@ -872,18 +938,15 @@ class QuotientMap:
             raise LinalgError("sub is not contained in sup")
         f = sup.field
         sub_in_sup = Subspace._spanned_by(sub.basis.take_columns(sup.pivots))
-        comp = [i for i in range(sup.dim) if i not in set(sub_in_sup.pivots)]
-        dim = len(comp)
         # complement coordinate i of a vector c (in sup coordinates, read off
         # at sup's pivot columns) after reduction modulo sub:
-        # c_i - sum_r c_{piv_r} S[r][i]
-        in_sup = _filled(f, (dim, sup.dim), f.zero())
-        in_sup[np.arange(dim), comp] = f.one()
-        in_sup[:, list(sub_in_sup.pivots)] = (-sub_in_sup.basis).array[:, comp].T
-        rows = _filled(f, (dim, sup.ambient_dim), f.zero())
-        rows[:, list(sup.pivots)] = in_sup
-        matrix = Matrix._wrap(f, rows)
-        reps = sup.basis.take_rows(comp)
+        # c_i - sum_r c_{piv_r} S[r][i], the free-column rows of S
+        in_sup = _free_column_rows(sub_in_sup.basis, sub_in_sup.pivots)
+        dim = in_sup.rows
+        rows = np.zeros((dim, sup.ambient_dim), dtype=in_sup.array.dtype)
+        rows[:, list(sup.pivots)] = in_sup.array
+        matrix = Matrix._wrap(f, rows, in_sup.den)
+        reps = sup.basis.take_rows(_free_columns(sup.dim, sub_in_sup.pivots))
         object.__setattr__(self, "sup", sup)
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "dim", dim)

@@ -18,7 +18,9 @@ import numpy as np
 
 from .algebra import GroupAlgebra, IdealFiltration
 from .groups import FiniteGroup, NormalSubgroup
-from .linalg import Field, Matrix, QuotientMap, Subspace, contract, kernel
+from .linalg import (
+    Field, Matrix, QuotientMap, Subspace, common_denominator, contract, kernel,
+)
 
 
 class NotARepresentationError(ValueError):
@@ -33,14 +35,16 @@ class NotARepresentationError(ValueError):
 class GammaModule:
     """A finite-dimensional representation of a finite group.
 
-    `stack` holds the action as one |G| x dim x dim array, and the `action`
-    matrices are views of it.  A permutation module
-    (`GammaModule.permutation`) stores only the index table `perm`, with
-    element g sending basis vector e_j to e_{perm[g][j]}; its stack is built
-    on first access, and `act_rows` acts by permuting coordinates without it.
+    `stack` holds the action as one |G| x dim x dim integer array over the
+    common denominator `den` (numerators over Q, residues with den 1 over
+    F_p), and the `action` matrices are built from its slices.  A permutation
+    module (`GammaModule.permutation`) stores only the index table `perm`,
+    with element g sending basis vector e_j to e_{perm[g][j]}; its stack is
+    built on first access, and `act_rows` acts by permuting coordinates
+    without it.
     """
 
-    __slots__ = ("group", "field", "dim", "perm", "_stack", "_action")
+    __slots__ = ("group", "field", "dim", "perm", "den", "_stack", "_action")
 
     def __init__(self, group: FiniteGroup, field: Field, action, check: bool = False):
         action = tuple(action)
@@ -54,7 +58,9 @@ class GammaModule:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "perm", None)
-        object.__setattr__(self, "_stack", np.stack([m.array for m in action]))
+        arrays, den = common_denominator(action)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_stack", np.stack(arrays))
         self._stack.flags.writeable = False
         object.__setattr__(self, "_action", None)
         if check:
@@ -73,13 +79,14 @@ class GammaModule:
         object.__setattr__(module, "field", field)
         object.__setattr__(module, "dim", dim)
         object.__setattr__(module, "perm", perm)
+        object.__setattr__(module, "den", 1)
         object.__setattr__(module, "_stack", None)
         object.__setattr__(module, "_action", None)
         return module
 
     @property
     def stack(self):
-        """The read-only |G| x dim x dim array of the action matrices."""
+        """The read-only |G| x dim x dim array of the action matrices, over `den`."""
         if self._stack is None:
             # column j of action[g] is column perm[g][j] of the identity
             perm = np.array(self.perm, dtype=np.intp).reshape(self.group.order, self.dim)
@@ -90,10 +97,10 @@ class GammaModule:
 
     @property
     def action(self) -> tuple[Matrix, ...]:
-        """One dense matrix per group element, each a view of `stack`."""
+        """One dense matrix per group element, each a slice of `stack` over `den`."""
         if self._action is None:
             object.__setattr__(self, "_action",
-                               tuple(Matrix._wrap(self.field, a) for a in self.stack))
+                               tuple(Matrix._wrap(self.field, a, self.den) for a in self.stack))
         return self._action
 
     def act_rows(self, g: int, vectors: Matrix) -> Matrix:
@@ -122,7 +129,7 @@ class GammaModule:
         """The matrices of the algebra elements sum_g c_g g in the rows of
         `elements`, acting through the module, stacked vertically."""
         return Matrix._wrap(self.field, contract(self.field, elements.array, self.stack)
-                            .reshape(elements.rows * self.dim, self.dim))
+                            .reshape(elements.rows * self.dim, self.dim), elements.den * self.den)
 
     def fixed_points(self) -> Subspace:
         """V^G, cut out by the group generators."""

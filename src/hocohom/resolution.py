@@ -25,7 +25,7 @@ largest cochain space touched, dim C^{p+1}, before anything is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .algebra import GroupAlgebra, IdealFiltration, j_filtration
 from .groups import FiniteGroup, NormalSubgroup
 from .linalg import (
     Matrix, QuotientMap, Subspace,
-    column_space, contract, kernel, rank, rank_of_int_rows,
+    column_space, common_denominator, contract, kernel, rank, rank_of_int_rows,
 )
 from .modules import GammaModule, regular_module
 
@@ -94,8 +94,10 @@ def amap_from_generator_images(algebra: GroupAlgebra, target: GammaModule, image
     underlying R-matrix is action[g] applied to images[j], matching the free
     coordinate layout of free_amodule.
     """
-    moved = np.stack([target.act_rows(g, images).array for g in range(algebra.dim)], axis=1)
-    return Matrix._wrap(algebra.field, moved.reshape(images.rows * algebra.dim, target.dim).T)
+    arrays, den = common_denominator([target.act_rows(g, images) for g in range(algebra.dim)])
+    moved = np.stack(arrays, axis=1)
+    return Matrix._wrap(algebra.field, moved.reshape(images.rows * algebra.dim, target.dim).T,
+                        den)
 
 
 def _certify_stable(module: GammaModule, sub: Subspace):
@@ -153,19 +155,26 @@ def free_cover(m: AModule, order: str = "forward") -> FreeCover:
     """Greedy free cover: sweep the standard basis, keeping vectors outside
     the A-span of those already chosen; the surjection sends the j-th free
     generator to the j-th kept vector.  Deterministic for a fixed sweep order.
+
+    The span grows only when a vector is kept, so one membership test of all
+    the vectors not yet swept finds the next one to keep.
     """
     algebra = m.algebra
     f = algebra.field
     dim = m.dim
-    candidates = range(dim) if order == "forward" else range(dim - 1, -1, -1)
+    remaining = list(range(dim) if order == "forward" else range(dim - 1, -1, -1))
     units = Matrix.identity(f, dim)
     span = Subspace.zero(f, dim)
     chosen = []
-    for i in candidates:
-        if span.first_outside(units.take_rows([i])) is not None:
-            chosen.append(i)
-            orbit = Matrix._wrap(f, m.module.stack[:, :, i])
-            span = Subspace._spanned_by(Matrix.vstack(f, [span.basis, orbit]))
+    while remaining:
+        k = span.first_outside(units.take_rows(remaining))
+        if k is None:
+            break
+        i = remaining[k]
+        chosen.append(i)
+        remaining = remaining[k + 1:]
+        orbit = Matrix._wrap(f, m.module.stack[:, :, i], m.module.den)
+        span = Subspace._spanned_by(Matrix.vstack(f, [span.basis, orbit]))
     if span.dim != dim:
         raise RuntimeError("free cover failed to span the module")
     surjection = amap_from_generator_images(algebra, m.module, units.take_rows(chosen))
@@ -266,7 +275,7 @@ def hom_precompose(algebra: GroupAlgebra, amap: Matrix, gens_from: int,
     coeffs = amap.array[:, ::n].T.reshape(gens_from, gens_to, n)
     blocks = contract(algebra.field, coeffs, v.stack)        # [j, k, row, col]
     return Matrix._wrap(algebra.field, blocks.transpose(0, 2, 1, 3)
-                        .reshape(gens_from * d_v, gens_to * d_v))
+                        .reshape(gens_from * d_v, gens_to * d_v), amap.den * v.den)
 
 
 def hom_delta(resolution: FreeResolution, v: GammaModule, i: int) -> Matrix:
@@ -405,17 +414,18 @@ def _bar_coboundary(group: FiniteGroup, v: GammaModule, i: int) -> np.ndarray:
     Over F_p the entries are residues of the action and +-1.  Over Q row
     (sigma, t) is multiplied by the lcm of the denominators in row t of
     action[g_1], its +-1 terms included; that makes it integral and leaves
-    the rank unchanged.  The dtype is int8, int64 or Python ints, the
-    smallest that holds every entry.
+    the rank unchanged.  With the action stored as numerators N over D,
+    that lcm is D / c for c = gcd(D, row t of N), and the scaled row of the
+    action is N's row divided by c.  The dtype is int8, int64 or Python
+    ints, the smallest that holds every entry.
     """
     n, d = group.order, v.dim
+    den = v.den
     rows = v.stack.reshape(n * d, d).tolist()
-    if v.field.is_rational:
-        scales = [lcm(*(x.denominator for x in row)) for row in rows]
-        rows = [[x.numerator * (s // x.denominator) for x in row]
-                for row, s in zip(rows, scales)]
-    else:
-        scales = [1] * len(rows)
+    common = [gcd(den, *row) for row in rows]
+    scales = [den // c for c in common]
+    if den != 1:
+        rows = [[x // c for x in row] for row, c in zip(rows, common)]
     # |entry| <= max |action entry| + (i + 1) * scale, per row of the action
     bound = max(max(map(abs, row)) + (i + 1) * s for row, s in zip(rows, scales))
     dtype = np.int8 if bound < 2 ** 7 else np.int64 if bound < 2 ** 63 else object
@@ -474,3 +484,11 @@ def bar_dimension(group: FiniteGroup, v: GammaModule, p: int,
     rank_prev = rank_of_int_rows(field, delta_prev, delta_prev.shape[1])
     return (cols_p - rank_p) - rank_prev
 
+
+def bar_dimension_or_none(group: FiniteGroup, v: GammaModule, p: int,
+                          budget: int = DEFAULT_BAR_BUDGET) -> int | None:
+    """bar_dimension, or None where the budget skips degree p."""
+    try:
+        return bar_dimension(group, v, p, budget)
+    except BudgetExceeded:
+        return None

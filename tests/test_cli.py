@@ -16,6 +16,7 @@ from hocohom.linalg import LinalgError, Subspace
 from hocohom.problem import SpecError, parse_problem, load_problem
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+TEST_SPECS = Path(__file__).resolve().parent / "specs"
 PACKAGE_ROOT = str(Path(hocohom.__file__).resolve().parent.parent)
 
 
@@ -248,6 +249,20 @@ def test_cohom_skips_bar_degree_past_budget():
     assert entry["bar_row"] == [1, 1, 2, None]
     assert entry["grid"] == [[1, 1, 2, 3]]
     assert ok
+
+
+def test_verify_names_a_vanishing_degree_skipped_by_the_bar_budget(tmp_path):
+    # A4 over F2, p_max 2: the coinduced module has dimension 12, so bar
+    # degree 2 of the vanishing check needs 12^3 * 12 = 20736 cochains,
+    # past the default budget of 20000; verify still sweeps the grid
+    out = tmp_path / "a4.json"
+    proc = run_cli(["verify", "--spec", str(TEST_SPECS / "a4_f2.json"), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))["verify"]
+    assert report["all_pass"]
+    vanishing = {v["check"]: v for v in report["verdicts"]}["vanishing.coinduced_module"]
+    assert vanishing["pass"]
+    assert vanishing["detail"] == {"acyclic_certified": None, "bar_budget_skipped_p": [2]}
 
 
 def test_selftest(tmp_path):

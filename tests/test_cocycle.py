@@ -118,14 +118,11 @@ def test_generator_constraints_match_all_element_constraints():
                     moved = alg.left_mult[gamma].apply(jq.basis.entries[m])
                     coeffs = jq.coords(moved)
                     for t in range(v.dim):
-                        row = [f.zero()] * total
+                        row = [0] * total   # integers, coerced by the constructor below
                         for l, c in enumerate(coeffs):
-                            if c:
-                                row[l * v.dim + t] = f.add(row[l * v.dim + t], c)
+                            row[l * v.dim + t] += c
                         for s in range(v.dim):
-                            a = act.entries[t][s]
-                            if a:
-                                row[m * v.dim + s] = f.sub(row[m * v.dim + s], a)
+                            row[m * v.dim + s] -= act.entries[t][s]
                         rows.append(row)
             full = kernel(Matrix(f, rows, len(rows), total))
             assert full == hom.maps

@@ -318,3 +318,29 @@ def test_vanishing_detects_nonacyclic_module():
     report = vanishing_check(alg, sigma, v, 2, 2)
     assert not report.acyclic_certified
     assert not report.ok
+
+
+def test_vanishing_skips_bar_degrees_past_the_budget():
+    # C2 coinduced has dimension 2: bar degree 1 needs 2^2 * 2 = 8 cochains
+    # and degree 2 needs 2^3 * 2 = 16, past a budget of 15
+    g = c2()
+    alg = GroupAlgebra(g, F2)
+    sigma = trivial_subgroup(g)
+    report = vanishing_check(alg, sigma, coinduced_module(g, F2, 1), 2, 2, budget=15)
+    assert report.acyclic_certified is None
+    assert report.skipped == (2,)
+    assert set(report.dims) == {(q, p) for q in (1, 2) for p in (1, 2)}
+    assert report.ok
+    # a computed degree that fails is not hidden by a skipped one
+    report = vanishing_check(alg, sigma, trivial_module(g, F2, 1), 2, 2, budget=4)
+    assert report.acyclic_certified is False
+    assert report.skipped == (2,)
+    assert not report.ok
+
+
+def test_power_identification_skips_the_bar_oracle_past_its_budget():
+    g = c2()
+    alg = GroupAlgebra(g, F2)
+    v = trivial_module(g, F2, 1)
+    assert power_identification(alg, trivial_subgroup(g), v, 1, 1, budget=3) == (1, None)
+    assert power_identification(alg, trivial_subgroup(g), v, 1, 1, budget=4) == (1, 1)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -155,18 +155,23 @@ def test_determinism_bit_identical():
 
 def test_solve_and_inconsistent():
     m = Matrix(Q, [[1, 2], [3, 4]])
-    x = solve_column(m, (5, 6))
-    assert m.apply(x) == (Fraction(5), Fraction(6))
+    b = Matrix(Q, [[5], [6]])
+    x = solve_column(m, b)
+    assert m @ x == b
+    assert x.column(0) == (Fraction(-4), Fraction(9, 2))
     sing = Matrix(Q, [[1, 1], [1, 1]])
     with pytest.raises(InconsistentSystem):
-        solve_column(sing, (0, 1))
+        solve_column(sing, Matrix(Q, [[0], [1]]))
+    # one inconsistent column among consistent ones
+    with pytest.raises(InconsistentSystem):
+        solve_column(sing, Matrix(Q, [[1, 0], [1, 1]]))
 
 
 def test_solve_underdetermined_is_canonical():
     m = Matrix(F3, [[1, 2, 0]])
-    x = solve_column(m, (1,))
-    assert m.apply(x) == (1,)
-    assert x == (1, 0, 0)  # free variables pinned to zero
+    x = solve_column(m, Matrix(F3, [[1, 2]]))
+    assert m @ x == Matrix(F3, [[1, 2]])
+    assert x.entries == ((1, 2), (0, 0), (0, 0))  # free variables pinned to zero
 
 
 def test_matmul_and_apply_agree():
@@ -463,9 +468,10 @@ def certificate_spy(monkeypatch):
     return seen
 
 
-def test_certified_rank_matches_exact_elimination():
-    # dense random rows: wide ones have kernel entries past the reconstruction
-    # bound and reach exact elimination, the others are certified mod p
+def test_certified_rank_matches_exact_elimination(certificate_spy):
+    # dense random rows: the wide ones have kernel entries past the bound of
+    # one prime, about 2^15, and are certified by joining the primes by CRT;
+    # none reaches exact elimination
     import numpy as np
     rng = np.random.default_rng(5)
     for cols in range(1, 61):
@@ -479,6 +485,8 @@ def test_certified_rank_matches_exact_elimination():
             assert rank_of_int_rows(Q, a.tolist(), cols) == expected
             assert rank_of_int_rows(Q, a.astype(np.int8), cols) == expected
             assert rank(Matrix(Q, a.tolist())) == expected
+    assert certificate_spy["exact"] == 0
+    assert CERTIFICATE_PRIMES[1] in certificate_spy["primes"]
 
 
 def test_certified_rank_decides_the_rational_bar_oracle(certificate_spy):
@@ -506,10 +514,32 @@ def test_certified_rank_passes_a_bad_prime(certificate_spy):
 
 
 def test_certified_rank_falls_back_when_the_kernel_cannot_be_lifted(certificate_spy):
-    # the kernel vector (-2^40, 1) has no reconstruction within sqrt(p/2)
-    assert rank_of_int_rows(Q, [[1, 2 ** 40]], 2) == 1
+    # the kernel vector (-2^50, 1) has no reconstruction within sqrt(P/2),
+    # even for P the product of all three primes (about 2^93)
+    assert rank_of_int_rows(Q, [[1, 2 ** 50]], 2) == 1
     assert certificate_spy["primes"] == list(CERTIFICATE_PRIMES)
     assert certificate_spy["exact"] == 1
+
+
+def test_certified_rank_joins_primes_by_crt(certificate_spy):
+    # the kernel vector (-2^20, 1) is past the bound of one prime but within
+    # that of two; (-2^40, 1) needs all three
+    assert rank_of_int_rows(Q, [[1, 2 ** 20]], 2) == 1
+    assert certificate_spy["primes"] == list(CERTIFICATE_PRIMES[:2])
+    certificate_spy["primes"].clear()
+    assert rank_of_int_rows(Q, [[1, 2 ** 40]], 2) == 1
+    assert certificate_spy["primes"] == list(CERTIFICATE_PRIMES)
+    assert certificate_spy["exact"] == 0
+
+
+def test_certified_rank_joins_only_primes_that_agree_on_pivots(certificate_spy):
+    # mod 2^31 - 1 the second row vanishes and the rank drops to 1; the other
+    # two primes see pivots (0, 1) and the kernel vector (2^20, -1, 1), which
+    # only their joint modulus reconstructs
+    p = CERTIFICATE_PRIMES[0]
+    assert rank_of_int_rows(Q, [[1, 2 ** 20, 0], [0, p, p]], 3) == 2
+    assert certificate_spy["primes"] == list(CERTIFICATE_PRIMES)
+    assert certificate_spy["exact"] == 0
 
 
 def test_certified_rank_sends_huge_entries_to_exact_elimination(certificate_spy):
@@ -544,3 +574,192 @@ def test_certified_rank_of_fraction_matrices():
         assert rank_of_int_rows(Q, grid, cols) == rank(Matrix(Q, grid))
     half = Matrix(Q, [["1/2", "1/3", "1/5"], ["3/2", "1", "3/5"], ["1/7", 0, "-1/9"]])
     assert rank(half) == 2
+
+
+# --- rational matrices: integer numerators over one denominator ------------------
+
+def _fraction_grid(rng, rows, cols, big):
+    """Entries n/d with d up to 2^20, many zeros and small integers; with
+    `big`, numerators up to 2^70, past int64."""
+    top = 2 ** 70 if big else 2 ** 10
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Fraction(0)
+        if kind == 1:
+            return Fraction(rng.randint(-3, 3))
+        return Fraction(rng.randint(-top, top), rng.randint(1, 2 ** 20))
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _reference_product(a, b, inner):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+def _reference_echelon(grid, cols):
+    """Gauss-Jordan on Fractions: (reduced rows, zero rows included, pivots)."""
+    grid = [list(row) for row in grid]
+    r, pivots = 0, []
+    for c in range(cols):
+        sel = next((i for i in range(r, len(grid)) if grid[i][c]), None)
+        if sel is None:
+            continue
+        grid[r], grid[sel] = grid[sel], grid[r]
+        lead = grid[r][c]
+        grid[r] = [x / lead for x in grid[r]]
+        for i in range(len(grid)):
+            if i != r and grid[i][c]:
+                factor = grid[i][c]
+                grid[i] = [x - factor * y for x, y in zip(grid[i], grid[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, grid)), tuple(pivots)
+
+
+def _reference_kernel(grid, cols):
+    reduced, pivots = _reference_echelon(grid, cols)
+    vectors = []
+    for j in (j for j in range(cols) if j not in pivots):
+        v = [Fraction(0)] * cols
+        v[j] = Fraction(1)
+        for k, c in enumerate(pivots):
+            v[c] = -reduced[k][j]
+        vectors.append(v)
+    basis, _ = _reference_echelon(vectors, cols)
+    return basis[:len(vectors)]
+
+
+def _assert_canonical(m):
+    nums = m.array.tolist()
+    flat = [x for row in nums for x in row]
+    assert m.den >= 1 and gcd(m.den, *flat) == 1
+    fits = all(abs(x) < 2 ** 63 for x in flat)
+    assert m.array.dtype == (np.int64 if fits else object)
+    rebuilt = Matrix(Q, m.entries, m.rows, m.cols)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert rebuilt.den == m.den and rebuilt.array.dtype == m.array.dtype
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_rational_arithmetic_matches_fraction_reference(big):
+    rng = random.Random(61 + big)
+    for _ in range(40):
+        rows, inner, cols = rng.randrange(0, 5), rng.randrange(1, 5), rng.randrange(0, 5)
+        a, c = (_fraction_grid(rng, rows, inner, big) for _ in range(2))
+        b = _fraction_grid(rng, inner, cols, big)
+        s = Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.randint(1, 2 ** 20)) if big else \
+            Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+        ma, mc = Matrix(Q, a, rows, inner), Matrix(Q, c, rows, inner)
+        mb = Matrix(Q, b, inner, cols)
+        expected = (
+            (ma @ mb, _reference_product(a, b, inner)),
+            (ma + mc, [[x + y for x, y in zip(r, t)] for r, t in zip(a, c)]),
+            (ma - mc, [[x - y for x, y in zip(r, t)] for r, t in zip(a, c)]),
+            (-ma, [[-x for x in r] for r in a]),
+            (ma.scale(s), [[x * s for x in r] for r in a]),
+            (ma.transpose(), [[a[i][j] for i in range(rows)] for j in range(inner)]),
+        )
+        for got, want in expected:
+            assert got.entries == tuple(map(tuple, want))
+            _assert_canonical(got)
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_rational_elimination_matches_fraction_reference(big):
+    rng = random.Random(71 + big)
+    for _ in range(30):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        grid = _fraction_grid(rng, rows, cols, big)
+        if rows > 2:   # a dependent row
+            t = Fraction(rng.randint(-9, 9), rng.randint(1, 2 ** 20))
+            grid[-1] = [x * t - y for x, y in zip(grid[0], grid[1])]
+        m = Matrix(Q, grid, rows, cols)
+        reduced, pivots = _reference_echelon(grid, cols)
+        res = rref(m)
+        assert (res.reduced.entries, res.pivots, res.rank) == (reduced, pivots, len(pivots))
+        assert rank(m) == len(pivots)
+        ker = kernel(m)
+        assert ker.basis.entries == _reference_kernel(grid, cols)
+        for out in (res.reduced, ker.basis):
+            _assert_canonical(out)
+        # two consistent right-hand sides m x for random x, solved in one elimination
+        x0 = Matrix(Q, _fraction_grid(rng, cols, 2, big), cols, 2)
+        rhs = m @ x0
+        x = solve_column(m, rhs)
+        aug, aug_pivots = _reference_echelon(
+            [list(r) + list(t) for r, t in zip(grid, rhs.entries)], cols + 2)
+        want = [[Fraction(0)] * 2 for _ in range(cols)]
+        for k, c in enumerate(aug_pivots):
+            want[c] = list(aug[k][cols:])
+        assert x.entries == tuple(map(tuple, want))
+        assert m @ x == rhs
+        _assert_canonical(x)
+        # rows of the row space and rows off it, in a shuffled order
+        span = Subspace.from_vectors(Q, cols, grid)
+        probes = [list(r) for r in (Matrix(Q, _fraction_grid(rng, 3, rows, big), 3, rows)
+                                    @ m).entries] + _fraction_grid(rng, 2, cols, big)
+        rng.shuffle(probes)
+        outside = [i for i, v in enumerate(probes)
+                   if len(_reference_echelon(list(grid) + [v], cols)[1]) > len(pivots)]
+        assert span.first_outside(Matrix(Q, probes, len(probes), cols)) == \
+            (outside[0] if outside else None)
+
+
+def test_rational_storage_is_canonical_across_routes():
+    half = Matrix(Q, [[1, "1/2", 0], ["-3/4", 0, 2]])
+    huge = Matrix(Q, [[2 ** 70, "1/3"], [0, -1]])
+    for a in (half, huge, Matrix.zeros(Q, 2, 3)):
+        n = a.cols
+        routes = (
+            Matrix(Q, a.entries),
+            a @ Matrix.identity(Q, n),
+            (a + a) - a,
+            a.scale(2 ** 70).scale(Fraction(1, 2 ** 70)),    # through Python ints
+            a.scale(Fraction(3, 2 ** 20)).scale(Fraction(2 ** 20, 3)),
+            Matrix.vstack(Q, [a.take_rows([0]), a.take_rows([1])]),
+            Matrix.hstack(Q, [a.take_columns([0]), a.take_columns(range(1, n))]),
+            Matrix.block(Q, [[a.take_columns([0]), a.take_columns(range(1, n))]],
+                         [a.rows], [1, n - 1]),
+            a.transpose().transpose(),
+        )
+        for b in routes:
+            assert b == a and hash(b) == hash(a)
+            assert b.den == a.den and b.array.dtype == a.array.dtype
+    assert half.den == 4 and half.array.dtype == np.int64
+    assert huge.den == 3 and huge.array.dtype == object
+    # a row taken out of a matrix comes back in lowest terms, as int64
+    assert huge.take_rows([1]).den == 1 and huge.take_rows([1]).array.dtype == np.int64
+    assert Matrix.zeros(Q, 2, 3).den == 1 and (half - half).den == 1
+    # int64 operands whose product or sum leaves int64 go through Python ints
+    wide = Matrix(Q, [[2 ** 40, -(2 ** 40)]])
+    assert wide.array.dtype == np.int64
+    square = wide @ wide.transpose()
+    assert square.entries == ((Fraction(2 ** 81),),) and square.array.dtype == object
+    top = Matrix(Q, [[2 ** 62, "1/5"]])
+    assert (top + top).entries == ((Fraction(2 ** 63), Fraction(2, 5)),)
+    assert (top + top).array.dtype == object and (top - top).array.dtype == np.int64
+
+
+def test_rational_kernels_create_no_fraction(monkeypatch):
+    import fractions
+    rng = random.Random(83)
+    a = Matrix(Q, _fraction_grid(rng, 5, 6, False), 5, 6)
+    b = Matrix(Q, _fraction_grid(rng, 6, 4, True), 6, 4)
+    made = []
+    original = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
+    a @ b
+    rref(a)
+    kernel(a)
+    kernel(b.transpose())
+    assert made == []
+    a.entries    # the one place that builds Fractions
+    assert made

@@ -102,6 +102,39 @@ def test_free_cover_a_mod_j2_c3():
     assert free_cover(m).rank == 1
 
 
+def _free_cover_reference(m, order):
+    """The generators of the per-vector sweep: one membership test per basis
+    vector, and the span grown by the orbit of each vector kept."""
+    f, dim, n = m.algebra.field, m.dim, m.algebra.dim
+    units = Matrix.identity(f, dim)
+    span = Subspace.zero(f, dim)
+    chosen = []
+    for i in (range(dim) if order == "forward" else range(dim - 1, -1, -1)):
+        if span.first_outside(units.take_rows([i])) is not None:
+            chosen.append(i)
+            span = span + Subspace.from_vectors(
+                f, dim, [m.module.action[g].column(i) for g in range(n)])
+    return tuple(chosen)
+
+
+def test_free_cover_matches_the_per_vector_sweep():
+    d4 = close_generators([Permutation([1, 2, 3, 0]), Permutation([0, 3, 2, 1])])
+    d4_f2 = GroupAlgebra(d4, F2)
+    s3_q = GroupAlgebra(s3(), Q)
+    modules = [AModule(d4_f2, coinduced_module(d4, F2, 1), "coinduced"),
+               AModule(s3_q, regular_module(s3_q), "regular")]
+    # modules that need several generators: A/J_2 and its first syzygy
+    for alg in (d4_f2, s3_q):
+        quotient, _ = quotient_by_j(alg, trivial_subgroup(alg.group), 2)
+        res = build_resolution(quotient, 1)
+        modules += [quotient, amodule_from_subspace(
+            alg, free_amodule(alg, res.ranks[0]).module, res.kernels[0], "syzygy")]
+    assert max(free_cover(m).rank for m in modules) > 1
+    for m in modules:
+        for order in ("forward", "reverse"):
+            assert free_cover(m, order).chosen == _free_cover_reference(m, order)
+
+
 # --- resolutions ------------------------------------------------------------
 
 def test_resolution_zero_module():
