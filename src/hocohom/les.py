@@ -31,9 +31,9 @@ from .linalg import (
 from .modules import GammaModule, ModuleMap
 from .resolution import (
     DEFAULT_BAR_BUDGET, AModule, BudgetExceeded, FreeResolution,
-    amap_from_generator_images, bar_dimension_or_none, ext, filtration_for,
-    free_amodule, higher_cohomology, hom_delta, layer_module, quotient_by_j,
-    resolution_of_layer, resolution_of_quotient,
+    amap_from_generator_images, bar_dimension, bar_dimension_or_none, ext,
+    filtration_for, free_amodule, higher_cohomology, hom_delta, layer_module,
+    quotient_by_j, resolution_of_layer, resolution_of_quotient,
 )
 
 
@@ -342,22 +342,19 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
 def power_identification(algebra: GroupAlgebra, sigma: NormalSubgroup,
                          v: GammaModule, q: int, p: int,
                          filtration: IdealFiltration | None = None,
-                         classical_dim: int | None = None,
-                         budget: int = DEFAULT_BAR_BUDGET) -> tuple[int, int | None]:
+                         classical_dim: int | None = None) -> tuple[int, int]:
     """(dim Ext^p(J_q/J_{q+1}, V),  N(q) * dim H^p(G, V)) for equality assertion.
 
     classical_dim short-circuits the brute-force factor when the caller has
-    already computed dim H^p(G, V).  Otherwise the bar oracle computes it
-    within `budget`; the right side is None where the budget skips degree p.
+    already computed dim H^p(G, V).
     """
     filt = filtration if filtration is not None else filtration_for(algebra, sigma)
     res = resolution_of_layer(algebra, sigma, q, p + 1, filtration=filt)
     lhs = ext(res, v, p).dim
     if classical_dim is None:
-        classical_dim = bar_dimension_or_none(algebra.group, v, p, budget)
-        if classical_dim is None:
-            return lhs, None
-    return lhs, filt.n(q) * classical_dim
+        classical_dim = bar_dimension(algebra.group, v, p)
+    rhs = filt.n(q) * classical_dim
+    return lhs, rhs
 
 
 @dataclass(frozen=True)

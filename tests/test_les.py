@@ -337,10 +337,3 @@ def test_vanishing_skips_bar_degrees_past_the_budget():
     assert report.skipped == (2,)
     assert not report.ok
 
-
-def test_power_identification_skips_the_bar_oracle_past_its_budget():
-    g = c2()
-    alg = GroupAlgebra(g, F2)
-    v = trivial_module(g, F2, 1)
-    assert power_identification(alg, trivial_subgroup(g), v, 1, 1, budget=3) == (1, None)
-    assert power_identification(alg, trivial_subgroup(g), v, 1, 1, budget=4) == (1, 1)
