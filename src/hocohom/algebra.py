@@ -61,10 +61,15 @@ class GroupAlgebra:
         a b = sum_g a_g (g b): the row a times the matrix whose row g is g b.
         """
         f, n = self.field, self.dim
-        b_row = Matrix(f, [b], 1, n)
-        shifted = np.empty((n, n), dtype=b_row.array.dtype)
-        shifted[np.arange(n)[:, None], self.group.mult] = b_row.array   # (g b)[g h] = b[h]
-        return (Matrix(f, [a], 1, n) @ Matrix._wrap(f, shifted, b_row.den)).entries[0]
+        return (Matrix(f, [a], 1, n) @ self.translates(Matrix(f, [b], 1, n))).entries[0]
+
+    def translates(self, b: Matrix) -> Matrix:
+        """The matrix whose row g is g b, for an algebra element b given as a
+        1 x |G| matrix; a @ translates(b) is the product a b for every row a."""
+        n = self.dim
+        shifted = np.empty((n, n), dtype=b.array.dtype)
+        shifted[np.arange(n)[:, None], self.group.mult] = b.array   # (g b)[g h] = b[h]
+        return Matrix._wrap(self.field, shifted, b.den)
 
     def augmentation(self, a) -> object:
         """The augmentation functional sum c_g g -> sum c_g."""
@@ -207,16 +212,18 @@ def i_power_by_products(algebra: GroupAlgebra, q: int) -> Subspace:
     """I^q by full pairwise products of basis elements.
 
     Independent of the generator-shift iteration used by j_filtration;
-    serves as the recheck oracle for the special-case identities.
+    serves as the recheck oracle for the special-case identities.  The
+    products a b with every basis element a of I^{q-1} are one product
+    per basis element b of I.
     """
     if q < 1:
         raise AlgebraError("q must be >= 1")
     aug = augmentation_ideal(algebra)
     current = aug
     for _ in range(q - 1):
-        vectors = [algebra.multiply(a, b)
-                   for a in current.basis.entries for b in aug.basis.entries]
-        current = Subspace.from_vectors(algebra.field, algebra.dim, vectors)
+        current = Subspace._spanned_by(Matrix.vstack(algebra.field, [
+            current.basis @ algebra.translates(aug.basis.take_rows([k]))
+            for k in range(aug.dim)], cols=algebra.dim))
     return current
 
 

@@ -25,13 +25,16 @@ from stored data.  The public constructor `Matrix(field, entries)` is the
 only place where entries are coerced into the field; every other matrix is
 wrapped from canonical integers by `Matrix._wrap`.
 
-Kernels.  Each field has one elimination kernel.  Over F_p it is
+Kernels.  Each field has one elimination kernel.  Over F_2 it is
+`_echelon_f2`: each row becomes one Python int (column j at bit j, packed
+by `np.packbits`), and the kernel keeps a fully reduced basis keyed by
+each row's lowest set bit, so a new row costs one XOR per pivot it
+carries; rank and rref both read that basis.  Over odd primes it is
 `_rref_modp` on numpy arrays; ranks and the certificate primes below feed
-it the rows in blocks through `_row_space_modp`.  Ranks over F_2 instead
-pack each row into uint64 words and eliminate by XOR of whole rows
-(`_rank_f2`).  Over Q it is one fraction-free elimination of the numerator
-rows (`_rref_int`); a rational matrix and its numerators have the same
-reduced echelon form.  Prime-field products and eliminations use int64 only
+it the rows in blocks through `_row_space_modp`.  Over Q it is one
+fraction-free elimination of the numerator rows (`_rref_int`); a rational
+matrix and its numerators have the same reduced echelon form.  Prime-field
+products and eliminations use int64 only
 while no intermediate can overflow: a product with inner dimension k needs
 k*(p-1)^2 < 2^63, and an elimination step needs (p-1)^2 + p < 2^63.  Past
 those bounds the same code runs on Python-int (`object`) arrays.  Every
@@ -507,11 +510,7 @@ def _rref_modp(a: np.ndarray, p: int):
 
 
 def _normalize_int_row(row):
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            break
+    g = gcd(*row)
     if g > 1:
         row = [x // g for x in row]
     return row
@@ -560,6 +559,8 @@ def rref(m: Matrix) -> RrefResult:
     if m.rows == 0 or m.cols == 0:
         return RrefResult(0, m, ())
     p = m.field.p
+    if p == 2:
+        return _rref_f2(m)
     if p is not None:
         rank, a, pivots = _rref_modp(m.array.astype(_elimination_dtype(p)), p)
         return RrefResult(rank, Matrix._wrap(m.field, a), pivots)
@@ -573,54 +574,79 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(rank, Matrix._wrap(m.field, out, den), pivots)
 
 
+def _rref_f2(m: Matrix) -> RrefResult:
+    """rref over F_2 from the basis of `_echelon_f2`, unpacked into storage."""
+    basis = _echelon_f2(m.array)
+    bits = sorted(basis)
+    width = -(-m.cols // 8)
+    packed = np.frombuffer(b"".join(basis[b].to_bytes(width, "little") for b in bits),
+                           dtype=np.uint8).reshape(len(bits), width)
+    out = np.zeros(m.array.shape, dtype=np.uint8)
+    out[:len(bits)] = np.unpackbits(packed, axis=1, count=m.cols, bitorder="little")
+    return RrefResult(len(bits), Matrix._wrap(m.field, out),
+                      tuple(b.bit_length() - 1 for b in bits))
+
+
 def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    if m.field.p is not None:
-        return _rank_modp(m.array.copy(), m.field.p)
-    return _rank_rational(m.array)
+    return _rank_array(m.field, m.array)
 
 
-def _rank_modp(a: np.ndarray, p: int) -> int:
-    """Rank over F_p of an integer array (signed, or unsigned residues): F_2
-    goes to the packed kernel, which destroys it, and odd primes to the
-    blocked row space, which leaves it."""
+def _rank_array(field: Field, a: np.ndarray) -> int:
+    """Rank in the field of an integer array, which is left unchanged; over
+    F_2 every entry must be 0 or 1."""
+    p = field.p
     if p == 2:
-        return _rank_f2(a)
-    return len(_row_space_modp(a, p)[1])
+        return len(_echelon_f2(a))
+    if p is not None:
+        return len(_row_space_modp(a, p)[1])
+    return _rank_rational(a)
 
 
-def _rank_f2(a: np.ndarray) -> int:
-    """Rank over F_2 of an integer array (int8, uint8 or int64), destroying it.
+def _bit_rows(a: np.ndarray):
+    """The rows of a 0/1 array as Python ints, column j at bit j, packed in
+    blocks of rows so that no temporary exceeds _BLOCK_CELLS bits."""
+    step = max(1, _BLOCK_CELLS // a.shape[1])
+    for start in range(0, a.shape[0], step):
+        packed = np.packbits(a[start:start + step], axis=1, bitorder="little")
+        width = packed.shape[1]
+        data = packed.tobytes()
+        for i in range(0, len(data), width):
+            yield int.from_bytes(data[i:i + width], "little")
 
-    Each row is packed into uint64 words (column j is bit j % 64 of word
-    j // 64), the layout of M4RI, and a pivot clears its column below it by
-    one XOR of whole rows.
+
+def _echelon_f2(a: np.ndarray) -> dict[int, int]:
+    """The reduced echelon basis over F_2 of the rows of a 0/1 array, as
+    {pivot bit: row} with rows as the bit integers of `_bit_rows`.
+
+    The pivot of a row is its lowest set bit, and the basis is fully
+    reduced: no row has a bit at another row's pivot.  A new row is reduced
+    by one XOR per pivot bit it carries; if something is left, its lowest
+    bit is cleared from the basis rows that have it and it joins the basis.
+    Stops early once the pivots fill every column.  Sorted by pivot, the
+    basis is the unique reduced row-echelon form.
     """
-    rows, cols = a.shape
-    a &= 1
-    packed = np.packbits(a, axis=1, bitorder="little")
-    words = -(-cols // 64)
-    if packed.shape[1] != 8 * words:
-        packed = np.concatenate(
-            [packed, np.zeros((rows, 8 * words - packed.shape[1]), dtype=np.uint8)], axis=1)
-    w = packed.view("<u8")
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        word, bit = divmod(c, 64)
-        nz = np.flatnonzero((w[r:, word] >> np.uint64(bit)) & np.uint64(1))
-        if nz.size == 0:
+    full = (1 << a.shape[1]) - 1
+    basis = {}
+    pivmask = 0
+    for x in _bit_rows(a):
+        m = x & pivmask
+        while m:
+            low = m & -m
+            x ^= basis[low]
+            m ^= low
+        if not x:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            w[[r, i]] = w[[i, r]]
-        below = r + nz[1:]
-        if below.size:
-            w[below, word:] ^= w[r, word:]
-        r += 1
-    return r
+        low = x & -x
+        for piv, row in basis.items():
+            if row & low:
+                basis[piv] = row ^ x
+        basis[low] = x
+        pivmask |= low
+        if pivmask == full:
+            break
+    return basis
 
 
 def _rank_rational(a: np.ndarray) -> int:
@@ -773,9 +799,10 @@ def rank_of_int_rows(field: Field, rows, cols: int) -> int:
     if len(rows) == 0 or cols == 0:
         return 0
     if not isinstance(rows, np.ndarray):
-        rows = Matrix(field, rows, len(rows), cols).array.copy()
-    p = field.p
-    return _rank_modp(rows, p) if p is not None else _rank_rational(rows)
+        return _rank_array(field, Matrix(field, rows, len(rows), cols).array)
+    if field.p == 2:
+        rows &= 1
+    return _rank_array(field, rows)
 
 
 def _free_column_rows(reduced: Matrix, pivots: tuple[int, ...]) -> Matrix:

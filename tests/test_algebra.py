@@ -6,12 +6,12 @@ import pytest
 
 from hocohom.algebra import (
     GroupAlgebra, augmentation_ideal, sigma_ideal, j_filtration, n_dimension,
-    AlgebraError,
+    i_power_by_products, AlgebraError,
 )
 from hocohom.groups import (
     Permutation, close_generators, subgroup_closure, trivial_subgroup, full_subgroup,
 )
-from hocohom.linalg import Field, Matrix, rank_of_int_rows
+from hocohom.linalg import Field, Matrix, Subspace, rank_of_int_rows
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -53,6 +53,34 @@ def test_multiply_vectors_matches_group_law():
         for b in range(6):
             prod = alg.multiply(unit(a), unit(b))
             assert prod == unit(g.mult[a][b])
+
+
+def test_translates_are_left_products():
+    for field in (F3, Q):
+        alg = GroupAlgebra(s3(), field)
+        b = Matrix(field, [[Fraction(k - 2, 3) if field == Q else k for k in range(6)]])
+        shifted = alg.translates(b)
+        for g in range(6):
+            unit = [1 if h == g else 0 for h in range(6)]
+            assert shifted.take_rows([g]).entries[0] == alg.multiply(unit, b.entries[0])
+
+
+def _i_power_pairwise(algebra, q):
+    """I^q from one multiply per pair of basis elements."""
+    aug = augmentation_ideal(algebra)
+    current = aug
+    for _ in range(q - 1):
+        current = Subspace.from_vectors(algebra.field, algebra.dim, [
+            algebra.multiply(a, b) for a in current.basis.entries for b in aug.basis.entries])
+    return current
+
+
+@pytest.mark.parametrize("group, field", [
+    (close_generators([]), F2), (c2(), F2), (cyclic(4), F2), (s3(), F2), (s3(), F3), (s3(), Q)])
+def test_i_power_by_products_matches_pairwise_products(group, field):
+    alg = GroupAlgebra(group, field)
+    for q in (1, 2, 3):
+        assert i_power_by_products(alg, q) == _i_power_pairwise(alg, q)
 
 
 def test_augmentation_ideal_trivial_group():

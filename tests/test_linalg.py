@@ -416,26 +416,105 @@ def test_blocked_odd_prime_rank_stops_once_the_space_is_full(monkeypatch):
     assert len(calls) == 2
 
 
-# --- the packed F2 kernel ------------------------------------------------------
+# --- the F2 kernel: a reduced XOR basis of bit rows --------------------------
+
+def _assert_f2_matches_generic(a):
+    """rank, rank_of_int_rows and rref over F2 of an integer array agree with
+    the generic elimination of a % 2."""
+    from hocohom.linalg import _rref_modp
+    rows, cols = a.shape
+    expected, reduced, pivots = _rref_modp(a % 2, 2)
+    assert rank_of_int_rows(F2, a.copy(), cols) == expected
+    assert rank_of_int_rows(F2, a.tolist(), cols) == expected
+    m = Matrix(F2, (a % 2).tolist(), rows, cols)
+    assert rank(m) == expected
+    res = rref(m)
+    assert (res.rank, res.pivots) == (expected, pivots)
+    assert res.reduced.array.dtype == np.uint8
+    assert np.array_equal(res.reduced.array, reduced)
+
 
 @pytest.mark.parametrize("cols", [1, 2, 7, 63, 64, 65, 100, 127, 128, 129, 200])
 def test_packed_f2_rank_matches_int64_elimination(cols):
-    import numpy as np
-    from hocohom.linalg import _rank_f2, _rref_modp
     rng = np.random.default_rng(cols)
     for rows in (1, 3, cols // 2 + 1, cols, cols + 5):
         for density in (0.05, 0.5):
             a = (rng.random((rows, cols)) < density).astype(np.int64)
             a *= rng.integers(-3, 4, size=(rows, cols))    # negative and >= 2 entries
             a[rng.integers(0, rows)] = 0                    # a zero row
-            expected = _rref_modp(a % 2, 2)[0]
-            assert _rank_f2(a.copy()) == expected
-            assert rank_of_int_rows(F2, a.tolist(), cols) == expected
+            _assert_f2_matches_generic(a)
+            _assert_f2_matches_generic(np.vstack([a, a[::-1]]))    # duplicate rows
     full = np.eye(cols, dtype=np.int64)
-    assert _rank_f2(full.copy()) == cols
-    deficient = np.vstack([full, full[:1] + full[-1:]])
-    assert _rank_f2(deficient) == cols
-    assert _rank_f2(np.zeros((4, cols), dtype=np.int64)) == 0
+    _assert_f2_matches_generic(full)
+    _assert_f2_matches_generic(np.vstack([full, full[:1] + full[-1:]]))
+    _assert_f2_matches_generic(np.zeros((4, cols), dtype=np.int64))
+
+
+def test_f2_rank_of_int8_bar_coboundaries():
+    from hocohom.groups import Permutation, close_generators
+    from hocohom.modules import coinduced_module
+    from hocohom.resolution import _bar_coboundary
+    d4 = close_generators([Permutation([1, 2, 3, 0]), Permutation([0, 3, 2, 1])])
+    v = coinduced_module(d4, F2, 1)
+    for i in (0, 1, 2):
+        delta = _bar_coboundary(d4, v, i)
+        assert delta.dtype == np.int8 and delta.min() == -1
+        _assert_f2_matches_generic(delta.astype(np.int64))
+        assert rank_of_int_rows(F2, delta, delta.shape[1]) == rank(Matrix(F2, (delta % 2).tolist()))
+
+
+def test_f2_rref_and_rank_leave_the_stored_array_unchanged():
+    rng = np.random.default_rng(5)
+    m = Matrix(F2, rng.integers(0, 2, size=(30, 70)).tolist())
+    before = m.array.copy()
+    assert rref(m).rank == rank(m) == _reference_rref(before.tolist(), 2)[0]
+    assert not m.array.flags.writeable
+    assert np.array_equal(m.array, before)
+
+
+def test_f2_echelon_stops_once_the_pivots_fill_every_column(monkeypatch):
+    # the first 20 rows already span F_2^20: the other 1990 are never reduced
+    import hocohom.linalg as linalg
+    consumed = []
+    bit_rows = linalg._bit_rows
+
+    def spy(a):
+        for x in bit_rows(a):
+            consumed.append(x)
+            yield x
+
+    monkeypatch.setattr(linalg, "_bit_rows", spy)
+    a = np.vstack([np.eye(20, dtype=np.int64), np.ones((1990, 20), dtype=np.int64)])
+    assert rank_of_int_rows(F2, a.copy(), 20) == 20
+    assert len(consumed) == 20
+    res = rref(Matrix(F2, a.tolist()))
+    assert res.rank == 20 and res.reduced.take_rows(range(20)) == Matrix.identity(F2, 20)
+    assert len(consumed) == 40
+
+
+def test_f2_never_reaches_the_generic_kernel(monkeypatch):
+    import hocohom.linalg as linalg
+    rref_modp = linalg._rref_modp
+    calls = []
+
+    def spy(a, p):
+        calls.append(p)
+        return rref_modp(a, p)
+
+    monkeypatch.setattr(linalg, "_rref_modp", spy)
+    rng = np.random.default_rng(7)
+    a = rng.integers(-3, 4, size=(300, 40))
+    m = Matrix(F2, a.tolist())
+    rank(m)
+    rank_of_int_rows(F2, a.copy(), 40)
+    rank_of_int_rows(F2, a.tolist(), 40)
+    res = rref(m)
+    kernel(m)
+    solve_column(m.transpose(), res.reduced.take_rows([0]).transpose())
+    Subspace._spanned_by(m) + Subspace._spanned_by(m.take_rows(range(5)))
+    assert calls == []
+    rank(Matrix(F3, a.tolist()))
+    assert calls == [3]
 
 
 # --- the certified rational rank -------------------------------------------------
