@@ -15,12 +15,11 @@ __version__ = "0.1.0"
 
 from .linalg import Field, Matrix, Subspace, QuotientMap
 from .groups import (
-    Permutation, FiniteGroup, NormalSubgroup,
-    close_generators, subgroup_closure, trivial_subgroup, full_subgroup,
+    Permutation, FiniteGroup, NormalSubgroup, close_generators, subgroup_closure,
 )
 from .algebra import (
     GroupAlgebra, IdealFiltration,
-    augmentation_ideal, sigma_ideal, j_filtration, n_dimension, i_power_by_products,
+    augmentation_ideal, sigma_ideal, j_filtration, i_power_by_products,
 )
 from .modules import (
     GammaModule, ModuleMap,
@@ -28,11 +27,11 @@ from .modules import (
     h_q0_annihilator, h_q0_inductive,
 )
 from .resolution import (
-    AModule, FreeResolution, ExtResult,
+    AModule, FreeResolution,
     free_amodule, quotient_amodule, free_cover, build_resolution, ext,
     higher_cohomology, bar_dimension,
 )
-from .cocycle import HomSpace, hom_a_space, alpha_map, h_q1_cocycle
+from .cocycle import hom_a_space, alpha_map, h_q1_cocycle
 from .les import (
     ShortExactSequence, LongExactSequenceReport,
     quotient_ses, trivial_action_witness, horseshoe, long_exact_sequence,

@@ -1,7 +1,9 @@
 """The group algebra A = R[G], its augmentation ideal, and the J_q filtration.
 
 Coordinates on A are the canonical group element order, so an algebra
-element sum_g c_g g is the vector (c_g).  The augmentation ideal I is
+element sum_g c_g g is the vector (c_g), and multiplying it by a group
+element on either side permutes its coordinates by a row or a column of the
+multiplication table.  The augmentation ideal I is
 spanned by {g - e}; for a normal subgroup S the two-sided ideal A*I_S is
 spanned by {g(s - e)}; and J_q = I^q + A*I_S is the descending ideal chain
 whose successive quotient dimensions N(q) = dim J_q/J_{q+1} drive the whole
@@ -14,7 +16,7 @@ since the chain is constant beyond it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,53 +29,49 @@ class AlgebraError(ValueError):
 
 
 class GroupAlgebra:
-    """R[G] with per-element left and right multiplication matrices.
+    """R[G] acting on coefficient vectors by index maps read off `group.mult`.
 
-    left_mult[g] sends the basis vector of h to that of g*h (and right_mult[g]
-    to h*g); both are permutation matrices, and left multiplications commute
-    with right multiplications.  Carries a private cache used by the
-    resolution engine (insert-or-get; concurrent last-writer-wins is safe
-    because all cached values are deterministic).
+    `left(g, rows)` and `right(g, rows)` multiply each row, an algebra
+    element, by g on the left or on the right; each is one column selection
+    of the rows, and no per-element matrix is built.  Carries a private
+    cache used by the resolution engine (insert-or-get; concurrent
+    last-writer-wins is safe because all cached values are deterministic).
     """
 
-    __slots__ = ("group", "field", "dim", "left_mult", "right_mult", "_cache")
+    __slots__ = ("group", "field", "dim", "_mult", "_cache")
 
     def __init__(self, group: FiniteGroup, field: Field):
-        n = group.order
-        # column h of left_mult[g] is the unit vector of g*h, of right_mult[g] that of h*g
-        mult = np.array(group.mult, dtype=np.intp)
-        ident = Matrix.identity(field, n)
-        left = tuple(ident.take_columns(row) for row in mult)
-        right = tuple(ident.take_columns(col) for col in mult.T)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "left_mult", left)
-        object.__setattr__(self, "right_mult", right)
+        object.__setattr__(self, "dim", group.order)
+        object.__setattr__(self, "_mult", np.array(group.mult, dtype=np.intp))
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupAlgebra is immutable")
 
-    def multiply(self, a, b) -> tuple:
-        """Product of two algebra elements given as coefficient vectors.
+    def left(self, g: int, rows: Matrix) -> Matrix:
+        """The rows multiplied by g on the left: (g x)[k] = x[g^-1 k]."""
+        return rows.take_columns(self._mult[self.group.inv[g]])
 
-        a b = sum_g a_g (g b): the row a times the matrix whose row g is g b.
-        """
-        f, n = self.field, self.dim
-        return (Matrix(f, [a], 1, n) @ self.translates(Matrix(f, [b], 1, n))).entries[0]
+    def right(self, g: int, rows: Matrix) -> Matrix:
+        """The rows multiplied by g on the right: (x g)[k] = x[k g^-1]."""
+        return rows.take_columns(self._mult[:, self.group.inv[g]])
 
     def translates(self, b: Matrix) -> Matrix:
         """The matrix whose row g is g b, for an algebra element b given as a
         1 x |G| matrix; a @ translates(b) is the product a b for every row a."""
         n = self.dim
         shifted = np.empty((n, n), dtype=b.array.dtype)
-        shifted[np.arange(n)[:, None], self.group.mult] = b.array   # (g b)[g h] = b[h]
+        shifted[np.arange(n)[:, None], self._mult] = b.array   # (g b)[g h] = b[h]
         return Matrix._wrap(self.field, shifted, b.den)
 
-    def augmentation(self, a) -> object:
-        """The augmentation functional sum c_g g -> sum c_g."""
-        return self.field.coerce(sum(a))
+    def cached(self, key, build):
+        """The cached value under key, made by build() on a miss."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
 
     def __repr__(self) -> str:
         return f"GroupAlgebra({self.field.name}[G], |G|={self.dim})"
@@ -108,9 +106,8 @@ def sigma_ideal(algebra: GroupAlgebra, sigma: NormalSubgroup) -> Subspace:
     """
     n = algebra.dim
     gens = [s for s in (sigma.gen_indices or sigma.members) if s != 0]
-    mult = np.array(algebra.group.mult, dtype=np.intp)
     sub = Subspace.from_vectors(algebra.field, n, _differences(
-        n, mult[:, gens].ravel(), np.repeat(np.arange(n), len(gens))))
+        n, algebra._mult[:, gens].ravel(), np.repeat(np.arange(n), len(gens))))
     expected = n - n // sigma.order
     if sub.dim != expected:
         raise AlgebraError(f"A*I_S has dimension {sub.dim}, expected {expected}")
@@ -122,8 +119,8 @@ def _certify_two_sided(algebra: GroupAlgebra, sub: Subspace):
     """Raise AlgebraError unless sub is stable under left and right
     multiplication by every group generator (hence by all of A)."""
     for g in algebra.group.gen_indices:
-        for side, mult in (("left", algebra.left_mult), ("right", algebra.right_mult)):
-            if sub.first_outside(sub.basis @ mult[g].transpose()) is not None:
+        for side, times in (("left", algebra.left), ("right", algebra.right)):
+            if sub.first_outside(times(g, sub.basis)) is not None:
                 raise AlgebraError(f"not {side}-stable under element {g}")
 
 
@@ -133,7 +130,7 @@ class IdealFiltration:
 
     j_list holds J_1 through J_{stabilization_q + 1} (or further if a larger
     q_max was requested); beyond the stored range the chain is constant, so
-    j(q) clamps.  i_power(q) gives the plain power I^q on the same terms.
+    j(q) clamps.
     """
 
     algebra: GroupAlgebra
@@ -141,18 +138,12 @@ class IdealFiltration:
     augmentation: Subspace
     sigma_full: Subspace
     j_list: tuple[Subspace, ...]
-    i_powers: tuple[Subspace, ...]
     stabilization_q: int
 
     def j(self, q: int) -> Subspace:
         if q < 1:
             raise AlgebraError(f"q must be >= 1, got {q}")
         return self.j_list[min(q, len(self.j_list)) - 1]
-
-    def i_power(self, q: int) -> Subspace:
-        if q < 1:
-            raise AlgebraError(f"q must be >= 1, got {q}")
-        return self.i_powers[min(q, len(self.i_powers)) - 1]
 
     def n(self, q: int) -> int:
         return self.j(q).dim - self.j(q + 1).dim
@@ -177,18 +168,16 @@ def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup,
     if not aug.contains_subspace(sig):
         raise AlgebraError("A*I_S is not contained in the augmentation ideal")
 
-    i_powers = [aug]
+    power = aug     # I^q for the current q
     j_list = [aug + sig]
     stabilization = None
     target = q_max if q_max is not None else 1
     q = 1
     while stabilization is None or q < max(target, stabilization + 1):
-        prev = i_powers[-1].basis
-        next_power = Subspace._spanned_by(Matrix.vstack(f, [
-            prev @ algebra.right_mult[g].transpose() - prev
-            for g in range(1, algebra.dim)], cols=algebra.dim))
-        i_powers.append(next_power)
-        next_j = next_power + sig
+        prev = power.basis
+        power = Subspace._spanned_by(Matrix.vstack(f, [
+            algebra.right(g, prev) - prev for g in range(1, algebra.dim)], cols=algebra.dim))
+        next_j = power + sig
         j_list.append(next_j)
         if stabilization is None:
             if next_j == j_list[q - 1]:
@@ -199,13 +188,7 @@ def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup,
         q += 1
     for sub in j_list:
         _certify_two_sided(algebra, sub)
-    return IdealFiltration(algebra, sigma, aug, sig, tuple(j_list),
-                           tuple(i_powers), stabilization)
-
-
-def n_dimension(filtration: IdealFiltration, q: int) -> int:
-    """N(q) = dim J_q/J_{q+1} = dim J_q - dim J_{q+1}."""
-    return filtration.n(q)
+    return IdealFiltration(algebra, sigma, aug, sig, tuple(j_list), stabilization)
 
 
 def i_power_by_products(algebra: GroupAlgebra, q: int) -> Subspace:
@@ -237,14 +220,12 @@ def j_by_left_route(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int) -> Sub
     if q < 1:
         raise AlgebraError("q must be >= 1")
     f = algebra.field
-    group = algebra.group
     n = algebra.dim
     current = augmentation_ideal(algebra)
     for _ in range(q - 1):
         basis = current.basis
         current = Subspace._spanned_by(Matrix.vstack(f, [
-            basis @ algebra.left_mult[g].transpose() - basis for g in range(1, n)], cols=n))
+            algebra.left(g, basis) - basis for g in range(1, n)], cols=n))
     members = [s for s in sigma.members if s != 0]
-    mult = np.array(group.mult, dtype=np.intp)
     return current + Subspace.from_vectors(f, n, _differences(
-        n, mult[members].ravel(), np.tile(np.arange(n), len(members))))
+        n, algebra._mult[members].ravel(), np.tile(np.arange(n), len(members))))

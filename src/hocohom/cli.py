@@ -85,7 +85,7 @@ def cmd_ideals(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
 def _grid(spec: ProblemSpec, algebra, filt, v, order: str = "forward") -> list[list[int]]:
     """The H_q^p grid, rows q = 1..q_max and columns p = 0..p_max, from
     resolutions built in the given sweep order."""
-    return [[higher_cohomology(algebra, spec.sigma, v, q, p, filt, order=order).dim
+    return [[higher_cohomology(algebra, spec.sigma, v, q, p, filt, order=order)
              for p in range(spec.p_max + 1)]
             for q in range(1, spec.q_max + 1)]
 
@@ -157,7 +157,7 @@ def cmd_h1(spec: ProblemSpec, module_name: str | None = None,
         dims = list(_cocycle_column(spec, algebra, filt, v))
         entry = {"dims_by_q": dims}
         if recheck:
-            ext_dims = [higher_cohomology(algebra, spec.sigma, v, q, 1, filt).dim
+            ext_dims = [higher_cohomology(algebra, spec.sigma, v, q, 1, filt)
                         for q in range(1, spec.q_max + 1)]
             entry["recheck_ext"] = ext_dims == dims
             ok = ok and entry["recheck_ext"]

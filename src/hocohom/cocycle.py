@@ -13,8 +13,6 @@ generate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import GroupAlgebra, IdealFiltration
@@ -28,39 +26,28 @@ class AlphaNotAHomError(RuntimeError):
     """alpha(V) escaped Hom_A(J_q, V); impossible unless the solver is broken."""
 
 
-@dataclass(frozen=True)
-class HomSpace:
-    """Hom_A(J_q, V) as a subspace of all tuples of basis values.
+def hom_a_space(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
+                v: GammaModule) -> Subspace:
+    """Hom_A(J_q, V) as a subspace of all tuples of basis values: the
+    solutions of phi(g x) = g phi(x) for group generators g and basis
+    vectors x.
 
     Coordinates: value of phi on the l-th basis vector of J_q, component t,
     at flat index l * dim V + t.
     """
-
-    source_dim: int
-    module: GammaModule
-    maps: Subspace
-
-    @property
-    def dim(self) -> int:
-        return self.maps.dim
-
-
-def hom_a_space(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
-                v: GammaModule) -> HomSpace:
-    """Solve phi(g x) = g phi(x) for group generators g and basis vectors x."""
     f = algebra.field
     jq = filtration.j(q)
     k = jq.dim
     d_v = v.dim
     total = k * d_v
     if total == 0:
-        return HomSpace(k, v, Subspace.zero(f, total))
+        return Subspace.zero(f, total)
     # row (m, t) of the block of gamma: sum_l c[m, l] phi_l[t] - (action[gamma] phi_m)[t],
     # where gamma x_m = sum_l c[m, l] x_l
     t = np.arange(d_v)
     blocks = []
     for gamma in algebra.group.gen_indices:
-        moved = jq.basis @ algebra.left_mult[gamma].transpose()
+        moved = algebra.left(gamma, jq.basis)
         if jq.first_outside(moved) is not None:
             raise RuntimeError("J_q is not left-stable; filtration is broken")
         coords = moved.take_columns(jq.pivots)
@@ -69,11 +56,11 @@ def hom_a_space(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
         acting = Matrix.block(f, [[v.action[gamma] if m == l else None for l in range(k)]
                                   for m in range(k)], [d_v] * k, [d_v] * k)
         blocks.append(Matrix._wrap(f, spread.reshape(total, total), coords.den) - acting)
-    return HomSpace(k, v, kernel(Matrix.vstack(f, blocks, cols=total)))
+    return kernel(Matrix.vstack(f, blocks, cols=total))
 
 
 def alpha_map(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
-              v: GammaModule, hom: HomSpace | None = None) -> Matrix:
+              v: GammaModule, hom: Subspace | None = None) -> Matrix:
     """The matrix of alpha : V -> Hom_A(J_q, V), alpha(v)(m) = m v.
 
     Certified to land inside hom_a_space; a failure raises AlphaNotAHomError
@@ -82,7 +69,7 @@ def alpha_map(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
     matrix = v.algebra_action(filtration.j(q).basis)
     if hom is None:
         hom = hom_a_space(algebra, filtration, q, v)
-    bad = hom.maps.first_outside(matrix.transpose())
+    bad = hom.first_outside(matrix.transpose())
     if bad is not None:
         raise AlphaNotAHomError(f"alpha of basis vector {bad} is not A-linear")
     return matrix

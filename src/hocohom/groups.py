@@ -65,9 +65,6 @@ class Permutation:
             out[x] = i
         return Permutation(out)
 
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -107,12 +104,6 @@ class FiniteGroup:
 
     def index_of(self, perm: Permutation) -> int:
         return self._index[perm.images]
-
-    def product(self, i: int, j: int) -> int:
-        return self.mult[i][j]
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order {self.order}, degree {self.degree})"
@@ -170,9 +161,6 @@ class NormalSubgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, index: int) -> bool:
-        return index in set(self.members)
-
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -216,11 +204,3 @@ def subgroup_closure(group: FiniteGroup, gen_indices) -> NormalSubgroup:
             if conj not in member_set:
                 raise NotNormalError(g, s)
     return NormalSubgroup(group, member_tuple, tuple(gen_indices))
-
-
-def trivial_subgroup(group: FiniteGroup) -> NormalSubgroup:
-    return subgroup_closure(group, [])
-
-
-def full_subgroup(group: FiniteGroup) -> NormalSubgroup:
-    return subgroup_closure(group, list(range(group.order)))

@@ -75,17 +75,12 @@ def quotient_ses(algebra: GroupAlgebra, filtration: IdealFiltration,
     return ShortExactSequence(q, filtration.sigma, left, middle, right, inject, surject)
 
 
-@dataclass(frozen=True)
-class TrivialActionCertificate:
-    dim: int
-    iso_to_trivial_power: Matrix
-
-
-def trivial_action_witness(ses: ShortExactSequence) -> TrivialActionCertificate:
+def trivial_action_witness(ses: ShortExactSequence) -> None:
     """Certify that every group element acts as the identity on the left term.
 
     The canonical coordinates then realize the layer as R^{N(q)} with
     trivial action, so the identity matrix is an equivariant isomorphism.
+    Raises NontrivialActionError otherwise.
     """
     left = ses.left
     f = left.algebra.field
@@ -94,23 +89,21 @@ def trivial_action_witness(ses: ShortExactSequence) -> TrivialActionCertificate:
         if mat != ident:
             raise NontrivialActionError(
                 f"group element {g} acts nontrivially on J_q/J_{{q+1}}")
-    return TrivialActionCertificate(left.dim, ident)
 
 
 @dataclass(frozen=True)
 class HorseshoeData:
     """Compatible resolutions for a short exact sequence.
 
-    res_middle has ranks rL_i + rN_i with block boundaries [[dL, h], [0, dN]];
-    correctors[i] is the R-matrix of h_{i+1} : free(rN_{i+1}) -> free(rL_i)
-    space.  The middle resolution is certified exact by rank arithmetic.
+    res_middle has ranks rL_i + rN_i with block boundaries [[dL, h], [0, dN]],
+    where the corrector h_{i+1} : free(rN_{i+1}) -> free(rL_i) is solved
+    degree by degree.  The middle resolution is certified exact by rank
+    arithmetic.
     """
 
-    ses: ShortExactSequence
     res_left: FreeResolution
     res_middle: FreeResolution
     res_right: FreeResolution
-    correctors: tuple[Matrix, ...]
 
 
 def horseshoe(ses: ShortExactSequence, length: int,
@@ -134,8 +127,6 @@ def horseshoe(ses: ShortExactSequence, length: int,
         if res_left.ranks[0] + res_right.ranks[0] > 0 else Matrix.zeros(f, ses.middle.dim, 0)
 
     boundaries = []
-    correctors = []
-    kernels = []
     ranks = [res_left.ranks[0] + res_right.ranks[0]]
     prev_solver = aug_left_part          # target side of the corrector equation
     prev_corrector_full = lambda0        # maps free(rN_i) space into the previous target
@@ -147,15 +138,12 @@ def horseshoe(ses: ShortExactSequence, length: int,
         d_n = res_right.boundaries[i - 1]
         w = prev_corrector_full @ d_n.take_columns(range(0, r_n * n, n))
         h_i = _lift_generators(algebra, free_amodule(algebra, r_l_prev).module, prev_solver, -w)
-        correctors.append(h_i)
         boundary = Matrix.block(
             f, [[d_l, h_i], [None, d_n]],
             [r_l_prev * n, r_n_prev * n], [r_l * n, r_n * n])
         if not (prev_map @ boundary).is_zero():
             raise RuntimeError(f"horseshoe boundary {i} does not compose to zero")
-        ker_prev = kernel(prev_map)
-        kernels.append(ker_prev)
-        if rank(boundary) != ker_prev.dim:
+        if rank(boundary) != kernel(prev_map).dim:
             raise RuntimeError(f"horseshoe failed exactness at stage {i}")
         boundaries.append(boundary)
         ranks.append(r_l + r_n)
@@ -164,9 +152,8 @@ def horseshoe(ses: ShortExactSequence, length: int,
         prev_map = boundary
     if rank(aug_middle) != ses.middle.dim:
         raise RuntimeError("horseshoe augmentation is not surjective")
-    res_middle = FreeResolution(ses.middle, tuple(ranks), aug_middle,
-                                tuple(boundaries), tuple(kernels), order)
-    return HorseshoeData(ses, res_left, res_middle, res_right, tuple(correctors))
+    res_middle = FreeResolution(ses.middle, tuple(ranks), aug_middle, tuple(boundaries))
+    return HorseshoeData(res_left, res_middle, res_right)
 
 
 def _lift_generators(algebra: GroupAlgebra, target: GammaModule, solver: Matrix,
@@ -181,11 +168,9 @@ def _lift_generators(algebra: GroupAlgebra, target: GammaModule, solver: Matrix,
 
 @dataclass(frozen=True)
 class CohomologySpace:
-    """Z^p, B^p, and canonical class coordinates for one cochain degree."""
+    """Z^p and canonical class coordinates on Z^p/B^p for one cochain degree."""
 
-    p: int
     cocycles: Subspace
-    coboundaries: Subspace
     classes: QuotientMap
 
     @property
@@ -200,7 +185,7 @@ def _cohomology_spaces(deltas: list[Matrix], up_to: int, field) -> list[Cohomolo
         b = column_space(deltas[p - 1]) if p > 0 else Subspace.zero(field, deltas[p].cols)
         if not z.contains_subspace(b):
             raise RuntimeError("delta squared is nonzero")
-        spaces.append(CohomologySpace(p, z, b, QuotientMap(z, b)))
+        spaces.append(CohomologySpace(z, QuotientMap(z, b)))
     return spaces
 
 
@@ -263,17 +248,14 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
     filt = filtration if filtration is not None else filtration_for(algebra, sigma)
     length = p_max + 2
     # the sequence and its horseshoe depend only on (S, q), not on V
-    key = ("ses", sigma.members, q)
-    ses = algebra._cache.get(key)
-    if ses is None:
+    def certified_ses():
         ses = quotient_ses(algebra, filt, q)
         trivial_action_witness(ses)
-        algebra._cache[key] = ses
-    key = ("horseshoe", sigma.members, q, length, order)
-    shoe = algebra._cache.get(key)
-    if shoe is None:
-        shoe = horseshoe(ses, length, order)
-        algebra._cache[key] = shoe
+        return ses
+
+    ses = algebra.cached(("ses", sigma.members, q), certified_ses)
+    shoe = algebra.cached(("horseshoe", sigma.members, q, length, order),
+                          lambda: horseshoe(ses, length, order))
     res_l, res_m, res_n = shoe.res_left, shoe.res_middle, shoe.res_right
 
     deltas_n = [hom_delta(res_n, v, i) for i in range(length)]
@@ -350,7 +332,7 @@ def power_identification(algebra: GroupAlgebra, sigma: NormalSubgroup,
     """
     filt = filtration if filtration is not None else filtration_for(algebra, sigma)
     res = resolution_of_layer(algebra, sigma, q, p + 1, filtration=filt)
-    lhs = ext(res, v, p).dim
+    lhs = ext(res, v, p)
     if classical_dim is None:
         classical_dim = bar_dimension(algebra.group, v, p)
     rhs = filt.n(q) * classical_dim
@@ -363,7 +345,6 @@ class VanishingReport:
     no computed degree failed); `skipped` lists those degrees p."""
 
     acyclic_certified: bool | None
-    dims: dict
     ok: bool
     skipped: tuple[int, ...]
 
@@ -374,8 +355,7 @@ def vanishing_check(algebra: GroupAlgebra, sigma: NormalSubgroup,
                     budget: int = DEFAULT_BAR_BUDGET) -> VanishingReport:
     """Certify acyclicity at q = 1 by brute force, then sweep the grid.
 
-    An acyclic module must have H_q^p = 0 for all q >= 1, p >= 1; the report
-    carries every computed dimension so failures are diagnosable.  A degree
+    An acyclic module must have H_q^p = 0 for all q >= 1, p >= 1.  A degree
     that the bar budget skips certifies nothing: the grid is still swept,
     and `ok` then rests on the grid alone.
     """
@@ -384,9 +364,6 @@ def vanishing_check(algebra: GroupAlgebra, sigma: NormalSubgroup,
            for p in range(1, p_max + 1)}
     skipped = tuple(p for p, d in bar.items() if d is None)
     certified = False if any(bar.values()) else None if skipped else True
-    dims = {}
-    for q in range(1, q_max + 1):
-        for p in range(1, p_max + 1):
-            dims[(q, p)] = higher_cohomology(algebra, sigma, v_acyclic, q, p, filt).dim
-    ok = certified is not False and all(d == 0 for d in dims.values())
-    return VanishingReport(certified, dims, ok, skipped)
+    dims = [higher_cohomology(algebra, sigma, v_acyclic, q, p, filt)
+            for q in range(1, q_max + 1) for p in range(1, p_max + 1)]
+    return VanishingReport(certified, certified is not False and not any(dims), skipped)

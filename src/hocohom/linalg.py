@@ -1,6 +1,8 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
-Scalars are `fractions.Fraction` over Q and plain ints in [0, p) over F_p.
+A matrix over Q is an integer numerator array over one denominator and a
+matrix over F_p an array of residues in [0, p); `fractions.Fraction`
+appears only where entries are coerced in and in the `entries` view.
 Everything here is immutable after construction and every operation is a
 pure function with canonical output: the row reduction below computes the
 unique reduced row-echelon form of its input (leading entries 1, pivot
@@ -17,7 +19,7 @@ are int64 when every one fits and Python ints (`object`) past that.  The
 dtype depends on the values alone, so equal matrices built by different
 routes compare and hash equal.  Arithmetic widens to `_product_dtype` or
 `_elimination_dtype` only inside a product or an elimination over F_p; over
-Q a product, sum or scaling runs in int64 while its bound says that no
+Q a product or a difference runs in int64 while its bound says that no
 partial result can overflow, on Python ints past that, and is reduced to
 lowest terms.  `entries` is a derived tuple-of-tuples view (Fractions over
 Q) for reports and tests, and the only place where Fractions are built
@@ -120,14 +122,6 @@ class Field:
     @property
     def name(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"
-
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.p is None else self.p
 
     def coerce(self, x):
         """Coerce an int, string, or Fraction to a canonical scalar."""
@@ -371,9 +365,6 @@ class Matrix:
             out[r0:r0 + blk.rows, c0:c0 + blk.cols] = a
         return Matrix._wrap(field, out, den)
 
-    def column(self, j: int) -> tuple:
-        return self.take_columns([j]).transpose().entries[0]
-
     def take_rows(self, indices) -> "Matrix":
         return Matrix._wrap(self.field, self.array[_index(indices)], self.den)
 
@@ -404,33 +395,19 @@ class Matrix:
         wide = ufunc(self.array, *operands, dtype=_elimination_dtype(p))
         return Matrix._wrap(self.field, wide % p)
 
-    def _combine(self, other: "Matrix", ufunc) -> "Matrix":
-        """ufunc (np.add or np.subtract) of two matrices of the same shape."""
+    def __sub__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape or field mismatch")
         if self.field.p is not None:
-            return self._pointwise(ufunc, other.array)
+            return self._pointwise(np.subtract, other.array)
         (a, b), den = common_denominator([self, other])
         a, b = _widened(_int_bound(a) + _int_bound(b), a, b)
-        return Matrix._wrap(self.field, ufunc(a, b), den)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, np.add)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, np.subtract)
+        return Matrix._wrap(self.field, a - b, den)
 
     def __neg__(self) -> "Matrix":
         if self.field.p is not None:
             return self._pointwise(np.negative)
         return Matrix._wrap(self.field, -self.array, self.den)
-
-    def scale(self, s) -> "Matrix":
-        s = self.field.coerce(s)
-        if self.field.p is not None:
-            return self._pointwise(np.multiply, s)
-        return Matrix._wrap(self.field, _times(self.array, s.numerator),
-                            self.den * s.denominator)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.cols != other.rows:
@@ -444,13 +421,6 @@ class Matrix:
         a, b = _widened(self.cols * _int_bound(self.array) * _int_bound(other.array),
                         self.array, other.array)
         return Matrix._wrap(f, a @ b, self.den * other.den)
-
-    def apply(self, vec) -> tuple:
-        """Matrix times column vector, returned as a tuple."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length mismatch")
-        column = Matrix(self.field, [vec], 1, self.cols).transpose()
-        return (self @ column).transpose().entries[0]
 
 
 def _index(indices) -> np.ndarray:
@@ -890,9 +860,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
                 and self.basis == other.basis)
@@ -902,11 +869,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim}, {self.field.name})"
-
-    def contains_vector(self, vec) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise DimensionMismatch("vector/ambient mismatch")
-        return self.first_outside(Matrix(self.field, [vec], 1, self.ambient_dim)) is None
 
     def first_outside(self, m: Matrix) -> int | None:
         """Index of the first row of m outside this subspace, or None."""
@@ -921,29 +883,10 @@ class Subspace:
             raise DimensionMismatch("ambient dimension mismatch")
         return self.first_outside(other.basis) is None
 
-    def coords(self, vec) -> tuple:
-        """Coordinates of a member vector in the RREF basis (pivot extraction)."""
-        return tuple(vec[c] for c in self.pivots)
-
-    def lift(self, coords) -> tuple:
-        """The member vector with the given basis coordinates."""
-        return _row_combination(self.basis, coords)
-
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimension mismatch")
         return Subspace._spanned_by(Matrix.vstack(self.field, [self.basis, other.basis]))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimension mismatch")
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.field, self.ambient_dim)
-        stacked = Matrix.vstack(self.field, [self.basis, other.basis])
-        ker = kernel(stacked.transpose())
-        # a kernel vector (a, b) gives a*basis = -b*basis(other), a common vector
-        coeffs = ker.basis.take_columns(range(self.dim))
-        return Subspace._spanned_by(coeffs @ self.basis)
 
 
 class QuotientMap:
@@ -956,7 +899,7 @@ class QuotientMap:
     and applying `matrix` to `reps` gives the identity.
     """
 
-    __slots__ = ("sup", "sub", "dim", "matrix", "reps")
+    __slots__ = ("dim", "matrix", "reps")
 
     def __init__(self, sup: Subspace, sub: Subspace):
         if sup.ambient_dim != sub.ambient_dim:
@@ -974,8 +917,6 @@ class QuotientMap:
         rows[:, list(sup.pivots)] = in_sup.array
         matrix = Matrix._wrap(f, rows, in_sup.den)
         reps = sup.basis.take_rows(_free_columns(sup.dim, sub_in_sup.pivots))
-        object.__setattr__(self, "sup", sup)
-        object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "reps", reps)
@@ -984,17 +925,3 @@ class QuotientMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientMap is immutable")
-
-    def coords(self, vec) -> tuple:
-        return self.matrix.apply(vec)
-
-    def lift(self, coords) -> tuple:
-        return _row_combination(self.reps, coords)
-
-
-def _row_combination(m: Matrix, coeffs) -> tuple:
-    """sum_i coeffs[i] * (row i of m)."""
-    f = m.field
-    if len(coeffs) != m.rows:
-        raise DimensionMismatch("coefficient vector length mismatch")
-    return (Matrix(f, [coeffs], 1, m.rows) @ m).entries[0]

@@ -46,7 +46,7 @@ class GammaModule:
 
     __slots__ = ("group", "field", "dim", "perm", "den", "_stack", "_action")
 
-    def __init__(self, group: FiniteGroup, field: Field, action, check: bool = False):
+    def __init__(self, group: FiniteGroup, field: Field, action):
         action = tuple(action)
         if len(action) != group.order:
             raise ValueError("one action matrix per group element required")
@@ -63,8 +63,6 @@ class GammaModule:
         object.__setattr__(self, "_stack", np.stack(arrays))
         self._stack.flags.writeable = False
         object.__setattr__(self, "_action", None)
-        if check:
-            self.check_homomorphism()
 
     @classmethod
     def permutation(cls, group: FiniteGroup, field: Field, perm) -> "GammaModule":
@@ -151,7 +149,7 @@ def _joint_kernel(field: Field, dim: int, mats) -> Subspace:
 class ModuleMap:
     """An equivariant linear map between modules; equivariance is verified."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("matrix",)
 
     def __init__(self, source: GammaModule, target: GammaModule, matrix: Matrix):
         if matrix.rows != target.dim or matrix.cols != source.dim:
@@ -159,8 +157,6 @@ class ModuleMap:
         for g in range(source.group.order):
             if matrix @ source.action[g] != target.action[g] @ matrix:
                 raise ValueError(f"map is not equivariant at element {g}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
 
     def __setattr__(self, name, value):

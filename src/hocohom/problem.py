@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import GroupAlgebra
 from .groups import (
@@ -70,8 +71,13 @@ def _expect(cond, message, location):
         raise SpecError(message, location)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: Python reads true and false as ints, JSON does not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_permutation(raw, location) -> Permutation:
-    _expect(isinstance(raw, list) and all(isinstance(x, int) for x in raw),
+    _expect(isinstance(raw, list) and all(_is_int(x) for x in raw),
             "a permutation is a list of integers (0-based images)", location)
     try:
         return Permutation(raw)
@@ -103,7 +109,7 @@ def parse_problem(doc: dict) -> ProblemSpec:
     _expect(isinstance(raw_budgets, dict), "budgets must be an object", "budgets")
     for key, value in raw_budgets.items():
         _expect(key in DEFAULT_BUDGETS, f"unknown budget {key!r}", "budgets")
-        _expect(isinstance(value, int) and value >= 1, "budgets are positive integers",
+        _expect(_is_int(value) and value >= 1, "budgets are positive integers",
                 f"budgets.{key}")
         budgets[key] = value
 
@@ -140,13 +146,15 @@ def _parse_sigma(raw, group: FiniteGroup, gens, location="sigma") -> NormalSubgr
     indices: list[int] = []
     if "generator_indices" in raw:
         raw_idx = raw["generator_indices"]
-        _expect(isinstance(raw_idx, list) and all(isinstance(i, int) for i in raw_idx),
+        _expect(isinstance(raw_idx, list) and all(_is_int(i) for i in raw_idx),
                 "generator_indices must be a list of integers", f"{location}.generator_indices")
         for i in raw_idx:
             _expect(0 <= i < len(gens), f"generator index {i} out of range",
                     f"{location}.generator_indices")
             indices.append(group.index_of(gens[i]))
     elif "permutations" in raw:
+        _expect(isinstance(raw["permutations"], list), "permutations must be a list",
+                f"{location}.permutations")
         for i, p in enumerate(raw["permutations"]):
             perm = _parse_permutation(p, f"{location}.permutations[{i}]")
             try:
@@ -180,12 +188,12 @@ def _validate_module_spec(raw, location) -> dict:
     if kind == "trivial":
         known.add("dim")
         dim = raw.get("dim", 1)
-        _expect(isinstance(dim, int) and dim >= 0, "dim must be a non-negative integer",
+        _expect(_is_int(dim) and dim >= 0, "dim must be a non-negative integer",
                 f"{location}.dim")
     elif kind == "coinduced":
         known.add("base_dim")
         base = raw.get("base_dim", 1)
-        _expect(isinstance(base, int) and base >= 1, "base_dim must be a positive integer",
+        _expect(_is_int(base) and base >= 1, "base_dim must be a positive integer",
                 f"{location}.base_dim")
     elif kind == "explicit":
         known.add("generator_matrices")
@@ -201,12 +209,22 @@ def _validate_module_spec(raw, location) -> dict:
                 _expect(len(row) == width, "ragged matrix",
                         f"{location}.generator_matrices[{i}][{j}]")
                 for k, x in enumerate(row):
-                    _expect(isinstance(x, (str, int)),
-                            "entries are strings or integers",
-                            f"{location}.generator_matrices[{i}][{j}][{k}]")
+                    _check_entry(x, f"{location}.generator_matrices[{i}][{j}][{k}]")
     unknown = set(raw) - known
     _expect(not unknown, f"unknown keys {sorted(unknown)}", location)
     return {k: raw[k] for k in sorted(raw)}
+
+
+def _check_entry(x, location):
+    """A matrix entry is an integer or a string that names an exact rational."""
+    _expect(isinstance(x, str) or _is_int(x), "entries are strings or integers", location)
+    if isinstance(x, str):
+        try:
+            Fraction(x)
+        except ZeroDivisionError:
+            raise SpecError(f"{x!r} has a zero denominator", location) from None
+        except ValueError:
+            raise SpecError(f"{x!r} is not an exact rational", location) from None
 
 
 def _build_module(spec: ProblemSpec, name: str, raw: dict) -> GammaModule:

@@ -7,7 +7,9 @@ canonical coordinates, and repeat.  The construction is deterministic and
 certified exact at every stage by rank arithmetic, and Ext is the
 cohomology of the Hom_A(-, V) complex of such a resolution: a hom from a
 free module of rank k is the tuple of its generator images in V, and the
-coboundary is precomposition with the boundary.
+coboundary is precomposition with the boundary.  Every caller needs only
+dim Ext^p, so `ext` reads it off the ranks of two coboundaries once their
+composite is checked to be zero.
 
 `bar_dimension` computes classical group cohomology through the standard
 inhomogeneous cochain complex C^p = maps(G^p, V).  It shares no code with
@@ -33,7 +35,7 @@ from .algebra import GroupAlgebra, IdealFiltration, j_filtration
 from .groups import FiniteGroup, NormalSubgroup
 from .linalg import (
     Matrix, QuotientMap, Subspace,
-    column_space, common_denominator, contract, kernel, rank, rank_of_int_rows,
+    common_denominator, contract, kernel, rank, rank_of_int_rows,
 )
 from .modules import GammaModule, regular_module
 
@@ -65,7 +67,6 @@ class AModule:
     algebra: GroupAlgebra
     module: GammaModule
     label: str
-    free_rank: int | None = None
 
     @property
     def dim(self) -> int:
@@ -84,7 +85,7 @@ def free_amodule(algebra: GroupAlgebra, k: int) -> AModule:
     n = algebra.dim
     perm = [[i * n + gh for i in range(k) for gh in row] for row in algebra.group.mult]
     return AModule(algebra, GammaModule.permutation(algebra.group, algebra.field, perm),
-                   f"free rank {k}", free_rank=k)
+                   f"free rank {k}")
 
 
 def amap_from_generator_images(algebra: GroupAlgebra, target: GammaModule, images) -> Matrix:
@@ -185,17 +186,15 @@ def free_cover(m: AModule, order: str = "forward") -> FreeCover:
 class FreeResolution:
     """... -> A^{n_2} -> A^{n_1} -> A^{n_0} -> target -> 0, exact throughout.
 
-    boundaries[i] is the R-matrix of d_{i+1} : A^{n_{i+1}} -> A^{n_i};
-    kernels[i] is the kernel of the map out of A^{n_i} (the augmentation for
-    i = 0), which by construction equals the image of boundaries[i].
+    boundaries[i] is the R-matrix of d_{i+1} : A^{n_{i+1}} -> A^{n_i}; its
+    image is the kernel of the map out of A^{n_i} (the augmentation for
+    i = 0).
     """
 
     target: AModule
     ranks: tuple[int, ...]
     augmentation: Matrix
     boundaries: tuple[Matrix, ...]
-    kernels: tuple[Subspace, ...]
-    order: str = "forward"
 
     @property
     def algebra(self) -> GroupAlgebra:
@@ -224,12 +223,10 @@ def build_resolution(m: AModule, length: int, order: str = "forward") -> FreeRes
     cover = free_cover(m, order)
     ranks = [cover.rank]
     boundaries = []
-    kernels = []
     prev_map = cover.surjection
     prev_rank = cover.rank
     for i in range(1, length + 1):
         ker_sub = kernel(prev_map)
-        kernels.append(ker_sub)
         if ker_sub.dim == 0:
             boundary = Matrix.zeros(f, prev_rank * n, 0)
             next_rank = 0
@@ -252,8 +249,7 @@ def build_resolution(m: AModule, length: int, order: str = "forward") -> FreeRes
         ranks.append(next_rank)
         prev_map = boundary
         prev_rank = next_rank
-    return FreeResolution(m, tuple(ranks), cover.surjection, tuple(boundaries),
-                          tuple(kernels), order)
+    return FreeResolution(m, tuple(ranks), cover.surjection, tuple(boundaries))
 
 
 # ---------------------------------------------------------------------------
@@ -286,40 +282,24 @@ def hom_delta(resolution: FreeResolution, v: GammaModule, i: int) -> Matrix:
                           resolution.ranks[i + 1], resolution.ranks[i], v)
 
 
-@dataclass(frozen=True)
-class ExtResult:
-    """dim Ext^p with canonical representative cocycles in V^{n_p}.
+def ext(resolution: FreeResolution, v: GammaModule, p: int) -> int:
+    """dim Ext^p(target, V) from a resolution with at least p+1 boundaries.
 
-    `classes` maps a cocycle vector to its class coordinates (kernel exactly
-    the coboundaries); `representatives` holds one canonical cocycle per
-    class coordinate.
+    dim Z^p - dim B^p = (cols - rank delta^p) - rank delta^{p-1}, taken after
+    an exact check that delta^p delta^{p-1} = 0, which is B^p <= Z^p.
     """
-
-    p: int
-    dim: int
-    representatives: Matrix
-    cocycles: Subspace
-    coboundaries: Subspace
-    classes: QuotientMap
-
-
-def ext(resolution: FreeResolution, v: GammaModule, p: int) -> ExtResult:
-    """Ext^p(target, V) from a resolution with at least p+1 boundaries."""
     if p < 0:
         raise ValueError("p must be >= 0")
     if resolution.length < p + 1:
         raise ResolutionTooShort(
             f"resolution length {resolution.length} cannot reach degree {p}")
-    f = resolution.algebra.field
-    cocycles = kernel(hom_delta(resolution, v, p))
+    delta = hom_delta(resolution, v, p)
     if p == 0:
-        coboundaries = Subspace.zero(f, resolution.ranks[0] * v.dim)
-    else:
-        coboundaries = column_space(hom_delta(resolution, v, p - 1))
-    if not cocycles.contains_subspace(coboundaries):
+        return delta.cols - rank(delta)
+    prev = hom_delta(resolution, v, p - 1)
+    if not (delta @ prev).is_zero():
         raise RuntimeError("coboundaries escape the cocycles: delta^2 != 0")
-    qmap = QuotientMap(cocycles, coboundaries)
-    return ExtResult(p, qmap.dim, qmap.reps, cocycles, coboundaries, qmap)
+    return delta.cols - rank(delta) - rank(prev)
 
 
 # ---------------------------------------------------------------------------
@@ -328,25 +308,16 @@ def ext(resolution: FreeResolution, v: GammaModule, p: int) -> ExtResult:
 def filtration_for(algebra: GroupAlgebra, sigma: NormalSubgroup,
                    q_max: int | None = None) -> IdealFiltration:
     # the cached chain clamps beyond stabilization, so any stored copy serves all q
-    key = ("filtration", sigma.members)
-    cached = algebra._cache.get(key)
-    if cached is None:
-        cached = j_filtration(algebra, sigma, q_max)
-        algebra._cache[key] = cached
-    return cached
+    return algebra.cached(("filtration", sigma.members),
+                          lambda: j_filtration(algebra, sigma, q_max))
 
 
 def quotient_by_j(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
                   filtration: IdealFiltration | None = None) -> tuple[AModule, QuotientMap]:
     """A/J_q as a module in canonical complement coordinates."""
     filt = filtration if filtration is not None else filtration_for(algebra, sigma)
-    key = ("ajq", sigma.members, q)
-    cached = algebra._cache.get(key)
-    if cached is None:
-        whole = Subspace.whole(algebra.field, algebra.dim)
-        cached = quotient_amodule(algebra, filt.j(q), whole, label=f"A/J_{q}")
-        algebra._cache[key] = cached
-    return cached
+    return algebra.cached(("ajq", sigma.members, q), lambda: quotient_amodule(
+        algebra, filt.j(q), Subspace.whole(algebra.field, algebra.dim), label=f"A/J_{q}"))
 
 
 def resolution_of_quotient(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
@@ -364,14 +335,10 @@ def resolution_of_quotient(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
 def layer_module(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
                  filtration: IdealFiltration | None = None) -> tuple[AModule, QuotientMap]:
     """J_q/J_{q+1} in canonical complement coordinates (cached)."""
-    key = ("layer", sigma.members, q)
-    cached = algebra._cache.get(key)
-    if cached is None:
+    def build():
         filt = filtration if filtration is not None else filtration_for(algebra, sigma)
-        cached = quotient_amodule(algebra, filt.j(q + 1), filt.j(q),
-                                  label=f"J_{q}/J_{q + 1}")
-        algebra._cache[key] = cached
-    return cached
+        return quotient_amodule(algebra, filt.j(q + 1), filt.j(q), label=f"J_{q}/J_{q + 1}")
+    return algebra.cached(("layer", sigma.members, q), build)
 
 
 def resolution_of_layer(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
@@ -389,8 +356,8 @@ def resolution_of_layer(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
 def higher_cohomology(algebra: GroupAlgebra, sigma: NormalSubgroup,
                       v: GammaModule, q: int, p: int,
                       filtration: IdealFiltration | None = None,
-                      order: str = "forward") -> ExtResult:
-    """H_q^p(G, S, V) = Ext^p(A/J_q, V), resolutions cached per (S, q)."""
+                      order: str = "forward") -> int:
+    """dim H_q^p(G, S, V) = dim Ext^p(A/J_q, V), resolutions cached per (S, q)."""
     if q < 1:
         raise ValueError("q must be >= 1")
     res = resolution_of_quotient(algebra, sigma, q, p + 1, order, filtration)

@@ -19,7 +19,7 @@ from hocohom.algebra import (
 )
 from hocohom.cocycle import h_q1_cocycle
 from hocohom.groups import (
-    Permutation, close_generators, subgroup_closure, trivial_subgroup, full_subgroup,
+    Permutation, close_generators, subgroup_closure,
 )
 from hocohom.les import long_exact_sequence, power_identification, vanishing_check
 from hocohom.linalg import Field, Matrix
@@ -33,6 +33,14 @@ SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json")
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+
+
+def trivial_subgroup(group):
+    return subgroup_closure(group, [])
+
+
+def full_subgroup(group):
+    return subgroup_closure(group, range(group.order))
 
 
 def report_line(name: str, ok: bool, elapsed: float, budget: float | None = None):
@@ -149,7 +157,7 @@ def _suite_instances():
         algebra = GroupAlgebra(group, field)
         modules = [("trivial", trivial_module(group, field, 1)),
                    ("regular", regular_module(algebra))]
-        if group.order == 6 and field.characteristic != 2:
+        if group.order == 6 and field.p != 2:
             modules.append(("sign", make_module(
                 group, field, [Matrix.identity(field, 1), Matrix(field, [[-1]])])))
         out.append((algebra, trivial_subgroup(group), modules))
@@ -162,7 +170,7 @@ def test_criterion_2_ordinary_cohomology_recovery():
     for algebra, sigma, modules in _suite_instances():
         for name, v in modules:
             for p in (0, 1, 2):
-                got = higher_cohomology(algebra, sigma, v, 1, p).dim
+                got = higher_cohomology(algebra, sigma, v, 1, p)
                 want = bar_dimension(algebra.group, v, p)
                 if got != want:
                     failures.append((algebra.group.order, algebra.field.name,
@@ -179,7 +187,7 @@ def test_criterion_3_cocycle_cross_oracle():
         for name, v in modules:
             for q in range(1, filt.stabilization_q + 2):
                 cocycle = h_q1_cocycle(algebra, sigma, v, q, filt)
-                ext_dim = higher_cohomology(algebra, sigma, v, q, 1, filt).dim
+                ext_dim = higher_cohomology(algebra, sigma, v, q, 1, filt)
                 if cocycle != ext_dim:
                     failures.append((algebra.group.order, algebra.field.name,
                                      name, q, cocycle, ext_dim))
@@ -245,7 +253,7 @@ def test_criterion_6_vanishing_for_coinduced():
         for sigma in sigmas:
             verdict = vanishing_check(algebra, sigma, v, 3, 2)
             if not verdict.acyclic_certified or not verdict.ok:
-                failures.append((group.order, field.name, sigma.order, verdict.dims))
+                failures.append((group.order, field.name, sigma.order))
     report_line("criterion 6: coinduced modules vanish for 1 <= p <= 2, q <= 3, "
                 "|G| <= 8", not failures, time.monotonic() - started)
 
@@ -262,7 +270,7 @@ def test_criterion_7_collapse_law():
             failures.append(("stabilization", group.order))
             continue
         for v in (trivial_module(group, Q, 1), regular_module(algebra)):
-            rows = [[higher_cohomology(algebra, sigma, v, q, p, filt).dim
+            rows = [[higher_cohomology(algebra, sigma, v, q, p, filt)
                      for p in (0, 1, 2)] for q in (1, 2, 3)]
             if any(row != rows[0] for row in rows):
                 failures.append(("rational", group.order, rows))
@@ -277,7 +285,7 @@ def test_criterion_7_collapse_law():
     if filt.stabilization_q != 1:
         failures.append(("stabilization", "sigma=G"))
     for v in (trivial_module(group, F2, 1), regular_module(algebra)):
-        rows = [[higher_cohomology(algebra, sigma, v, q, p, filt).dim
+        rows = [[higher_cohomology(algebra, sigma, v, q, p, filt)
                  for p in (0, 1, 2)] for q in (1, 2, 3)]
         if any(row != rows[0] for row in rows):
             failures.append(("modular-full-sigma", rows))

@@ -109,6 +109,38 @@ def test_parse_sigma_by_explicit_permutation():
     assert spec.sigma.order == 3
 
 
+def _explicit(entry, field="F2"):
+    return {"field": field, "modules": {"m": {"kind": "explicit",
+                                              "generator_matrices": [[[entry]]]}}}
+
+
+MALFORMED = [
+    ({"sigma": {"permutations": 5}}, "sigma.permutations"),
+    ({"sigma": {"permutations": {"0": [1, 0]}}}, "sigma.permutations"),
+    (_explicit("1/0"), "modules.m.generator_matrices[0][0][0]"),
+    (_explicit("1/0", "Q"), "modules.m.generator_matrices[0][0][0]"),
+    (_explicit(True), "modules.m.generator_matrices[0][0][0]"),
+    (_explicit(True, "Q"), "modules.m.generator_matrices[0][0][0]"),
+    ({"modules": {"m": {"kind": "trivial", "dim": True}}}, "modules.m.dim"),
+    ({"modules": {"m": {"kind": "coinduced", "base_dim": True}}}, "modules.m.base_dim"),
+    ({"group": {"generators": [[True, False]]}}, "group.generators[0]"),
+    ({"sigma": {"generator_indices": [False]}}, "sigma.generator_indices"),
+    ({"sigma": {"permutations": [[True, 0]]}}, "sigma.permutations[0]"),
+    ({"budgets": {"q_max": True}}, "budgets.q_max"),
+    ({"budgets": {"p_max": True}}, "budgets.p_max"),
+]
+
+
+@pytest.mark.parametrize("patch, location", MALFORMED)
+def test_malformed_specs_exit_2_at_their_json_path(tmp_path, capsys, patch, location):
+    path = write_spec(tmp_path, {**BASE_C2, **patch})
+    for verb in ("info", "ideals", "cohom", "h1", "les-check", "verify"):
+        code = cli.main([verb, "--spec", path])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT_ERROR, (verb, err)
+        assert f"{location}:" in err and "Traceback" not in err
+
+
 def test_load_problem_missing_file(tmp_path):
     with pytest.raises(SpecError):
         load_problem(str(tmp_path / "nope.json"))
