@@ -335,10 +335,9 @@ def resolution_of_quotient(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
 def layer_module(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
                  filtration: IdealFiltration | None = None) -> tuple[AModule, QuotientMap]:
     """J_q/J_{q+1} in canonical complement coordinates (cached)."""
-    def build():
-        filt = filtration if filtration is not None else filtration_for(algebra, sigma)
-        return quotient_amodule(algebra, filt.j(q + 1), filt.j(q), label=f"J_{q}/J_{q + 1}")
-    return algebra.cached(("layer", sigma.members, q), build)
+    filt = filtration if filtration is not None else filtration_for(algebra, sigma)
+    return algebra.cached(("layer", sigma.members, q), lambda: quotient_amodule(
+        algebra, filt.j(q + 1), filt.j(q), label=f"J_{q}/J_{q + 1}"))
 
 
 def resolution_of_layer(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,

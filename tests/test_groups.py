@@ -3,7 +3,8 @@
 import pytest
 
 from hocohom.groups import (
-    Permutation, close_generators, subgroup_closure, GroupError, ClosureCapExceeded, NotNormalError,
+    Permutation, close_generators, subgroup_closure,
+    GroupError, ClosureCapExceeded, NotNormalError,
 )
 
 
