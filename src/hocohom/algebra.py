@@ -133,7 +133,6 @@ class IdealFiltration:
     j(q) clamps.
     """
 
-    algebra: GroupAlgebra
     sigma: NormalSubgroup
     augmentation: Subspace
     sigma_full: Subspace
@@ -188,7 +187,7 @@ def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup,
         q += 1
     for sub in j_list:
         _certify_two_sided(algebra, sub)
-    return IdealFiltration(algebra, sigma, aug, sig, tuple(j_list), stabilization)
+    return IdealFiltration(sigma, aug, sig, tuple(j_list), stabilization)
 
 
 def i_power_by_products(algebra: GroupAlgebra, q: int) -> Subspace:

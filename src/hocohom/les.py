@@ -216,8 +216,6 @@ class LesDegree:
 
 @dataclass(frozen=True)
 class LongExactSequenceReport:
-    q: int
-    p_max: int
     n_q: int
     degrees: tuple[LesDegree, ...]
 
@@ -315,7 +313,7 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
         degrees.append(LesDegree(
             p, h_n[p].dim, h_m[p].dim, h_l[p].dim,
             lower_maps[p], upper_maps[p], connectings[p], verdicts))
-    return LongExactSequenceReport(q, p_max, filt.n(q), tuple(degrees))
+    return LongExactSequenceReport(filt.n(q), tuple(degrees))
 
 
 # ---------------------------------------------------------------------------
