@@ -34,8 +34,10 @@ class GroupAlgebra:
     `left(g, rows)` and `right(g, rows)` multiply each row, an algebra
     element, by g on the left or on the right; each is one column selection
     of the rows, and no per-element matrix is built.  Carries a private
-    cache used by the resolution engine (insert-or-get; concurrent
-    last-writer-wins is safe because all cached values are deterministic).
+    cache used by the resolution engine: the filtration, the quotient
+    modules and the resolutions, each stored once per key (a resolution is
+    replaced by a longer one when extended; concurrent last-writer-wins is
+    safe because all cached values are deterministic).
     """
 
     __slots__ = ("group", "field", "dim", "_mult", "_cache")
@@ -128,9 +130,8 @@ def _certify_two_sided(algebra: GroupAlgebra, sub: Subspace):
 class IdealFiltration:
     """The chain J_1 >= J_2 >= ... with J_q = I^q + A*I_S.
 
-    j_list holds J_1 through J_{stabilization_q + 1} (or further if a larger
-    q_max was requested); beyond the stored range the chain is constant, so
-    j(q) clamps.
+    j_list holds J_1 through J_{stabilization_q + 1}; beyond it the chain is
+    constant, so j(q) clamps and every q >= 1 reads the same stored chain.
     """
 
     sigma: NormalSubgroup
@@ -148,46 +149,34 @@ class IdealFiltration:
         return self.j(q).dim - self.j(q + 1).dim
 
 
-def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup,
-                 q_max: int | None = None) -> IdealFiltration:
+def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltration:
     """Compute the filtration J_q = I^q + A*I_S through stabilization.
 
     I^{q+1} is spanned by {x (g - e) : x in basis(I^q), g in G}; since I is
     two-sided this equals the ideal product.  Each J_q is certified
     two-sided.  Stops at the first q with J_q = J_{q+1} (always at most
-    dim I + 1 steps, since the chain strictly descends until then), or at
-    q_max + 1 if that is later; raises AlgebraError if the chain has not
-    stabilized after dim I + 1 steps.
+    dim I + 1 steps, since the chain strictly descends until then); raises
+    AlgebraError if the chain has not stabilized after dim I + 1 steps.
     """
-    if q_max is not None and q_max < 1:
-        raise AlgebraError("q_max must be >= 1")
     f = algebra.field
     aug = augmentation_ideal(algebra)
     sig = sigma_ideal(algebra, sigma) if not sigma.is_trivial else Subspace.zero(f, algebra.dim)
     if not aug.contains_subspace(sig):
         raise AlgebraError("A*I_S is not contained in the augmentation ideal")
 
-    power = aug     # I^q for the current q
+    power = aug     # I^q for the last J_q in j_list
     j_list = [aug + sig]
-    stabilization = None
-    target = q_max if q_max is not None else 1
-    q = 1
-    while stabilization is None or q < max(target, stabilization + 1):
+    while len(j_list) < 2 or j_list[-1] != j_list[-2]:
+        if len(j_list) > aug.dim + 1:
+            raise AlgebraError(
+                f"J_q did not stabilize within dim I + 1 = {aug.dim + 1} steps")
         prev = power.basis
         power = Subspace._spanned_by(Matrix.vstack(f, [
             algebra.right(g, prev) - prev for g in range(1, algebra.dim)], cols=algebra.dim))
-        next_j = power + sig
-        j_list.append(next_j)
-        if stabilization is None:
-            if next_j == j_list[q - 1]:
-                stabilization = q
-            elif q > aug.dim:
-                raise AlgebraError(
-                    f"J_q did not stabilize within dim I + 1 = {aug.dim + 1} steps")
-        q += 1
+        j_list.append(power + sig)
     for sub in j_list:
         _certify_two_sided(algebra, sub)
-    return IdealFiltration(sigma, aug, sig, tuple(j_list), stabilization)
+    return IdealFiltration(sigma, aug, sig, tuple(j_list), len(j_list) - 1)
 
 
 def i_power_by_products(algebra: GroupAlgebra, q: int) -> Subspace:

@@ -58,8 +58,13 @@ def cmd_info(spec: ProblemSpec) -> tuple[dict, bool]:
 
 
 def cmd_ideals(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
-    algebra = spec.algebra()
-    filt = filtration_for(algebra, spec.sigma, spec.q_max)
+    return _ideals(spec, spec.algebra(), recheck)
+
+
+def _ideals(spec: ProblemSpec, algebra, recheck: bool) -> tuple[dict, bool]:
+    """The filtration table of `ideals`, from an algebra whose cache may
+    already hold the chain."""
+    filt = filtration_for(algebra, spec.sigma)
     rows = []
     ok = True
     for q in range(1, spec.q_max + 1):
@@ -82,10 +87,10 @@ def cmd_ideals(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
     return fragment, ok
 
 
-def _grid(spec: ProblemSpec, algebra, filt, v, order: str = "forward") -> list[list[int]]:
+def _grid(spec: ProblemSpec, algebra, v, order: str = "forward") -> list[list[int]]:
     """The H_q^p grid, rows q = 1..q_max and columns p = 0..p_max, from
     resolutions built in the given sweep order."""
-    return [[higher_cohomology(algebra, spec.sigma, v, q, p, filt, order=order)
+    return [[higher_cohomology(algebra, spec.sigma, v, q, p, order)
              for p in range(spec.p_max + 1)]
             for q in range(1, spec.q_max + 1)]
 
@@ -97,15 +102,16 @@ def _bar_row(spec: ProblemSpec, algebra, v) -> list[int | None]:
             for p in range(spec.p_max + 1)]
 
 
-def _cocycle_column(spec: ProblemSpec, algebra, filt, v):
+def _cocycle_column(spec: ProblemSpec, algebra, v):
     """dim H_q^1 for q = 1..q_max by the cocycle model, computed lazily so a
     caller that stops at the first mismatch computes no more."""
-    return (h_q1_cocycle(algebra, spec.sigma, v, q, filt) for q in range(1, spec.q_max + 1))
+    return (h_q1_cocycle(algebra, spec.sigma, v, q) for q in range(1, spec.q_max + 1))
 
 
-def _h0_columns(spec: ProblemSpec, filt, v, q_top: int):
+def _h0_columns(spec: ProblemSpec, algebra, v, q_top: int):
     """H_q^0 for q = 1..q_top as the annihilator of J_q and by the inductive
     recursion, two lists of subspaces."""
+    filt = filtration_for(algebra, spec.sigma)
     ann = [h_q0_annihilator(v, filt, q) for q in range(1, q_top + 1)]
     ind = [h_q0_inductive(v, spec.sigma, q) for q in range(1, q_top + 1)]
     return ann, ind
@@ -118,27 +124,25 @@ def _matches_q1_row(bar_row, grid) -> bool:
 def cmd_cohom(spec: ProblemSpec, module_name: str | None = None,
               recheck: bool = False) -> tuple[dict, bool]:
     algebra = spec.algebra()
-    filt = filtration_for(algebra, spec.sigma, spec.q_max)
     names = [module_name] if module_name else spec.module_names()
     out = {}
     ok = True
     for name in names:
         v = spec.build_module(name)
-        grid = _grid(spec, algebra, filt, v)
+        grid = _grid(spec, algebra, v)
         checks = {}
         # ordinary-cohomology recovery along the q = 1 row
         bar_row = _bar_row(spec, algebra, v)
         checks["q1_row_matches_brute_force"] = _matches_q1_row(bar_row, grid)
-        # cocycle model along the p = 1 column
-        if spec.p_max >= 1:
-            cocycle_col = list(_cocycle_column(spec, algebra, filt, v))
-            checks["p1_column_matches_cocycle_model"] = cocycle_col == [row[1] for row in grid]
+        # cocycle model along the p = 1 column (parse_problem ensures p_max >= 1)
+        cocycle_col = list(_cocycle_column(spec, algebra, v))
+        checks["p1_column_matches_cocycle_model"] = cocycle_col == [row[1] for row in grid]
         if recheck:
-            ann, ind = _h0_columns(spec, filt, v, spec.q_max)
+            ann, ind = _h0_columns(spec, algebra, v, spec.q_max)
             ann_dims = [a.dim for a in ann]
             checks["p0_column_matches_annihilator"] = ann_dims == [row[0] for row in grid]
             checks["annihilator_matches_inductive"] = ann_dims == [b.dim for b in ind]
-            checks["resolution_independence"] = _grid(spec, algebra, filt, v, "reverse") == grid
+            checks["resolution_independence"] = _grid(spec, algebra, v, "reverse") == grid
         ok = ok and all(checks.values())
         # bar_row[p] is None where the bar budget skipped degree p
         out[name] = {"grid": grid, "checks": checks, "bar_row": bar_row}
@@ -148,16 +152,15 @@ def cmd_cohom(spec: ProblemSpec, module_name: str | None = None,
 def cmd_h1(spec: ProblemSpec, module_name: str | None = None,
            recheck: bool = False) -> tuple[dict, bool]:
     algebra = spec.algebra()
-    filt = filtration_for(algebra, spec.sigma, spec.q_max)
     names = [module_name] if module_name else spec.module_names()
     out = {}
     ok = True
     for name in names:
         v = spec.build_module(name)
-        dims = list(_cocycle_column(spec, algebra, filt, v))
+        dims = list(_cocycle_column(spec, algebra, v))
         entry = {"dims_by_q": dims}
         if recheck:
-            ext_dims = [higher_cohomology(algebra, spec.sigma, v, q, 1, filt)
+            ext_dims = [higher_cohomology(algebra, spec.sigma, v, q, 1)
                         for q in range(1, spec.q_max + 1)]
             entry["recheck_ext"] = ext_dims == dims
             ok = ok and entry["recheck_ext"]
@@ -167,7 +170,6 @@ def cmd_h1(spec: ProblemSpec, module_name: str | None = None,
 
 def cmd_les(spec: ProblemSpec, module_name: str | None = None) -> tuple[dict, bool]:
     algebra = spec.algebra()
-    filt = filtration_for(algebra, spec.sigma, spec.q_max)
     names = [module_name] if module_name else spec.module_names()
     out = {}
     ok = True
@@ -175,7 +177,7 @@ def cmd_les(spec: ProblemSpec, module_name: str | None = None) -> tuple[dict, bo
         v = spec.build_module(name)
         per_q = []
         for q in range(1, spec.q_max + 1):
-            report = long_exact_sequence(algebra, spec.sigma, v, q, spec.p_max, filt)
+            report = long_exact_sequence(algebra, spec.sigma, v, q, spec.p_max)
             entry = {
                 "q": q,
                 "n_q": report.n_q,
@@ -202,7 +204,7 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
     module, and the collapse law when the filtration stabilizes at q = 1.
     """
     algebra = spec.algebra()
-    filt = filtration_for(algebra, spec.sigma, spec.q_max)
+    filt = filtration_for(algebra, spec.sigma)
     verdicts = []
 
     def record(name: str, passed: bool, detail=None):
@@ -211,7 +213,7 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
             entry["detail"] = detail
         verdicts.append(entry)
 
-    ideals_fragment, _ = cmd_ideals(spec, recheck=False)
+    ideals_fragment, _ = _ideals(spec, algebra, recheck=False)
     stab = filt.stabilization_q
     q_top = min(spec.q_max, stab + 1)
 
@@ -227,24 +229,23 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
     grids = {}
     for name in spec.module_names():
         v = spec.build_module(name)
-        grid = _grid(spec, algebra, filt, v)
+        grid = _grid(spec, algebra, v)
         grids[name] = grid
 
         bar_row = _bar_row(spec, algebra, v)
         record(f"cohom.{name}.q1_row_matches_brute_force", _matches_q1_row(bar_row, grid))
 
-        if spec.p_max >= 1:
-            cocycle_ok = all(c == row[1] for c, row in
-                             zip(_cocycle_column(spec, algebra, filt, v), grid))
-            record(f"cohom.{name}.p1_column_matches_cocycle_model", cocycle_ok)
+        cocycle_ok = all(c == row[1] for c, row in
+                         zip(_cocycle_column(spec, algebra, v), grid))
+        record(f"cohom.{name}.p1_column_matches_cocycle_model", cocycle_ok)
 
-        ann, ind = _h0_columns(spec, filt, v, q_top)
+        ann, ind = _h0_columns(spec, algebra, v, q_top)
         h0_ok = ann == ind and all(a.dim == row[0] for a, row in zip(ann, grid))
         record(f"cohom.{name}.h0_annihilator_inductive_ext_agree", h0_ok)
 
         les_ok = True
         for q in range(1, q_top + 1):
-            report = long_exact_sequence(algebra, spec.sigma, v, q, spec.p_max, filt)
+            report = long_exact_sequence(algebra, spec.sigma, v, q, spec.p_max)
             les_ok = les_ok and report.exact
         record(f"les.{name}.exact_at_all_nodes", les_ok)
 
@@ -253,7 +254,7 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
             for p, classical in enumerate(bar_row):
                 if classical is None:
                     continue
-                lhs, rhs = power_identification(algebra, spec.sigma, v, q, p, filt,
+                lhs, rhs = power_identification(algebra, spec.sigma, v, q, p,
                                                 classical_dim=classical)
                 if lhs != rhs:
                     power_ok = False
@@ -261,11 +262,11 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
 
         if recheck:
             record(f"cohom.{name}.resolution_independence",
-                   _grid(spec, algebra, filt, v, "reverse") == grid)
+                   _grid(spec, algebra, v, "reverse") == grid)
 
     coinduced = coinduced_module(spec.group, spec.field, 1)
     vreport = vanishing_check(algebra, spec.sigma, coinduced,
-                              min(spec.q_max, 3), spec.p_max, filt,
+                              min(spec.q_max, 3), spec.p_max,
                               budget=spec.budgets["bar_budget"])
     detail = {"acyclic_certified": vreport.acyclic_certified}
     if vreport.skipped:

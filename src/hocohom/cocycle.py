@@ -76,11 +76,11 @@ def alpha_map(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
 
 
 def h_q1_cocycle(algebra: GroupAlgebra, sigma: NormalSubgroup, v: GammaModule,
-                 q: int, filtration: IdealFiltration | None = None) -> int:
+                 q: int) -> int:
     """dim H_q^1 = dim Hom_A(J_q, V) - rank(alpha)."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    filt = filtration if filtration is not None else filtration_for(algebra, sigma)
+    filt = filtration_for(algebra, sigma)
     hom = hom_a_space(algebra, filt, q, v)
     alpha = alpha_map(algebra, filt, q, v, hom)
     return hom.dim - rank(alpha)

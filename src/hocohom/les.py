@@ -57,9 +57,9 @@ class ShortExactSequence:
 def quotient_ses(algebra: GroupAlgebra, filtration: IdealFiltration,
                  q: int) -> ShortExactSequence:
     """Build and certify the quotient short exact sequence at level q."""
-    left, left_qm = layer_module(algebra, filtration.sigma, q, filtration)
-    middle, middle_qm = quotient_by_j(algebra, filtration.sigma, q + 1, filtration)
-    right, right_qm = quotient_by_j(algebra, filtration.sigma, q, filtration)
+    left, left_qm = layer_module(algebra, filtration.sigma, q)
+    middle, middle_qm = quotient_by_j(algebra, filtration.sigma, q + 1)
+    right, right_qm = quotient_by_j(algebra, filtration.sigma, q)
     inject = ModuleMap(left.module, middle.module,
                        middle_qm.matrix @ left_qm.reps.transpose())
     surject = ModuleMap(middle.module, right.module,
@@ -106,13 +106,12 @@ class HorseshoeData:
     res_right: FreeResolution
 
 
-def horseshoe(ses: ShortExactSequence, length: int,
-              order: str = "forward") -> HorseshoeData:
+def horseshoe(ses: ShortExactSequence, length: int) -> HorseshoeData:
     algebra = ses.left.algebra
     f = algebra.field
     n = algebra.dim
-    res_left = resolution_of_layer(algebra, ses.sigma, ses.q, length, order)
-    res_right = resolution_of_quotient(algebra, ses.sigma, ses.q, length, order)
+    res_left = resolution_of_layer(algebra, ses.sigma, ses.q, length)
+    res_right = resolution_of_quotient(algebra, ses.sigma, ses.q, length)
 
     inj = ses.inject.matrix
     middle_mod = ses.middle.module
@@ -229,21 +228,21 @@ class LongExactSequenceReport:
 
 
 def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
-                        v: GammaModule, q: int, p_max: int,
-                        filtration: IdealFiltration | None = None,
-                        order: str = "forward") -> LongExactSequenceReport:
+                        v: GammaModule, q: int, p_max: int) -> LongExactSequenceReport:
     """Materialize the six-term-per-degree long exact sequence at level q.
 
     Verifies, as subspace identities on class coordinates: injectivity at
     the start, image = kernel at every interior node up to degree p_max,
-    using the connecting homomorphism into degree p_max + 1.
+    using the connecting homomorphism into degree p_max + 1.  The horseshoe
+    needs p_max + 2 boundaries of the outer resolutions; it extends the
+    cached forward ones (those of the grid) rather than rebuilding them.
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
     if p_max > 3:
         raise BudgetExceeded("long-exact-sequence degrees are limited to p_max <= 3")
     f = algebra.field
-    filt = filtration if filtration is not None else filtration_for(algebra, sigma)
+    filt = filtration_for(algebra, sigma)
     length = p_max + 2
     # the sequence and its horseshoe depend only on (S, q), not on V
     def certified_ses():
@@ -252,8 +251,8 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
         return ses
 
     ses = algebra.cached(("ses", sigma.members, q), certified_ses)
-    shoe = algebra.cached(("horseshoe", sigma.members, q, length, order),
-                          lambda: horseshoe(ses, length, order))
+    shoe = algebra.cached(("horseshoe", sigma.members, q, length),
+                          lambda: horseshoe(ses, length))
     res_l, res_m, res_n = shoe.res_left, shoe.res_middle, shoe.res_right
 
     deltas_n = [hom_delta(res_n, v, i) for i in range(length)]
@@ -321,20 +320,16 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
 
 def power_identification(algebra: GroupAlgebra, sigma: NormalSubgroup,
                          v: GammaModule, q: int, p: int,
-                         filtration: IdealFiltration | None = None,
                          classical_dim: int | None = None) -> tuple[int, int]:
     """(dim Ext^p(J_q/J_{q+1}, V),  N(q) * dim H^p(G, V)) for equality assertion.
 
     classical_dim short-circuits the brute-force factor when the caller has
     already computed dim H^p(G, V).
     """
-    filt = filtration if filtration is not None else filtration_for(algebra, sigma)
-    res = resolution_of_layer(algebra, sigma, q, p + 1, filtration=filt)
-    lhs = ext(res, v, p)
+    lhs = ext(resolution_of_layer(algebra, sigma, q, p + 1), v, p)
     if classical_dim is None:
         classical_dim = bar_dimension(algebra.group, v, p)
-    rhs = filt.n(q) * classical_dim
-    return lhs, rhs
+    return lhs, filtration_for(algebra, sigma).n(q) * classical_dim
 
 
 @dataclass(frozen=True)
@@ -349,7 +344,6 @@ class VanishingReport:
 
 def vanishing_check(algebra: GroupAlgebra, sigma: NormalSubgroup,
                     v_acyclic: GammaModule, q_max: int, p_max: int,
-                    filtration: IdealFiltration | None = None,
                     budget: int = DEFAULT_BAR_BUDGET) -> VanishingReport:
     """Certify acyclicity at q = 1 by brute force, then sweep the grid.
 
@@ -357,11 +351,10 @@ def vanishing_check(algebra: GroupAlgebra, sigma: NormalSubgroup,
     that the bar budget skips certifies nothing: the grid is still swept,
     and `ok` then rests on the grid alone.
     """
-    filt = filtration if filtration is not None else filtration_for(algebra, sigma)
     bar = {p: bar_dimension_or_none(algebra.group, v_acyclic, p, budget)
            for p in range(1, p_max + 1)}
     skipped = tuple(p for p, d in bar.items() if d is None)
     certified = False if any(bar.values()) else None if skipped else True
-    dims = [higher_cohomology(algebra, sigma, v_acyclic, q, p, filt)
+    dims = [higher_cohomology(algebra, sigma, v_acyclic, q, p)
             for q in range(1, q_max + 1) for p in range(1, p_max + 1)]
     return VanishingReport(certified, certified is not False and not any(dims), skipped)

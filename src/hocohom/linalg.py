@@ -124,15 +124,19 @@ class Field:
         return "Q" if self.p is None else f"F{self.p}"
 
     def coerce(self, x):
-        """Coerce an int, string, or Fraction to a canonical scalar."""
+        """Coerce an int, string, or Fraction to a canonical scalar; a string
+        that names no exact rational raises LinalgError."""
         p = self.p
         kind = type(x)
+        if kind is str:
+            try:
+                x = Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                raise LinalgError(f"{x!r} is not an exact rational") from None
         if p is None:
-            return x if kind is Fraction else Fraction(x)
+            return x if type(x) is Fraction else Fraction(x)
         if kind is int:
             return x % p
-        if kind is str:
-            x = Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator % p == 0:
                 raise LinalgError(f"{x} has no image in F_{p}")

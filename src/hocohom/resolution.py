@@ -4,7 +4,10 @@ Resolutions are built by iterated kernels: greedily cover a module by a
 free module (picking standard basis vectors whose A-orbits grow the span),
 take the kernel of the covering map, repackage it as a module in its own
 canonical coordinates, and repeat.  The construction is deterministic and
-certified exact at every stage by rank arithmetic, and Ext is the
+certified exact at every stage by rank arithmetic.  Each step depends only
+on the map before it, so the resolutions of A/J_q and of J_q/J_{q+1} are
+cached on the algebra per (S, q, order) and a request for more degrees
+continues the cached one from its last boundary.  Ext is the
 cohomology of the Hom_A(-, V) complex of such a resolution: a hom from a
 free module of rank k is the tuple of its generator images in V, and the
 coboundary is precomposition with the boundary.  Every caller needs only
@@ -217,15 +220,22 @@ def build_resolution(m: AModule, length: int, order: str = "forward") -> FreeRes
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    algebra = m.algebra
+    cover = free_cover(m, order)
+    return _extend(FreeResolution(m, (cover.rank,), cover.surjection, ()), length, order)
+
+
+def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
+    """res continued from its last map to `length` boundaries; the result
+    equals build_resolution(res.target, length, order), since each step
+    depends only on the map before it and that map's free rank."""
+    algebra = res.algebra
     f = algebra.field
     n = algebra.dim
-    cover = free_cover(m, order)
-    ranks = [cover.rank]
-    boundaries = []
-    prev_map = cover.surjection
-    prev_rank = cover.rank
-    for i in range(1, length + 1):
+    ranks = list(res.ranks)
+    boundaries = list(res.boundaries)
+    prev_map = boundaries[-1] if boundaries else res.augmentation
+    for i in range(len(boundaries) + 1, length + 1):
+        prev_rank = ranks[-1]
         ker_sub = kernel(prev_map)
         if ker_sub.dim == 0:
             boundary = Matrix.zeros(f, prev_rank * n, 0)
@@ -233,7 +243,7 @@ def build_resolution(m: AModule, length: int, order: str = "forward") -> FreeRes
         else:
             khat = amodule_from_subspace(
                 algebra, free_amodule(algebra, prev_rank).module, ker_sub,
-                f"ker step {i} of {m.label}")
+                f"ker step {i} of {res.target.label}")
             kcover = free_cover(khat, order)
             boundary = amap_from_generator_images(
                 algebra, free_amodule(algebra, prev_rank).module,
@@ -241,15 +251,12 @@ def build_resolution(m: AModule, length: int, order: str = "forward") -> FreeRes
             next_rank = kcover.rank
             if rank(boundary) != ker_sub.dim:
                 raise RuntimeError("resolution step failed exactness certification")
-        if boundaries and not (boundaries[-1] @ boundary).is_zero():
-            raise RuntimeError("consecutive boundaries do not compose to zero")
-        if not boundaries and not (prev_map @ boundary).is_zero():
-            raise RuntimeError("augmentation does not kill the first boundary image")
+        if not (prev_map @ boundary).is_zero():
+            raise RuntimeError(f"boundary {i} does not compose to zero with the map before it")
         boundaries.append(boundary)
         ranks.append(next_rank)
         prev_map = boundary
-        prev_rank = next_rank
-    return FreeResolution(m, tuple(ranks), cover.surjection, tuple(boundaries))
+    return FreeResolution(res.target, tuple(ranks), res.augmentation, tuple(boundaries))
 
 
 # ---------------------------------------------------------------------------
@@ -305,62 +312,65 @@ def ext(resolution: FreeResolution, v: GammaModule, p: int) -> int:
 # ---------------------------------------------------------------------------
 # the composed pipeline and its cache
 
-def filtration_for(algebra: GroupAlgebra, sigma: NormalSubgroup,
-                   q_max: int | None = None) -> IdealFiltration:
-    # the cached chain clamps beyond stabilization, so any stored copy serves all q
-    return algebra.cached(("filtration", sigma.members),
-                          lambda: j_filtration(algebra, sigma, q_max))
+def filtration_for(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltration:
+    return algebra.cached(("filtration", sigma.members), lambda: j_filtration(algebra, sigma))
 
 
-def quotient_by_j(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
-                  filtration: IdealFiltration | None = None) -> tuple[AModule, QuotientMap]:
+def _resolution(algebra: GroupAlgebra, key, module, length: int,
+                order: str = "forward") -> FreeResolution:
+    """The resolution cached under key, with at least `length` boundaries.
+
+    A miss builds it from module(); a cached one that is too short is
+    continued from its last boundary and stored again under the same key,
+    so each resolution is built once, only as far as the highest degree
+    asked of it.
+    """
+    res = algebra._cache.get(key)
+    if res is None:
+        res = build_resolution(module(), length, order)
+    elif res.length < length:
+        res = _extend(res, length, order)
+    else:
+        return res
+    algebra._cache[key] = res
+    return res
+
+
+def quotient_by_j(algebra: GroupAlgebra, sigma: NormalSubgroup,
+                  q: int) -> tuple[AModule, QuotientMap]:
     """A/J_q as a module in canonical complement coordinates."""
-    filt = filtration if filtration is not None else filtration_for(algebra, sigma)
     return algebra.cached(("ajq", sigma.members, q), lambda: quotient_amodule(
-        algebra, filt.j(q), Subspace.whole(algebra.field, algebra.dim), label=f"A/J_{q}"))
+        algebra, filtration_for(algebra, sigma).j(q),
+        Subspace.whole(algebra.field, algebra.dim), label=f"A/J_{q}"))
 
 
 def resolution_of_quotient(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
-                           length: int, order: str = "forward",
-                           filtration: IdealFiltration | None = None) -> FreeResolution:
-    key = ("resolution", sigma.members, q, order)
-    cached = algebra._cache.get(key)
-    if cached is None or cached.length < length:
-        amod, _ = quotient_by_j(algebra, sigma, q, filtration)
-        cached = build_resolution(amod, length, order)
-        algebra._cache[key] = cached
-    return cached
+                           length: int, order: str = "forward") -> FreeResolution:
+    return _resolution(algebra, ("resolution", sigma.members, q, order),
+                       lambda: quotient_by_j(algebra, sigma, q)[0], length, order)
 
 
-def layer_module(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
-                 filtration: IdealFiltration | None = None) -> tuple[AModule, QuotientMap]:
+def layer_module(algebra: GroupAlgebra, sigma: NormalSubgroup,
+                 q: int) -> tuple[AModule, QuotientMap]:
     """J_q/J_{q+1} in canonical complement coordinates (cached)."""
-    filt = filtration if filtration is not None else filtration_for(algebra, sigma)
+    filt = filtration_for(algebra, sigma)
     return algebra.cached(("layer", sigma.members, q), lambda: quotient_amodule(
         algebra, filt.j(q + 1), filt.j(q), label=f"J_{q}/J_{q + 1}"))
 
 
 def resolution_of_layer(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
-                        length: int, order: str = "forward",
-                        filtration: IdealFiltration | None = None) -> FreeResolution:
-    key = ("res_layer", sigma.members, q, order)
-    cached = algebra._cache.get(key)
-    if cached is None or cached.length < length:
-        layer, _ = layer_module(algebra, sigma, q, filtration)
-        cached = build_resolution(layer, length, order)
-        algebra._cache[key] = cached
-    return cached
+                        length: int) -> FreeResolution:
+    return _resolution(algebra, ("res_layer", sigma.members, q),
+                       lambda: layer_module(algebra, sigma, q)[0], length)
 
 
 def higher_cohomology(algebra: GroupAlgebra, sigma: NormalSubgroup,
                       v: GammaModule, q: int, p: int,
-                      filtration: IdealFiltration | None = None,
                       order: str = "forward") -> int:
-    """dim H_q^p(G, S, V) = dim Ext^p(A/J_q, V), resolutions cached per (S, q)."""
+    """dim H_q^p(G, S, V) = dim Ext^p(A/J_q, V), resolutions cached per (S, q, order)."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    res = resolution_of_quotient(algebra, sigma, q, p + 1, order, filtration)
-    return ext(res, v, p)
+    return ext(resolution_of_quotient(algebra, sigma, q, p + 1, order), v, p)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_criterion_1_cyclic_group_table():
         field = Field.prime(p)
         group = cyclic(p)
         algebra = GroupAlgebra(group, field)
-        filt = j_filtration(algebra, trivial_subgroup(group), q_max=p + 2)
+        filt = j_filtration(algebra, trivial_subgroup(group))
         reg = regular_module(algebra)
 
         # local oracle: A = F_p[u]/(u^p); I^q spanned by u^q * u^j
@@ -186,8 +186,8 @@ def test_criterion_3_cocycle_cross_oracle():
         filt = filtration_for(algebra, sigma)
         for name, v in modules:
             for q in range(1, filt.stabilization_q + 2):
-                cocycle = h_q1_cocycle(algebra, sigma, v, q, filt)
-                ext_dim = higher_cohomology(algebra, sigma, v, q, 1, filt)
+                cocycle = h_q1_cocycle(algebra, sigma, v, q)
+                ext_dim = higher_cohomology(algebra, sigma, v, q, 1)
                 if cocycle != ext_dim:
                     failures.append((algebra.group.order, algebra.field.name,
                                      name, q, cocycle, ext_dim))
@@ -199,10 +199,9 @@ def test_criterion_4_les_exactness():
     started = time.monotonic()
     failures = []
     for algebra, sigma, modules in _suite_instances():
-        filt = filtration_for(algebra, sigma)
         for name, v in modules:
             for q in (1, 2):
-                report = long_exact_sequence(algebra, sigma, v, q, 2, filt)
+                report = long_exact_sequence(algebra, sigma, v, q, 2)
                 if not report.exact:
                     failures.append((algebra.group.order, algebra.field.name,
                                      name, q))
@@ -219,7 +218,7 @@ def test_criterion_5_power_identification():
         for name, v in modules:
             for q in range(1, min(filt.stabilization_q + 2, 4)):
                 for p in (0, 1, 2):
-                    lhs, rhs = power_identification(algebra, sigma, v, q, p, filt)
+                    lhs, rhs = power_identification(algebra, sigma, v, q, p)
                     if lhs != rhs:
                         failures.append((algebra.group.order, algebra.field.name,
                                          name, q, p, lhs, rhs))
@@ -270,7 +269,7 @@ def test_criterion_7_collapse_law():
             failures.append(("stabilization", group.order))
             continue
         for v in (trivial_module(group, Q, 1), regular_module(algebra)):
-            rows = [[higher_cohomology(algebra, sigma, v, q, p, filt)
+            rows = [[higher_cohomology(algebra, sigma, v, q, p)
                      for p in (0, 1, 2)] for q in (1, 2, 3)]
             if any(row != rows[0] for row in rows):
                 failures.append(("rational", group.order, rows))
@@ -285,7 +284,7 @@ def test_criterion_7_collapse_law():
     if filt.stabilization_q != 1:
         failures.append(("stabilization", "sigma=G"))
     for v in (trivial_module(group, F2, 1), regular_module(algebra)):
-        rows = [[higher_cohomology(algebra, sigma, v, q, p, filt)
+        rows = [[higher_cohomology(algebra, sigma, v, q, p)
                  for p in (0, 1, 2)] for q in (1, 2, 3)]
         if any(row != rows[0] for row in rows):
             failures.append(("modular-full-sigma", rows))
@@ -303,12 +302,12 @@ def test_criterion_8_special_case_ideals():
                          (s3(), F2), (s3(), F3), (s3(), Q)]:
         algebra = GroupAlgebra(group, field)
         # sigma trivial: J_q must equal I^q computed by full pairwise products
-        filt = j_filtration(algebra, trivial_subgroup(group), q_max=3)
+        filt = j_filtration(algebra, trivial_subgroup(group))
         for q in range(1, filt.stabilization_q + 2):
             if filt.j(q) != i_power_by_products(algebra, q):
                 failures.append(("trivial", group.order, field.name, q))
         # sigma the whole group: J_q constant at the augmentation ideal
-        filt_full = j_filtration(algebra, full_subgroup(group), q_max=3)
+        filt_full = j_filtration(algebra, full_subgroup(group))
         aug = augmentation_ideal(algebra)
         for q in range(1, 5):
             if filt_full.j(q) != aug:

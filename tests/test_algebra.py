@@ -197,7 +197,7 @@ def test_cyclic_filtration_dims(p):
 def test_filtration_sigma_trivial_j_equals_ipow():
     g = s3()
     alg = GroupAlgebra(g, F2)
-    filt = j_filtration(alg, trivial_subgroup(g), q_max=4)
+    filt = j_filtration(alg, trivial_subgroup(g))
     for q in range(1, 5):
         assert filt.j(q) == i_power_by_products(alg, q)
 
@@ -205,7 +205,7 @@ def test_filtration_sigma_trivial_j_equals_ipow():
 def test_filtration_sigma_full_constant():
     g = s3()
     alg = GroupAlgebra(g, F2)
-    filt = j_filtration(alg, full_subgroup(g), q_max=3)
+    filt = j_filtration(alg, full_subgroup(g))
     aug = augmentation_ideal(alg)
     for q in range(1, 5):
         assert filt.j(q) == aug
@@ -239,7 +239,7 @@ def test_chain_condition_and_two_sidedness(field):
     g = s3()
     alg = GroupAlgebra(g, field)
     a3 = subgroup_closure(g, [g.gen_indices[0]])
-    filt = j_filtration(alg, a3, q_max=3)
+    filt = j_filtration(alg, a3)
     dims = [filt.j(q).dim for q in range(1, 5)]
     assert all(a >= b for a, b in zip(dims, dims[1:]))
     assert filt.stabilization_q <= alg.dim
@@ -258,7 +258,7 @@ def test_ideal_product_inclusion(field):
     g = s3()
     alg = GroupAlgebra(g, field)
     a3 = subgroup_closure(g, [g.gen_indices[0]])
-    filt = j_filtration(alg, a3, q_max=2)
+    filt = j_filtration(alg, a3)
     for q in (1, 2):
         jq, jq1 = filt.j(q), filt.j(q + 1)
         products = [_multiply(g, x, y) for a_row in filt.augmentation.basis.entries
@@ -295,7 +295,7 @@ def test_abelianization_law(make, p):
 def test_rational_semisimplicity(make):
     g = make()
     alg = GroupAlgebra(g, Q)
-    filt = j_filtration(alg, trivial_subgroup(g), q_max=3)
+    filt = j_filtration(alg, trivial_subgroup(g))
     aug = augmentation_ideal(alg)
     for q in range(1, 5):
         assert filt.j(q) == aug
@@ -321,6 +321,6 @@ def test_left_route_oracle_agrees(field):
     for sigma in (trivial_subgroup(g),
                   subgroup_closure(g, [g.gen_indices[0]]),
                   full_subgroup(g)):
-        filt = j_filtration(alg, sigma, q_max=3)
+        filt = j_filtration(alg, sigma)
         for q in range(1, 4):
             assert j_by_left_route(alg, sigma, q) == filt.j(q)

@@ -387,3 +387,29 @@ def test_j_filtration_stops_at_its_cap(monkeypatch):
     monkeypatch.setattr(Subspace, "__eq__", lambda self, other: False)
     with pytest.raises(AlgebraError, match="did not stabilize"):
         j_filtration(spec.algebra(), spec.sigma)
+
+
+@pytest.mark.parametrize("verb, spec_name", [
+    (lambda spec: cli.cmd_cohom(spec, recheck=True), "s3_a3_f2.json"),
+    (cli.cmd_verify, "d4_f2.json"),
+])
+def test_one_resolution_build_and_one_filtration_per_request(monkeypatch, verb, spec_name):
+    # a longer request extends the cached resolution instead of rebuilding it
+    from hocohom import resolution
+    builds, chains = [], []
+    build, chain = resolution.build_resolution, resolution.j_filtration
+
+    def spy_build(m, length, order="forward"):
+        builds.append((m.label, order))
+        return build(m, length, order)
+
+    def spy_chain(algebra, sigma):
+        chains.append(sigma.members)
+        return chain(algebra, sigma)
+
+    monkeypatch.setattr(resolution, "build_resolution", spy_build)
+    monkeypatch.setattr(resolution, "j_filtration", spy_chain)
+    _, ok = verb(load_problem(SPECS / spec_name))
+    assert ok
+    assert builds and len(builds) == len(set(builds)), builds
+    assert len(chains) == 1

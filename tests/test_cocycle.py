@@ -146,6 +146,6 @@ def test_triple_agreement_small():
             filt = j_filtration(alg, sigma)
             for v in (trivial_module(group, field, 1), regular_module(alg)):
                 for q in range(1, filt.stabilization_q + 2):
-                    cocycle_dim = h_q1_cocycle(alg, sigma, v, q, filt)
-                    ext_dim = higher_cohomology(alg, sigma, v, q, 1, filt)
+                    cocycle_dim = h_q1_cocycle(alg, sigma, v, q)
+                    ext_dim = higher_cohomology(alg, sigma, v, q, 1)
                     assert cocycle_dim == ext_dim, (group.order, field.name, q)

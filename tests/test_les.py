@@ -59,7 +59,7 @@ def test_ses_dims_s3_a3():
 def test_ses_stabilized_left_term_zero():
     g = s3()
     alg = GroupAlgebra(g, F2)
-    filt = j_filtration(alg, a3_in(g), q_max=3)
+    filt = j_filtration(alg, a3_in(g))
     ses = quotient_ses(alg, filt, 3)  # past stabilization at q = 2
     assert ses.left.dim == 0
     assert ses.middle.dim == ses.right.dim
@@ -136,24 +136,20 @@ def test_horseshoe_and_ses_built_once_per_level(monkeypatch):
         built["ses"].append(q)
         return quotient_ses_body(algebra, filtration, q)
 
-    def spy_horseshoe(ses, length, order="forward"):
-        built["horseshoe"].append((ses.q, length, order))
-        return horseshoe_body(ses, length, order)
+    def spy_horseshoe(ses, length):
+        built["horseshoe"].append((ses.q, length))
+        return horseshoe_body(ses, length)
 
     monkeypatch.setattr(les, "quotient_ses", spy_ses)
     monkeypatch.setattr(les, "horseshoe", spy_horseshoe)
     g = s3()
     alg = GroupAlgebra(g, F2)
     sigma = a3_in(g)
-    filt = filtration_for(alg, sigma)
     trivial, regular = trivial_module(g, F2, 1), regular_module(alg)
-    reports = {(q, v.dim): long_exact_sequence(alg, sigma, v, q, 2, filt)
+    reports = {(q, v.dim): long_exact_sequence(alg, sigma, v, q, 2)
                for q in (1, 2) for v in (trivial, regular)}
     assert built["ses"] == [1, 2]
-    assert built["horseshoe"] == [(1, 4, "forward"), (2, 4, "forward")]
-    long_exact_sequence(alg, sigma, regular, 1, 2, filt, order="reverse")
-    assert built["ses"] == [1, 2]
-    assert built["horseshoe"][2:] == [(1, 4, "reverse")]
+    assert built["horseshoe"] == [(1, 4), (2, 4)]
     # the second module's report, from the cached horseshoe, equals a fresh one
     assert reports[(1, regular.dim)] == long_exact_sequence(
         GroupAlgebra(g, F2), sigma, regular, 1, 2)
@@ -189,9 +185,8 @@ def test_les_exactness_suite():
             for v in mods:
                 cases.append((alg, sigma, v))
     for alg, sigma, v in cases:
-        filt = filtration_for(alg, sigma)
         for q in (1, 2):
-            report = long_exact_sequence(alg, sigma, v, q, 2, filt)
+            report = long_exact_sequence(alg, sigma, v, q, 2)
             assert report.exact, (alg, sigma.order, v.dim, q)
 
 
@@ -200,11 +195,10 @@ def test_les_reported_dims_match_direct_computation():
     alg = GroupAlgebra(g, F2)
     sigma = a3_in(g)
     v = regular_module(alg)
-    filt = filtration_for(alg, sigma)
-    report = long_exact_sequence(alg, sigma, v, 1, 2, filt)
+    report = long_exact_sequence(alg, sigma, v, 1, 2)
     for d in report.degrees:
-        assert d.dim_lower == higher_cohomology(alg, sigma, v, 1, d.p, filt)
-        assert d.dim_upper == higher_cohomology(alg, sigma, v, 2, d.p, filt)
+        assert d.dim_lower == higher_cohomology(alg, sigma, v, 1, d.p)
+        assert d.dim_upper == higher_cohomology(alg, sigma, v, 2, d.p)
 
 
 def test_les_coinduced_h0_dimension_law():
@@ -216,7 +210,7 @@ def test_les_coinduced_h0_dimension_law():
         v = coinduced_module(group, field, 1)
         filt = filtration_for(alg, sigma)
         for q in (1, 2):
-            report = long_exact_sequence(alg, sigma, v, q, 1, filt)
+            report = long_exact_sequence(alg, sigma, v, q, 1)
             assert report.exact
             d0 = report.degrees[0]
             assert d0.dim_upper == d0.dim_lower + filt.n(q) * bar_dimension(group, v, 0)
@@ -285,11 +279,10 @@ def test_power_identification_suite():
     for group, field in [(c2(), F2), (cyclic(3), F3), (s3(), F2)]:
         alg = GroupAlgebra(group, field)
         sigma = trivial_subgroup(group)
-        filt = filtration_for(alg, sigma)
         for v in (trivial_module(group, field, 1), regular_module(alg)):
             for q in (1, 2):
                 for p in (0, 1, 2):
-                    lhs, rhs = power_identification(alg, sigma, v, q, p, filt)
+                    lhs, rhs = power_identification(alg, sigma, v, q, p)
                     assert lhs == rhs, (group.order, field.name, q, p)
 
 

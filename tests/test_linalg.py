@@ -1,6 +1,7 @@
 """Exactness, canonicity, and subspace arithmetic of the linear algebra core."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -48,6 +49,12 @@ def test_field_coerce_canonical():
     assert Q.coerce("-3/6") == Fraction(-1, 2)
     with pytest.raises(LinalgError):
         F2.coerce("1/2")
+    for field in (Q, F5):
+        for bad in ("1/0", "x", "1.5e"):
+            with pytest.raises(LinalgError, match=re.escape(repr(bad))):
+                field.coerce(bad)
+            with pytest.raises(LinalgError, match=re.escape(repr(bad))):
+                Matrix(field, [[bad]])
 
 
 def test_rref_empty_matrix():

@@ -133,7 +133,7 @@ def test_coinduced_homomorphism_property():
 def test_annihilator_trivial_module_is_everything():
     g = s3()
     alg = GroupAlgebra(g, F2)
-    filt = j_filtration(alg, trivial_subgroup(g), q_max=3)
+    filt = j_filtration(alg, trivial_subgroup(g))
     v = trivial_module(g, F2, 2)
     for q in (1, 2, 3):
         assert h_q0_annihilator(v, filt, q).dim == 2
@@ -155,7 +155,7 @@ def test_annihilator_cyclic_regular_min_q_p(p):
     field = Field.prime(p)
     g = cyclic(p)
     alg = GroupAlgebra(g, field)
-    filt = j_filtration(alg, trivial_subgroup(g), q_max=p + 1)
+    filt = j_filtration(alg, trivial_subgroup(g))
     v = regular_module(alg)
     for q in range(1, p + 2):
         assert h_q0_annihilator(v, filt, q).dim == min(q, p)

@@ -622,6 +622,25 @@ def test_resolution_cache_returns_same_object():
     assert r3.length >= 4
 
 
+def test_extended_resolution_equals_a_fresh_build():
+    d4 = close_generators([Permutation([1, 2, 3, 0]), Permutation([3, 2, 1, 0])])
+    for group, field in [(d4, F2), (s3(), Q), (s3(), F3)]:
+        alg = GroupAlgebra(group, field)
+        sigma = trivial_subgroup(group)
+        for q in (1, 2):
+            for order in ("forward", "reverse"):
+                short = resolution_of_quotient(alg, sigma, q, 1, order)
+                extended = resolution_of_quotient(alg, sigma, q, 4, order)
+                assert short.length == 1 and extended.length == 4
+                assert resolution_of_quotient(alg, sigma, q, 2, order) is extended
+                fresh = build_resolution(quotient_by_j(alg, sigma, q)[0], 4, order)
+                assert extended.ranks == fresh.ranks
+                assert extended.augmentation == fresh.augmentation
+                assert extended.boundaries == fresh.boundaries
+                assert extended.ranks[:2] == short.ranks
+                assert extended.boundaries[:1] == short.boundaries
+
+
 # --- permutation-action free modules and generator-only stability -------------
 
 @pytest.mark.parametrize("k", [0, 1, 3])
