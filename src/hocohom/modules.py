@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import GroupAlgebra, IdealFiltration
+from .algebra import IdealFiltration
 from .groups import FiniteGroup, NormalSubgroup
 from .linalg import (
     Field, Matrix, QuotientMap, Subspace, common_denominator, contract, kernel,
@@ -190,9 +190,9 @@ def make_module(group: FiniteGroup, field: Field, gen_matrices) -> GammaModule:
     return module
 
 
-def regular_module(algebra: GroupAlgebra) -> GammaModule:
-    """A as a left module over itself: action by left multiplication."""
-    return GammaModule.permutation(algebra.group, algebra.field, algebra.group.mult)
+def regular_module(group: FiniteGroup, field: Field) -> GammaModule:
+    """R[G] as a left module over itself: action by left multiplication."""
+    return GammaModule.permutation(group, field, group.mult)
 
 
 def coinduced_module(group: FiniteGroup, field: Field, base_dim: int = 1) -> GammaModule:

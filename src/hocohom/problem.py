@@ -233,7 +233,7 @@ def _build_module(spec: ProblemSpec, name: str, raw: dict) -> GammaModule:
     if kind == "trivial":
         return trivial_module(spec.group, spec.field, raw.get("dim", 1))
     if kind == "regular":
-        return regular_module(spec.algebra())
+        return regular_module(spec.group, spec.field)
     if kind == "coinduced":
         return coinduced_module(spec.group, spec.field, raw.get("base_dim", 1))
     mats = []

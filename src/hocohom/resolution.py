@@ -23,8 +23,25 @@ of the coboundary formula is a single vectorized addition at column
 indices read off the multiplication table, rows over Q are scaled to
 integers, and the dtype is the smallest that holds the entries (int8 for
 small fields and small rational actions).  Its rank is taken in the field
-by `rank_of_int_rows`, certified over Q.  The bar budget bounds the
-largest cochain space touched, dim C^{p+1}, before anything is built.
+by `rank_of_int_rows`, certified over Q.
+
+Only the rows of delta^p whose leading argument g_1 is a generator of G
+are built, k |G|^p dim V of them for k distinct generators instead of
+|G|^{p+1} dim V, because they have the same kernel (so the same rank,
+over every field):
+
+    Lemma.  Let psi_g(g_2..g_{p+1}) = (delta phi)(g, g_2..g_{p+1}).  If
+    psi_a = 0 and psi_b = 0, then psi_{ab} = 0.
+    Proof.  Expand 0 = (delta delta phi)(a, b, g_2..g_{p+1}).  Every term
+    but -psi_{ab}(g_2..g_{p+1}) has leading argument a or b, so it is 0.
+    Every element of a finite group is a product of generators (the
+    identity included), so phi is a cocycle once psi_g = 0 for every
+    generator g.
+
+The bar budget bounds the largest cochain space of the complex,
+dim C^{p+1} = |G|^{p+1} dim V, not the rows built, and is checked before
+anything is built, so the degrees it skips do not depend on the
+generating set.
 """
 
 from __future__ import annotations
@@ -139,7 +156,7 @@ def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
     the quotient coordinate map used to build it.
     """
     if ambient is None:
-        ambient = regular_module(algebra)
+        ambient = regular_module(algebra.group, algebra.field)
     _certify_stable(ambient, sup)
     _certify_stable(ambient, sub)
     qmap = QuotientMap(sup, sub)
@@ -241,13 +258,12 @@ def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
             boundary = Matrix.zeros(f, prev_rank * n, 0)
             next_rank = 0
         else:
-            khat = amodule_from_subspace(
-                algebra, free_amodule(algebra, prev_rank).module, ker_sub,
-                f"ker step {i} of {res.target.label}")
+            free = free_amodule(algebra, prev_rank).module
+            khat = amodule_from_subspace(algebra, free, ker_sub,
+                                         f"ker step {i} of {res.target.label}")
             kcover = free_cover(khat, order)
-            boundary = amap_from_generator_images(
-                algebra, free_amodule(algebra, prev_rank).module,
-                ker_sub.basis.take_rows(kcover.chosen))
+            boundary = amap_from_generator_images(algebra, free,
+                                                  ker_sub.basis.take_rows(kcover.chosen))
             next_rank = kcover.rank
             if rank(boundary) != ker_sub.dim:
                 raise RuntimeError("resolution step failed exactness certification")
@@ -377,15 +393,19 @@ def higher_cohomology(algebra: GroupAlgebra, sigma: NormalSubgroup,
 # brute-force classical cohomology (independent oracle)
 
 def _bar_coboundary(group: FiniteGroup, v: GammaModule, i: int) -> np.ndarray:
-    """Integer matrix of the inhomogeneous coboundary C^i -> C^{i+1}.
+    """Integer matrix of the generator rows of the coboundary C^i -> C^{i+1}.
 
     (d phi)(g_1..g_{i+1}) = g_1 phi(g_2..g_{i+1})
                             + sum_m (-1)^m phi(.., g_m g_{m+1}, ..)
                             + (-1)^{i+1} phi(g_1..g_i).
-    Row (sigma, t) is sigma * dim V + t and column (tau, s) is
-    tau * dim V + s, with a tuple read as a base-|G| number, g_1 leading.
-    Each term of the formula is one vectorized addition over all rows at
-    once, at column indices computed from the multiplication table.
+    Only the rows with g_1 in the generating set are built (the identity
+    for a group with no generators); they have the kernel of the whole
+    coboundary, by the lemma in the module docstring.  The rows are those
+    of the full matrix with such a g_1, in their order there: row
+    (sigma, t) of the full matrix is sigma * dim V + t and column (tau, s)
+    is tau * dim V + s, with a tuple read as a base-|G| number, g_1
+    leading.  Each term of the formula is one vectorized addition over all
+    rows at once, at column indices computed from the multiplication table.
 
     Over F_p the entries are residues of the action and +-1.  Over Q row
     (sigma, t) is multiplied by the lcm of the denominators in row t of
@@ -408,17 +428,19 @@ def _bar_coboundary(group: FiniteGroup, v: GammaModule, i: int) -> np.ndarray:
     act = np.array(rows, dtype=dtype).reshape(n, d, d)
     scale = np.array(scales, dtype=dtype).reshape(n, d)
 
-    sigma = np.arange(n ** (i + 1))
+    heads = np.array(sorted(set(group.gen_indices)) or [0])
+    sigma = (heads[:, None] * n ** i + np.arange(n ** i)).ravel()
     digits = [sigma // n ** (i - k) % n for k in range(i + 1)]     # g_1 .. g_{i+1}
     head = digits[0]
-    out = np.zeros((n ** (i + 1), d, n ** i, d), dtype=dtype)
+    row = np.arange(len(sigma))
+    out = np.zeros((len(sigma), d, n ** i, d), dtype=dtype)
     # g_1 phi(g_2..g_{i+1}): the block action[g_1] at column tuple (g_2..g_{i+1})
-    out[sigma, :, sigma % n ** i, :] += act[head]
+    out[row, :, sigma % n ** i, :] += act[head]
     t = np.arange(d)
     mult = np.array(group.mult)
 
     def face(tau, sign):
-        out[sigma[:, None], t, tau[:, None], t] += sign * scale[head]
+        out[row[:, None], t, tau[:, None], t] += sign * scale[head]
 
     for m in range(1, i + 1):
         merged = digits[:m - 1] + [mult[digits[m - 1], digits[m]]] + digits[m + 1:]
@@ -427,17 +449,20 @@ def _bar_coboundary(group: FiniteGroup, v: GammaModule, i: int) -> np.ndarray:
             tau = tau * n + digit
         face(tau, (-1) ** m)
     face(sigma // n, (-1) ** (i + 1))
-    return out.reshape(n ** (i + 1) * d, n ** i * d)
+    return out.reshape(len(sigma) * d, n ** i * d)
 
 
 def bar_dimension(group: FiniteGroup, v: GammaModule, p: int,
                   budget: int = DEFAULT_BAR_BUDGET) -> int:
     """dim H^p(G, V) from the inhomogeneous cochain complex.
 
-    This path never touches resolutions or Hom complexes.  Raises
-    BudgetExceeded, before anything is built, when p > 3 or when
-    dim C^{p+1} = |G|^{p+1} * dim V, the largest cochain space touched,
-    exceeds the budget.
+    This path never touches resolutions or Hom complexes.  The ranks are
+    those of the generator rows of delta^p and delta^{p-1}, which equal
+    the ranks of the whole coboundaries by the lemma in the module
+    docstring: a cochain killed by every row with leading argument a
+    generator is killed by every row.  Raises BudgetExceeded, before
+    anything is built, when p > 3 or when dim C^{p+1} = |G|^{p+1} * dim V,
+    the largest cochain space of the complex, exceeds the budget.
     """
     if p < 0:
         raise ValueError("p must be >= 0")

@@ -106,7 +106,7 @@ def test_criterion_1_cyclic_group_table():
         group = cyclic(p)
         algebra = GroupAlgebra(group, field)
         filt = j_filtration(algebra, trivial_subgroup(group))
-        reg = regular_module(algebra)
+        reg = regular_module(group, field)
 
         # local oracle: A = F_p[u]/(u^p); I^q spanned by u^q * u^j
         u = [0] * p
@@ -156,7 +156,7 @@ def _suite_instances():
                          (s3(), F2), (s3(), F3), (s3(), Q)]:
         algebra = GroupAlgebra(group, field)
         modules = [("trivial", trivial_module(group, field, 1)),
-                   ("regular", regular_module(algebra))]
+                   ("regular", regular_module(group, field))]
         if group.order == 6 and field.p != 2:
             modules.append(("sign", make_module(
                 group, field, [Matrix.identity(field, 1), Matrix(field, [[-1]])])))
@@ -268,7 +268,7 @@ def test_criterion_7_collapse_law():
         if filt.stabilization_q != 1:
             failures.append(("stabilization", group.order))
             continue
-        for v in (trivial_module(group, Q, 1), regular_module(algebra)):
+        for v in (trivial_module(group, Q, 1), regular_module(group, Q)):
             rows = [[higher_cohomology(algebra, sigma, v, q, p)
                      for p in (0, 1, 2)] for q in (1, 2, 3)]
             if any(row != rows[0] for row in rows):
@@ -283,7 +283,7 @@ def test_criterion_7_collapse_law():
     filt = filtration_for(algebra, sigma)
     if filt.stabilization_q != 1:
         failures.append(("stabilization", "sigma=G"))
-    for v in (trivial_module(group, F2, 1), regular_module(algebra)):
+    for v in (trivial_module(group, F2, 1), regular_module(group, F2)):
         rows = [[higher_cohomology(algebra, sigma, v, q, p)
                  for p in (0, 1, 2)] for q in (1, 2, 3)]
         if any(row != rows[0] for row in rows):

@@ -79,7 +79,7 @@ def test_alpha_kernel_is_annihilator():
         alg = GroupAlgebra(group, field)
         sigma = trivial_subgroup(group)
         filt = j_filtration(alg, sigma)
-        v = regular_module(alg)
+        v = regular_module(group, field)
         for q in range(1, filt.stabilization_q + 2):
             if filt.j(q).dim == 0:
                 continue
@@ -111,7 +111,7 @@ def test_generator_constraints_match_all_element_constraints():
         alg = GroupAlgebra(group, field)
         sigma = trivial_subgroup(group)
         filt = j_filtration(alg, sigma)
-        v = regular_module(alg)
+        v = regular_module(group, field)
         for q in (1, 2):
             jq = filt.j(q)
             if jq.dim == 0:
@@ -144,7 +144,7 @@ def test_triple_agreement_small():
         alg = GroupAlgebra(group, field)
         for sigma in (trivial_subgroup(group), full_subgroup(group)):
             filt = j_filtration(alg, sigma)
-            for v in (trivial_module(group, field, 1), regular_module(alg)):
+            for v in (trivial_module(group, field, 1), regular_module(group, field)):
                 for q in range(1, filt.stabilization_q + 2):
                     cocycle_dim = h_q1_cocycle(alg, sigma, v, q)
                     ext_dim = higher_cohomology(alg, sigma, v, q, 1)

@@ -122,7 +122,7 @@ def test_horseshoe_middle_matches_direct_ext():
     ses = quotient_ses(alg, filt, 1)
     shoe = horseshoe(ses, 3)
     direct = resolution_of_quotient(alg, sigma, 2, 3)
-    for v in (trivial_module(g, F2, 1), regular_module(alg)):
+    for v in (trivial_module(g, F2, 1), regular_module(g, F2)):
         for p in (0, 1, 2):
             assert ext(shoe.res_middle, v, p) == ext(direct, v, p)
 
@@ -145,7 +145,7 @@ def test_horseshoe_and_ses_built_once_per_level(monkeypatch):
     g = s3()
     alg = GroupAlgebra(g, F2)
     sigma = a3_in(g)
-    trivial, regular = trivial_module(g, F2, 1), regular_module(alg)
+    trivial, regular = trivial_module(g, F2, 1), regular_module(g, F2)
     reports = {(q, v.dim): long_exact_sequence(alg, sigma, v, q, 2)
                for q in (1, 2) for v in (trivial, regular)}
     assert built["ses"] == [1, 2]
@@ -181,7 +181,7 @@ def test_les_exactness_suite():
         if group.order == 6:
             sigmas.append(a3_in(group))
         for sigma in sigmas:
-            mods = [trivial_module(group, field, 1), regular_module(alg)]
+            mods = [trivial_module(group, field, 1), regular_module(group, field)]
             for v in mods:
                 cases.append((alg, sigma, v))
     for alg, sigma, v in cases:
@@ -194,7 +194,7 @@ def test_les_reported_dims_match_direct_computation():
     g = s3()
     alg = GroupAlgebra(g, F2)
     sigma = a3_in(g)
-    v = regular_module(alg)
+    v = regular_module(g, F2)
     report = long_exact_sequence(alg, sigma, v, 1, 2)
     for d in report.degrees:
         assert d.dim_lower == higher_cohomology(alg, sigma, v, 1, d.p)
@@ -235,7 +235,7 @@ def test_les_alternating_sum_identity():
     g = s3()
     alg = GroupAlgebra(g, F2)
     sigma = a3_in(g)
-    for v in (trivial_module(g, F2, 1), regular_module(alg)):
+    for v in (trivial_module(g, F2, 1), regular_module(g, F2)):
         report = long_exact_sequence(alg, sigma, v, 1, 2)
         terms = []
         for d in report.degrees:
@@ -279,7 +279,7 @@ def test_power_identification_suite():
     for group, field in [(c2(), F2), (cyclic(3), F3), (s3(), F2)]:
         alg = GroupAlgebra(group, field)
         sigma = trivial_subgroup(group)
-        for v in (trivial_module(group, field, 1), regular_module(alg)):
+        for v in (trivial_module(group, field, 1), regular_module(group, field)):
             for q in (1, 2):
                 for p in (0, 1, 2):
                     lhs, rhs = power_identification(alg, sigma, v, q, p)

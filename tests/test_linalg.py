@@ -589,12 +589,11 @@ def test_certified_rank_matches_exact_elimination(certificate_spy):
 def test_certified_rank_decides_the_rational_bar_oracle(certificate_spy):
     # the S3 coboundaries over Q have small kernel entries: the first prime
     # certifies every rank and exact elimination never runs
-    from hocohom.algebra import GroupAlgebra
     from hocohom.groups import Permutation, close_generators
     from hocohom.modules import make_module, regular_module
     from hocohom.resolution import bar_dimension
     g = close_generators([Permutation([1, 2, 0]), Permutation([1, 0, 2])])
-    regular = regular_module(GroupAlgebra(g, Q))
+    regular = regular_module(g, Q)
     sign = make_module(g, Q, [Matrix(Q, [[1]]), Matrix(Q, [[-1]])])
     assert [bar_dimension(g, regular, p) for p in range(3)] == [1, 0, 0]
     assert [bar_dimension(g, sign, p) for p in range(3)] == [0, 0, 0]

@@ -75,16 +75,14 @@ def test_sign_module_s3():
 
 
 def test_regular_module_c2_f2():
-    alg = GroupAlgebra(c2(), F2)
-    v = regular_module(alg)
+    v = regular_module(c2(), F2)
     assert v.dim == 2
     assert v.action[1].entries == ((0, 1), (1, 0))
     v.check_homomorphism()
 
 
 def test_regular_module_s3_q_permutation_matrices():
-    alg = GroupAlgebra(s3(), Q)
-    v = regular_module(alg)
+    v = regular_module(s3(), Q)
     assert v.dim == 6
     for m in v.action:
         for row in m.entries:
@@ -102,7 +100,7 @@ def test_coinduced_trivial_group():
 def test_coinduced_c2_isomorphic_to_regular():
     g = c2()
     co = coinduced_module(g, F2, 1)
-    reg = regular_module(GroupAlgebra(g, F2))
+    reg = regular_module(g, F2)
     co.check_homomorphism()
     # explicit equivariant isomorphism f -> sum_x f(x) x^{-1}
     grid = [[0] * 2 for _ in range(2)]
@@ -115,7 +113,7 @@ def test_coinduced_c2_isomorphic_to_regular():
 def test_coinduced_equivariant_iso_to_regular_s3():
     g = s3()
     co = coinduced_module(g, F3, 1)
-    reg = regular_module(GroupAlgebra(g, F3))
+    reg = regular_module(g, F3)
     grid = [[0] * 6 for _ in range(6)]
     for i in range(6):
         grid[g.inv[i]][i] = 1
@@ -143,7 +141,7 @@ def test_annihilator_c2_regular():
     g = c2()
     alg = GroupAlgebra(g, F2)
     filt = j_filtration(alg, trivial_subgroup(g))
-    v = regular_module(alg)
+    v = regular_module(g, F2)
     h1 = h_q0_annihilator(v, filt, 1)
     assert h1.dim == 1
     assert h1 == filt.augmentation  # ker(g+e) = I itself
@@ -156,21 +154,20 @@ def test_annihilator_cyclic_regular_min_q_p(p):
     g = cyclic(p)
     alg = GroupAlgebra(g, field)
     filt = j_filtration(alg, trivial_subgroup(g))
-    v = regular_module(alg)
+    v = regular_module(g, field)
     for q in range(1, p + 2):
         assert h_q0_annihilator(v, filt, q).dim == min(q, p)
 
 
 def test_inductive_h1_is_fixed_points():
     g = s3()
-    v = regular_module(GroupAlgebra(g, F2))
+    v = regular_module(g, F2)
     assert h_q0_inductive(v, trivial_subgroup(g), 1) == v.fixed_points()
 
 
 def test_inductive_sigma_full_is_constant():
     g = s3()
-    alg = GroupAlgebra(g, F2)
-    v = regular_module(alg)
+    v = regular_module(g, F2)
     sigma = full_subgroup(g)
     fixed = v.fixed_points()
     for q in (1, 2, 3):
@@ -179,8 +176,7 @@ def test_inductive_sigma_full_is_constant():
 
 def test_inductive_c2_regular_q2_is_everything():
     g = c2()
-    alg = GroupAlgebra(g, F2)
-    v = regular_module(alg)
+    v = regular_module(g, F2)
     assert h_q0_inductive(v, trivial_subgroup(g), 2).dim == 2
 
 
@@ -203,7 +199,7 @@ def _instances():
         if group.order == 6:
             sigmas.append(subgroup_closure(group, [group.gen_indices[0]]))
         for sigma in sigmas:
-            for v in (trivial_module(group, field, 1), regular_module(alg),
+            for v in (trivial_module(group, field, 1), regular_module(group, field),
                       coinduced_module(group, field, 1)):
                 out.append((alg, sigma, v))
     return out
@@ -236,7 +232,7 @@ def test_left_exactness_probe():
     alg = GroupAlgebra(g, F2)
     filt = j_filtration(alg, trivial_subgroup(g))
     v = trivial_module(g, F2, 1)
-    w = regular_module(alg)
+    w = regular_module(g, F2)
     norm = Matrix(F2, [[1], [1]])
     inj = ModuleMap(v, w, norm)
     for q in (1, 2):
@@ -251,8 +247,7 @@ def test_left_exactness_probe():
 
 def test_module_map_rejects_non_equivariant():
     g = c2()
-    alg = GroupAlgebra(g, F2)
     v = trivial_module(g, F2, 1)
-    w = regular_module(alg)
+    w = regular_module(g, F2)
     with pytest.raises(ValueError):
         ModuleMap(v, w, Matrix(F2, [[1], [0]]))

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hocohom.algebra import GroupAlgebra, i_power_by_products, j_filtration
 from hocohom.groups import (
     Permutation, close_generators, subgroup_closure,
 )
-from hocohom.linalg import Field, Matrix, QuotientMap, Subspace, column_space, kernel, rank
+from hocohom.linalg import (
+    Field, Matrix, QuotientMap, Subspace, column_space, kernel, rank, rank_of_int_rows,
+)
 from hocohom.modules import (
     trivial_module, regular_module, coinduced_module, make_module,
     h_q0_annihilator,
@@ -21,13 +24,15 @@ from hocohom.resolution import (
     free_cover, build_resolution, ext, hom_delta,
     higher_cohomology, quotient_by_j, filtration_for, resolution_of_quotient,
     bar_dimension,
-    NotStableError, ResolutionTooShort, BudgetExceeded,
+    NotStableError, ResolutionTooShort, BudgetExceeded, DEFAULT_BAR_BUDGET,
     _bar_coboundary,
 )
+from hocohom.problem import load_problem
 
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+SHIPPED_SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json"))
 
 
 def trivial_subgroup(group):
@@ -96,7 +101,7 @@ def test_free_cover_zero_module():
 
 def test_free_cover_regular_is_cyclic():
     alg = GroupAlgebra(s3(), F3)
-    m = AModule(alg, regular_module(alg), "A")
+    m = AModule(alg, regular_module(alg.group, alg.field), "A")
     cover = free_cover(m)
     assert cover.rank == 1
     assert rank(cover.surjection) == 6
@@ -130,7 +135,7 @@ def test_free_cover_matches_the_per_vector_sweep():
     d4_f2 = GroupAlgebra(d4, F2)
     s3_q = GroupAlgebra(s3(), Q)
     modules = [AModule(d4_f2, coinduced_module(d4, F2, 1), "coinduced"),
-               AModule(s3_q, regular_module(s3_q), "regular")]
+               AModule(s3_q, regular_module(s3_q.group, s3_q.field), "regular")]
     # modules that need several generators: A/J_2 and its first syzygy
     for alg in (d4_f2, s3_q):
         quotient, _ = quotient_by_j(alg, trivial_subgroup(alg.group), 2)
@@ -212,7 +217,7 @@ def test_ext0_equals_annihilator():
         alg = GroupAlgebra(group, field)
         sigma = trivial_subgroup(group)
         filt = filtration_for(alg, sigma)
-        for v in (trivial_module(group, field, 1), regular_module(alg)):
+        for v in (trivial_module(group, field, 1), regular_module(group, field)):
             for q in range(1, filt.stabilization_q + 2):
                 cases.append((alg, sigma, filt, v, q))
     for alg, sigma, filt, v, q in cases:
@@ -245,7 +250,7 @@ def test_ext_free_module_vanishes_positively():
     free = free_amodule(alg, 2)
     res = build_resolution(free, 3)
     assert res.ranks == (2, 0, 0, 0)
-    v = regular_module(alg)
+    v = regular_module(g, F2)
     assert ext(res, v, 0) == 8
     for p in (1, 2):
         assert ext(res, v, p) == 0
@@ -264,7 +269,7 @@ def test_delta_squared_zero():
     alg = GroupAlgebra(g, F2)
     a3 = subgroup_closure(g, [g.gen_indices[0]])
     res = resolution_of_quotient(alg, a3, 2, 3)
-    for v in (trivial_module(g, F2, 1), regular_module(alg)):
+    for v in (trivial_module(g, F2, 1), regular_module(g, F2)):
         deltas = [hom_delta(res, v, i) for i in range(res.length)]
         for d0, d1 in zip(deltas, deltas[1:]):
             assert (d1 @ d0).is_zero()
@@ -274,8 +279,7 @@ def test_delta_squared_zero():
 
 def test_bar_p0_is_fixed_points():
     g = s3()
-    alg = GroupAlgebra(g, F2)
-    for v in (trivial_module(g, F2, 2), regular_module(alg)):
+    for v in (trivial_module(g, F2, 2), regular_module(g, F2)):
         assert bar_dimension(g, v, 0) == v.fixed_points().dim
 
 
@@ -313,7 +317,7 @@ def test_bar_coinduced_c3_acyclic():
 
 def test_bar_budget():
     g = s3()
-    v = regular_module(GroupAlgebra(g, F2))
+    v = regular_module(g, F2)
     with pytest.raises(BudgetExceeded):
         bar_dimension(g, v, 2, budget=10)
     with pytest.raises(BudgetExceeded):
@@ -370,22 +374,36 @@ def _bar_delta_reference(group, v, i):
     return rows
 
 
+def _leading_arguments(group, v, i):
+    """g_1 of each row (sigma, t) of the full coboundary C^i -> C^{i+1}."""
+    return [sigma // group.order ** i
+            for sigma in range(group.order ** (i + 1)) for t in range(v.dim)]
+
+
+def _generator_rows(group, v, i, rows):
+    """The rows of the full coboundary whose g_1 is a generator (the
+    identity for a group with no generators), in their order there."""
+    heads = set(group.gen_indices) or {0}
+    return [row for row, g in zip(rows, _leading_arguments(group, v, i)) if g in heads]
+
+
 def _row_scales(group, v, i):
     """The documented factor of row (sigma, t): the lcm of the denominators
     in row t of action[sigma_1] (1 over a prime field)."""
     per_row = [[lcm(*(Fraction(x).denominator for x in row)) for row in v.action[g].entries]
                for g in range(group.order)]
-    return [per_row[sigma // group.order ** i][t]
-            for sigma in range(group.order ** (i + 1)) for t in range(v.dim)]
+    return [per_row[g][t] for g, t in zip(_leading_arguments(group, v, i),
+                                          itertools.cycle(range(v.dim)))]
 
 
 def _check_against_reference(group, v, degrees):
     for i in degrees:
         got = _bar_coboundary(group, v, i)
         ref = _bar_delta_reference(group, v, i)
-        assert got.shape == (len(ref), group.order ** i * v.dim)
         scaled = [[x * s for x in row] for row, s in zip(ref, _row_scales(group, v, i))]
-        assert got.tolist() == scaled
+        expected = _generator_rows(group, v, i, scaled)
+        assert got.shape == (len(expected), group.order ** i * v.dim)
+        assert got.tolist() == expected
 
 
 def test_array_coboundary_d4_f2_coinduced():
@@ -397,7 +415,7 @@ def test_array_coboundary_d4_f2_coinduced():
 def test_array_coboundary_s3_q_regular_and_sign():
     g = s3()
     sign = make_module(g, Q, [Matrix(Q, [[1]]), Matrix(Q, [[-1]])])
-    _check_against_reference(g, regular_module(GroupAlgebra(g, Q)), (0, 1, 2))
+    _check_against_reference(g, regular_module(g, Q), (0, 1, 2))
     _check_against_reference(g, sign, (0, 1, 2))
 
 
@@ -421,8 +439,9 @@ def test_array_coboundary_rational_action_scales_rows():
     g = c2()
     v = make_module(g, Q, [Matrix(Q, [[0, 2], ["1/2", 0]])])
     _check_against_reference(g, v, (0, 1, 2))
+    # only the rows of the generator g_1 = 1 are built; those of the identity are 0
     delta0 = _bar_coboundary(g, v, 0)
-    assert delta0.tolist() == [[0, 0], [0, 0], [-1, 2], [1, -2]]
+    assert delta0.tolist() == [[-1, 2], [1, -2]]
     # V ~ Q[C2]: H^0 is the line of (2, 1), and higher cohomology vanishes
     assert [bar_dimension(g, v, p) for p in range(3)] == [1, 0, 0]
 
@@ -445,6 +464,57 @@ def test_array_coboundary_dtype_boundary():
     _check_against_reference(g, v, (0, 1, 2))
 
 
+def _sign(perm):
+    """The parity of a permutation, as +1 or -1."""
+    im = perm.images
+    inversions = sum(im[i] > im[j] for i in range(len(im)) for j in range(i + 1, len(im)))
+    return -1 if inversions % 2 else 1
+
+
+def _rank_identity_cases():
+    """(group, module) for every module of every shipped spec and the
+    coinduced module of each spec's group, each once; then generating
+    tuples that no shipped spec has."""
+    seen = set()
+    for path in SHIPPED_SPECS:
+        spec = load_problem(str(path))
+        modules = [spec.build_module(name) for name in spec.module_names()]
+        for v in modules + [coinduced_module(spec.group, spec.field, 1)]:
+            key = (spec.field.name, spec.group.gen_indices, spec.group.mult,
+                   v.den, v.stack.tobytes())
+            if key not in seen:
+                seen.add(key)
+                yield spec.group, v
+    a, b = Permutation([1, 2, 0]), Permutation([1, 0, 2])
+    for group in (close_generators([]),                                  # no generators
+                  close_generators([a, b, a]),                           # a repeated one
+                  close_generators([Permutation.identity(3), b, a])):    # the identity
+        for field in (F2, F3, Q):
+            yield group, trivial_module(group, field, 1)
+            yield group, coinduced_module(group, field, 1)
+            if group.gen_indices and field.p != 2:
+                yield group, make_module(group, field, [
+                    Matrix(field, [[_sign(group.elements[g])]]) for g in group.gen_indices])
+
+
+def test_generator_rows_have_the_rank_of_the_whole_coboundary():
+    # a cochain killed by the rows whose g_1 is a generator is a cocycle,
+    # so the generator rows have the rank of the full coboundary, over every field
+    compared = 0
+    for group, v in _rank_identity_cases():
+        for i in range(3):
+            if group.order ** (i + 1) * v.dim > DEFAULT_BAR_BUDGET:
+                continue
+            rows = _bar_coboundary(group, v, i)
+            cols = group.order ** i * v.dim
+            assert rows.shape == (len(set(group.gen_indices) or {0}) * cols, cols)
+            full = np.array([[int(x * s) for x in row] for row, s in zip(
+                _bar_delta_reference(group, v, i), _row_scales(group, v, i))], dtype=np.int64)
+            assert rank_of_int_rows(v.field, rows, cols) == rank_of_int_rows(v.field, full, cols)
+            compared += 1
+    assert compared >= 100
+
+
 # --- the composed pipeline --------------------------------------------------
 
 def _suite():
@@ -452,7 +522,7 @@ def _suite():
     for group, field in [(c2(), F2), (cyclic(3), F3), (cyclic(4), F2),
                          (s3(), F2), (s3(), F3), (s3(), Q)]:
         alg = GroupAlgebra(group, field)
-        modules = [trivial_module(group, field, 1), regular_module(alg)]
+        modules = [trivial_module(group, field, 1), regular_module(group, field)]
         if group.order == 6 and field.p != 2:
             modules.append(make_module(
                 group, field, [Matrix.identity(field, 1), Matrix(field, [[-1]])]))
@@ -473,7 +543,7 @@ def test_sigma_full_constant_in_q():
     g = c2()
     alg = GroupAlgebra(g, F2)
     sigma = full_subgroup(g)
-    v = regular_module(alg)
+    v = regular_module(g, F2)
     h0 = higher_cohomology(alg, sigma, v, 1, 0)
     assert h0 == v.fixed_points().dim
     for q in (2, 3):
@@ -501,7 +571,7 @@ def test_resolution_independence_forward_vs_reverse():
     for alg, _ in instances:
         group = alg.group
         sigma = trivial_subgroup(group)
-        v = regular_module(alg)
+        v = regular_module(group, alg.field)
         for q in (1, 2):
             for p in (0, 1, 2, 3):
                 fwd = higher_cohomology(alg, sigma, v, q, p, order="forward")
@@ -550,7 +620,7 @@ def test_ext_matches_the_subspace_route():
     seen = set()
     for group, field, extra in cases:
         alg = GroupAlgebra(group, field)
-        modules = [trivial_module(group, field, 1), regular_module(alg)] + extra(alg)
+        modules = [trivial_module(group, field, 1), regular_module(group, field)] + extra(alg)
         sigma = trivial_subgroup(group)
         for q in (1, 2):
             res = resolution_of_quotient(alg, sigma, q, 3)
@@ -596,8 +666,8 @@ def test_hom_precompose_matches_per_block_reference():
 
     cases = [
         (GroupAlgebra(d4, F2), [coinduced_module(d4, F2, 1)]),
-        (GroupAlgebra(s3(), Q), [regular_module(GroupAlgebra(s3(), Q)), sign(Q)]),
-        (GroupAlgebra(s3(), big), [regular_module(GroupAlgebra(s3(), big)), sign(big)]),
+        (GroupAlgebra(s3(), Q), [regular_module(s3(), Q), sign(Q)]),
+        (GroupAlgebra(s3(), big), [regular_module(s3(), big), sign(big)]),
         (GroupAlgebra(c2(), Q), [c2_q]),
     ]
     for alg, modules in cases:
