@@ -432,15 +432,15 @@ def _bar_coboundary(group: FiniteGroup, v: GammaModule, i: int) -> np.ndarray:
     sigma = (heads[:, None] * n ** i + np.arange(n ** i)).ravel()
     digits = [sigma // n ** (i - k) % n for k in range(i + 1)]     # g_1 .. g_{i+1}
     head = digits[0]
-    row = np.arange(len(sigma))
+    out_row = np.arange(len(sigma))
     out = np.zeros((len(sigma), d, n ** i, d), dtype=dtype)
     # g_1 phi(g_2..g_{i+1}): the block action[g_1] at column tuple (g_2..g_{i+1})
-    out[row, :, sigma % n ** i, :] += act[head]
+    out[out_row, :, sigma % n ** i, :] += act[head]
     t = np.arange(d)
     mult = np.array(group.mult)
 
     def face(tau, sign):
-        out[row[:, None], t, tau[:, None], t] += sign * scale[head]
+        out[out_row[:, None], t, tau[:, None], t] += sign * scale[head]
 
     for m in range(1, i + 1):
         merged = digits[:m - 1] + [mult[digits[m - 1], digits[m]]] + digits[m + 1:]
@@ -456,13 +456,15 @@ def bar_dimension(group: FiniteGroup, v: GammaModule, p: int,
                   budget: int = DEFAULT_BAR_BUDGET) -> int:
     """dim H^p(G, V) from the inhomogeneous cochain complex.
 
-    This path never touches resolutions or Hom complexes.  The ranks are
-    those of the generator rows of delta^p and delta^{p-1}, which equal
-    the ranks of the whole coboundaries by the lemma in the module
-    docstring: a cochain killed by every row with leading argument a
-    generator is killed by every row.  Raises BudgetExceeded, before
-    anything is built, when p > 3 or when dim C^{p+1} = |G|^{p+1} * dim V,
-    the largest cochain space of the complex, exceeds the budget.
+    This path never touches resolutions or Hom complexes.  It ranks only
+    the generator rows of delta^p and delta^{p-1} (leading argument a
+    generator), which have the kernels of the whole coboundaries.
+    Lemma: with psi_g = (delta phi)(g, ...), psi_a = psi_b = 0 gives
+    psi_{ab} = 0.  Proof: in 0 = (delta delta phi)(a, b, ...) every term but
+    -psi_{ab} has leading argument a or b, and every element is a product
+    of generators.  Raises BudgetExceeded, before anything is built, when
+    p > 3 or when dim C^{p+1} = |G|^{p+1} * dim V, the largest cochain
+    space of the complex (not the rows built), exceeds the budget.
     """
     if p < 0:
         raise ValueError("p must be >= 0")

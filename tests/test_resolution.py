@@ -377,7 +377,7 @@ def _bar_delta_reference(group, v, i):
 def _leading_arguments(group, v, i):
     """g_1 of each row (sigma, t) of the full coboundary C^i -> C^{i+1}."""
     return [sigma // group.order ** i
-            for sigma in range(group.order ** (i + 1)) for t in range(v.dim)]
+            for sigma in range(group.order ** (i + 1)) for _ in range(v.dim)]
 
 
 def _generator_rows(group, v, i, rows):
