@@ -508,8 +508,9 @@ def test_generator_rows_have_the_rank_of_the_whole_coboundary():
             rows = _bar_coboundary(group, v, i)
             cols = group.order ** i * v.dim
             assert rows.shape == (len(set(group.gen_indices) or {0}) * cols, cols)
-            full = np.array([[int(x * s) for x in row] for row, s in zip(
-                _bar_delta_reference(group, v, i), _row_scales(group, v, i))], dtype=np.int64)
+            scales = np.array(_row_scales(group, v, i), dtype=object)[:, None]
+            full = (np.array(_bar_delta_reference(group, v, i), dtype=object)
+                    * scales).astype(np.int64)
             assert rank_of_int_rows(v.field, rows, cols) == rank_of_int_rows(v.field, full, cols)
             compared += 1
     assert compared >= 100
