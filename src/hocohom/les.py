@@ -125,6 +125,9 @@ def horseshoe(ses: ShortExactSequence, length: int) -> HorseshoeData:
     aug_middle = Matrix.hstack(f, [aug_left_part, lambda0]) \
         if res_left.ranks[0] + res_right.ranks[0] > 0 else Matrix.zeros(f, ses.middle.dim, 0)
 
+    prev_rank = rank(aug_middle)
+    if prev_rank != ses.middle.dim:
+        raise RuntimeError("horseshoe augmentation is not surjective")
     boundaries = []
     ranks = [res_left.ranks[0] + res_right.ranks[0]]
     prev_solver = aug_left_part          # target side of the corrector equation
@@ -142,15 +145,14 @@ def horseshoe(ses: ShortExactSequence, length: int) -> HorseshoeData:
             [r_l_prev * n, r_n_prev * n], [r_l * n, r_n * n])
         if not (prev_map @ boundary).is_zero():
             raise RuntimeError(f"horseshoe boundary {i} does not compose to zero")
-        if rank(boundary) != kernel(prev_map).dim:
+        boundary_rank = rank(boundary)
+        if boundary_rank != prev_map.cols - prev_rank:  # dim ker(prev_map), by rank-nullity
             raise RuntimeError(f"horseshoe failed exactness at stage {i}")
         boundaries.append(boundary)
         ranks.append(r_l + r_n)
         prev_solver = d_l
         prev_corrector_full = h_i
-        prev_map = boundary
-    if rank(aug_middle) != ses.middle.dim:
-        raise RuntimeError("horseshoe augmentation is not surjective")
+        prev_map, prev_rank = boundary, boundary_rank
     res_middle = FreeResolution(ses.middle, tuple(ranks), aug_middle, tuple(boundaries))
     return HorseshoeData(res_left, res_middle, res_right)
 

@@ -40,7 +40,7 @@ class GammaModule:
     F_p), and the `action` matrices are built from its slices.  A permutation
     module (`GammaModule.permutation`) stores only the index table `perm`,
     with element g sending basis vector e_j to e_{perm[g][j]}; its stack is
-    built on first access, and `act_rows` acts by permuting coordinates
+    built on first access, and `orbits` acts by permuting coordinates
     without it.
     """
 
@@ -101,15 +101,17 @@ class GammaModule:
                                tuple(Matrix._wrap(self.field, a, self.den) for a in self.stack))
         return self._action
 
-    def act_rows(self, g: int, vectors: Matrix) -> Matrix:
-        """The matrix whose rows are action[g] applied to the rows of `vectors`."""
+    def orbits(self, vectors: Matrix) -> tuple[np.ndarray, int]:
+        """Every group element applied to every row of `vectors`: an array
+        whose entry [r, g] is action[g] applied to row r, and its denominator."""
         if self.perm is not None:
             # (g v)[perm[g][j]] = v[j], so g v reads v at the inverse permutation
-            inverse = [0] * self.dim
-            for j, i in enumerate(self.perm[g]):
-                inverse[i] = j
-            return vectors.take_columns(inverse)
-        return vectors @ self.action[g].transpose()
+            perm = np.array(self.perm, dtype=np.intp).reshape(self.group.order, self.dim)
+            inverse = np.empty_like(perm)
+            np.put_along_axis(inverse, perm, np.arange(self.dim), axis=1)
+            return vectors.array[:, inverse], vectors.den
+        return (contract(self.field, vectors.array, self.stack.transpose(2, 0, 1)),
+                vectors.den * self.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("GammaModule is immutable")

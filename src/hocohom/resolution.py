@@ -1,10 +1,13 @@
 """Free resolutions over the group algebra and Ext computation.
 
 Resolutions are built by iterated kernels: greedily cover a module by a
-free module (picking standard basis vectors whose A-orbits grow the span),
-take the kernel of the covering map, repackage it as a module in its own
-canonical coordinates, and repeat.  The construction is deterministic and
-certified exact at every stage by rank arithmetic.  Each step depends only
+free module (picking basis vectors whose A-orbits grow the span), take the
+kernel K of the covering map, cover K in its own pivot coordinates (the
+orbit of an RREF basis row b is {g b} read at K's pivot columns), and
+repeat.  The construction is deterministic and certified exact at every
+stage by rank arithmetic, which also shows K is A-stable: the boundary
+composes to zero with the map before it and has rank dim K, so its image
+is K.  Each step depends only
 on the map before it, so the resolutions of A/J_q and of J_q/J_{q+1} are
 cached on the algebra per (S, q, order) and a request for more degrees
 continues the cached one from its last boundary.  Ext is the
@@ -54,8 +57,7 @@ import numpy as np
 from .algebra import GroupAlgebra, IdealFiltration, j_filtration
 from .groups import FiniteGroup, NormalSubgroup
 from .linalg import (
-    Matrix, QuotientMap, Subspace,
-    common_denominator, contract, kernel, rank, rank_of_int_rows,
+    Field, Matrix, QuotientMap, Subspace, contract, kernel, rank, rank_of_int_rows,
 )
 from .modules import GammaModule, regular_module
 
@@ -115,8 +117,7 @@ def amap_from_generator_images(algebra: GroupAlgebra, target: GammaModule, image
     underlying R-matrix is action[g] applied to images[j], matching the free
     coordinate layout of free_amodule.
     """
-    arrays, den = common_denominator([target.act_rows(g, images) for g in range(algebra.dim)])
-    moved = np.stack(arrays, axis=1)
+    moved, den = target.orbits(images)
     return Matrix._wrap(algebra.field, moved.reshape(images.rows * algebra.dim, target.dim).T,
                         den)
 
@@ -127,10 +128,14 @@ def _certify_stable(module: GammaModule, sub: Subspace):
     The generators generate the finite group G, so a subspace stable under
     each of them is stable under every element.
     """
-    for g in module.group.gen_indices:
-        bad = sub.first_outside(module.act_rows(g, sub.basis))
-        if bad is not None:
-            raise NotStableError(g, sub.basis.entries[bad])
+    gens = list(module.group.gen_indices)
+    moved, den = module.orbits(sub.basis)
+    # generator-major rows, so the first row outside names the first failing generator
+    images = moved[:, gens].transpose(1, 0, 2).reshape(len(gens) * sub.dim, module.dim)
+    bad = sub.first_outside(Matrix._wrap(sub.field, images, den))
+    if bad is not None:
+        g, row = divmod(bad, sub.dim)
+        raise NotStableError(gens[g], sub.basis.entries[row])
 
 
 def amodule_from_subspace(algebra: GroupAlgebra, ambient: GammaModule,
@@ -141,51 +146,41 @@ def amodule_from_subspace(algebra: GroupAlgebra, ambient: GammaModule,
     g b (b in the basis) are then read off at the pivot columns.
     """
     _certify_stable(ambient, sub)
-    action = [ambient.act_rows(g, sub.basis).take_columns(sub.pivots).transpose()
-              for g in range(algebra.dim)]
+    moved, den = ambient.orbits(sub.basis)
+    at_pivots = moved[:, :, list(sub.pivots)]
+    action = [Matrix._wrap(algebra.field, at_pivots[:, g].T, den) for g in range(algebra.dim)]
     return AModule(algebra, GammaModule(algebra.group, algebra.field, action), label)
 
 
 def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
-                     ambient: GammaModule | None = None,
                      label: str = "quotient") -> tuple[AModule, QuotientMap]:
-    """The quotient module sup/sub in canonical complement coordinates.
-
-    Both subspaces must be stable under the ambient action (default: the
-    regular module, i.e. quotients of ideals of A).  Returns the module and
-    the quotient coordinate map used to build it.
+    """The quotient sup/sub of left ideals of A in canonical complement
+    coordinates; both are certified stable under left multiplication.
+    Returns the module and the quotient coordinate map used to build it.
     """
-    if ambient is None:
-        ambient = regular_module(algebra.group, algebra.field)
-    _certify_stable(ambient, sup)
-    _certify_stable(ambient, sub)
+    f, n = algebra.field, algebra.dim
+    regular = regular_module(algebra.group, f)
+    _certify_stable(regular, sup)
+    _certify_stable(regular, sub)
     qmap = QuotientMap(sup, sub)
-    action = [qmap.matrix @ ambient.act_rows(g, qmap.reps).transpose()
-              for g in range(algebra.dim)]
-    return AModule(algebra, GammaModule(algebra.group, algebra.field, action), label), qmap
+    # column (r, g) holds the quotient coordinates of g reps[r]
+    coords = qmap.matrix @ amap_from_generator_images(algebra, regular, qmap.reps)
+    blocks = coords.array.reshape(qmap.dim, qmap.dim, n)
+    action = [Matrix._wrap(f, blocks[:, :, g], coords.den) for g in range(n)]
+    return AModule(algebra, GammaModule(algebra.group, f, action), label), qmap
 
 
-@dataclass(frozen=True)
-class FreeCover:
-    rank: int
-    chosen: tuple[int, ...]
-    surjection: Matrix
-
-
-def free_cover(m: AModule, order: str = "forward") -> FreeCover:
-    """Greedy free cover: sweep the standard basis, keeping vectors outside
-    the A-span of those already chosen; the surjection sends the j-th free
-    generator to the j-th kept vector.  Deterministic for a fixed sweep order.
+def free_cover(field: Field, dim: int, orbit, order: str = "forward") -> tuple[int, ...]:
+    """Greedy free cover of a module on R^dim: the indices i of the unit
+    vectors kept by a sweep that keeps each e_i outside the A-span of those
+    already kept.  orbit(i) is the |G| x dim Matrix of the g e_i.
 
     The span grows only when a vector is kept, so one membership test of all
     the vectors not yet swept finds the next one to keep.
     """
-    algebra = m.algebra
-    f = algebra.field
-    dim = m.dim
     remaining = list(range(dim) if order == "forward" else range(dim - 1, -1, -1))
-    units = Matrix.identity(f, dim)
-    span = Subspace.zero(f, dim)
+    units = Matrix.identity(field, dim)
+    span = Subspace.zero(field, dim)
     chosen = []
     while remaining:
         k = span.first_outside(units.take_rows(remaining))
@@ -194,12 +189,10 @@ def free_cover(m: AModule, order: str = "forward") -> FreeCover:
         i = remaining[k]
         chosen.append(i)
         remaining = remaining[k + 1:]
-        orbit = Matrix._wrap(f, m.module.stack[:, :, i], m.module.den)
-        span = Subspace._spanned_by(Matrix.vstack(f, [span.basis, orbit]))
+        span = Subspace._spanned_by(Matrix.vstack(field, [span.basis, orbit(i)]))
     if span.dim != dim:
         raise RuntimeError("free cover failed to span the module")
-    surjection = amap_from_generator_images(algebra, m.module, units.take_rows(chosen))
-    return FreeCover(len(chosen), tuple(chosen), surjection)
+    return tuple(chosen)
 
 
 @dataclass(frozen=True)
@@ -232,45 +225,46 @@ def build_resolution(m: AModule, length: int, order: str = "forward") -> FreeRes
     """Iterated-kernel free resolution of m with `length` boundary maps.
 
     Exactness is certified at every stage: the image of each boundary is the
-    kernel of the previous map (equal rank by the greedy cover, containment
-    by construction), and consecutive boundaries compose to zero.
+    kernel of the previous map (they compose to zero and have equal rank).
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    cover = free_cover(m, order)
-    return _extend(FreeResolution(m, (cover.rank,), cover.surjection, ()), length, order)
+    f, module = m.algebra.field, m.module
+    chosen = free_cover(f, m.dim, lambda i: Matrix._wrap(f, module.stack[:, :, i], module.den),
+                        order)
+    augmentation = amap_from_generator_images(m.algebra, module,
+                                              Matrix.identity(f, m.dim).take_rows(chosen))
+    return _extend(FreeResolution(m, (len(chosen),), augmentation, ()), length, order)
 
 
 def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
     """res continued from its last map to `length` boundaries; the result
     equals build_resolution(res.target, length, order), since each step
-    depends only on the map before it and that map's free rank."""
+    depends only on the map before it and that map's free rank.  Each kept
+    row b of K's basis becomes a generator sent to b; the certificate fails
+    (RuntimeError) for a K that is not A-stable."""
     algebra = res.algebra
     f = algebra.field
-    n = algebra.dim
     ranks = list(res.ranks)
     boundaries = list(res.boundaries)
     prev_map = boundaries[-1] if boundaries else res.augmentation
     for i in range(len(boundaries) + 1, length + 1):
-        prev_rank = ranks[-1]
         ker_sub = kernel(prev_map)
-        if ker_sub.dim == 0:
-            boundary = Matrix.zeros(f, prev_rank * n, 0)
-            next_rank = 0
-        else:
-            free = free_amodule(algebra, prev_rank).module
-            khat = amodule_from_subspace(algebra, free, ker_sub,
-                                         f"ker step {i} of {res.target.label}")
-            kcover = free_cover(khat, order)
-            boundary = amap_from_generator_images(algebra, free,
-                                                  ker_sub.basis.take_rows(kcover.chosen))
-            next_rank = kcover.rank
-            if rank(boundary) != ker_sub.dim:
-                raise RuntimeError("resolution step failed exactness certification")
+        free = free_amodule(algebra, ranks[-1]).module
+        basis, pivots = ker_sub.basis, list(ker_sub.pivots)
+
+        def orbit(row):
+            moved, den = free.orbits(basis.take_rows([row]))
+            return Matrix._wrap(f, moved[0][:, pivots], den)
+
+        images = basis.take_rows(free_cover(f, ker_sub.dim, orbit, order))
+        boundary = amap_from_generator_images(algebra, free, images)
+        if rank(boundary) != ker_sub.dim:
+            raise RuntimeError("resolution step failed exactness certification")
         if not (prev_map @ boundary).is_zero():
             raise RuntimeError(f"boundary {i} does not compose to zero with the map before it")
         boundaries.append(boundary)
-        ranks.append(next_rank)
+        ranks.append(images.rows)
         prev_map = boundary
     return FreeResolution(res.target, tuple(ranks), res.augmentation, tuple(boundaries))
 

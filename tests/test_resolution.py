@@ -20,8 +20,8 @@ from hocohom.modules import (
     h_q0_annihilator,
 )
 from hocohom.resolution import (
-    AModule, amodule_from_subspace, free_amodule, quotient_amodule,
-    free_cover, build_resolution, ext, hom_delta,
+    AModule, FreeResolution, amodule_from_subspace, free_amodule, quotient_amodule,
+    free_cover, build_resolution, ext, hom_delta, _extend,
     higher_cohomology, quotient_by_j, filtration_for, resolution_of_quotient,
     bar_dimension,
     NotStableError, ResolutionTooShort, BudgetExceeded, DEFAULT_BAR_BUDGET,
@@ -91,20 +91,28 @@ def test_quotient_rejects_unstable_subspace():
 
 # --- free covers ------------------------------------------------------------
 
+def _cover(m, order="forward"):
+    """free_cover of m's unit vectors, each orbit read off the action matrices."""
+    f = m.algebra.field
+    return free_cover(f, m.dim, lambda i: Matrix.vstack(
+        f, [a.take_columns([i]).transpose() for a in m.module.action]), order)
+
+
 def test_free_cover_zero_module():
     g = c2()
     alg = GroupAlgebra(g, F2)
     m = AModule(alg, trivial_module(g, F2, 0), "zero")
-    cover = free_cover(m)
-    assert cover.rank == 0
+    assert _cover(m) == ()
+    assert build_resolution(m, 0).ranks == (0,)
 
 
 def test_free_cover_regular_is_cyclic():
     alg = GroupAlgebra(s3(), F3)
     m = AModule(alg, regular_module(alg.group, alg.field), "A")
-    cover = free_cover(m)
-    assert cover.rank == 1
-    assert rank(cover.surjection) == 6
+    assert _cover(m) == (0,)
+    res = build_resolution(m, 0)
+    assert res.ranks == (1,)
+    assert rank(res.augmentation) == 6
 
 
 def test_free_cover_a_mod_j2_c3():
@@ -112,7 +120,7 @@ def test_free_cover_a_mod_j2_c3():
     alg = GroupAlgebra(g, F3)
     m, _ = quotient_by_j(alg, trivial_subgroup(g), 2)
     assert m.dim == 2
-    assert free_cover(m).rank == 1
+    assert len(_cover(m)) == 1
 
 
 def _free_cover_reference(m, order):
@@ -130,11 +138,14 @@ def _free_cover_reference(m, order):
     return tuple(chosen)
 
 
+def d4():
+    return close_generators([Permutation([1, 2, 3, 0]), Permutation([0, 3, 2, 1])])
+
+
 def test_free_cover_matches_the_per_vector_sweep():
-    d4 = close_generators([Permutation([1, 2, 3, 0]), Permutation([0, 3, 2, 1])])
-    d4_f2 = GroupAlgebra(d4, F2)
+    d4_f2 = GroupAlgebra(d4(), F2)
     s3_q = GroupAlgebra(s3(), Q)
-    modules = [AModule(d4_f2, coinduced_module(d4, F2, 1), "coinduced"),
+    modules = [AModule(d4_f2, coinduced_module(d4_f2.group, F2, 1), "coinduced"),
                AModule(s3_q, regular_module(s3_q.group, s3_q.field), "regular")]
     # modules that need several generators: A/J_2 and its first syzygy
     for alg in (d4_f2, s3_q):
@@ -142,10 +153,43 @@ def test_free_cover_matches_the_per_vector_sweep():
         res = build_resolution(quotient, 1)
         modules += [quotient, amodule_from_subspace(
             alg, free_amodule(alg, res.ranks[0]).module, kernel(res.augmentation), "syzygy")]
-    assert max(free_cover(m).rank for m in modules) > 1
+    assert max(len(_cover(m)) for m in modules) > 1
     for m in modules:
         for order in ("forward", "reverse"):
-            assert free_cover(m, order).chosen == _free_cover_reference(m, order)
+            assert _cover(m, order) == _free_cover_reference(m, order)
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_kernel_sweep_in_pivot_coordinates_keeps_the_boundary(order):
+    """The first boundary, from the sweep of the syzygy in its pivot
+    coordinates, is the one built from the per-vector sweep of the syzygy
+    repackaged as a module: column (j, g) is g applied to kept row j."""
+    for alg in (GroupAlgebra(d4(), F2), GroupAlgebra(s3(), Q)):
+        quotient, _ = quotient_by_j(alg, trivial_subgroup(alg.group), 2)
+        res = build_resolution(quotient, 1, order)
+        free = free_amodule(alg, res.ranks[0]).module
+        ker = kernel(res.augmentation)
+        chosen = _free_cover_reference(amodule_from_subspace(alg, free, ker, "syzygy"), order)
+        expected = Matrix.hstack(alg.field, [
+            free.action[g] @ ker.basis.take_rows([j]).transpose()
+            for j in chosen for g in range(alg.dim)])
+        assert res.ranks[1] == len(chosen)
+        assert res.boundaries[0] == expected
+
+
+def test_extend_rejects_an_augmentation_that_is_not_A_linear():
+    """The exactness certificate of each step stands in for a stability
+    check of its kernel: an R-linear augmentation A -> R whose kernel is no
+    submodule fails it."""
+    g = s3()
+    alg = GroupAlgebra(g, F2)
+    target = AModule(alg, trivial_module(g, F2), "trivial")
+    identity_coefficient = Matrix(F2, [[1, 0, 0, 0, 0, 0]])
+    with pytest.raises(NotStableError):
+        amodule_from_subspace(alg, free_amodule(alg, 1).module,
+                              kernel(identity_coefficient), "not a syzygy")
+    with pytest.raises(RuntimeError):
+        _extend(FreeResolution(target, (1,), identity_coefficient, ()), 1, "forward")
 
 
 # --- resolutions ------------------------------------------------------------
@@ -721,6 +765,7 @@ def test_free_module_permutation_action_matches_dense_blocks(k):
         free = free_amodule(alg, k).module
         n = alg.dim
         rng_rows = Matrix(field, [[(3 * i + j) % 5 for j in range(n * k)] for i in range(4)])
+        moved, den = free.orbits(rng_rows)
         for g in range(n):
             # column h of the left multiplication by g is the unit vector of g h
             left = Matrix.identity(field, n).take_columns(group.mult[g])
@@ -729,7 +774,17 @@ def test_free_module_permutation_action_matches_dense_blocks(k):
             dense = (Matrix.block(field, blocks, [n] * k, [n] * k) if k
                      else Matrix.zeros(field, 0, 0))
             assert free.action[g] == dense
-            assert free.act_rows(g, rng_rows) == rng_rows @ dense.transpose()
+            assert Matrix._wrap(field, moved[:, g], den) == rng_rows @ dense.transpose()
+
+
+def test_orbits_of_a_dense_rational_module():
+    v = make_module(c2(), Q, [Matrix(Q, [[0, 2], ["1/2", 0]])])
+    assert v.perm is None and v.den > 1
+    vectors = Matrix(Q, [["1/3", 2], [0, "-5/7"], [1, 1]])
+    moved, den = v.orbits(vectors)
+    assert moved.shape == (3, 2, 2)
+    for g in range(2):
+        assert Matrix._wrap(Q, moved[:, g], den) == vectors @ v.action[g].transpose()
 
 
 def test_unstable_subspace_of_free_module_rejected_by_generators():
