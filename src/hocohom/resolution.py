@@ -7,15 +7,14 @@ orbit of an RREF basis row b is {g b} read at K's pivot columns), and
 repeat.  The construction is deterministic and certified exact at every
 stage by rank arithmetic, which also shows K is A-stable: the boundary
 composes to zero with the map before it and has rank dim K, so its image
-is K.  Each step depends only
-on the map before it, so the resolutions of A/J_q and of J_q/J_{q+1} are
-cached on the algebra per (S, q, order) and a request for more degrees
-continues the cached one from its last boundary.  Ext is the
-cohomology of the Hom_A(-, V) complex of such a resolution: a hom from a
-free module of rank k is the tuple of its generator images in V, and the
-coboundary is precomposition with the boundary.  Every caller needs only
-dim Ext^p, so `ext` reads it off the ranks of two coboundaries once their
-composite is checked to be zero.
+is K.  Each step depends only on the map before it, so the resolutions of
+A/J_q and of J_q/J_{q+1} are cached on the algebra per (S, q, order) and a
+request for more degrees continues the cached one from its last boundary.
+Ext is the cohomology of the Hom_A(-, V) complex of such a resolution: a
+hom from a free module of rank k is the tuple of its generator images in
+V, and the coboundary is precomposition with the boundary.  Every caller
+needs only dim Ext^p, so `ext` reads it off the ranks of two coboundaries
+once their composite is checked to be zero.
 
 `bar_dimension` computes classical group cohomology through the standard
 inhomogeneous cochain complex C^p = maps(G^p, V).  It shares no code with
@@ -241,8 +240,8 @@ def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
     """res continued from its last map to `length` boundaries; the result
     equals build_resolution(res.target, length, order), since each step
     depends only on the map before it and that map's free rank.  Each kept
-    row b of K's basis becomes a generator sent to b; the certificate fails
-    (RuntimeError) for a K that is not A-stable."""
+    row b of the kernel K's RREF basis becomes a generator sent to b; the
+    exactness certificate fails (RuntimeError) when K is not A-stable."""
     algebra = res.algebra
     f = algebra.field
     ranks = list(res.ranks)
