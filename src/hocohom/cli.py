@@ -233,7 +233,11 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
         grids[name] = grid
 
         bar_row = _bar_row(spec, algebra, v)
-        record(f"cohom.{name}.q1_row_matches_brute_force", _matches_q1_row(bar_row, grid))
+        # the verdicts that read the bar row name the degrees its budget skipped
+        skipped = [p for p, b in enumerate(bar_row) if b is None]
+        skip_detail = {"bar_budget_skipped_p": skipped} if skipped else None
+        record(f"cohom.{name}.q1_row_matches_brute_force", _matches_q1_row(bar_row, grid),
+               detail=skip_detail)
 
         cocycle_ok = all(c == row[1] for c, row in
                          zip(_cocycle_column(spec, algebra, v), grid))
@@ -258,7 +262,8 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
                                                 classical_dim=classical)
                 if lhs != rhs:
                     power_ok = False
-        record(f"power.{name}.ext_of_layer_equals_n_times_classical", power_ok)
+        record(f"power.{name}.ext_of_layer_equals_n_times_classical", power_ok,
+               detail=skip_detail)
 
         if recheck:
             record(f"cohom.{name}.resolution_independence",

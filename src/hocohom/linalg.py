@@ -29,9 +29,11 @@ wrapped from canonical integers by `Matrix._wrap`.
 
 Kernels.  Each field has one elimination kernel.  Over F_2 it is
 `_echelon_f2`: each row becomes one Python int (column j at bit j, packed
-by `np.packbits`), and the kernel keeps a fully reduced basis keyed by
-each row's lowest set bit, so a new row costs one XOR per pivot it
-carries; rank and rref both read that basis.  Over odd primes it is
+by `np.packbits`), and an echelon sweep keyed by each row's lowest set bit
+XORs a new row with the basis row at that bit until the bit is a new pivot
+or the row is zero.  Only `rref` back-reduces the basis, once; a rank runs
+the sweep on the shorter side (the transpose of a tall matrix), since
+rank(a) = rank(a.T) and fewer rows reduce to zero.  Over odd primes it is
 `_rref_modp` on numpy arrays; ranks and the certificate primes below feed
 it the rows in blocks through `_row_space_modp`.  Over Q it is one
 fraction-free elimination of the numerator rows (`_rref_int`); a rational
@@ -549,9 +551,19 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def _rref_f2(m: Matrix) -> RrefResult:
-    """rref over F_2 from the basis of `_echelon_f2`, unpacked into storage."""
+    """rref over F_2: the basis of `_echelon_f2` back-reduced once, highest
+    pivot first, then unpacked into storage."""
     basis = _echelon_f2(m.array)
     bits = sorted(basis)
+    pivmask = sum(bits)
+    for b in reversed(bits):
+        x = basis[b]
+        above = (x & pivmask) ^ b
+        while above:
+            low = above & -above
+            x ^= basis[low]
+            above ^= low
+        basis[b] = x
     width = -(-m.cols // 8)
     packed = np.frombuffer(b"".join(basis[b].to_bytes(width, "little") for b in bits),
                            dtype=np.uint8).reshape(len(bits), width)
@@ -572,7 +584,8 @@ def _rank_array(field: Field, a: np.ndarray) -> int:
     F_2 every entry must be 0 or 1."""
     p = field.p
     if p == 2:
-        return len(_echelon_f2(a))
+        # rank(a) = rank(a.T): fewer rows means fewer that reduce to zero
+        return len(_echelon_f2(a.T if a.shape[0] > a.shape[1] else a))
     if p is not None:
         return len(_row_space_modp(a, p)[1])
     return _rank_rational(a)
@@ -591,33 +604,26 @@ def _bit_rows(a: np.ndarray):
 
 
 def _echelon_f2(a: np.ndarray) -> dict[int, int]:
-    """The reduced echelon basis over F_2 of the rows of a 0/1 array, as
+    """An echelon basis over F_2 of the rows of a 0/1 array, as
     {pivot bit: row} with rows as the bit integers of `_bit_rows`.
 
-    The pivot of a row is its lowest set bit, and the basis is fully
-    reduced: no row has a bit at another row's pivot.  A new row is reduced
-    by one XOR per pivot bit it carries; if something is left, its lowest
-    bit is cleared from the basis rows that have it and it joins the basis.
-    Stops early once the pivots fill every column.  Sorted by pivot, the
-    basis is the unique reduced row-echelon form.
+    The pivot of a row is its lowest set bit, and no two rows share one.  A
+    new row is XORed with the basis row at its lowest bit until that bit is
+    a new pivot or the row is zero.  The basis is not back-reduced (a rank
+    never needs it; `_rref_f2` does it once).  Stops early once the pivots
+    fill every column.
     """
     full = (1 << a.shape[1]) - 1
     basis = {}
     pivmask = 0
     for x in _bit_rows(a):
-        m = x & pivmask
-        while m:
-            low = m & -m
+        while x:
+            low = x & -x
+            if not pivmask & low:
+                basis[low] = x
+                pivmask |= low
+                break
             x ^= basis[low]
-            m ^= low
-        if not x:
-            continue
-        low = x & -x
-        for piv, row in basis.items():
-            if row & low:
-                basis[piv] = row ^ x
-        basis[low] = x
-        pivmask |= low
         if pivmask == full:
             break
     return basis

@@ -174,21 +174,19 @@ def free_cover(field: Field, dim: int, orbit, order: str = "forward") -> tuple[i
     vectors kept by a sweep that keeps each e_i outside the A-span of those
     already kept.  orbit(i) is the |G| x dim Matrix of the g e_i.
 
-    The span grows only when a vector is kept, so one membership test of all
-    the vectors not yet swept finds the next one to keep.
+    Membership is read off the span's RREF with no product: e_i lies in the
+    span exactly when i is a pivot whose RREF row has one nonzero entry.
     """
-    remaining = list(range(dim) if order == "forward" else range(dim - 1, -1, -1))
-    units = Matrix.identity(field, dim)
     span = Subspace.zero(field, dim)
+    inside = set()
     chosen = []
-    while remaining:
-        k = span.first_outside(units.take_rows(remaining))
-        if k is None:
-            break
-        i = remaining[k]
+    for i in (range(dim) if order == "forward" else range(dim - 1, -1, -1)):
+        if i in inside:
+            continue
         chosen.append(i)
-        remaining = remaining[k + 1:]
         span = Subspace._spanned_by(Matrix.vstack(field, [span.basis, orbit(i)]))
+        counts = np.count_nonzero(span.basis.array, axis=1).tolist()
+        inside = {c for c, n in zip(span.pivots, counts) if n == 1}
     if span.dim != dim:
         raise RuntimeError("free cover failed to span the module")
     return tuple(chosen)

@@ -297,6 +297,31 @@ def test_verify_names_a_vanishing_degree_skipped_by_the_bar_budget(tmp_path):
     assert vanishing["detail"] == {"acyclic_certified": None, "bar_budget_skipped_p": [2]}
 
 
+def test_verify_names_the_bar_degrees_skipped_in_the_verdicts_that_read_them():
+    # S3 over F2 with bar_budget 300: |G|^3 dim V is 216 for the trivial
+    # module and 1296 for the coinduced one, so only the coinduced bar row
+    # skips degree 2, and only its two verdicts that read that row say so
+    spec = parse_problem({
+        "field": "F2",
+        "group": {"generators": [[1, 2, 0], [1, 0, 2]]},
+        "modules": {"trivial": {"kind": "trivial", "dim": 1},
+                    "coinduced": {"kind": "coinduced", "base_dim": 1}},
+        "budgets": {"q_max": 2, "p_max": 2, "bar_budget": 300},
+    })
+    fragment, ok = cli.cmd_verify(spec)
+    assert ok
+    details = {v["check"]: v.get("detail") for v in fragment["verdicts"]}
+    skipped = {"bar_budget_skipped_p": [2]}
+    assert details["cohom.coinduced.q1_row_matches_brute_force"] == skipped
+    assert details["power.coinduced.ext_of_layer_equals_n_times_classical"] == skipped
+    assert details["cohom.trivial.q1_row_matches_brute_force"] is None
+    assert details["power.trivial.ext_of_layer_equals_n_times_classical"] is None
+    assert [name for name, d in details.items() if d and "bar_budget_skipped_p" in d] == [
+        "cohom.coinduced.q1_row_matches_brute_force",
+        "power.coinduced.ext_of_layer_equals_n_times_classical",
+        "vanishing.coinduced_module"]
+
+
 def test_selftest(tmp_path):
     proc = run_cli(["selftest"])
     assert proc.returncode == 0

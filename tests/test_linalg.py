@@ -12,7 +12,7 @@ from hocohom.linalg import (
     Field, Matrix, Subspace, QuotientMap,
     rref, rank, kernel, solve_column,
     rank_of_int_rows, InconsistentSystem, LinalgError,
-    _rref_int,
+    _rref_int, _rref_modp,
 )
 
 Q = Field.rationals()
@@ -439,7 +439,6 @@ def test_blocked_odd_prime_rank_stops_once_the_space_is_full(monkeypatch):
 def _assert_f2_matches_generic(a):
     """rank, rank_of_int_rows and rref over F2 of an integer array agree with
     the generic elimination of a % 2."""
-    from hocohom.linalg import _rref_modp
     rows, cols = a.shape
     expected, reduced, pivots = _rref_modp(a % 2, 2)
     assert rank_of_int_rows(F2, a.copy(), cols) == expected
@@ -481,6 +480,51 @@ def test_f2_rank_of_int8_bar_coboundaries():
         assert rank_of_int_rows(F2, delta, delta.shape[1]) == rank(Matrix(F2, (delta % 2).tolist()))
 
 
+def test_f2_rank_of_the_order24_bar_coboundary():
+    # the generator rows of delta^2 for S4 on the trivial module, the matrix
+    # whose rank dominates the order-24 cohom run
+    from hocohom.groups import Permutation, close_generators
+    from hocohom.modules import trivial_module
+    from hocohom.resolution import _bar_coboundary
+    s4 = close_generators([Permutation([1, 2, 3, 0]), Permutation([1, 0, 2, 3])])
+    delta = _bar_coboundary(s4, trivial_module(s4, F2, 1), 2)
+    assert delta.shape == (1152, 576)
+    _assert_f2_matches_generic(delta.astype(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(60, 25), (25, 60), (40, 40)])
+def test_f2_rank_eliminates_the_shorter_side(monkeypatch, shape):
+    import hocohom.linalg as linalg
+    echelon = linalg._echelon_f2
+    fed = []
+
+    def spy(a):
+        fed.append(a.shape[0])
+        return echelon(a)
+
+    monkeypatch.setattr(linalg, "_echelon_f2", spy)
+    a = np.random.default_rng(sum(shape)).integers(-2, 3, size=shape)
+    expected = _rref_modp(a % 2, 2)[0]
+    assert rank(Matrix(F2, a.tolist())) == expected
+    assert rank_of_int_rows(F2, a.copy(), shape[1]) == expected
+    assert rank_of_int_rows(F2, a.tolist(), shape[1]) == expected
+    assert fed == [min(shape)] * 3
+
+
+def test_f2_rref_back_reduces_the_echelon_basis():
+    # rows arrive so that the echelon sweep leaves bits at the later pivots
+    # 1 and 2; only the back-reduction, highest pivot first, clears them
+    from hocohom.linalg import _echelon_f2
+    a = np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
+    assert _echelon_f2(a) == {0b001: 0b111, 0b010: 0b110, 0b100: 0b100}
+    res = rref(Matrix(F2, a.tolist()))
+    expected, reduced, pivots = _rref_modp(a.copy(), 2)
+    assert (res.rank, res.pivots) == (expected, pivots) == (3, (0, 1, 2))
+    assert np.array_equal(res.reduced.array, reduced)
+    assert res.reduced == Matrix.identity(F2, 3)
+    _assert_f2_matches_generic(a[::-1].copy())
+
+
 def test_f2_rref_and_rank_leave_the_stored_array_unchanged():
     rng = np.random.default_rng(5)
     m = Matrix(F2, rng.integers(0, 2, size=(30, 70)).tolist())
@@ -491,7 +535,8 @@ def test_f2_rref_and_rank_leave_the_stored_array_unchanged():
 
 
 def test_f2_echelon_stops_once_the_pivots_fill_every_column(monkeypatch):
-    # the first 20 rows already span F_2^20: the other 1990 are never reduced
+    # the rank reads the 20 rows of the transpose; the rref's first 20 rows
+    # already span F_2^20, so its other 1990 are never reduced
     import hocohom.linalg as linalg
     consumed = []
     bit_rows = linalg._bit_rows

@@ -143,12 +143,14 @@ def d4():
 
 
 def test_free_cover_matches_the_per_vector_sweep():
+    """Membership read off the span's RREF keeps the generators of the
+    membership test by a product, over F_2, an odd prime and Q."""
     d4_f2 = GroupAlgebra(d4(), F2)
     s3_q = GroupAlgebra(s3(), Q)
     modules = [AModule(d4_f2, coinduced_module(d4_f2.group, F2, 1), "coinduced"),
                AModule(s3_q, regular_module(s3_q.group, s3_q.field), "regular")]
     # modules that need several generators: A/J_2 and its first syzygy
-    for alg in (d4_f2, s3_q):
+    for alg in (d4_f2, s3_q, GroupAlgebra(s3(), F3)):
         quotient, _ = quotient_by_j(alg, trivial_subgroup(alg.group), 2)
         res = build_resolution(quotient, 1)
         modules += [quotient, amodule_from_subspace(
