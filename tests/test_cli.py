@@ -314,8 +314,6 @@ def test_verify_names_the_bar_degrees_skipped_in_the_verdicts_that_read_them():
     skipped = {"bar_budget_skipped_p": [2]}
     assert details["cohom.coinduced.q1_row_matches_brute_force"] == skipped
     assert details["power.coinduced.ext_of_layer_equals_n_times_classical"] == skipped
-    assert details["cohom.trivial.q1_row_matches_brute_force"] is None
-    assert details["power.trivial.ext_of_layer_equals_n_times_classical"] is None
     assert [name for name, d in details.items() if d and "bar_budget_skipped_p" in d] == [
         "cohom.coinduced.q1_row_matches_brute_force",
         "power.coinduced.ext_of_layer_equals_n_times_classical",

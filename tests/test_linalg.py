@@ -12,7 +12,7 @@ from hocohom.linalg import (
     Field, Matrix, Subspace, QuotientMap,
     rref, rank, kernel, solve_column,
     rank_of_int_rows, InconsistentSystem, LinalgError,
-    _rref_int, _rref_modp,
+    _echelon_f2, _rref_int, _rref_modp,
 )
 
 Q = Field.rationals()
@@ -514,15 +514,12 @@ def test_f2_rank_eliminates_the_shorter_side(monkeypatch, shape):
 def test_f2_rref_back_reduces_the_echelon_basis():
     # rows arrive so that the echelon sweep leaves bits at the later pivots
     # 1 and 2; only the back-reduction, highest pivot first, clears them
-    from hocohom.linalg import _echelon_f2
     a = np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
     assert _echelon_f2(a) == {0b001: 0b111, 0b010: 0b110, 0b100: 0b100}
     res = rref(Matrix(F2, a.tolist()))
     expected, reduced, pivots = _rref_modp(a.copy(), 2)
     assert (res.rank, res.pivots) == (expected, pivots) == (3, (0, 1, 2))
     assert np.array_equal(res.reduced.array, reduced)
-    assert res.reduced == Matrix.identity(F2, 3)
-    _assert_f2_matches_generic(a[::-1].copy())
 
 
 def test_f2_rref_and_rank_leave_the_stored_array_unchanged():
