@@ -16,7 +16,17 @@ the six-terms-per-degree long exact sequence
     0 -> H_q^0 -> H_{q+1}^0 -> H^0(G,V)^{N(q)} -> H_q^1 -> ...
 
 with explicit matrices.  Exactness is verified as subspace equality
-image = kernel at every node, not merely by dimension count.
+image = kernel at every node.  For maps a into a node of dimension n and b
+out of it, b a = 0 says image(a) lies in kernel(b), and then rank(a) +
+rank(b) = n says the two have equal dimension, since dim kernel(b) =
+n - rank(b); together they are exactly image(a) = kernel(b).
+
+Each cohomology space H^p = Z^p / B^p takes two eliminations: the kernel
+of delta^p gives Z^p in its RREF basis, where a cocycle x has coordinates
+x at the basis's pivot columns, and the RREF of the coboundaries read at
+those columns gives B^p inside Z^p, with canonical class coordinates and
+one cocycle lifting each.  delta^p delta^{p-1} = 0 is checked as a
+product, and every induced or connecting image as delta x = 0.
 """
 
 from __future__ import annotations
@@ -26,7 +36,8 @@ from dataclasses import dataclass
 from .algebra import GroupAlgebra, IdealFiltration
 from .groups import NormalSubgroup
 from .linalg import (
-    Matrix, QuotientMap, Subspace, column_space, kernel, rank, solve_column,
+    DimensionMismatch, Matrix, column_space, kernel, kernel_rref, quotient_coordinates,
+    rank, solve_column,
 )
 from .modules import GammaModule, ModuleMap
 from .resolution import (
@@ -169,34 +180,68 @@ def _lift_generators(algebra: GroupAlgebra, target: GammaModule, solver: Matrix,
 
 @dataclass(frozen=True)
 class CohomologySpace:
-    """Z^p and canonical class coordinates on Z^p/B^p for one cochain degree."""
+    """Z^p and canonical class coordinates on Z^p/B^p for one cochain degree.
 
-    cocycles: Subspace
-    classes: QuotientMap
+    `delta` is delta^p, whose kernel is Z^p.  A cocycle x has coordinates
+    x[coords] in the RREF basis of Z^p (`coords` are its pivot columns).
+    `classes` maps those coordinates onto Z^p/B^p with kernel exactly the
+    coordinates of B^p, and `reps` holds one cocycle per class coordinate,
+    on which `classes` reads the identity.
+    """
+
+    delta: Matrix
+    coords: tuple[int, ...]
+    classes: Matrix
+    reps: Matrix
 
     @property
     def dim(self) -> int:
-        return self.classes.dim
+        return self.classes.rows
+
+    def class_of(self, cochains: Matrix, what: str) -> Matrix:
+        """Class coordinates of the columns of `cochains`, which are
+        certified cocycles first."""
+        if not (self.delta @ cochains).is_zero():
+            raise RuntimeError(f"{what} is not a cocycle")
+        return self.classes @ cochains.take_rows(self.coords)
 
 
 def _cohomology_spaces(deltas: list[Matrix], up_to: int, field) -> list[CohomologySpace]:
+    """Two eliminations per degree: the kernel of delta^p, and the RREF of
+    the coboundaries read at its pivot columns, which is B^p in the
+    coordinates of Z^p (delta^p delta^{p-1} = 0 is checked first)."""
     spaces = []
     for p in range(up_to + 1):
-        z = kernel(deltas[p])
-        b = column_space(deltas[p - 1]) if p > 0 else Subspace.zero(field, deltas[p].cols)
-        if not z.contains_subspace(b):
+        z, coords = kernel_rref(deltas[p])
+        if p > 0 and not (deltas[p] @ deltas[p - 1]).is_zero():
             raise RuntimeError("delta squared is nonzero")
-        spaces.append(CohomologySpace(z, QuotientMap(z, b)))
+        coboundaries = (deltas[p - 1].take_rows(coords).transpose() if p > 0
+                        else Matrix.zeros(field, 0, z.rows))
+        classes, lifted = quotient_coordinates(coboundaries)
+        # the lifts read at coords are the unit rows at `lifted`, since z is in RREF
+        if classes.take_columns(lifted) != Matrix.identity(field, classes.rows):
+            raise RuntimeError("class coordinates do not read the identity on their lifts")
+        spaces.append(CohomologySpace(deltas[p], coords, classes, z.take_rows(lifted)))
     return spaces
 
 
-def _induced_matrix(map_matrix: Matrix, src: CohomologySpace,
-                    dst: CohomologySpace) -> Matrix:
-    """The map on cohomology classes induced by a cochain-level map."""
-    moved = map_matrix @ src.classes.reps.transpose()
-    if dst.cocycles.first_outside(moved.transpose()) is not None:
-        raise RuntimeError("cochain map did not send cocycles to cocycles")
-    return dst.classes.matrix @ moved
+def _block(m: Matrix, rows: range, cols: range) -> Matrix:
+    return Matrix._wrap(m.field, m.array[rows.start:rows.stop, cols.start:cols.stop], m.den)
+
+
+def node_exact(incoming: Matrix, incoming_rank: int,
+               outgoing: Matrix, outgoing_rank: int) -> bool:
+    """Whether image(incoming) = kernel(outgoing) at the node between them,
+    given the ranks of the two maps.
+
+    The image lies in the kernel exactly when outgoing @ incoming = 0, and
+    a subspace of the kernel is all of it exactly when its dimension is
+    dim kernel = node dimension - rank(outgoing), by rank-nullity.
+    """
+    if incoming.rows != outgoing.cols:
+        raise DimensionMismatch("the maps do not meet at one node")
+    return ((outgoing @ incoming).is_zero()
+            and incoming_rank + outgoing_rank == outgoing.cols)
 
 
 @dataclass(frozen=True)
@@ -235,7 +280,9 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
 
     Verifies, as subspace identities on class coordinates: injectivity at
     the start, image = kernel at every interior node up to degree p_max,
-    using the connecting homomorphism into degree p_max + 1.  The horseshoe
+    using the connecting homomorphism into degree p_max + 1.  Each identity
+    is certified by `node_exact`: a zero composite and ranks that fill the
+    node.  The horseshoe
     needs p_max + 2 boundaries of the outer resolutions; it extends the
     cached forward ones (those of the grid) rather than rebuilding them.
     """
@@ -262,20 +309,15 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
     deltas_l = [hom_delta(res_l, v, i) for i in range(length)]
 
     d_v = v.dim
-    embed = []   # C_N^i -> C_M^i  (R-slot)
-    project = [] # C_M^i -> C_L^i  (P-slot)
-    for i in range(length):
-        r_l, r_n = res_l.ranks[i], res_n.ranks[i]
-        embed.append(Matrix.block(
-            f, [[None], [Matrix.identity(f, r_n * d_v)]],
-            [r_l * d_v, r_n * d_v], [r_n * d_v]))
-        project.append(Matrix.block(
-            f, [[Matrix.identity(f, r_l * d_v), None]],
-            [r_l * d_v], [r_l * d_v, r_n * d_v]))
+    # C_M^i = C_L^i + C_N^i, and delta_M = [[delta_L, 0], [*, delta_N]] exactly
+    # when the embedding of C_N and the projection onto C_L are cochain maps
     for i in range(length - 1):
-        if deltas_m[i] @ embed[i] != embed[i + 1] @ deltas_n[i]:
+        rl, rl1 = res_l.ranks[i] * d_v, res_l.ranks[i + 1] * d_v
+        dm = deltas_m[i]
+        corner_zero = _block(dm, range(rl1), range(rl, dm.cols)).is_zero()
+        if not corner_zero or _block(dm, range(rl1, dm.rows), range(rl, dm.cols)) != deltas_n[i]:
             raise RuntimeError(f"embedding is not a cochain map at degree {i}")
-        if deltas_l[i] @ project[i] != project[i + 1] @ deltas_m[i]:
+        if not corner_zero or _block(dm, range(rl1), range(rl)) != deltas_l[i]:
             raise RuntimeError(f"projection is not a cochain map at degree {i}")
 
     top = p_max + 1
@@ -283,34 +325,39 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
     h_m = _cohomology_spaces(deltas_m, top, f)
     h_l = _cohomology_spaces(deltas_l, top, f)
 
-    lower_maps = [_induced_matrix(embed[p], h_n[p], h_m[p]) for p in range(top + 1)]
-    upper_maps = [_induced_matrix(project[p], h_m[p], h_l[p]) for p in range(top + 1)]
+    # embed the N-cocycles in the R-slot of C_M and project the M-cocycles onto
+    # C_L, in degree top too: no node reads it, but its cocycle checks run
+    image = "the image of a cochain map"
+    lower_maps, upper_maps = [], []
+    for p in range(top + 1):
+        r_l = res_l.ranks[p] * d_v
+        embedded = Matrix.vstack(f, [Matrix.zeros(f, r_l, h_n[p].dim), h_n[p].reps.transpose()])
+        lower_maps.append(h_m[p].class_of(embedded, image))
+        projected = h_m[p].reps.take_columns(range(r_l)).transpose()
+        upper_maps.append(h_l[p].class_of(projected, image))
 
     def connecting(p: int) -> Matrix:
         # lift each class of C_L^p by zero on the C_N block, apply delta_M
         r_l, r_l1 = res_l.ranks[p], res_l.ranks[p + 1]
         moved = (deltas_m[p].take_columns(range(r_l * d_v))
-                 @ h_l[p].classes.reps.transpose())
+                 @ h_l[p].reps.transpose())
         if not moved.take_rows(range(r_l1 * d_v)).is_zero():
             raise RuntimeError("snake lift has a nonzero projection part")
         w = moved.take_rows(range(r_l1 * d_v, moved.rows))
-        if h_n[p + 1].cocycles.first_outside(w.transpose()) is not None:
-            raise RuntimeError("connecting image is not a cocycle")
-        return h_n[p + 1].classes.matrix @ w
+        return h_n[p + 1].class_of(w, "the connecting image")
 
     connectings = [connecting(p) for p in range(p_max + 1)]
 
+    # the sequence 0 -> H_q^0 -> H_{q+1}^0 -> H^0(G,V)^{N(q)} -> H_q^1 -> ...
+    # as one chain of maps, each ranked once: node k lies between maps k and k + 1
+    chain = [Matrix.zeros(f, h_n[0].dim, 0)]
+    for p in range(p_max + 1):
+        chain += [lower_maps[p], upper_maps[p], connectings[p]]
+    ranks = [rank(m) for m in chain]
     degrees = []
     for p in range(p_max + 1):
-        verdicts = {}
-        # node H_q^p: kernel of the map onward equals what arrives
-        incoming = (column_space(connectings[p - 1]) if p > 0
-                    else Subspace.zero(f, h_n[p].dim))
-        verdicts["at_H_q"] = kernel(lower_maps[p]) == incoming
-        # node H_{q+1}^p
-        verdicts["at_H_q_plus_1"] = kernel(upper_maps[p]) == column_space(lower_maps[p])
-        # node H^p(G,V)^{N(q)}
-        verdicts["at_power"] = kernel(connectings[p]) == column_space(upper_maps[p])
+        verdicts = {node: node_exact(chain[k], ranks[k], chain[k + 1], ranks[k + 1])
+                    for k, node in enumerate(("at_H_q", "at_H_q_plus_1", "at_power"), 3 * p)}
         degrees.append(LesDegree(
             p, h_n[p].dim, h_m[p].dim, h_l[p].dim,
             lower_maps[p], upper_maps[p], connectings[p], verdicts))

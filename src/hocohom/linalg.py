@@ -42,7 +42,19 @@ products and eliminations use int64 only
 while no intermediate can overflow: a product with inner dimension k needs
 k*(p-1)^2 < 2^63, and an elimination step needs (p-1)^2 + p < 2^63.  Past
 those bounds the same code runs on Python-int (`object`) arrays.  Every
-path is exact.
+path is exact.  Over F_2 a difference is an XOR of the stored bits and a
+negation the identity, so neither widens.
+
+Null spaces.  `kernel_rref` eliminates once.  The pivot columns of an RREF
+are the greedy-first basis of its matrix's column matroid: each column
+that is independent of the columns before it.  The pivot set of the
+kernel's RREF is therefore the greedy-first basis of the dual matroid
+(the kernel is the row space whose column matroid is the dual of m's),
+and the bases of the dual are the complements of the bases of m's
+columns, so the greedy-first basis of the dual is the complement of the
+greedy-last basis of m's columns.  That greedy-last basis is the pivot set
+of the RREF of m with its columns reversed.  The free-column rows of that
+one elimination, with rows and columns reversed, are the kernel's RREF.
 
 Rational rank.  A rank over Q is taken of an integer matrix M (the
 numerators of a rational matrix) and is certified, never estimated.
@@ -404,14 +416,21 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape or field mismatch")
-        if self.field.p is not None:
+        p = self.field.p
+        if p == 2:
+            # subtraction of bits is XOR, in the storage dtype
+            return Matrix._wrap(self.field, self.array ^ other.array)
+        if p is not None:
             return self._pointwise(np.subtract, other.array)
         (a, b), den = common_denominator([self, other])
         a, b = _widened(_int_bound(a) + _int_bound(b), a, b)
         return Matrix._wrap(self.field, a - b, den)
 
     def __neg__(self) -> "Matrix":
-        if self.field.p is not None:
+        p = self.field.p
+        if p == 2:
+            return self      # -x = x over F_2, and a matrix is immutable
+        if p is not None:
             return self._pointwise(np.negative)
         return Matrix._wrap(self.field, -self.array, self.den)
 
@@ -787,21 +806,71 @@ def rank_of_int_rows(field: Field, rows, cols: int) -> int:
 
 def _free_column_rows(reduced: Matrix, pivots: tuple[int, ...]) -> Matrix:
     """One row per free column j of a reduced echelon basis: 1 at j and
-    minus column j of the basis at the pivots, so the basis kills it."""
+    minus column j of the basis at the pivots, so the basis kills it.  Only
+    the free columns are negated, and over F_2 nothing is (-x = x)."""
     f, den = reduced.field, reduced.den
     free = _free_columns(reduced.cols, pivots)
+    read = reduced.array[:, free]
+    if f.p is None:
+        read = -read        # numerators in lowest terms: |x| < 2^63 still fits
+    elif f.p != 2:
+        read = (f.p - read) % f.p
     out = np.zeros((free.size, reduced.cols),
                    dtype=object if den >= _INT64_BOUND else reduced.array.dtype)
     out[np.arange(free.size), free] = den
-    out[:, list(pivots)] = (-reduced).array[:, free].T
+    out[:, list(pivots)] = read.T
     return Matrix._wrap(f, out, den)
 
 
+def _reversed(m: Matrix, rows: bool = False) -> Matrix:
+    """m with its columns, and with rows=True its rows too, in reverse order.
+    The array is a view, and the entries are those of m, so it is already
+    canonical and is not brought to lowest terms again."""
+    out = object.__new__(Matrix)
+    out._own(m.field, m.array[::-1, ::-1] if rows else m.array[:, ::-1], m.den)
+    return out
+
+
+def kernel_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """The RREF basis and pivot columns of the right null space of m.
+
+    One elimination, of m with its columns reversed (a view, not a copy).
+    Its pivots are the lexicographically last basis of m's columns, and
+    their complement is the pivot set of the kernel's RREF (see the module
+    docstring).  The free-column rows of that elimination kill m; the row
+    of free column j is 1 at j and nonzero only at pivots before j, so
+    reversed it leads at j's column of m and is zero at the other free
+    columns.  Reversing rows and columns therefore gives the kernel's RREF,
+    with no second elimination.
+    """
+    n = m.cols
+    res = rref(_reversed(m))
+    rows = _free_column_rows(res.reduced.take_rows(range(res.rank)), res.pivots)
+    pivots = tuple(n - 1 - int(j) for j in _free_columns(n, res.pivots)[::-1])
+    return _reversed(rows, rows=True), pivots
+
+
 def kernel(m: Matrix) -> "Subspace":
-    """Right null space {x : m x = 0} as a subspace of the column space."""
-    res = rref(m)
-    return Subspace._spanned_by(
-        _free_column_rows(res.reduced.take_rows(range(res.rank)), res.pivots))
+    """Right null space {x : m x = 0} as a subspace of the column space, from
+    the one elimination of `kernel_rref`."""
+    return Subspace(m.cols, *kernel_rref(m))
+
+
+def quotient_coordinates(spanning: Matrix) -> tuple[Matrix, np.ndarray]:
+    """Canonical coordinates on F^n / B, for B the span of the rows of
+    `spanning`, from one elimination.
+
+    Returns (C, lifted).  With S the RREF basis of B, coordinate i of c is
+    c_i - sum_r c_{piv_r} S[r][i] for each free column i of S: the
+    free-column rows of S, so C has kernel exactly B.  `lifted` lists those
+    free columns, and C reads the identity on the unit vectors there.
+    """
+    f, n = spanning.field, spanning.cols
+    if spanning.rows == 0 or n == 0:
+        return Matrix.identity(f, n), np.arange(n)
+    res = rref(spanning)
+    return (_free_column_rows(res.reduced.take_rows(range(res.rank)), res.pivots),
+            _free_columns(spanning.cols, res.pivots))
 
 
 def column_space(m: Matrix) -> "Subspace":
@@ -917,16 +986,13 @@ class QuotientMap:
         if not sup.contains_subspace(sub):
             raise LinalgError("sub is not contained in sup")
         f = sup.field
-        sub_in_sup = Subspace._spanned_by(sub.basis.take_columns(sup.pivots))
-        # complement coordinate i of a vector c (in sup coordinates, read off
-        # at sup's pivot columns) after reduction modulo sub:
-        # c_i - sum_r c_{piv_r} S[r][i], the free-column rows of S
-        in_sup = _free_column_rows(sub_in_sup.basis, sub_in_sup.pivots)
+        # a vector of sup has coordinates c, read off at sup's pivot columns
+        in_sup, lifted = quotient_coordinates(sub.basis.take_columns(sup.pivots))
         dim = in_sup.rows
         rows = np.zeros((dim, sup.ambient_dim), dtype=in_sup.array.dtype)
         rows[:, list(sup.pivots)] = in_sup.array
         matrix = Matrix._wrap(f, rows, in_sup.den)
-        reps = sup.basis.take_rows(_free_columns(sup.dim, sub_in_sup.pivots))
+        reps = sup.basis.take_rows(lifted)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "reps", reps)

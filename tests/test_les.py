@@ -1,15 +1,18 @@
 """The long exact sequence: construction, exactness, and the dimension laws."""
 
+import numpy as np
+import pytest
+
 from hocohom.algebra import GroupAlgebra, j_filtration
 from hocohom.groups import (
     Permutation, close_generators, subgroup_closure,
 )
-from hocohom.linalg import Field, Matrix, column_space, kernel, rank
+from hocohom.linalg import DimensionMismatch, Field, Matrix, column_space, kernel, rank
 from hocohom.modules import trivial_module, regular_module, coinduced_module
 from hocohom.resolution import filtration_for, higher_cohomology, bar_dimension
 from hocohom.les import (
     quotient_ses, trivial_action_witness, horseshoe, long_exact_sequence,
-    power_identification, vanishing_check,
+    node_exact, power_identification, vanishing_check,
 )
 
 Q = Field.rationals()
@@ -153,6 +156,82 @@ def test_horseshoe_and_ses_built_once_per_level(monkeypatch):
     # the second module's report, from the cached horseshoe, equals a fresh one
     assert reports[(1, regular.dim)] == long_exact_sequence(
         GroupAlgebra(g, F2), sigma, regular, 1, 2)
+
+
+def test_les_runs_two_eliminations_per_cohomology_degree(monkeypatch):
+    from hocohom import linalg
+    g = s3()
+    alg = GroupAlgebra(g, F2)
+    sigma = a3_in(g)
+    v = regular_module(g, F2)
+    p_max = 2
+    fresh = long_exact_sequence(alg, sigma, v, 1, p_max)   # caches the sequence and horseshoe
+    rref_body, quotient_init = linalg.rref, linalg.QuotientMap.__init__
+    calls = {"rref": 0, "QuotientMap": 0}
+
+    def spy_rref(m):
+        calls["rref"] += 1
+        return rref_body(m)
+
+    def spy_quotient(self, sup, sub):
+        calls["QuotientMap"] += 1
+        quotient_init(self, sup, sub)
+
+    monkeypatch.setattr(linalg, "rref", spy_rref)
+    monkeypatch.setattr(linalg.QuotientMap, "__init__", spy_quotient)
+    report = long_exact_sequence(alg, sigma, v, 1, p_max)
+    # three complexes, each in degrees 0 .. p_max + 1
+    assert 0 < calls["rref"] <= 2 * 3 * (p_max + 2)
+    assert calls["QuotientMap"] == 0
+    assert report == fresh and report.exact
+
+
+def _nodes(field, rng, count):
+    """Random composable pairs (incoming, outgoing) of small matrices, half
+    of them built as complexes (outgoing kills the image of incoming)."""
+    for i in range(count):
+        before, node, after = (int(x) for x in rng.integers(0, 4, size=3))
+        a = Matrix(field, rng.integers(-2, 3, size=(node, before)).tolist(), node, before)
+        b = Matrix(field, rng.integers(-2, 3, size=(after, node)).tolist(), after, node)
+        if i % 2 and after:
+            k = kernel(a.transpose()).basis   # rows killing the image of a
+            b = Matrix(field, rng.integers(-2, 3, size=(after, k.rows)).tolist(),
+                       after, k.rows) @ k
+        yield a, b
+
+
+def test_node_exactness_is_subspace_equality():
+    # a complex that is not exact: the composite is zero, the ranks fall short
+    image_e1 = Matrix(F2, [[1], [0]])
+    assert (Matrix(F2, [[0, 0]]) @ image_e1).is_zero()
+    assert not node_exact(image_e1, 1, Matrix(F2, [[0, 0]]), 0)
+    # ranks that fill the node around a nonzero composite
+    assert not node_exact(image_e1, 1, Matrix(F2, [[1, 0]]), 1)
+    assert node_exact(Matrix(F2, [[0], [1]]), 1, Matrix(F2, [[1, 0]]), 1)
+    # on random pairs, the verdict is image = kernel as subspaces
+    rng = np.random.default_rng(5)
+    seen = set()
+    for field in (F2, F3, Q):
+        for a, b in _nodes(field, rng, 150):
+            verdict = node_exact(a, rank(a), b, rank(b))
+            assert verdict == (column_space(a) == kernel(b))
+            seen.add((verdict, (b @ a).is_zero()))
+    assert seen == {(True, True), (False, True), (False, False)}
+    with pytest.raises(DimensionMismatch):
+        node_exact(image_e1, 1, Matrix(F2, [[1, 0, 0]]), 1)
+
+
+def test_cohomology_spaces_certify_what_they_read():
+    from hocohom.les import _cohomology_spaces
+    one = Matrix(F2, [[1]])
+    with pytest.raises(RuntimeError, match="delta squared"):
+        _cohomology_spaces([one, one], 1, F2)
+    # 0 -> F^2 -> F -> F: H^0 is spanned by (1, 1), and H^1 = F / F is zero
+    h = _cohomology_spaces([Matrix(F2, [[1, 1]]), Matrix(F2, [[0]])], 1, F2)
+    assert [space.dim for space in h] == [1, 0]
+    assert h[0].class_of(Matrix(F2, [[1], [1]]), "x") == Matrix(F2, [[1]])
+    with pytest.raises(RuntimeError, match="x is not a cocycle"):
+        h[0].class_of(Matrix(F2, [[1], [0]]), "x")
 
 
 # --- the long exact sequence ------------------------------------------------

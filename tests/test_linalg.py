@@ -146,6 +146,73 @@ def test_kernel_of_sum_row_f2():
     assert k.basis.entries == ((1, 1),)
 
 
+def _two_elimination_kernel(m):
+    """The kernel as two eliminations: the free-column rows of rref(m),
+    built from its entries, then their span brought to RREF."""
+    res = rref(m)
+    reduced = res.reduced.entries
+    free = [j for j in range(m.cols) if j not in res.pivots]
+    rows = [[0] * m.cols for _ in free]
+    for row, j in zip(rows, free):
+        row[j] = 1
+        for k, c in enumerate(res.pivots):
+            row[c] = -reduced[k][j]
+    return Subspace._spanned_by(Matrix(m.field, rows, len(free), m.cols))
+
+
+def _kernel_test_matrices(rng, field):
+    """Tall, wide and square matrices of every rank profile: random, low
+    rank, full rank, zero, and with zero rows and zero columns."""
+    span = 2 ** 40 if field.p is None else 5
+
+    def rand(rows, cols):
+        return rng.integers(-span, span + 1, size=(rows, cols)).astype(object)
+
+    for rows, cols in ((9, 4), (4, 9), (6, 6), (1, 7), (7, 1)):
+        k = min(rows, cols)
+        yield rand(rows, cols)
+        yield rand(rows, 2).dot(rand(2, cols))
+        full = np.zeros((rows, cols), dtype=object)
+        full[np.arange(k), rng.permutation(cols)[:k]] = 1
+        yield full + np.triu(rand(rows, cols), 1) * (rng.random((rows, cols)) < 0.5)
+        yield np.zeros((rows, cols), dtype=object)
+        holes = rand(rows, cols)
+        holes[rng.integers(0, rows)] = 0
+        holes[:, rng.integers(0, cols)] = 0
+        yield holes
+    yield np.zeros((0, 5), dtype=object)
+    yield np.zeros((5, 0), dtype=object)
+
+
+@pytest.mark.parametrize("field", [F2, F3, Field.prime(2 ** 31 - 1), Q], ids=lambda f: f.name)
+def test_kernel_matches_the_two_elimination_route(field):
+    rng = np.random.default_rng(20 + (field.p or 0) % 97)
+    for a in _kernel_test_matrices(rng, field):
+        for grid in (a, a[::-1], a * (rng.random(a.shape) < 0.4)):
+            m = Matrix(field, grid.tolist(), *grid.shape)
+            got, want = kernel(m), _two_elimination_kernel(m)
+            assert got.basis == want.basis and hash(got.basis) == hash(want.basis)
+            assert got.pivots == want.pivots
+            assert got.basis.array.dtype == want.basis.array.dtype
+            assert (m @ got.basis.transpose()).is_zero()
+
+
+def test_kernel_eliminates_a_view_of_its_matrix_once(monkeypatch):
+    import hocohom.linalg as linalg
+    body, seen = linalg.rref, []
+
+    def spy(m):
+        seen.append(m)
+        return body(m)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    m = Matrix(F2, np.random.default_rng(3).integers(0, 2, size=(30, 50)).tolist())
+    kernel(m)
+    assert len(seen) == 1
+    assert np.shares_memory(seen[0].array, m.array)
+    assert seen[0].array.tolist() == [row[::-1] for row in m.array.tolist()]
+
+
 def test_kernel_by_enumeration_f2():
     rng = random.Random(99)
     for _ in range(10):
@@ -308,6 +375,17 @@ def test_equal_matrices_compare_and_hash_equal_across_routes():
         for b in routes:
             assert b == a and hash(b) == hash(a)
         assert a != _scaled(a, 2) and a != a.take_columns([0, 1])
+
+
+def test_f2_difference_is_xor_and_negation_the_identity(monkeypatch):
+    rng = np.random.default_rng(11)
+    a, b = (rng.integers(0, 2, size=(40, 70)) for _ in range(2))
+    ma, mb = Matrix(F2, a.tolist()), Matrix(F2, b.tolist())
+    monkeypatch.setattr(Matrix, "_pointwise", None)   # F_2 never widens
+    assert (ma - mb).entries == Matrix(F2, ((a - b) % 2).tolist()).entries
+    assert (ma - mb).array.dtype == np.uint8
+    assert -ma is ma
+    assert (ma - ma).is_zero()
 
 
 def test_f2_and_f3_are_stored_as_uint8():
