@@ -822,12 +822,11 @@ def _free_column_rows(reduced: Matrix, pivots: tuple[int, ...]) -> Matrix:
     return Matrix._wrap(f, out, den)
 
 
-def _reversed(m: Matrix, rows: bool = False) -> Matrix:
-    """m with its columns, and with rows=True its rows too, in reverse order.
-    The array is a view, and the entries are those of m, so it is already
-    canonical and is not brought to lowest terms again."""
+def _view(m: Matrix, view: np.ndarray) -> Matrix:
+    """A matrix over `view`, a view of m's array that holds the same
+    entries in another order: already canonical, so not reduced again."""
     out = object.__new__(Matrix)
-    out._own(m.field, m.array[::-1, ::-1] if rows else m.array[:, ::-1], m.den)
+    out._own(m.field, view, m.den)
     return out
 
 
@@ -844,10 +843,10 @@ def kernel_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     with no second elimination.
     """
     n = m.cols
-    res = rref(_reversed(m))
+    res = rref(_view(m, m.array[:, ::-1]))
     rows = _free_column_rows(res.reduced.take_rows(range(res.rank)), res.pivots)
     pivots = tuple(n - 1 - int(j) for j in _free_columns(n, res.pivots)[::-1])
-    return _reversed(rows, rows=True), pivots
+    return _view(rows, rows.array[::-1, ::-1]), pivots
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -870,7 +869,7 @@ def quotient_coordinates(spanning: Matrix) -> tuple[Matrix, np.ndarray]:
         return Matrix.identity(f, n), np.arange(n)
     res = rref(spanning)
     return (_free_column_rows(res.reduced.take_rows(range(res.rank)), res.pivots),
-            _free_columns(spanning.cols, res.pivots))
+            _free_columns(n, res.pivots))
 
 
 def column_space(m: Matrix) -> "Subspace":
