@@ -836,11 +836,11 @@ def kernel_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     One elimination, of m with its columns reversed (a view, not a copy).
     Its pivots are the lexicographically last basis of m's columns, and
     their complement is the pivot set of the kernel's RREF (see the module
-    docstring).  The free-column rows of that elimination kill m; the row
-    of free column j is 1 at j and nonzero only at pivots before j, so
-    reversed it leads at j's column of m and is zero at the other free
-    columns.  Reversing rows and columns therefore gives the kernel's RREF,
-    with no second elimination.
+    docstring).  The free-column rows of that elimination kill m.  In the
+    reversed order the row of free column j is 1 at j and nonzero
+    elsewhere only at pivots before j, so reversed back it leads at j's
+    column of m and is zero at the other free columns.  Reversing rows and
+    columns therefore gives the kernel's RREF, with no second elimination.
     """
     n = m.cols
     res = rref(_view(m, m.array[:, ::-1]))
