@@ -226,9 +226,9 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
         agree = all(filt.j(q) == aug for q in range(1, stab + 2))
         record("ideals.sigma_full_j_constant_at_augmentation", agree)
 
-    grids = {}
+    grids, modules = {}, {}
     for name in spec.module_names():
-        v = spec.build_module(name)
+        v = modules[name] = spec.build_module(name)
         grid = _grid(spec, algebra, v)
         grids[name] = grid
 
@@ -270,6 +270,8 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
                    _grid(spec, algebra, v, "reverse") == grid)
 
     coinduced = coinduced_module(spec.group, spec.field, 1)
+    # a spec module with the same permutation table already holds its bar ranks
+    coinduced = next((v for v in modules.values() if v.perm == coinduced.perm), coinduced)
     vreport = vanishing_check(algebra, spec.sigma, coinduced,
                               min(spec.q_max, 3), spec.p_max,
                               budget=spec.budgets["bar_budget"])

@@ -41,15 +41,11 @@ from .linalg import (
 )
 from .modules import GammaModule, ModuleMap
 from .resolution import (
-    DEFAULT_BAR_BUDGET, AModule, BudgetExceeded, FreeResolution,
-    amap_from_generator_images, bar_dimension, bar_dimension_or_none, ext,
-    filtration_for, free_amodule, higher_cohomology, hom_delta, layer_module,
-    quotient_by_j, resolution_of_layer, resolution_of_quotient,
+    DEFAULT_BAR_BUDGET, AModule, BudgetExceeded, FreeResolution, NontrivialActionError,
+    amap_from_generator_images, bar_dimension, bar_dimension_or_none,
+    certify_trivial_action, ext, filtration_for, free_amodule, higher_cohomology,
+    hom_delta, layer_module, quotient_by_j, resolution_of_layer, resolution_of_quotient,
 )
-
-
-class NontrivialActionError(RuntimeError):
-    """The layer J_q/J_{q+1} failed the trivial-action certificate."""
 
 
 @dataclass(frozen=True)
@@ -93,13 +89,7 @@ def trivial_action_witness(ses: ShortExactSequence) -> None:
     trivial action, so the identity matrix is an equivariant isomorphism.
     Raises NontrivialActionError otherwise.
     """
-    left = ses.left
-    f = left.algebra.field
-    ident = Matrix.identity(f, left.dim)
-    for g, mat in enumerate(left.module.action):
-        if mat != ident:
-            raise NontrivialActionError(
-                f"group element {g} acts nontrivially on J_q/J_{{q+1}}")
+    certify_trivial_action(ses.left)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,11 @@ class GammaModule:
     module (`GammaModule.permutation`) stores only the index table `perm`,
     with element g sending basis vector e_j to e_{perm[g][j]}; its stack is
     built on first access, and `orbits` acts by permuting coordinates
-    without it.
+    without it.  `cached` keeps values derived from the module with it, so
+    they live as long as the module does.
     """
 
-    __slots__ = ("group", "field", "dim", "perm", "den", "_stack", "_action")
+    __slots__ = ("group", "field", "dim", "perm", "den", "_stack", "_action", "_cache")
 
     def __init__(self, group: FiniteGroup, field: Field, action):
         action = tuple(action)
@@ -63,6 +64,7 @@ class GammaModule:
         object.__setattr__(self, "_stack", np.stack(arrays))
         self._stack.flags.writeable = False
         object.__setattr__(self, "_action", None)
+        object.__setattr__(self, "_cache", {})
 
     @classmethod
     def permutation(cls, group: FiniteGroup, field: Field, perm) -> "GammaModule":
@@ -80,6 +82,7 @@ class GammaModule:
         object.__setattr__(module, "den", 1)
         object.__setattr__(module, "_stack", None)
         object.__setattr__(module, "_action", None)
+        object.__setattr__(module, "_cache", {})
         return module
 
     @property
@@ -112,6 +115,13 @@ class GammaModule:
             return vectors.array[:, inverse], vectors.den
         return (contract(self.field, vectors.array, self.stack.transpose(2, 0, 1)),
                 vectors.den * self.den)
+
+    def cached(self, key, build):
+        """The cached value under key, made by build() on a miss."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("GammaModule is immutable")

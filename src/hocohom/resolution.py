@@ -8,8 +8,28 @@ repeat.  The construction is deterministic and certified exact at every
 stage by rank arithmetic, which also shows K is A-stable: the boundary
 composes to zero with the map before it and has rank dim K, so its image
 is K.  Each step depends only on the map before it, so the resolutions of
-A/J_q and of J_q/J_{q+1} are cached on the algebra per (S, q, order) and a
-request for more degrees continues the cached one from its last boundary.
+A/J_q are cached on the algebra per (S, q, order) and a request for more
+degrees continues the cached one from its last boundary.
+
+A layer J_q/J_{q+1} whose action is certified trivial is R^N, N = N(q),
+and A/J_1 = A/I = R, so the layer is resolved as the block sum of N
+copies of the cached resolution of A/J_1: ranks N r_i, and the
+augmentation and every boundary block-diagonal.  This is the greedy
+resolution of the layer, entry for entry, so no verdict reads a different
+matrix:
+
+    Lemma.  For R^N with trivial action, the forward greedy resolution is
+    the N-fold block sum of the forward greedy resolution of R.
+    Proof.  The orbit of e_k is e_k alone, so the cover keeps every e_k
+    and the augmentation is the block sum.  Let a map be block-diagonal.
+    Its kernel is the direct sum of the blocks' kernels, and its RREF
+    basis is the blocks' RREF bases stacked in block order.  The forward
+    sweep reaches block k once it has covered every block before it, and
+    the orbit of a row of block k stays in block k, so a unit vector of
+    block k lies in the span exactly when it lies in the part spanned
+    from block k.  The sweep keeps in each block what the sweep of that
+    block alone keeps, and the next boundary is block-diagonal again.
+
 Ext is the cohomology of the Hom_A(-, V) complex of such a resolution: a
 hom from a free module of rank k is the tuple of its generator images in
 V, and the coboundary is precomposition with the boundary.  Every caller
@@ -72,6 +92,10 @@ class NotStableError(ValueError):
 
 class ResolutionTooShort(ValueError):
     pass
+
+
+class NontrivialActionError(RuntimeError):
+    """A layer J_q/J_{q+1} failed the trivial-action certificate."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -323,26 +347,6 @@ def filtration_for(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltrat
     return algebra.cached(("filtration", sigma.members), lambda: j_filtration(algebra, sigma))
 
 
-def _resolution(algebra: GroupAlgebra, key, module, length: int,
-                order: str = "forward") -> FreeResolution:
-    """The resolution cached under key, with at least `length` boundaries.
-
-    A miss builds it from module(); a cached one that is too short is
-    continued from its last boundary and stored again under the same key,
-    so each resolution is built once, only as far as the highest degree
-    asked of it.
-    """
-    res = algebra._cache.get(key)
-    if res is None:
-        res = build_resolution(module(), length, order)
-    elif res.length < length:
-        res = _extend(res, length, order)
-    else:
-        return res
-    algebra._cache[key] = res
-    return res
-
-
 def quotient_by_j(algebra: GroupAlgebra, sigma: NormalSubgroup,
                   q: int) -> tuple[AModule, QuotientMap]:
     """A/J_q as a module in canonical complement coordinates."""
@@ -353,8 +357,23 @@ def quotient_by_j(algebra: GroupAlgebra, sigma: NormalSubgroup,
 
 def resolution_of_quotient(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
                            length: int, order: str = "forward") -> FreeResolution:
-    return _resolution(algebra, ("resolution", sigma.members, q, order),
-                       lambda: quotient_by_j(algebra, sigma, q)[0], length, order)
+    """The resolution of A/J_q cached per (S, q, order), with at least
+    `length` boundaries.
+
+    A miss builds it; a cached one that is too short is continued from its
+    last boundary and stored again under the same key, so each resolution
+    is built once, only as far as the highest degree asked of it.
+    """
+    key = ("resolution", sigma.members, q, order)
+    res = algebra._cache.get(key)
+    if res is None:
+        res = build_resolution(quotient_by_j(algebra, sigma, q)[0], length, order)
+    elif res.length < length:
+        res = _extend(res, length, order)
+    else:
+        return res
+    algebra._cache[key] = res
+    return res
 
 
 def layer_module(algebra: GroupAlgebra, sigma: NormalSubgroup,
@@ -365,10 +384,41 @@ def layer_module(algebra: GroupAlgebra, sigma: NormalSubgroup,
         algebra, filt.j(q + 1), filt.j(q), label=f"J_{q}/J_{q + 1}"))
 
 
+def certify_trivial_action(m: AModule) -> None:
+    """Raise NontrivialActionError unless every group element acts on m as
+    the identity; m is then R^{dim m} with trivial action."""
+    ident = Matrix.identity(m.algebra.field, m.dim)
+    for g, mat in enumerate(m.module.action):
+        if mat != ident:
+            raise NontrivialActionError(f"group element {g} acts nontrivially on {m.label}")
+
+
+def _block_sum(m: Matrix, copies: int) -> Matrix:
+    """The block-diagonal matrix of `copies` copies of m."""
+    r, c = m.rows, m.cols
+    out = np.zeros((copies * r, copies * c), dtype=m.array.dtype)
+    for k in range(copies):
+        out[k * r:(k + 1) * r, k * c:(k + 1) * c] = m.array
+    return Matrix._wrap(m.field, out, m.den)
+
+
 def resolution_of_layer(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
                         length: int) -> FreeResolution:
-    return _resolution(algebra, ("res_layer", sigma.members, q),
-                       lambda: layer_module(algebra, sigma, q)[0], length)
+    """The resolution of J_q/J_{q+1}, certified to act trivially, as the
+    block sum of N(q) copies of the cached resolution of A/J_1 (the lemma
+    in the module docstring).  A request for more degrees extends the
+    A/J_1 resolution and sums it again."""
+    key = ("res_layer", sigma.members, q)
+    res = algebra._cache.get(key)
+    if res is None or res.length < length:
+        layer = layer_module(algebra, sigma, q)[0]
+        certify_trivial_action(layer)
+        base = resolution_of_quotient(algebra, sigma, 1, length)
+        res = algebra._cache[key] = FreeResolution(
+            layer, tuple(layer.dim * r for r in base.ranks),
+            _block_sum(base.augmentation, layer.dim),
+            tuple(_block_sum(b, layer.dim) for b in base.boundaries))
+    return res
 
 
 def higher_cohomology(algebra: GroupAlgebra, sigma: NormalSubgroup,
@@ -465,18 +515,19 @@ def bar_dimension(group: FiniteGroup, v: GammaModule, p: int,
     if n ** (p + 1) * v.dim > budget:
         raise BudgetExceeded(
             f"|G|^(p+1) * dim V = {n ** (p + 1) * v.dim} exceeds budget {budget}")
-    field = v.field
     if v.dim == 0:
         return 0
-    delta_p = _bar_coboundary(group, v, p)
-    cols_p = delta_p.shape[1]
-    rank_p = rank_of_int_rows(field, delta_p, cols_p)
-    del delta_p  # freed before the next coboundary is built
-    if p == 0:
-        return cols_p - rank_p
-    delta_prev = _bar_coboundary(group, v, p - 1)
-    rank_prev = rank_of_int_rows(field, delta_prev, delta_prev.shape[1])
-    return (cols_p - rank_p) - rank_prev
+    dim_z = n ** p * v.dim - _bar_rank(group, v, p)
+    return dim_z if p == 0 else dim_z - _bar_rank(group, v, p - 1)
+
+
+def _bar_rank(group: FiniteGroup, v: GammaModule, i: int) -> int:
+    """rank delta^i, kept with v: each coboundary is built and ranked once
+    per module, and freed before the next one is built."""
+    def build():
+        delta = _bar_coboundary(group, v, i)
+        return rank_of_int_rows(v.field, delta, delta.shape[1])
+    return v.cached(("bar_rank", i), build)
 
 
 def bar_dimension_or_none(group: FiniteGroup, v: GammaModule, p: int,

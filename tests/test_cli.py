@@ -435,4 +435,33 @@ def test_one_resolution_build_and_one_filtration_per_request(monkeypatch, verb, 
     _, ok = verb(load_problem(SPECS / spec_name))
     assert ok
     assert builds and len(builds) == len(set(builds)), builds
+    # the layers J_q/J_{q+1} are block sums of the A/J_1 resolution, never built
+    assert all(label.startswith("A/J_") for label, _ in builds), builds
     assert len(chains) == 1
+
+
+def test_verify_builds_each_bar_coboundary_once_per_module(monkeypatch):
+    # the vanishing check reads the ranks kept with the spec's coinduced module
+    from hocohom import resolution
+    built, inside_vanishing = [], []
+    coboundary, vanishing = resolution._bar_coboundary, cli.vanishing_check
+
+    def spy_coboundary(group, v, i):
+        built.append((id(v), i, bool(inside_vanishing)))
+        return coboundary(group, v, i)
+
+    def spy_vanishing(*args, **kwargs):
+        inside_vanishing.append(True)
+        try:
+            return vanishing(*args, **kwargs)
+        finally:
+            inside_vanishing.pop()
+
+    monkeypatch.setattr(resolution, "_bar_coboundary", spy_coboundary)
+    monkeypatch.setattr(cli, "vanishing_check", spy_vanishing)
+    spec = load_problem(SPECS / "d4_f2.json")
+    _, ok = cli.cmd_verify(spec)
+    assert ok
+    pairs = [(v, i) for v, i, _ in built]
+    assert len(pairs) == len(set(pairs)) == len(spec.module_names()) * (spec.p_max + 1)
+    assert not any(during for *_, during in built)

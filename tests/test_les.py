@@ -9,10 +9,13 @@ from hocohom.groups import (
 )
 from hocohom.linalg import DimensionMismatch, Field, Matrix, column_space, kernel, rank
 from hocohom.modules import trivial_module, regular_module, coinduced_module
-from hocohom.resolution import filtration_for, higher_cohomology, bar_dimension
+from hocohom import resolution
+from hocohom.resolution import (
+    filtration_for, higher_cohomology, bar_dimension, quotient_by_j, resolution_of_layer,
+)
 from hocohom.les import (
-    quotient_ses, trivial_action_witness, horseshoe, long_exact_sequence,
-    node_exact, power_identification, vanishing_check,
+    NontrivialActionError, quotient_ses, trivial_action_witness, horseshoe,
+    long_exact_sequence, node_exact, power_identification, vanishing_check,
 )
 
 Q = Field.rationals()
@@ -363,6 +366,23 @@ def test_power_identification_suite():
                 for p in (0, 1, 2):
                     lhs, rhs = power_identification(alg, sigma, v, q, p)
                     assert lhs == rhs, (group.order, field.name, q, p)
+
+
+def test_layer_with_a_nontrivial_action_is_rejected(monkeypatch):
+    """A layer that does not act trivially is not a sum of copies of A/J_1:
+    neither its resolution nor the power law is built on it."""
+    assert NontrivialActionError is resolution.NontrivialActionError
+    g = c2()
+    alg = GroupAlgebra(g, F2)
+    sigma = trivial_subgroup(g)
+    regular = quotient_by_j(alg, sigma, 2)      # A/J_2 = A: g swaps the basis
+    assert regular[0].dim == 2
+    monkeypatch.setattr(resolution, "layer_module", lambda algebra, s, q: regular)
+    with pytest.raises(NontrivialActionError, match="group element 1"):
+        resolution_of_layer(alg, sigma, 1, 2)
+    with pytest.raises(NontrivialActionError):
+        power_identification(alg, sigma, trivial_module(g, F2, 1), 1, 1)
+    assert ("res_layer", sigma.members, 1) not in alg._cache
 
 
 def test_vanishing_trivial_group():

@@ -23,16 +23,18 @@ from hocohom.resolution import (
     AModule, FreeResolution, amodule_from_subspace, free_amodule, quotient_amodule,
     free_cover, build_resolution, ext, hom_delta, _extend,
     higher_cohomology, quotient_by_j, filtration_for, resolution_of_quotient,
-    bar_dimension,
+    layer_module, resolution_of_layer, bar_dimension,
     NotStableError, ResolutionTooShort, BudgetExceeded, DEFAULT_BAR_BUDGET,
     _bar_coboundary,
 )
 from hocohom.problem import load_problem
+from hocohom import resolution as resolution_module
 
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 SHIPPED_SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json"))
+TEST_SPECS = Path(__file__).resolve().parent / "specs"
 
 
 def trivial_subgroup(group):
@@ -756,6 +758,40 @@ def test_extended_resolution_equals_a_fresh_build():
                 assert extended.boundaries == fresh.boundaries
                 assert extended.ranks[:2] == short.ranks
                 assert extended.boundaries[:1] == short.boundaries
+
+
+@pytest.mark.parametrize("path", SHIPPED_SPECS + [TEST_SPECS / "a4_f2.json",
+                                                  TEST_SPECS / "s4_f2.json"],
+                         ids=lambda path: path.stem)
+def test_layer_resolution_is_the_greedy_resolution_of_the_layer(path, monkeypatch):
+    """The block sum of A/J_1 resolutions equals, entry for entry, the greedy
+    resolution of J_q/J_{q+1}; a longer request sums the extended A/J_1
+    resolution again and never extends the sum."""
+    spec = load_problem(str(path))
+    alg = spec.algebra()
+    length = spec.p_max + 2
+    extended = []
+
+    def spy(res, *args):
+        extended.append(res.target.label)
+        return _extend(res, *args)
+
+    monkeypatch.setattr(resolution_module, "_extend", spy)
+    sums = []
+    for q in range(1, spec.q_max + 1):
+        short = resolution_of_layer(alg, spec.sigma, q, 1)
+        sums.append(resolution_of_layer(alg, spec.sigma, q, length))
+        assert sums[-1].length == length
+        assert sums[-1].boundaries[:short.length] == short.boundaries
+    assert set(extended) <= {"A/J_1"}
+    monkeypatch.undo()
+    for q, res in enumerate(sums, start=1):
+        layer = layer_module(alg, spec.sigma, q)[0]
+        reference = build_resolution(layer, length)
+        assert res.target is layer
+        assert res.ranks == reference.ranks
+        assert res.augmentation == reference.augmentation
+        assert res.boundaries == reference.boundaries
 
 
 # --- permutation-action free modules and generator-only stability -------------
