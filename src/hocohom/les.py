@@ -6,8 +6,8 @@ For each q the ideals give a short exact sequence of modules
 
 whose left term carries the trivial action (I J_q and J_q I land in
 J_{q+1}), hence is a direct sum of N(q) copies of the trivial module.  The
-horseshoe construction combines resolutions of the outer terms into a
-termwise-split resolution of the middle term with block boundaries
+horseshoe construction combines the cached resolutions of the outer terms
+into a termwise-split resolution of the middle term with block boundaries
 [[dL, h], [0, dN]], where the correctors h are solved degree by degree by
 exact linear algebra.  Applying Hom_A(-, V) gives a termwise-split short
 exact sequence of cochain complexes, and the snake construction extracts
@@ -15,18 +15,33 @@ the six-terms-per-degree long exact sequence
 
     0 -> H_q^0 -> H_{q+1}^0 -> H^0(G,V)^{N(q)} -> H_q^1 -> ...
 
-with explicit matrices.  Exactness is verified as subspace equality
-image = kernel at every node.  For maps a into a node of dimension n and b
-out of it, b a = 0 says image(a) lies in kernel(b), and then rank(a) +
-rank(b) = n says the two have equal dimension, since dim kernel(b) =
-n - rank(b); together they are exactly image(a) = kernel(b).
+with explicit matrices.  Every exactness claim, image = kernel, is
+certified one way, by `linalg.node_exact`: for maps a into a node of
+dimension n and b out of it, b a = 0 says image(a) lies in kernel(b), and
+then rank(a) + rank(b) = n says the two have equal dimension, since
+dim kernel(b) = n - rank(b); together they are exactly image(a) = kernel(b).
+
+The horseshoe solves and stores only generator columns.  Each middle
+boundary is built from its generator images by `amap_from_generator_images`,
+so it is A-linear by construction, and so is the augmentation before it.
+Its composite with the map before it is then read on generator columns:
+
+    Lemma.  Let a : A^k -> A^m and b : A^m -> M be A-linear.  Then b a = 0
+    exactly when b a e_j = 0 for every generator e_j of A^k.
+    Proof.  The g e_j span A^k over R, and (b a)(g e_j) = g (b a)(e_j).
+
+So `node_exact` on the generator columns and the rank of the full
+boundary decides exactness, and a wrong corrector makes the composite on
+the generator columns nonzero.
 
 Each cohomology space H^p = Z^p / B^p takes two eliminations: the kernel
 of delta^p gives Z^p in its RREF basis, where a cocycle x has coordinates
 x at the basis's pivot columns, and the RREF of the coboundaries read at
 those columns gives B^p inside Z^p, with canonical class coordinates and
 one cocycle lifting each.  delta^p delta^{p-1} = 0 is checked as a
-product, and every induced or connecting image as delta x = 0.
+product, and every induced or connecting image as delta x = 0.  Only the
+complex of A/J_q is read in degree p_max + 1, where the connecting map
+out of degree p_max lands.
 """
 
 from __future__ import annotations
@@ -36,8 +51,7 @@ from dataclasses import dataclass
 from .algebra import GroupAlgebra, IdealFiltration
 from .groups import NormalSubgroup
 from .linalg import (
-    DimensionMismatch, Matrix, column_space, kernel, kernel_rref, quotient_coordinates,
-    rank, solve_column,
+    Matrix, kernel_rref, node_exact, quotient_coordinates, rank, solve_column,
 )
 from .modules import GammaModule, ModuleMap
 from .resolution import (
@@ -75,9 +89,7 @@ def quotient_ses(algebra: GroupAlgebra, filtration: IdealFiltration,
         raise RuntimeError("injection is not injective")
     if rank(surject.matrix) != right.dim:
         raise RuntimeError("surjection is not surjective")
-    if middle.dim != left.dim + right.dim:
-        raise RuntimeError("dimensions do not add up in the quotient sequence")
-    if column_space(inject.matrix) != kernel(surject.matrix):
+    if not node_exact(inject.matrix, left.dim, surject.matrix, right.dim):
         raise RuntimeError("image of injection differs from kernel of surjection")
     return ShortExactSequence(q, filtration.sigma, left, middle, right, inject, surject)
 
@@ -92,77 +104,51 @@ def trivial_action_witness(ses: ShortExactSequence) -> None:
     certify_trivial_action(ses.left)
 
 
-@dataclass(frozen=True)
-class HorseshoeData:
-    """Compatible resolutions for a short exact sequence.
+def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
+    """The middle resolution with `length` boundaries, ranks rL_i + rN_i.
 
-    res_middle has ranks rL_i + rN_i with block boundaries [[dL, h], [0, dN]],
-    where the corrector h_{i+1} : free(rN_{i+1}) -> free(rL_i) is solved
-    degree by degree.  The middle resolution is certified exact by rank
-    arithmetic.
+    Boundary i has block form [[dL_i, h_i], [0, dN_i]], where the corrector
+    h_i : free(rN_i) -> free(rL_{i-1}) sends each generator to the canonical
+    solution of dL_{i-1} x = -h_{i-1} dN_i e_j (for i = 1, dL_0 is the
+    injected left augmentation and h_0 the right augmentation lifted through
+    the surjection).  Each stage is certified exact on its generator
+    columns (the lemma in the module docstring).
     """
-
-    res_left: FreeResolution
-    res_middle: FreeResolution
-    res_right: FreeResolution
-
-
-def horseshoe(ses: ShortExactSequence, length: int) -> HorseshoeData:
     algebra = ses.left.algebra
-    f = algebra.field
-    n = algebra.dim
-    res_left = resolution_of_layer(algebra, ses.sigma, ses.q, length)
-    res_right = resolution_of_quotient(algebra, ses.sigma, ses.q, length)
+    f, n = algebra.field, algebra.dim
+    res_l = resolution_of_layer(algebra, ses.sigma, ses.q, length)
+    res_n = resolution_of_quotient(algebra, ses.sigma, ses.q, length)
 
-    inj = ses.inject.matrix
-    middle_mod = ses.middle.module
+    def gens(amap: Matrix) -> Matrix:
+        return amap.take_columns(range(0, amap.cols, n))
 
-    # augmentation: on the left block, inject after the left augmentation;
-    # on the right block, a lift of the right augmentation through the surjection
-    generators = range(0, res_right.ranks[0] * n, n)
-    lambda0 = _lift_generators(algebra, middle_mod, ses.surject.matrix,
-                               res_right.augmentation.take_columns(generators))
-    aug_left_part = inj @ res_left.augmentation
-    aug_middle = Matrix.hstack(f, [aug_left_part, lambda0]) \
-        if res_left.ranks[0] + res_right.ranks[0] > 0 else Matrix.zeros(f, ses.middle.dim, 0)
-
-    prev_rank = rank(aug_middle)
+    augmentation = amap_from_generator_images(algebra, ses.middle.module, Matrix.hstack(f, [
+        ses.inject.matrix @ gens(res_l.augmentation),
+        solve_column(ses.surject.matrix, gens(res_n.augmentation))]).transpose())
+    prev_rank = rank(augmentation)
     if prev_rank != ses.middle.dim:
         raise RuntimeError("horseshoe augmentation is not surjective")
     boundaries = []
-    ranks = [res_left.ranks[0] + res_right.ranks[0]]
-    prev_solver = aug_left_part          # target side of the corrector equation
-    prev_corrector_full = lambda0        # maps free(rN_i) space into the previous target
-    prev_map = aug_middle
+    # the map before each stage is [[solver, corrector], [0, *]], with `top` rows on top
+    prev_map, top = augmentation, ses.middle.dim
     for i in range(1, length + 1):
-        r_l_prev, r_n_prev = res_left.ranks[i - 1], res_right.ranks[i - 1]
-        r_l, r_n = res_left.ranks[i], res_right.ranks[i]
-        d_l = res_left.boundaries[i - 1]
-        d_n = res_right.boundaries[i - 1]
-        w = prev_corrector_full @ d_n.take_columns(range(0, r_n * n, n))
-        h_i = _lift_generators(algebra, free_amodule(algebra, r_l_prev).module, prev_solver, -w)
-        boundary = Matrix.block(
-            f, [[d_l, h_i], [None, d_n]],
-            [r_l_prev * n, r_n_prev * n], [r_l * n, r_n * n])
-        if not (prev_map @ boundary).is_zero():
-            raise RuntimeError(f"horseshoe boundary {i} does not compose to zero")
+        left_prev = res_l.ranks[i - 1] * n
+        solver = _block(prev_map, range(top), range(left_prev))
+        corrector = _block(prev_map, range(top), range(left_prev, prev_map.cols))
+        d_n = gens(res_n.boundaries[i - 1])
+        h = solve_column(solver, -(corrector @ d_n))
+        columns = Matrix.block(f, [[gens(res_l.boundaries[i - 1]), h], [None, d_n]],
+                               [left_prev, prev_map.cols - left_prev],
+                               [res_l.ranks[i], res_n.ranks[i]])
+        free = free_amodule(algebra, res_l.ranks[i - 1] + res_n.ranks[i - 1]).module
+        boundary = amap_from_generator_images(algebra, free, columns.transpose())
         boundary_rank = rank(boundary)
-        if boundary_rank != prev_map.cols - prev_rank:  # dim ker(prev_map), by rank-nullity
+        if not node_exact(columns, boundary_rank, prev_map, prev_rank):
             raise RuntimeError(f"horseshoe failed exactness at stage {i}")
         boundaries.append(boundary)
-        ranks.append(r_l + r_n)
-        prev_solver = d_l
-        prev_corrector_full = h_i
-        prev_map, prev_rank = boundary, boundary_rank
-    res_middle = FreeResolution(ses.middle, tuple(ranks), aug_middle, tuple(boundaries))
-    return HorseshoeData(res_left, res_middle, res_right)
-
-
-def _lift_generators(algebra: GroupAlgebra, target: GammaModule, solver: Matrix,
-                     targets: Matrix) -> Matrix:
-    """The A-map into target sending generator j to the canonical solution x
-    of solver x = column j of targets."""
-    return amap_from_generator_images(algebra, target, solve_column(solver, targets).transpose())
+        prev_map, prev_rank, top = boundary, boundary_rank, left_prev
+    ranks = tuple(a + b for a, b in zip(res_l.ranks[:length + 1], res_n.ranks))
+    return FreeResolution(ses.middle, ranks, augmentation, tuple(boundaries))
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +205,6 @@ def _block(m: Matrix, rows: range, cols: range) -> Matrix:
     return Matrix._wrap(m.field, m.array[rows.start:rows.stop, cols.start:cols.stop], m.den)
 
 
-def node_exact(incoming: Matrix, incoming_rank: int,
-               outgoing: Matrix, outgoing_rank: int) -> bool:
-    """Whether image(incoming) = kernel(outgoing) at the node between them,
-    given the ranks of the two maps.
-
-    The image lies in the kernel exactly when outgoing @ incoming = 0, and
-    a subspace of the kernel is all of it exactly when its dimension is
-    dim kernel = node dimension - rank(outgoing), by rank-nullity.
-    """
-    if incoming.rows != outgoing.cols:
-        raise DimensionMismatch("the maps do not meet at one node")
-    return ((outgoing @ incoming).is_zero()
-            and incoming_rank + outgoing_rank == outgoing.cols)
-
-
 @dataclass(frozen=True)
 class LesDegree:
     p: int
@@ -272,9 +243,9 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
     the start, image = kernel at every interior node up to degree p_max,
     using the connecting homomorphism into degree p_max + 1.  Each identity
     is certified by `node_exact`: a zero composite and ranks that fill the
-    node.  The horseshoe
-    needs p_max + 2 boundaries of the outer resolutions; it extends the
-    cached forward ones (those of the grid) rather than rebuilding them.
+    node.  The horseshoe takes p_max + 1 boundaries of the cached forward
+    outer resolutions (those of the grid); only the resolution of A/J_q is
+    extended to p_max + 2, for the connecting map into degree p_max + 1.
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
@@ -282,7 +253,7 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
         raise BudgetExceeded("long-exact-sequence degrees are limited to p_max <= 3")
     f = algebra.field
     filt = filtration_for(algebra, sigma)
-    length = p_max + 2
+    length = p_max + 1
     # the sequence and its horseshoe depend only on (S, q), not on V
     def certified_ses():
         ses = quotient_ses(algebra, filt, q)
@@ -290,18 +261,19 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
         return ses
 
     ses = algebra.cached(("ses", sigma.members, q), certified_ses)
-    shoe = algebra.cached(("horseshoe", sigma.members, q, length),
-                          lambda: horseshoe(ses, length))
-    res_l, res_m, res_n = shoe.res_left, shoe.res_middle, shoe.res_right
+    res_m = algebra.cached(("horseshoe", sigma.members, q, length),
+                           lambda: horseshoe(ses, length))
+    res_l = resolution_of_layer(algebra, sigma, q, length)
+    res_n = resolution_of_quotient(algebra, sigma, q, length + 1)
 
-    deltas_n = [hom_delta(res_n, v, i) for i in range(length)]
+    deltas_n = [hom_delta(res_n, v, i) for i in range(length + 1)]
     deltas_m = [hom_delta(res_m, v, i) for i in range(length)]
     deltas_l = [hom_delta(res_l, v, i) for i in range(length)]
 
     d_v = v.dim
     # C_M^i = C_L^i + C_N^i, and delta_M = [[delta_L, 0], [*, delta_N]] exactly
     # when the embedding of C_N and the projection onto C_L are cochain maps
-    for i in range(length - 1):
+    for i in range(length):
         rl, rl1 = res_l.ranks[i] * d_v, res_l.ranks[i + 1] * d_v
         dm = deltas_m[i]
         corner_zero = _block(dm, range(rl1), range(rl, dm.cols)).is_zero()
@@ -310,16 +282,15 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
         if not corner_zero or _block(dm, range(rl1), range(rl)) != deltas_l[i]:
             raise RuntimeError(f"projection is not a cochain map at degree {i}")
 
-    top = p_max + 1
-    h_n = _cohomology_spaces(deltas_n, top, f)
-    h_m = _cohomology_spaces(deltas_m, top, f)
-    h_l = _cohomology_spaces(deltas_l, top, f)
+    # only the connecting map reads degree p_max + 1, of the N complex alone
+    h_n = _cohomology_spaces(deltas_n, p_max + 1, f)
+    h_m = _cohomology_spaces(deltas_m, p_max, f)
+    h_l = _cohomology_spaces(deltas_l, p_max, f)
 
-    # embed the N-cocycles in the R-slot of C_M and project the M-cocycles onto
-    # C_L, in degree top too: no node reads it, but its cocycle checks run
+    # embed the N-cocycles in the R-slot of C_M and project the M-cocycles onto C_L
     image = "the image of a cochain map"
     lower_maps, upper_maps = [], []
-    for p in range(top + 1):
+    for p in range(p_max + 1):
         r_l = res_l.ranks[p] * d_v
         embedded = Matrix.vstack(f, [Matrix.zeros(f, r_l, h_n[p].dim), h_n[p].reps.transpose()])
         lower_maps.append(h_m[p].class_of(embedded, image))

@@ -889,6 +889,21 @@ def solve_column(m: Matrix, b: Matrix) -> Matrix:
     return Matrix._wrap(f, x, reduced.den)
 
 
+def node_exact(incoming: Matrix, incoming_rank: int,
+               outgoing: Matrix, outgoing_rank: int) -> bool:
+    """Whether image(incoming) = kernel(outgoing) at the node between them,
+    given the ranks of the two maps.
+
+    The image lies in the kernel exactly when outgoing @ incoming = 0, and
+    a subspace of the kernel is all of it exactly when its dimension is
+    dim kernel = node dimension - rank(outgoing), by rank-nullity.
+    """
+    if incoming.rows != outgoing.cols:
+        raise DimensionMismatch("the maps do not meet at one node")
+    return ((outgoing @ incoming).is_zero()
+            and incoming_rank + outgoing_rank == outgoing.cols)
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 

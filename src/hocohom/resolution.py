@@ -76,7 +76,8 @@ import numpy as np
 from .algebra import GroupAlgebra, IdealFiltration, j_filtration
 from .groups import FiniteGroup, NormalSubgroup
 from .linalg import (
-    Field, Matrix, QuotientMap, Subspace, contract, kernel, rank, rank_of_int_rows,
+    Field, Matrix, QuotientMap, Subspace, contract, kernel, node_exact, rank,
+    rank_of_int_rows,
 )
 from .modules import GammaModule, regular_module
 
@@ -280,10 +281,10 @@ def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
 
         images = basis.take_rows(free_cover(f, ker_sub.dim, orbit, order))
         boundary = amap_from_generator_images(algebra, free, images)
-        if rank(boundary) != ker_sub.dim:
-            raise RuntimeError("resolution step failed exactness certification")
-        if not (prev_map @ boundary).is_zero():
-            raise RuntimeError(f"boundary {i} does not compose to zero with the map before it")
+        # dim K = cols - rank(prev_map); the composite is taken on every column,
+        # not only the generators, since a given augmentation need not be A-linear
+        if not node_exact(boundary, rank(boundary), prev_map, prev_map.cols - ker_sub.dim):
+            raise RuntimeError(f"resolution step {i} failed exactness certification")
         boundaries.append(boundary)
         ranks.append(images.rows)
         prev_map = boundary

@@ -29,6 +29,11 @@ from hocohom.modules import (
 from hocohom.resolution import bar_dimension, filtration_for, higher_cohomology
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json"))
+SCALE_SPECS = Path(__file__).resolve().parent / "specs"
+# (spec, verb) runs on the larger problems whose plain reports are pinned in tests/golden
+SCALE_RUNS = [(SCALE_SPECS / f"{stem}.json", "verify")
+              for stem in ("a4_f2", "s4_f2", "a5_f2", "c2x4_f2", "c2x4_q3_f2")] + [
+    (SCALE_SPECS / "c2x4_f2.json", "les-check")]
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -385,18 +390,41 @@ def test_recheck_reports_match_golden(tmp_path):
                 time.monotonic() - started)
 
 
+def test_scale_reports_match_golden(tmp_path):
+    """`verify` on every scale spec in tests/specs, and `les-check` on C2^4,
+    against their golden reports.
+
+    These are the cases where the greedy cover is not minimal (C2^4 has
+    ranks 1, 4, 10, 22) and where the bar oracle skips degrees, and
+    C2^4 at q_max 3 has the grid [[1, 4, 10], [1, 6, 20], [1, 4, 15]].
+    """
+    started = time.monotonic()
+    failures = []
+    for spec_path, verb in SCALE_RUNS:
+        code, payload = cli_report(spec_path, tmp_path / f"{verb}.{spec_path.name}", verb=verb)
+        if code != 0:
+            failures.append(("exit", verb, spec_path.name, code))
+        golden = golden_path(spec_path, verb=verb)
+        if not golden.exists() or payload != golden.read_text():
+            failures.append(("golden", verb, spec_path.name))
+    report_line("verify on the scale specs and les-check on C2^4 outside the "
+                "timing block equal tests/golden", not failures,
+                time.monotonic() - started)
+
+
 if __name__ == "__main__":
     # Rewrites tests/golden (plain `verify` and the --recheck reports of every
-    # verb in RECHECK_VERBS) from the current code:
+    # verb in RECHECK_VERBS on the shipped specs, and the SCALE_RUNS reports)
+    # from the current code:
     #   PYTHONPATH=src python tests/test_acceptance.py
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
+    runs = [(spec_path, verb, recheck) for spec_path in SPECS
+            for verb, recheck in [("verify", False)] + [(v, True) for v in RECHECK_VERBS]]
+    runs += [(spec_path, verb, False) for spec_path, verb in SCALE_RUNS]
     with tempfile.TemporaryDirectory() as tmp:
-        for spec_path in SPECS:
-            runs = [("verify", False)] + [(verb, True) for verb in RECHECK_VERBS]
-            for verb, recheck in runs:
-                code, payload = cli_report(spec_path, Path(tmp) / spec_path.name,
-                                           recheck, verb)
-                if code != 0:
-                    raise SystemExit(f"{verb} failed on {spec_path.name} (exit {code})")
-                golden_path(spec_path, recheck, verb).write_text(payload)
+        for spec_path, verb, recheck in runs:
+            code, payload = cli_report(spec_path, Path(tmp) / spec_path.name, recheck, verb)
+            if code != 0:
+                raise SystemExit(f"{verb} failed on {spec_path.name} (exit {code})")
+            golden_path(spec_path, recheck, verb).write_text(payload)

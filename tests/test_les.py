@@ -11,7 +11,8 @@ from hocohom.linalg import DimensionMismatch, Field, Matrix, column_space, kerne
 from hocohom.modules import trivial_module, regular_module, coinduced_module
 from hocohom import resolution
 from hocohom.resolution import (
-    filtration_for, higher_cohomology, bar_dimension, quotient_by_j, resolution_of_layer,
+    amap_from_generator_images, filtration_for, free_amodule, higher_cohomology,
+    bar_dimension, quotient_by_j, resolution_of_layer, resolution_of_quotient,
 )
 from hocohom.les import (
     NontrivialActionError, quotient_ses, trivial_action_witness, horseshoe,
@@ -104,17 +105,24 @@ def test_trivial_action_witness_vacuous_for_zero_layer():
 def test_horseshoe_soundness():
     g = s3()
     alg = GroupAlgebra(g, F2)
-    filt = j_filtration(alg, a3_in(g))
+    sigma = a3_in(g)
+    filt = j_filtration(alg, sigma)
     ses = quotient_ses(alg, filt, 1)
-    shoe = horseshoe(ses, 3)
+    middle = horseshoe(ses, 3)
+    left = resolution_of_layer(alg, sigma, 1, 3)
+    right = resolution_of_quotient(alg, sigma, 1, 3)
     for i in range(4):
-        assert shoe.res_middle.ranks[i] == shoe.res_left.ranks[i] + shoe.res_right.ranks[i]
-    assert rank(shoe.res_middle.augmentation) == ses.middle.dim
-    middle = shoe.res_middle
+        assert middle.ranks[i] == left.ranks[i] + right.ranks[i]
+    assert rank(middle.augmentation) == ses.middle.dim
     for before, b in zip((middle.augmentation,) + middle.boundaries, middle.boundaries):
         assert column_space(b) == kernel(before)
-    for b1, b2 in zip(shoe.res_middle.boundaries, shoe.res_middle.boundaries[1:]):
+    for b1, b2 in zip(middle.boundaries, middle.boundaries[1:]):
         assert (b1 @ b2).is_zero()
+    # each boundary is the A-linear map of its own generator columns
+    for i, b in enumerate(middle.boundaries):
+        free = free_amodule(alg, middle.ranks[i]).module
+        generator_images = b.take_columns(range(0, b.cols, alg.dim)).transpose()
+        assert b == amap_from_generator_images(alg, free, generator_images)
 
 
 def test_horseshoe_middle_matches_direct_ext():
@@ -126,11 +134,11 @@ def test_horseshoe_middle_matches_direct_ext():
     sigma = a3_in(g)
     filt = filtration_for(alg, sigma)
     ses = quotient_ses(alg, filt, 1)
-    shoe = horseshoe(ses, 3)
+    middle = horseshoe(ses, 3)
     direct = resolution_of_quotient(alg, sigma, 2, 3)
     for v in (trivial_module(g, F2, 1), regular_module(g, F2)):
         for p in (0, 1, 2):
-            assert ext(shoe.res_middle, v, p) == ext(direct, v, p)
+            assert ext(middle, v, p) == ext(direct, v, p)
 
 
 def test_horseshoe_and_ses_built_once_per_level(monkeypatch):
@@ -155,10 +163,55 @@ def test_horseshoe_and_ses_built_once_per_level(monkeypatch):
     reports = {(q, v.dim): long_exact_sequence(alg, sigma, v, q, 2)
                for q in (1, 2) for v in (trivial, regular)}
     assert built["ses"] == [1, 2]
-    assert built["horseshoe"] == [(1, 4), (2, 4)]
+    assert built["horseshoe"] == [(1, 3), (2, 3)]
     # the second module's report, from the cached horseshoe, equals a fresh one
     assert reports[(1, regular.dim)] == long_exact_sequence(
         GroupAlgebra(g, F2), sigma, regular, 1, 2)
+
+
+def test_horseshoe_rejects_a_wrong_corrector(monkeypatch):
+    """Correctors that do not solve their equation leave a nonzero composite
+    on the generator columns, and the stage fails exactness."""
+    from hocohom import les
+    g = s3()
+    alg = GroupAlgebra(g, F2)
+    ses = quotient_ses(alg, j_filtration(alg, a3_in(g)), 1)
+    solve_body = les.solve_column
+    corrupted = []
+
+    def zero_correctors(m, b):
+        if m is ses.surject.matrix:    # the lift of the augmentation stays right
+            return solve_body(m, b)
+        corrupted.append(not b.is_zero())
+        return Matrix.zeros(m.field, m.cols, b.cols)
+
+    monkeypatch.setattr(les, "solve_column", zero_correctors)
+    with pytest.raises(RuntimeError, match="horseshoe failed exactness at stage"):
+        horseshoe(ses, 3)
+    assert any(corrupted)
+
+
+def test_horseshoe_multiplies_no_full_boundary(monkeypatch):
+    """The horseshoe's products read generator columns: none takes a full
+    middle boundary as its right factor."""
+    g = s3()
+    alg = GroupAlgebra(g, F2)
+    sigma = a3_in(g)
+    ses = quotient_ses(alg, j_filtration(alg, sigma), 1)
+    resolution_of_layer(alg, sigma, 1, 3)          # the outer resolutions, built
+    resolution_of_quotient(alg, sigma, 1, 3)       # before the spy is installed
+    matmul = Matrix.__matmul__
+    right_factors = []
+
+    def spy(self, other):
+        right_factors.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", spy)
+    middle = horseshoe(ses, 3)
+    monkeypatch.undo()
+    assert right_factors
+    assert not any(r == b for r in right_factors for b in middle.boundaries)
 
 
 def test_les_runs_two_eliminations_per_cohomology_degree(monkeypatch):
@@ -183,8 +236,8 @@ def test_les_runs_two_eliminations_per_cohomology_degree(monkeypatch):
     monkeypatch.setattr(linalg, "rref", spy_rref)
     monkeypatch.setattr(linalg.QuotientMap, "__init__", spy_quotient)
     report = long_exact_sequence(alg, sigma, v, 1, p_max)
-    # three complexes, each in degrees 0 .. p_max + 1
-    assert 0 < calls["rref"] <= 2 * 3 * (p_max + 2)
+    # three complexes in degrees 0 .. p_max, and the A/J_q complex in p_max + 1
+    assert 0 < calls["rref"] <= 2 * (3 * (p_max + 1) + 1)
     assert calls["QuotientMap"] == 0
     assert report == fresh and report.exact
 
