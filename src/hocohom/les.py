@@ -21,8 +21,8 @@ dimension n and b out of it, b a = 0 says image(a) lies in kernel(b), and
 then rank(a) + rank(b) = n says the two have equal dimension, since
 dim kernel(b) = n - rank(b); together they are exactly image(a) = kernel(b).
 
-The horseshoe solves and stores only generator columns.  Each middle
-boundary is built from its generator images by `amap_from_generator_images`,
+The horseshoe solves only for generator columns.  Each middle boundary
+is built from its generator images by `amap_from_generator_images`,
 so it is A-linear by construction, and so is the augmentation before it.
 Its composite with the map before it is then read on generator columns:
 
