@@ -36,31 +36,43 @@ V, and the coboundary is precomposition with the boundary.  Every caller
 needs only dim Ext^p, so `ext` reads it off the ranks of two coboundaries
 once their composite is checked to be zero.
 
-`bar_dimension` computes classical group cohomology through the standard
-inhomogeneous cochain complex C^p = maps(G^p, V).  It shares no code with
-the resolution path and serves as the independent oracle for the q = 1 row
-of the higher-order theory and for the coefficient-power identification.
-Each coboundary is built directly as one integer numpy array: every term
-of the coboundary formula is a single vectorized addition at column
-indices read off the multiplication table, rows over Q are scaled to
-integers, and the dtype is the smallest that holds the entries (int8 for
-small fields and small rational actions).  Its rank is taken in the field
-by `rank_of_int_rows`, certified over Q.
+`bar_dimension` computes classical group cohomology through the
+normalized inhomogeneous cochain complex (Mac Lane, *Homology*, 1963,
+IV.5; Weibel, *An Introduction to Homological Algebra*, 1994, 6.5).  It shares no
+code with the resolution path and serves as the independent oracle for
+the q = 1 row of the higher-order theory and for the coefficient-power
+identification.  Each coboundary is built directly as one integer numpy
+array: every term of the coboundary formula is a single vectorized
+addition at column indices read off the multiplication table, rows over
+Q are scaled to integers, and the dtype is the smallest that holds the
+entries (int8 for small fields and small rational actions).  Its rank is
+taken in the field by `rank_of_int_rows`, certified over Q.
 
-Only the rows of delta^p whose leading argument g_1 is a generator of G
-are built, k |G|^p dim V of them for k distinct generators instead of
-|G|^{p+1} dim V, because they have the same kernel (so the same rank,
-over every field):
+    Normalized cochains.  N^p, the cochains of C^p = maps(G^p, V) that
+    vanish on every tuple containing the identity e, is a subcomplex,
+    and its inclusion into C is a quasi-isomorphism.
 
-    Lemma.  Let psi_g(g_2..g_{p+1}) = (delta phi)(g, g_2..g_{p+1}).  If
-    psi_a = 0 and psi_b = 0, then psi_{ab} = 0.
-    Proof.  Expand 0 = (delta delta phi)(a, b, g_2..g_{p+1}).  Every term
-    but -psi_{ab}(g_2..g_{p+1}) has leading argument a or b, so it is 0.
-    Every element of a finite group is a product of generators (the
-    identity included), so phi is a cocycle once psi_g = 0 for every
-    generator g.
+    The matrix.  The matrix of delta on N is the submatrix of delta on
+    the rows and columns whose tuples avoid e: a normalized phi is zero
+    on the other columns, and delta phi is zero on the other rows.
 
-The bar budget bounds the largest cochain space of the complex,
+    Generator rows still suffice.  Let psi_g(g_2..g_{p+1}) =
+    (delta phi)(g, g_2..g_{p+1}) for normalized phi.  If psi_a and psi_b
+    vanish on the tuples that avoid e, then psi_{ab} = 0.
+    Proof.  delta phi is normalized, so psi_a and psi_b vanish on the
+    tuples containing e too.  Expand 0 = (delta delta phi)(a, b, g_2..):
+    every term but -psi_{ab}(g_2..g_{p+1}) has leading argument a or b,
+    so it is 0.  psi_e = 0 since delta phi is normalized, and every
+    element is a product of generators, so phi is a cocycle once psi_g
+    vanishes on the tuples avoiding e for every generator g other than e.
+
+    The shape.  The identity is element 0 (`groups`), so tuple digits are
+    1..|G|-1, and the matrix of delta^p has k' (|G|-1)^p dim V rows by
+    (|G|-1)^p dim V columns, for k' distinct generators other than e.  A
+    face whose product g_m g_{m+1} is e is dropped.  A group with no
+    generator other than e is trivial, and its matrices have no rows.
+
+The bar budget bounds the largest cochain space of the full complex,
 dim C^{p+1} = |G|^{p+1} dim V, not the rows built, and is checked before
 anything is built, so the degrees it skips do not depend on the
 generating set.
@@ -264,7 +276,10 @@ def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
     equals build_resolution(res.target, length, order), since each step
     depends only on the map before it and that map's free rank.  Each kept
     row b of the kernel K's RREF basis becomes a generator sent to b; the
-    exactness certificate fails (RuntimeError) when K is not A-stable."""
+    exactness certificate fails (RuntimeError) when K is not A-stable.
+    From the second step on, the map before is a boundary built here from
+    its generator images, as the new one is, so the composite is read on
+    the generator columns (the lemma in the `les` docstring)."""
     algebra = res.algebra
     f = algebra.field
     ranks = list(res.ranks)
@@ -281,9 +296,10 @@ def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
 
         images = basis.take_rows(free_cover(f, ker_sub.dim, orbit, order))
         boundary = amap_from_generator_images(algebra, free, images)
-        # dim K = cols - rank(prev_map); the composite is taken on every column,
-        # not only the generators, since a given augmentation need not be A-linear
-        if not node_exact(boundary, rank(boundary), prev_map, prev_map.cols - ker_sub.dim):
+        # dim K = cols - rank(prev_map); the first composite is taken on every
+        # column, since a given augmentation need not be A-linear
+        incoming = boundary if i == 1 else images.transpose()
+        if not node_exact(incoming, rank(boundary), prev_map, prev_map.cols - ker_sub.dim):
             raise RuntimeError(f"resolution step {i} failed exactness certification")
         boundaries.append(boundary)
         ranks.append(images.rows)
@@ -435,19 +451,23 @@ def higher_cohomology(algebra: GroupAlgebra, sigma: NormalSubgroup,
 # brute-force classical cohomology (independent oracle)
 
 def _bar_coboundary(group: FiniteGroup, v: GammaModule, i: int) -> np.ndarray:
-    """Integer matrix of the generator rows of the coboundary C^i -> C^{i+1}.
+    """Integer matrix of the generator rows of the normalized coboundary
+    N^i -> N^{i+1}.
 
     (d phi)(g_1..g_{i+1}) = g_1 phi(g_2..g_{i+1})
                             + sum_m (-1)^m phi(.., g_m g_{m+1}, ..)
                             + (-1)^{i+1} phi(g_1..g_i).
-    Only the rows with g_1 in the generating set are built (the identity
-    for a group with no generators); they have the kernel of the whole
-    coboundary, by the lemma in the module docstring.  The rows are those
-    of the full matrix with such a g_1, in their order there: row
-    (sigma, t) of the full matrix is sigma * dim V + t and column (tau, s)
-    is tau * dim V + s, with a tuple read as a base-|G| number, g_1
-    leading.  Each term of the formula is one vectorized addition over all
-    rows at once, at column indices computed from the multiplication table.
+    Rows and columns are the tuples that avoid the identity, element 0, so
+    a tuple's digits are 1..|G|-1; a face whose product g_m g_{m+1} is the
+    identity is dropped, since normalized phi vanishes there.  Only the
+    rows with g_1 a generator other than the identity are built (none for
+    the trivial group); they have the kernel of the whole normalized
+    coboundary, by the lemmas in the module docstring.  Row (sigma, t) is
+    sigma * dim V + t and column (tau, s) is tau * dim V + s, with a tuple
+    read as a base-(|G|-1) number of its digits minus one, g_1 leading, so
+    the rows and columns keep their order in the full matrix.  Each term
+    of the formula is one vectorized addition over all rows at once, at
+    column indices computed from the multiplication table.
 
     Over F_p the entries are residues of the action and +-1.  Over Q row
     (sigma, t) is multiplied by the lcm of the denominators in row t of
@@ -470,43 +490,42 @@ def _bar_coboundary(group: FiniteGroup, v: GammaModule, i: int) -> np.ndarray:
     act = np.array(rows, dtype=dtype).reshape(n, d, d)
     scale = np.array(scales, dtype=dtype).reshape(n, d)
 
-    heads = np.array(sorted(set(group.gen_indices)) or [0])
-    sigma = (heads[:, None] * n ** i + np.arange(n ** i)).ravel()
-    digits = [sigma // n ** (i - k) % n for k in range(i + 1)]     # g_1 .. g_{i+1}
+    m = n - 1
+    heads = np.array(sorted(set(group.gen_indices) - {0}), dtype=np.intp)
+    tail = np.tile(np.arange(m ** i), len(heads))                    # (g_2..g_{i+1})
+    digits = [np.repeat(heads, m ** i)] + [tail // m ** (i - 1 - k) % m + 1 for k in range(i)]
     head = digits[0]
-    out_row = np.arange(len(sigma))
-    out = np.zeros((len(sigma), d, n ** i, d), dtype=dtype)
+    out_row = np.arange(len(head))
+    out = np.zeros((len(head), d, m ** i, d), dtype=dtype)
     # g_1 phi(g_2..g_{i+1}): the block action[g_1] at column tuple (g_2..g_{i+1})
-    out[out_row, :, sigma % n ** i, :] += act[head]
+    out[out_row, :, tail, :] += act[head]
     t = np.arange(d)
     mult = np.array(group.mult)
 
-    def face(tau, sign):
-        out[out_row[:, None], t, tau[:, None], t] += sign * scale[head]
-
-    for m in range(1, i + 1):
-        merged = digits[:m - 1] + [mult[digits[m - 1], digits[m]]] + digits[m + 1:]
-        tau = np.zeros_like(sigma)
+    def face(keep, merged, sign):
+        tau = np.zeros_like(tail)
         for digit in merged:
-            tau = tau * n + digit
-        face(tau, (-1) ** m)
-    face(sigma // n, (-1) ** (i + 1))
-    return out.reshape(len(sigma) * d, n ** i * d)
+            tau = tau * m + digit - 1
+        out[out_row[keep, None], t, tau[keep, None], t] += sign * scale[head[keep]]
+
+    for k in range(1, i + 1):
+        product = mult[digits[k - 1], digits[k]]
+        face(product != 0, digits[:k - 1] + [product] + digits[k + 1:], (-1) ** k)
+    face(slice(None), digits[:i], (-1) ** (i + 1))
+    return out.reshape(len(head) * d, m ** i * d)
 
 
 def bar_dimension(group: FiniteGroup, v: GammaModule, p: int,
                   budget: int = DEFAULT_BAR_BUDGET) -> int:
-    """dim H^p(G, V) from the inhomogeneous cochain complex.
+    """dim H^p(G, V) from the normalized inhomogeneous cochain complex.
 
-    This path never touches resolutions or Hom complexes.  It ranks only
-    the generator rows of delta^p and delta^{p-1} (leading argument a
-    generator), which have the kernels of the whole coboundaries.
-    Lemma: with psi_g = (delta phi)(g, ...), psi_a = psi_b = 0 gives
-    psi_{ab} = 0.  Proof: in 0 = (delta delta phi)(a, b, ...) every term but
-    -psi_{ab} has leading argument a or b, and every element is a product
-    of generators.  Raises BudgetExceeded, before anything is built, when
-    p > 3 or when dim C^{p+1} = |G|^{p+1} * dim V, the largest cochain
-    space of the complex (not the rows built), exceeds the budget.
+    This path never touches resolutions or Hom complexes.  dim H^p is
+    dim N^p - rank delta^p - rank delta^{p-1}, with dim N^p =
+    (|G|-1)^p dim V, and each rank is read off the generator rows of the
+    normalized coboundary (the lemmas in the module docstring).  Raises
+    BudgetExceeded, before anything is built, when p > 3 or when
+    dim C^{p+1} = |G|^{p+1} * dim V, the largest cochain space of the full
+    complex (not the rows built), exceeds the budget.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
@@ -518,7 +537,7 @@ def bar_dimension(group: FiniteGroup, v: GammaModule, p: int,
             f"|G|^(p+1) * dim V = {n ** (p + 1) * v.dim} exceeds budget {budget}")
     if v.dim == 0:
         return 0
-    dim_z = n ** p * v.dim - _bar_rank(group, v, p)
+    dim_z = (n - 1) ** p * v.dim - _bar_rank(group, v, p)
     return dim_z if p == 0 else dim_z - _bar_rank(group, v, p - 1)
 
 

@@ -559,14 +559,14 @@ def test_f2_rank_of_int8_bar_coboundaries():
 
 
 def test_f2_rank_of_the_order24_bar_coboundary():
-    # the generator rows of delta^2 for S4 on the trivial module, the matrix
-    # whose rank dominates the order-24 cohom run
+    # the generator rows of the normalized delta^2 for S4 on the trivial
+    # module, the matrix whose rank dominates the order-24 cohom run
     from hocohom.groups import Permutation, close_generators
     from hocohom.modules import trivial_module
     from hocohom.resolution import _bar_coboundary
     s4 = close_generators([Permutation([1, 2, 3, 0]), Permutation([1, 0, 2, 3])])
     delta = _bar_coboundary(s4, trivial_module(s4, F2, 1), 2)
-    assert delta.shape == (1152, 576)
+    assert delta.shape == (1058, 529)
     _assert_f2_matches_generic(delta.astype(np.int64))
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hocohom.algebra import GroupAlgebra, i_power_by_products, j_filtration
 from hocohom.groups import (
@@ -194,6 +195,52 @@ def test_extend_rejects_an_augmentation_that_is_not_A_linear():
                               kernel(identity_coefficient), "not a syzygy")
     with pytest.raises(RuntimeError):
         _extend(FreeResolution(target, (1,), identity_coefficient, ()), 1, "forward")
+
+
+def _d4():
+    return close_generators([Permutation([1, 2, 3, 0]), Permutation([3, 2, 1, 0])])
+
+
+def test_extend_certifies_later_steps_on_generator_columns(monkeypatch):
+    """Step 1 composes the augmentation with the whole boundary; every
+    later step composes the boundary before with the generator columns."""
+    alg = GroupAlgebra(_d4(), F2)
+    m = quotient_by_j(alg, trivial_subgroup(alg.group), 1)[0]
+    products, matmul = [], Matrix.__matmul__
+
+    def spy(a, b):
+        products.append(b.cols)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", spy)
+    short = build_resolution(m, 1)
+    assert products == [short.ranks[1] * alg.dim]
+    products.clear()
+    res = _extend(short, 4, "forward")
+    assert products == list(res.ranks[2:])
+
+
+@pytest.mark.parametrize("step", [2, 3])
+def test_extend_rejects_a_non_kernel_image_at_a_later_step(monkeypatch, step):
+    """A boundary step whose generator images leave the kernel of the map
+    before fails the generator-column certificate."""
+    alg = GroupAlgebra(_d4(), F2)
+    short = build_resolution(quotient_by_j(alg, trivial_subgroup(alg.group), 1)[0], 1)
+    true_kernel, calls = resolution_module.kernel, []
+
+    def mutant(prev_map):
+        calls.append(prev_map)
+        sub = true_kernel(prev_map)
+        if len(calls) < step - 1:
+            return sub
+        # one unit vector outside the kernel joins its basis
+        j = next(j for j in range(prev_map.cols) if not prev_map.take_columns([j]).is_zero())
+        unit = Matrix(F2, [[int(c == j) for c in range(prev_map.cols)]])
+        return Subspace._spanned_by(Matrix.vstack(F2, [sub.basis, unit]))
+
+    monkeypatch.setattr(resolution_module, "kernel", mutant)
+    with pytest.raises(RuntimeError, match=f"resolution step {step} failed exactness"):
+        _extend(short, 3, "forward")
 
 
 # --- resolutions ------------------------------------------------------------
@@ -428,11 +475,23 @@ def _leading_arguments(group, v, i):
             for sigma in range(group.order ** (i + 1)) for _ in range(v.dim)]
 
 
-def _generator_rows(group, v, i, rows):
-    """The rows of the full coboundary whose g_1 is a generator (the
-    identity for a group with no generators), in their order there."""
-    heads = set(group.gen_indices) or {0}
-    return [row for row, g in zip(rows, _leading_arguments(group, v, i)) if g in heads]
+def _avoiding_identity(group, v, length):
+    """Whether each coordinate (tuple, s) of C^length, in its order there,
+    has a tuple that avoids the identity, element 0."""
+    return [0 not in tup for tup in itertools.product(range(group.order), repeat=length)
+            for _ in range(v.dim)]
+
+
+def _normalized_generator_rows(group, v, i, rows):
+    """The full coboundary C^i -> C^{i+1} restricted to the rows and columns
+    whose tuples avoid the identity, and to the rows whose g_1 is a
+    generator other than the identity, in their order there."""
+    heads = set(group.gen_indices) - {0}
+    columns = _avoiding_identity(group, v, i)
+    return [[x for x, keep in zip(row, columns) if keep]
+            for row, g, avoids in zip(rows, _leading_arguments(group, v, i),
+                                      _avoiding_identity(group, v, i + 1))
+            if avoids and g in heads]
 
 
 def _row_scales(group, v, i):
@@ -449,9 +508,20 @@ def _check_against_reference(group, v, degrees):
         got = _bar_coboundary(group, v, i)
         ref = _bar_delta_reference(group, v, i)
         scaled = [[x * s for x in row] for row, s in zip(ref, _row_scales(group, v, i))]
-        expected = _generator_rows(group, v, i, scaled)
-        assert got.shape == (len(expected), group.order ** i * v.dim)
+        expected = _normalized_generator_rows(group, v, i, scaled)
+        k = len(set(group.gen_indices) - {0})
+        m = (group.order - 1) ** i * v.dim
+        assert got.shape == (len(expected), m) == (k * m, m)
         assert got.tolist() == expected
+
+
+def _full_bar_dimension(group, v, p):
+    """dim H^p(G, V) from the full inhomogeneous complex, every row ranked."""
+    def rank_of(i):
+        rows = _bar_delta_reference(group, v, i)
+        return rank_of_int_rows(v.field, rows, group.order ** i * v.dim)
+    dim_z = group.order ** p * v.dim - rank_of(p)
+    return dim_z if p == 0 else dim_z - rank_of(p - 1)
 
 
 def test_array_coboundary_d4_f2_coinduced():
@@ -479,6 +549,7 @@ def test_array_coboundary_large_prime_is_int64():
     assert _bar_coboundary(g, sign, 1).dtype == np.int64
     _check_against_reference(g, sign, (0, 1, 2))
     assert [bar_dimension(g, sign, p) for p in range(3)] == [0, 0, 0]
+    assert [_full_bar_dimension(g, sign, p) for p in range(3)] == [0, 0, 0]
 
 
 def test_array_coboundary_rational_action_scales_rows():
@@ -492,6 +563,7 @@ def test_array_coboundary_rational_action_scales_rows():
     assert delta0.tolist() == [[-1, 2], [1, -2]]
     # V ~ Q[C2]: H^0 is the line of (2, 1), and higher cohomology vanishes
     assert [bar_dimension(g, v, p) for p in range(3)] == [1, 0, 0]
+    assert [_full_bar_dimension(g, v, p) for p in range(3)] == [1, 0, 0]
 
 
 def test_array_coboundary_dtype_boundary():
@@ -504,6 +576,7 @@ def test_array_coboundary_dtype_boundary():
     assert _bar_coboundary(g, sign, 1).dtype == np.int64
     _check_against_reference(g, sign, (0, 1, 2))
     assert [bar_dimension(g, sign, p) for p in range(3)] == [0, 0, 0]
+    assert [_full_bar_dimension(g, sign, p) for p in range(3)] == [0, 0, 0]
     # over Q the bound counts the row scale: the row [1/126, 0] is scaled by
     # 126, so delta^0 is bounded by 1 + 126 and delta^1 by 1 + 2 * 126
     v = make_module(g, Q, [Matrix(Q, [[0, 126], ["1/126", 0]])])
@@ -546,22 +619,70 @@ def _rank_identity_cases():
 
 
 def test_generator_rows_have_the_rank_of_the_whole_coboundary():
-    # a cochain killed by the rows whose g_1 is a generator is a cocycle,
-    # so the generator rows have the rank of the full coboundary, over every field
+    # a normalized cochain killed by the rows whose g_1 is a generator is a
+    # cocycle, so the generator rows have the rank of the whole normalized
+    # coboundary (the full one on the tuples avoiding e), over every field
     compared = 0
     for group, v in _rank_identity_cases():
         for i in range(3):
             if group.order ** (i + 1) * v.dim > DEFAULT_BAR_BUDGET:
                 continue
             rows = _bar_coboundary(group, v, i)
-            cols = group.order ** i * v.dim
-            assert rows.shape == (len(set(group.gen_indices) or {0}) * cols, cols)
+            cols = (group.order - 1) ** i * v.dim
+            assert rows.shape == (len(set(group.gen_indices) - {0}) * cols, cols)
             scales = np.array(_row_scales(group, v, i), dtype=object)[:, None]
-            full = (np.array(_bar_delta_reference(group, v, i), dtype=object)
-                    * scales).astype(np.int64)
-            assert rank_of_int_rows(v.field, rows, cols) == rank_of_int_rows(v.field, full, cols)
+            full = np.array(_bar_delta_reference(group, v, i), dtype=object) * scales
+            normalized = full[np.array(_avoiding_identity(group, v, i + 1))][
+                :, np.array(_avoiding_identity(group, v, i))].astype(np.int64)
+            assert (rank_of_int_rows(v.field, rows, cols)
+                    == rank_of_int_rows(v.field, normalized, cols))
             compared += 1
     assert compared >= 100
+
+
+def _normalized_edge_cases():
+    """(id, group, module): generating tuples that drop or repeat rows.
+    The rational action with denominators and the int64 prime are cases
+    of the array-coboundary tests above."""
+    rot, swap, ident = [1, 2, 0], [1, 0, 2], [0, 1, 2]
+    with_identity = close_generators([Permutation(g) for g in (ident, rot, swap)])
+    repeated = close_generators([Permutation(g) for g in (rot, swap, rot)])
+    return [
+        ("trivial group", close_generators([]), trivial_module(close_generators([]), F3, 2)),
+        ("identity generator", with_identity, regular_module(with_identity, F2)),
+        ("repeated generator", repeated,
+         make_module(repeated, F3, [Matrix(F3, [[x]]) for x in (1, -1, 1)])),
+    ]
+
+
+@pytest.mark.parametrize("case", _normalized_edge_cases(), ids=lambda case: case[0])
+def test_normalized_coboundary_edge_cases(case):
+    _, group, v = case
+    _check_against_reference(group, v, (0, 1, 2))
+    got = [bar_dimension(group, v, p) for p in range(3)]
+    assert got == [_full_bar_dimension(group, v, p) for p in range(3)]
+    if group.order == 1:
+        assert got == [v.dim, 0, 0]
+
+
+def _permutation_groups():
+    """Permutation groups of degree at most 4, from generating tuples that
+    may hold the identity or a repeated generator."""
+    return st.sampled_from([4, 3, 2, 1]).flatmap(lambda degree: st.lists(
+        st.permutations(range(degree)), min_size=1, max_size=3).map(
+            lambda gens: close_generators([Permutation(g) for g in gens])))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(group=_permutation_groups(), field=st.sampled_from([F2, F3, Q]),
+       kind=st.sampled_from(["trivial", "regular", "coinduced"]), p=st.integers(0, 2))
+def test_normalized_bar_dimension_equals_the_full_complex(group, field, kind, p):
+    v = {"trivial": trivial_module, "regular": regular_module,
+         "coinduced": coinduced_module}[kind](group, field)
+    # the list-built reference ranks (|G|^{p+1} dim V) x (|G|^p dim V) cells
+    while p and group.order ** (2 * p + 1) * v.dim ** 2 > 40000:
+        p -= 1
+    assert bar_dimension(group, v, p) == _full_bar_dimension(group, v, p)
 
 
 # --- the composed pipeline --------------------------------------------------
