@@ -34,14 +34,15 @@ So `node_exact` on the generator columns and the rank of the full
 boundary decides exactness, and a wrong corrector makes the composite on
 the generator columns nonzero.
 
-Each cohomology space H^p = Z^p / B^p takes two eliminations: the kernel
-of delta^p gives Z^p in its RREF basis, where a cocycle x has coordinates
-x at the basis's pivot columns, and the RREF of the coboundaries read at
-those columns gives B^p inside Z^p, with canonical class coordinates and
-one cocycle lifting each.  delta^p delta^{p-1} = 0 is checked as a
-product, and every induced or connecting image as delta x = 0.  Only the
-complex of A/J_q is read in degree p_max + 1, where the connecting map
-out of degree p_max lands.
+Each cohomology space H^p = Z^p / B^p is one `linalg.QuotientMap` and
+takes two eliminations: the kernel of delta^p gives Z^p in its RREF
+basis, where a cocycle x has coordinates x at the basis's pivot columns,
+and the RREF of the coboundaries read at those columns gives B^p inside
+Z^p, with canonical class coordinates and one cocycle lifting each.  The
+quotient certifies that the coboundaries lie in Z^p, which is
+delta^p delta^{p-1} = 0, and every induced or connecting image is
+certified a cocycle, delta x = 0.  Only the complex of A/J_q is read in
+degree p_max + 1, where the connecting map out of degree p_max lands.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from .algebra import GroupAlgebra, IdealFiltration
 from .groups import NormalSubgroup
 from .linalg import (
-    Matrix, kernel_rref, node_exact, quotient_coordinates, rank, solve_column,
+    Matrix, QuotientMap, kernel, node_exact, rank, solve_column,
 )
 from .modules import GammaModule, ModuleMap
 from .resolution import (
@@ -81,10 +82,8 @@ def quotient_ses(algebra: GroupAlgebra, filtration: IdealFiltration,
     left, left_qm = layer_module(algebra, filtration.sigma, q)
     middle, middle_qm = quotient_by_j(algebra, filtration.sigma, q + 1)
     right, right_qm = quotient_by_j(algebra, filtration.sigma, q)
-    inject = ModuleMap(left.module, middle.module,
-                       middle_qm.matrix @ left_qm.reps.transpose())
-    surject = ModuleMap(middle.module, right.module,
-                        right_qm.matrix @ middle_qm.reps.transpose())
+    inject = ModuleMap(left.module, middle.module, middle_qm.coords(left_qm.reps.transpose()))
+    surject = ModuleMap(middle.module, right.module, right_qm.coords(middle_qm.reps.transpose()))
     if rank(inject.matrix) != left.dim:
         raise RuntimeError("injection is not injective")
     if rank(surject.matrix) != right.dim:
@@ -154,51 +153,21 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
 # ---------------------------------------------------------------------------
 # cohomology of the three complexes and the snake construction
 
-@dataclass(frozen=True)
-class CohomologySpace:
-    """Z^p and canonical class coordinates on Z^p/B^p for one cochain degree.
-
-    `delta` is delta^p, whose kernel is Z^p.  A cocycle x has coordinates
-    x[coords] in the RREF basis of Z^p (`coords` are its pivot columns).
-    `classes` maps those coordinates onto Z^p/B^p with kernel exactly the
-    coordinates of B^p, and `reps` holds one cocycle per class coordinate,
-    on which `classes` reads the identity.
-    """
-
-    delta: Matrix
-    coords: tuple[int, ...]
-    classes: Matrix
-    reps: Matrix
-
-    @property
-    def dim(self) -> int:
-        return self.classes.rows
-
-    def class_of(self, cochains: Matrix, what: str) -> Matrix:
-        """Class coordinates of the columns of `cochains`, which are
-        certified cocycles first."""
-        if not (self.delta @ cochains).is_zero():
-            raise RuntimeError(f"{what} is not a cocycle")
-        return self.classes @ cochains.take_rows(self.coords)
+def _cohomology_spaces(deltas: list[Matrix], up_to: int, field) -> list[QuotientMap]:
+    """H^p = Z^p / B^p for p <= up_to: the kernel of delta^p, and the
+    coboundaries as the rows of delta^{p-1}.T, whose certified containment
+    in Z^p is delta^p delta^{p-1} = 0."""
+    return [QuotientMap(kernel(deltas[p]), deltas[p - 1].transpose() if p > 0
+                        else Matrix.zeros(field, 0, deltas[0].cols))
+            for p in range(up_to + 1)]
 
 
-def _cohomology_spaces(deltas: list[Matrix], up_to: int, field) -> list[CohomologySpace]:
-    """Two eliminations per degree: the kernel of delta^p, and the RREF of
-    the coboundaries read at its pivot columns, which is B^p in the
-    coordinates of Z^p (delta^p delta^{p-1} = 0 is checked first)."""
-    spaces = []
-    for p in range(up_to + 1):
-        z, coords = kernel_rref(deltas[p])
-        if p > 0 and not (deltas[p] @ deltas[p - 1]).is_zero():
-            raise RuntimeError("delta squared is nonzero")
-        coboundaries = (deltas[p - 1].take_rows(coords).transpose() if p > 0
-                        else Matrix.zeros(field, 0, z.rows))
-        classes, lifted = quotient_coordinates(coboundaries)
-        # the lifts read at coords are the unit rows at `lifted`, since z is in RREF
-        if classes.take_columns(lifted) != Matrix.identity(field, classes.rows):
-            raise RuntimeError("class coordinates do not read the identity on their lifts")
-        spaces.append(CohomologySpace(deltas[p], coords, classes, z.take_rows(lifted)))
-    return spaces
+def _class_of(delta: Matrix, space: QuotientMap, cochains: Matrix, what: str) -> Matrix:
+    """Class coordinates in `space`, the cohomology at delta, of the columns
+    of `cochains`, which are certified cocycles first."""
+    if not (delta @ cochains).is_zero():
+        raise RuntimeError(f"{what} is not a cocycle")
+    return space.coords(cochains)
 
 
 def _block(m: Matrix, rows: range, cols: range) -> Matrix:
@@ -293,9 +262,9 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
     for p in range(p_max + 1):
         r_l = res_l.ranks[p] * d_v
         embedded = Matrix.vstack(f, [Matrix.zeros(f, r_l, h_n[p].dim), h_n[p].reps.transpose()])
-        lower_maps.append(h_m[p].class_of(embedded, image))
+        lower_maps.append(_class_of(deltas_m[p], h_m[p], embedded, image))
         projected = h_m[p].reps.take_columns(range(r_l)).transpose()
-        upper_maps.append(h_l[p].class_of(projected, image))
+        upper_maps.append(_class_of(deltas_l[p], h_l[p], projected, image))
 
     def connecting(p: int) -> Matrix:
         # lift each class of C_L^p by zero on the C_N block, apply delta_M
@@ -305,7 +274,7 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
         if not moved.take_rows(range(r_l1 * d_v)).is_zero():
             raise RuntimeError("snake lift has a nonzero projection part")
         w = moved.take_rows(range(r_l1 * d_v, moved.rows))
-        return h_n[p + 1].class_of(w, "the connecting image")
+        return _class_of(deltas_n[p + 1], h_n[p + 1], w, "the connecting image")
 
     connectings = [connecting(p) for p in range(p_max + 1)]
 

@@ -45,7 +45,7 @@ those bounds the same code runs on Python-int (`object`) arrays.  Every
 path is exact.  Over F_2 a difference is an XOR of the stored bits and a
 negation the identity, so neither widens.
 
-Null spaces.  `kernel_rref` eliminates once.  The pivot columns of an RREF
+Null spaces.  `kernel` eliminates once.  The pivot columns of an RREF
 are the greedy-first basis of its matrix's column matroid: each column
 that is independent of the columns before it.  The pivot set of the
 kernel's RREF is therefore the greedy-first basis of the dual matroid
@@ -55,6 +55,16 @@ columns, so the greedy-first basis of the dual is the complement of the
 greedy-last basis of m's columns.  That greedy-last basis is the pivot set
 of the RREF of m with its columns reversed.  The free-column rows of that
 one elimination, with rows and columns reversed, are the kernel's RREF.
+
+Quotients.  `QuotientMap(sup, spanning)` is sup / B for B the row span of
+`spanning`, and the one quotient construction of the package: the modules
+A/J_q and J_q/J_{q+1}, the H_q^0 recursion and each cohomology space
+Z^p / B^p of the long exact sequence.  It certifies B <= sup once, then
+eliminates once: a vector of sup is determined by its entries at sup's
+pivot columns, so the free-column rows of the RREF of `spanning` read at
+those columns give coordinates whose kernel is exactly B, and the unit
+rows of sup's basis at the free columns lift them.  Coordinates are read
+at the pivots, never through an ambient dim x n matrix.
 
 Rational rank.  A rank over Q is taken of an integer matrix M (the
 numerators of a rational matrix) and is certified, never estimated.
@@ -92,16 +102,35 @@ class InconsistentSystem(LinalgError):
     """Raised when a linear system A x = b has no solution."""
 
 
+# Miller-Rabin to the first twelve prime bases decides primality exactly below
+# this bound (Sorenson and Webster, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; LinalgError at or above _PRIME_TEST_BOUND."""
+    if n >= _PRIME_TEST_BOUND:
+        raise LinalgError(f"characteristic {n} is too large: primality is decided "
+                          f"only below {_PRIME_TEST_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -830,8 +859,9 @@ def _view(m: Matrix, view: np.ndarray) -> Matrix:
     return out
 
 
-def kernel_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """The RREF basis and pivot columns of the right null space of m.
+def kernel(m: Matrix) -> "Subspace":
+    """Right null space {x : m x = 0} as a subspace of the column space, in
+    its RREF basis.
 
     One elimination, of m with its columns reversed (a view, not a copy).
     Its pivots are the lexicographically last basis of m's columns, and
@@ -846,30 +876,7 @@ def kernel_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     res = rref(_view(m, m.array[:, ::-1]))
     rows = _free_column_rows(res.reduced.take_rows(range(res.rank)), res.pivots)
     pivots = tuple(n - 1 - int(j) for j in _free_columns(n, res.pivots)[::-1])
-    return _view(rows, rows.array[::-1, ::-1]), pivots
-
-
-def kernel(m: Matrix) -> "Subspace":
-    """Right null space {x : m x = 0} as a subspace of the column space, from
-    the one elimination of `kernel_rref`."""
-    return Subspace(m.cols, *kernel_rref(m))
-
-
-def quotient_coordinates(spanning: Matrix) -> tuple[Matrix, np.ndarray]:
-    """Canonical coordinates on F^n / B, for B the span of the rows of
-    `spanning`, from one elimination.
-
-    Returns (C, lifted).  With S the RREF basis of B, coordinate i of c is
-    c_i - sum_r c_{piv_r} S[r][i] for each free column i of S: the
-    free-column rows of S, so C has kernel exactly B.  `lifted` lists those
-    free columns, and C reads the identity on the unit vectors there.
-    """
-    f, n = spanning.field, spanning.cols
-    if spanning.rows == 0 or n == 0:
-        return Matrix.identity(f, n), np.arange(n)
-    res = rref(spanning)
-    return (_free_column_rows(res.reduced.take_rows(range(res.rank)), res.pivots),
-            _free_columns(n, res.pivots))
+    return Subspace(n, _view(rows, rows.array[::-1, ::-1]), pivots)
 
 
 def column_space(m: Matrix) -> "Subspace":
@@ -983,35 +990,42 @@ class Subspace:
 
 
 class QuotientMap:
-    """Canonical coordinates on sup/sub for nested subspaces sub <= sup.
+    """Canonical coordinates on sup / B, for B the span of the rows of
+    `spanning`, which must lie in sup.
 
-    The quotient coordinates are taken with respect to the complement of the
-    pivot columns of sub (expressed in sup's basis coordinates).  `matrix`
-    is a dim x ambient_dim linear map whose restriction to sup has kernel
-    exactly sub; `reps` holds one canonical lift per quotient coordinate,
-    and applying `matrix` to `reps` gives the identity.
+    A vector of sup has coordinates x[pivots] in sup's RREF basis, at sup's
+    pivot columns.  `classes` maps those coordinates onto sup / B with
+    kernel exactly the coordinates of B, and `reps` holds one vector of sup
+    per class coordinate, on which `coords` reads the identity.
     """
 
-    __slots__ = ("dim", "matrix", "reps")
+    __slots__ = ("pivots", "classes", "reps")
 
-    def __init__(self, sup: Subspace, sub: Subspace):
-        if sup.ambient_dim != sub.ambient_dim:
-            raise DimensionMismatch("ambient dimension mismatch")
-        if not sup.contains_subspace(sub):
-            raise LinalgError("sub is not contained in sup")
-        f = sup.field
-        # a vector of sup has coordinates c, read off at sup's pivot columns
-        in_sup, lifted = quotient_coordinates(sub.basis.take_columns(sup.pivots))
-        dim = in_sup.rows
-        rows = np.zeros((dim, sup.ambient_dim), dtype=in_sup.array.dtype)
-        rows[:, list(sup.pivots)] = in_sup.array
-        matrix = Matrix._wrap(f, rows, in_sup.den)
-        reps = sup.basis.take_rows(lifted)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "reps", reps)
-        if matrix @ reps.transpose() != Matrix.identity(f, dim):
-            raise LinalgError("quotient coordinate construction failed")
+    def __init__(self, sup: Subspace, spanning: Matrix):
+        if sup.first_outside(spanning) is not None:
+            raise LinalgError("the spanning rows are not contained in sup")
+        f, d = sup.field, sup.dim
+        at_pivots = spanning.take_columns(sup.pivots)
+        if at_pivots.rows == 0 or d == 0:
+            classes, lifted = Matrix.identity(f, d), np.arange(d)
+        else:
+            res = rref(at_pivots)
+            classes = _free_column_rows(res.reduced.take_rows(range(res.rank)), res.pivots)
+            lifted = _free_columns(d, res.pivots)
+        # the lifts read at the pivots are the unit rows at `lifted`, since sup is in RREF
+        if classes.take_columns(lifted) != Matrix.identity(f, classes.rows):
+            raise LinalgError("class coordinates do not read the identity on their lifts")
+        object.__setattr__(self, "pivots", sup.pivots)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "reps", sup.basis.take_rows(lifted))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientMap is immutable")
+
+    @property
+    def dim(self) -> int:
+        return self.classes.rows
+
+    def coords(self, vectors: Matrix) -> Matrix:
+        """Class coordinates of the columns of `vectors`, which lie in sup."""
+        return self.classes @ vectors.take_rows(self.pivots)

@@ -239,8 +239,8 @@ def h_q0_inductive(v: GammaModule, sigma: NormalSubgroup, q: int) -> Subspace:
     sigma_gens = [s for s in sigma.gen_indices if s != 0]
     for _ in range(q - 1):
         constraints = [v.action[s] - ident for s in sigma_gens]
-        proj = QuotientMap(Subspace.whole(f, v.dim), current).matrix
+        quotient = QuotientMap(Subspace.whole(f, v.dim), current.basis)
         for g in group.gen_indices:
-            constraints.append(proj @ (v.action[g] - ident))
+            constraints.append(quotient.coords(v.action[g] - ident))
         current = _joint_kernel(f, v.dim, constraints)
     return current

@@ -198,9 +198,9 @@ def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
     regular = regular_module(algebra.group, f)
     _certify_stable(regular, sup)
     _certify_stable(regular, sub)
-    qmap = QuotientMap(sup, sub)
-    # column (r, g) holds the quotient coordinates of g reps[r]
-    coords = qmap.matrix @ amap_from_generator_images(algebra, regular, qmap.reps)
+    qmap = QuotientMap(sup, sub.basis)
+    # column (r, g) holds the quotient coordinates of g reps[r], which lies in sup
+    coords = qmap.coords(amap_from_generator_images(algebra, regular, qmap.reps))
     blocks = coords.array.reshape(qmap.dim, qmap.dim, n)
     action = [Matrix._wrap(f, blocks[:, :, g], coords.den) for g in range(n)]
     return AModule(algebra, GammaModule(algebra.group, f, action), label), qmap

@@ -141,6 +141,20 @@ def test_malformed_specs_exit_2_at_their_json_path(tmp_path, capsys, patch, loca
         assert f"{location}:" in err and "Traceback" not in err
 
 
+def test_large_characteristic_parses_fast_and_past_the_bound_exits_2(tmp_path, capsys):
+    mersenne = write_spec(tmp_path, dict(BASE_C2, field="F2305843009213693951"))
+    started = time.monotonic()
+    code = cli.main(["info", "--spec", mersenne])
+    assert time.monotonic() - started < 1
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["info"]["field"] == "F2305843009213693951"
+    past_bound = write_spec(tmp_path, dict(BASE_C2, field=f"F{2 ** 89 - 1}"))
+    code = cli.main(["info", "--spec", past_bound])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "field:" in err and "too large" in err
+
+
 def test_load_problem_missing_file(tmp_path):
     with pytest.raises(SpecError):
         load_problem(str(tmp_path / "nope.json"))

@@ -7,12 +7,13 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hocohom.linalg import (
     Field, Matrix, Subspace, QuotientMap,
     rref, rank, kernel, solve_column,
     rank_of_int_rows, InconsistentSystem, LinalgError,
-    _echelon_f2, _rref_int, _rref_modp,
+    _PRIME_TEST_BOUND, _echelon_f2, _is_prime, _rref_int, _rref_modp,
 )
 
 Q = Field.rationals()
@@ -40,6 +41,23 @@ def test_field_names_and_parse():
         Field.from_name("F4")
     with pytest.raises(LinalgError):
         Field.from_name("R")
+
+
+def test_field_primality_is_exact_below_its_bound():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(_is_prime(n) == trial_division(n) for n in range(3000))
+    # Carmichael numbers, and strong pseudoprimes to the bases 2..7 and 2..23
+    for composite in (561, 41041, 3215031751, 3825123056546413051, 2147483647 * 2147483629):
+        assert not _is_prime(composite)
+        with pytest.raises(LinalgError, match="not prime"):
+            Field.prime(composite)
+    assert Field.from_name("F2305843009213693951").p == 2 ** 61 - 1
+    # a prime past the bound is refused, not tested: 2^89 - 1 is a Mersenne prime
+    for n in (_PRIME_TEST_BOUND, 2 ** 89 - 1):
+        with pytest.raises(LinalgError, match="too large"):
+            Field.prime(n)
 
 
 def test_field_coerce_canonical():
@@ -279,33 +297,74 @@ def test_rank_of_int_rows_matches_matrix_rank():
 def test_quotient_map_full_space():
     sup = Subspace.whole(F2, 3)
     sub = Subspace.from_vectors(F2, 3, [[1, 1, 0]])
-    q = QuotientMap(sup, sub)
+    q = QuotientMap(sup, sub.basis)
     assert q.dim == 2
     # kernel of the projection restricted to sup is exactly sub
-    assert (q.matrix @ sub.basis.transpose()).is_zero()
+    assert q.coords(sub.basis.transpose()).is_zero()
     v = Matrix(F2, [[1], [0], [0]])
     w = Matrix(F2, [[0], [1], [0]])  # differ by (1,1,0), same class
-    assert q.matrix @ v == q.matrix @ w
-    assert q.matrix @ q.reps.transpose() == Matrix.identity(F2, 2)
+    assert q.coords(v) == q.coords(w)
+    assert q.coords(q.reps.transpose()) == Matrix.identity(F2, 2)
 
 
 def test_quotient_map_nested():
     sup = Subspace.from_vectors(Q, 4, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 2]])
     sub = Subspace.from_vectors(Q, 4, [[0, 1, 0, 0]])
-    q = QuotientMap(sup, sub)
+    q = QuotientMap(sup, sub.basis)
     assert q.dim == 2
     coords = Matrix(Q, [[2, 3]])
     amb = coords @ q.reps
     assert sup.first_outside(amb) is None
-    assert q.matrix @ amb.transpose() == coords.transpose()
-    assert (q.matrix @ sub.basis.transpose()).is_zero()
+    assert q.coords(amb.transpose()) == coords.transpose()
+    assert q.coords(sub.basis.transpose()).is_zero()
 
 
 def test_quotient_map_rejects_non_nested():
     sup = Subspace.from_vectors(Q, 3, [[1, 0, 0]])
     sub = Subspace.from_vectors(Q, 3, [[0, 1, 0]])
     with pytest.raises(LinalgError):
-        QuotientMap(sup, sub)
+        QuotientMap(sup, sub.basis)
+
+
+def _ambient_quotient(sup, sub):
+    """The ambient construction QuotientMap once stored: a dim x n matrix
+    whose restriction to sup has kernel exactly sub, with the rows of sup's
+    basis at the free columns of sub read at sup's pivots as its lifts."""
+    res = rref(sub.basis.take_columns(sup.pivots))
+    free = [j for j in range(sup.dim) if j not in res.pivots]
+    rows = []
+    for j in free:
+        row = [0] * sup.ambient_dim
+        row[sup.pivots[j]] = 1
+        for r, c in enumerate(res.pivots):
+            row[sup.pivots[c]] = -res.reduced.entries[r][j]
+        rows.append(row)
+    return Matrix(sup.field, rows, len(rows), sup.ambient_dim), sup.basis.take_rows(free)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(field=st.sampled_from([F2, F3, Q]), n=st.integers(0, 6), data=st.data())
+def test_quotient_map_properties(field, n, data):
+    def rows(count, width):
+        return Matrix(field, data.draw(st.lists(st.lists(
+            st.integers(-2, 2), min_size=width, max_size=width),
+            min_size=count, max_size=count)), count, width)
+
+    sup = Subspace.from_vectors(field, n, rows(data.draw(st.integers(0, n)), n).entries)
+    spanning = rows(data.draw(st.integers(0, 4)), sup.dim) @ sup.basis
+    q = QuotientMap(sup, spanning)
+    assert q.dim == sup.dim - rank(spanning)
+    assert q.coords(spanning.transpose()).is_zero()
+    assert q.coords(q.reps.transpose()) == Matrix.identity(field, q.dim)
+    ambient, reps = _ambient_quotient(sup, Subspace.from_vectors(field, n, spanning.entries))
+    assert q.reps == reps
+    vectors = (rows(3, sup.dim) @ sup.basis).transpose()
+    assert q.coords(vectors) == ambient @ vectors
+    outside = [j for j in range(n) if j not in sup.pivots]
+    if outside:
+        unit = Matrix(field, [[int(j == outside[0]) for j in range(n)]])
+        with pytest.raises(LinalgError, match="not contained"):
+            QuotientMap(sup, Matrix.vstack(field, [spanning, unit]))
 
 
 def test_subspace_reduce_membership():

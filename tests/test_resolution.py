@@ -774,7 +774,7 @@ def _ext_reference(resolution, v, p):
     else:
         coboundaries = column_space(hom_delta(resolution, v, p - 1))
     assert cocycles.contains_subspace(coboundaries)
-    return QuotientMap(cocycles, coboundaries).dim
+    return QuotientMap(cocycles, coboundaries.basis).dim
 
 
 def test_ext_matches_the_subspace_route():
