@@ -34,10 +34,11 @@ class GroupAlgebra:
     `left(g, rows)` and `right(g, rows)` multiply each row, an algebra
     element, by g on the left or on the right; each is one column selection
     of the rows, and no per-element matrix is built.  Carries a private
-    cache used by the resolution engine: the filtration, the quotient
-    modules and the resolutions, each stored once per key (a resolution is
-    replaced by a longer one when extended; concurrent last-writer-wins is
-    safe because all cached values are deterministic).
+    cache used by the resolution engine: the filtration, the powers of I,
+    and per filtration level the quotient modules and the resolutions, each
+    stored once per key (a resolution is replaced by a longer one when
+    extended; concurrent last-writer-wins is safe because all cached values
+    are deterministic).
     """
 
     __slots__ = ("group", "field", "dim", "_mult", "_cache")
@@ -130,8 +131,12 @@ def _certify_two_sided(algebra: GroupAlgebra, sub: Subspace):
 class IdealFiltration:
     """The chain J_1 >= J_2 >= ... with J_q = I^q + A*I_S.
 
-    j_list holds J_1 through J_{stabilization_q + 1}; beyond it the chain is
-    constant, so j(q) clamps and every q >= 1 reads the same stored chain.
+    j_list holds J_1 through J_{s + 1} and stops at the first s with
+    J_s = J_{s+1}, the stabilization level s = stabilization_q; beyond it
+    the chain is constant.  level(q) = min(q, s) is the least q' with
+    J_q' = J_q: below s the chain strictly descends, so no two levels share
+    an ideal.  Every value that depends on q only through J_q is computed
+    once per level.
     """
 
     sigma: NormalSubgroup
@@ -140,10 +145,13 @@ class IdealFiltration:
     j_list: tuple[Subspace, ...]
     stabilization_q: int
 
-    def j(self, q: int) -> Subspace:
+    def level(self, q: int) -> int:
         if q < 1:
             raise AlgebraError(f"q must be >= 1, got {q}")
-        return self.j_list[min(q, len(self.j_list)) - 1]
+        return min(q, self.stabilization_q)
+
+    def j(self, q: int) -> Subspace:
+        return self.j_list[self.level(q) - 1]
 
     def n(self, q: int) -> int:
         return self.j(q).dim - self.j(q + 1).dim
@@ -152,11 +160,18 @@ class IdealFiltration:
 def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltration:
     """Compute the filtration J_q = I^q + A*I_S through stabilization.
 
-    I^{q+1} is spanned by {x (g - e) : x in basis(I^q), g in G}; since I is
-    two-sided this equals the ideal product.  Each J_q is certified
-    two-sided.  Stops at the first q with J_q = J_{q+1} (always at most
-    dim I + 1 steps, since the chain strictly descends until then); raises
-    AlgebraError if the chain has not stabilized after dim I + 1 steps.
+    I^{q+1} = I^q I is spanned by {x (g - e) : x in basis(I^q), g a group
+    generator}:
+
+        Lemma.  x (gh - e) = (xg)(h - e) + x (g - e), and I^q is a right
+        ideal, so xg lies in I^q.  By induction on the length of h as a
+        word in the generators, x (h - e) lies in the span of the
+        y (g - e) with y in I^q and g a generator, for every h in G.
+
+    Each J_q is certified two-sided.  Stops at the first q with
+    J_q = J_{q+1} (always at most dim I + 1 steps, since the chain strictly
+    descends until then); raises AlgebraError if the chain has not
+    stabilized after dim I + 1 steps.
     """
     f = algebra.field
     aug = augmentation_ideal(algebra)
@@ -164,6 +179,7 @@ def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltratio
     if not aug.contains_subspace(sig):
         raise AlgebraError("A*I_S is not contained in the augmentation ideal")
 
+    gens = sorted(set(algebra.group.gen_indices) - {0})
     power = aug     # I^q for the last J_q in j_list
     j_list = [aug + sig]
     while len(j_list) < 2 or j_list[-1] != j_list[-2]:
@@ -172,7 +188,7 @@ def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltratio
                 f"J_q did not stabilize within dim I + 1 = {aug.dim + 1} steps")
         prev = power.basis
         power = Subspace._spanned_by(Matrix.vstack(f, [
-            algebra.right(g, prev) - prev for g in range(1, algebra.dim)], cols=algebra.dim))
+            algebra.right(g, prev) - prev for g in gens], cols=algebra.dim))
         j_list.append(power + sig)
     for sub in j_list:
         _certify_two_sided(algebra, sub)
@@ -185,16 +201,16 @@ def i_power_by_products(algebra: GroupAlgebra, q: int) -> Subspace:
     Independent of the generator-shift iteration used by j_filtration;
     serves as the recheck oracle for the special-case identities.  The
     products a b with every basis element a of I^{q-1} are one product
-    per basis element b of I.
+    per basis element b of I.  Each power is kept in the algebra's cache,
+    so I^q continues from the cached I^{q-1}.
     """
     if q < 1:
         raise AlgebraError("q must be >= 1")
-    aug = augmentation_ideal(algebra)
-    current = aug
-    for _ in range(q - 1):
-        current = Subspace._spanned_by(Matrix.vstack(algebra.field, [
-            current.basis @ algebra.translates(aug.basis.take_rows([k]))
-            for k in range(aug.dim)], cols=algebra.dim))
+    aug = current = algebra.cached(("i_power", 1), lambda: augmentation_ideal(algebra))
+    for k in range(2, q + 1):
+        current = algebra.cached(("i_power", k), lambda: Subspace._spanned_by(Matrix.vstack(
+            algebra.field, [current.basis @ algebra.translates(aug.basis.take_rows([b]))
+                            for b in range(aug.dim)], cols=algebra.dim)))
     return current
 
 

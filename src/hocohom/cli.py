@@ -8,8 +8,10 @@ problems).  Input is a JSON problem file; output is a deterministic JSON
 report (timing is segregated under its own key so reports are diffable),
 with an optional plain-text table rendering.
 
-Exit codes: 0 all verdicts pass, 1 verification failure, 2 input error
-(including algebra and linear-algebra errors, reported with their message).
+Exit codes: 0 all verdicts pass, 1 verification failure (a failing verdict,
+or an internal certificate that failed, reported as `certificate failed`),
+2 input error (including algebra and linear-algebra errors, reported with
+their message).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .algebra import (
 from .cocycle import h_q1_cocycle
 from .groups import NotNormalError
 from .les import long_exact_sequence, power_identification, vanishing_check
-from .linalg import LinalgError
+from .linalg import CertificateError, LinalgError
 from .modules import coinduced_module, h_q0_annihilator, h_q0_inductive
 from .problem import ProblemSpec, SpecError, load_problem, parse_problem
 from .resolution import (
@@ -202,6 +204,12 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
     both cross-oracles, degree-zero agreement, LES exactness, the
     coefficient-power identification, vanishing on a generated coinduced
     module, and the collapse law when the filtration stabilizes at q = 1.
+
+    Every per-q value is computed once per level, the least q' with
+    J_q' = J_q, so the grid rows q >= s read level s.  The collapse verdict
+    then rests on the equality J_q = J_s that `j_filtration` certifies; it
+    was forced before that change as well, since the same deterministic
+    code ran twice on equal inputs.
     """
     algebra = spec.algebra()
     filt = filtration_for(algebra, spec.sigma)
@@ -470,6 +478,9 @@ def main(argv=None) -> int:
                 report["verify"] = fragment
             else:  # pragma: no cover
                 raise SpecError(f"unknown verb {args.verb}")
+    except CertificateError as err:
+        sys.stderr.write(f"certificate failed: {err}\n")
+        return EXIT_VERIFICATION_FAILED
     except (SpecError, NotNormalError, BudgetExceeded) as err:
         sys.stderr.write(f"input error: {err}\n")
         return EXIT_INPUT_ERROR

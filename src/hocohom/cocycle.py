@@ -8,7 +8,8 @@ a genuinely independent check of the Ext engine in degree one.
 A map phi out of J_q is stored by its tuple of values on the canonical
 basis of J_q; A-linearity is imposed for the group generators only, which
 suffices because the conditions are linear in the basis and the generators
-generate.
+generate.  The dimension depends on q only through J_q, so it is kept
+with the module once per (algebra, S, level).
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import numpy as np
 
 from .algebra import GroupAlgebra, IdealFiltration
 from .groups import NormalSubgroup
-from .linalg import Matrix, Subspace, kernel, rank
+from .linalg import CertificateError, Matrix, Subspace, kernel, rank
 from .modules import GammaModule
 from .resolution import filtration_for
 
 
-class AlphaNotAHomError(RuntimeError):
+class AlphaNotAHomError(CertificateError):
     """alpha(V) escaped Hom_A(J_q, V); impossible unless the solver is broken."""
 
 
@@ -49,7 +50,7 @@ def hom_a_space(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
     for gamma in algebra.group.gen_indices:
         moved = algebra.left(gamma, jq.basis)
         if jq.first_outside(moved) is not None:
-            raise RuntimeError("J_q is not left-stable; filtration is broken")
+            raise CertificateError("J_q is not left-stable; filtration is broken")
         coords = moved.take_columns(jq.pivots)
         spread = np.zeros((k, d_v, k, d_v), dtype=coords.array.dtype)
         spread[:, t, :, t] = coords.array   # c[m, l] at ((m, t), (l, t))
@@ -77,11 +78,16 @@ def alpha_map(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
 
 def h_q1_cocycle(algebra: GroupAlgebra, sigma: NormalSubgroup, v: GammaModule,
                  q: int) -> int:
-    """dim H_q^1 = dim Hom_A(J_q, V) - rank(alpha)."""
+    """dim H_q^1 = dim Hom_A(J_q, V) - rank(alpha), kept with v once per
+    (algebra, S, level)."""
     if q < 1:
         raise ValueError("q must be >= 1")
     filt = filtration_for(algebra, sigma)
-    hom = hom_a_space(algebra, filt, q, v)
-    alpha = alpha_map(algebra, filt, q, v, hom)
-    return hom.dim - rank(alpha)
+    level = filt.level(q)
+
+    def build():
+        hom = hom_a_space(algebra, filt, level, v)
+        return hom.dim - rank(alpha_map(algebra, filt, level, v, hom))
+
+    return v.cached(("h1_cocycle", algebra, sigma.members, level), build)
 

@@ -43,6 +43,13 @@ quotient certifies that the coboundaries lie in Z^p, which is
 delta^p delta^{p-1} = 0, and every induced or connecting image is
 certified a cocycle, delta x = 0.  Only the complex of A/J_q is read in
 degree p_max + 1, where the connecting map out of degree p_max lands.
+
+The sequence depends on q only through J_q and J_{q+1}, so it is built
+once per level (`IdealFiltration.level`): the short exact sequence and its
+horseshoe are kept on the algebra, and the sequence itself with the module,
+per (algebra, S, level, p_max).  At the stabilization level s the layer
+J_s/J_{s+1} is zero, and the middle and right terms are the one cached
+A/J_s; every q past s reads that same sequence.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from dataclasses import dataclass
 from .algebra import GroupAlgebra, IdealFiltration
 from .groups import NormalSubgroup
 from .linalg import (
-    Matrix, QuotientMap, kernel, node_exact, rank, solve_column,
+    CertificateError, Matrix, QuotientMap, kernel, node_exact, rank, solve_column,
 )
 from .modules import GammaModule, ModuleMap
 from .resolution import (
@@ -85,11 +92,11 @@ def quotient_ses(algebra: GroupAlgebra, filtration: IdealFiltration,
     inject = ModuleMap(left.module, middle.module, middle_qm.coords(left_qm.reps.transpose()))
     surject = ModuleMap(middle.module, right.module, right_qm.coords(middle_qm.reps.transpose()))
     if rank(inject.matrix) != left.dim:
-        raise RuntimeError("injection is not injective")
+        raise CertificateError("injection is not injective")
     if rank(surject.matrix) != right.dim:
-        raise RuntimeError("surjection is not surjective")
+        raise CertificateError("surjection is not surjective")
     if not node_exact(inject.matrix, left.dim, surject.matrix, right.dim):
-        raise RuntimeError("image of injection differs from kernel of surjection")
+        raise CertificateError("image of injection differs from kernel of surjection")
     return ShortExactSequence(q, filtration.sigma, left, middle, right, inject, surject)
 
 
@@ -126,7 +133,7 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
         solve_column(ses.surject.matrix, gens(res_n.augmentation))]).transpose())
     prev_rank = rank(augmentation)
     if prev_rank != ses.middle.dim:
-        raise RuntimeError("horseshoe augmentation is not surjective")
+        raise CertificateError("horseshoe augmentation is not surjective")
     boundaries = []
     # the map before each stage is [[solver, corrector], [0, *]], with `top` rows on top
     prev_map, top = augmentation, ses.middle.dim
@@ -143,7 +150,7 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
         boundary = amap_from_generator_images(algebra, free, columns.transpose())
         boundary_rank = rank(boundary)
         if not node_exact(columns, boundary_rank, prev_map, prev_rank):
-            raise RuntimeError(f"horseshoe failed exactness at stage {i}")
+            raise CertificateError(f"horseshoe failed exactness at stage {i}")
         boundaries.append(boundary)
         prev_map, prev_rank, top = boundary, boundary_rank, left_prev
     ranks = tuple(a + b for a, b in zip(res_l.ranks[:length + 1], res_n.ranks))
@@ -166,7 +173,7 @@ def _class_of(delta: Matrix, space: QuotientMap, cochains: Matrix, what: str) ->
     """Class coordinates in `space`, the cohomology at delta, of the columns
     of `cochains`, which are certified cocycles first."""
     if not (delta @ cochains).is_zero():
-        raise RuntimeError(f"{what} is not a cocycle")
+        raise CertificateError(f"{what} is not a cocycle")
     return space.coords(cochains)
 
 
@@ -215,15 +222,24 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
     node.  The horseshoe takes p_max + 1 boundaries of the cached forward
     outer resolutions (those of the grid); only the resolution of A/J_q is
     extended to p_max + 2, for the connecting map into degree p_max + 1.
+    Kept with v once per (algebra, S, level, p_max).
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
     if p_max > 3:
         raise BudgetExceeded("long-exact-sequence degrees are limited to p_max <= 3")
+    level = filtration_for(algebra, sigma).level(q)
+    return v.cached(("les", algebra, sigma.members, level, p_max),
+                    lambda: _sequence(algebra, sigma, v, level, p_max))
+
+
+def _sequence(algebra: GroupAlgebra, sigma: NormalSubgroup, v: GammaModule,
+              q: int, p_max: int) -> LongExactSequenceReport:
+    """The body of `long_exact_sequence`, at the level q."""
     f = algebra.field
     filt = filtration_for(algebra, sigma)
     length = p_max + 1
-    # the sequence and its horseshoe depend only on (S, q), not on V
+    # the sequence and its horseshoe depend only on (S, level), not on V
     def certified_ses():
         ses = quotient_ses(algebra, filt, q)
         trivial_action_witness(ses)
@@ -247,9 +263,9 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
         dm = deltas_m[i]
         corner_zero = _block(dm, range(rl1), range(rl, dm.cols)).is_zero()
         if not corner_zero or _block(dm, range(rl1, dm.rows), range(rl, dm.cols)) != deltas_n[i]:
-            raise RuntimeError(f"embedding is not a cochain map at degree {i}")
+            raise CertificateError(f"embedding is not a cochain map at degree {i}")
         if not corner_zero or _block(dm, range(rl1), range(rl)) != deltas_l[i]:
-            raise RuntimeError(f"projection is not a cochain map at degree {i}")
+            raise CertificateError(f"projection is not a cochain map at degree {i}")
 
     # only the connecting map reads degree p_max + 1, of the N complex alone
     h_n = _cohomology_spaces(deltas_n, p_max + 1, f)
@@ -272,7 +288,7 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
         moved = (deltas_m[p].take_columns(range(r_l * d_v))
                  @ h_l[p].reps.transpose())
         if not moved.take_rows(range(r_l1 * d_v)).is_zero():
-            raise RuntimeError("snake lift has a nonzero projection part")
+            raise CertificateError("snake lift has a nonzero projection part")
         w = moved.take_rows(range(r_l1 * d_v, moved.rows))
         return _class_of(deltas_n[p + 1], h_n[p + 1], w, "the connecting image")
 

@@ -59,11 +59,12 @@ one elimination, with rows and columns reversed, are the kernel's RREF.
 Quotients.  `QuotientMap(sup, spanning)` is sup / B for B the row span of
 `spanning`, and the one quotient construction of the package: the modules
 A/J_q and J_q/J_{q+1}, the H_q^0 recursion and each cohomology space
-Z^p / B^p of the long exact sequence.  It certifies B <= sup once, then
-eliminates once: a vector of sup is determined by its entries at sup's
-pivot columns, so the free-column rows of the RREF of `spanning` read at
-those columns give coordinates whose kernel is exactly B, and the unit
-rows of sup's basis at the free columns lift them.  Coordinates are read
+Z^p / B^p of the long exact sequence.  It certifies B <= sup once
+(`CertificateError` otherwise), then eliminates once: a vector of sup is
+determined by its entries at sup's pivot columns, so the free-column rows
+of the RREF of `spanning` read at those columns give coordinates whose
+kernel is exactly B, and the unit rows of sup's basis at the free columns
+lift them.  Coordinates are read
 at the pivots, never through an ambient dim x n matrix.
 
 Rational rank.  A rank over Q is taken of an integer matrix M (the
@@ -100,6 +101,12 @@ class DimensionMismatch(LinalgError):
 
 class InconsistentSystem(LinalgError):
     """Raised when a linear system A x = b has no solution."""
+
+
+class CertificateError(RuntimeError):
+    """An internal certificate failed: a constructed object lacks a property
+    the construction guarantees, which no input can cause.  The CLI reports
+    it as a failed verification, exit 1."""
 
 
 # Miller-Rabin to the first twelve prime bases decides primality exactly below
@@ -644,7 +651,9 @@ def _bit_rows(a: np.ndarray):
     blocks of rows so that no temporary exceeds _BLOCK_CELLS bits."""
     step = max(1, _BLOCK_CELLS // a.shape[1])
     for start in range(0, a.shape[0], step):
-        packed = np.packbits(a[start:start + step], axis=1, bitorder="little")
+        # packbits is slow on a strided view such as a transpose; copy one block
+        block = np.ascontiguousarray(a[start:start + step])
+        packed = np.packbits(block, axis=1, bitorder="little")
         width = packed.shape[1]
         data = packed.tobytes()
         for i in range(0, len(data), width):
@@ -1003,7 +1012,7 @@ class QuotientMap:
 
     def __init__(self, sup: Subspace, spanning: Matrix):
         if sup.first_outside(spanning) is not None:
-            raise LinalgError("the spanning rows are not contained in sup")
+            raise CertificateError("the spanning rows are not contained in sup")
         f, d = sup.field, sup.dim
         at_pivots = spanning.take_columns(sup.pivots)
         if at_pivots.rows == 0 or d == 0:
@@ -1014,7 +1023,7 @@ class QuotientMap:
             lifted = _free_columns(d, res.pivots)
         # the lifts read at the pivots are the unit rows at `lifted`, since sup is in RREF
         if classes.take_columns(lifted) != Matrix.identity(f, classes.rows):
-            raise LinalgError("class coordinates do not read the identity on their lifts")
+            raise CertificateError("class coordinates do not read the identity on their lifts")
         object.__setattr__(self, "pivots", sup.pivots)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "reps", sup.basis.take_rows(lifted))

@@ -8,8 +8,10 @@ repeat.  The construction is deterministic and certified exact at every
 stage by rank arithmetic, which also shows K is A-stable: the boundary
 composes to zero with the map before it and has rank dim K, so its image
 is K.  Each step depends only on the map before it, so the resolutions of
-A/J_q are cached on the algebra per (S, q, order) and a request for more
-degrees continues the cached one from its last boundary.
+A/J_q are cached on the algebra per (S, level, order), level(q) the least
+q' with J_q' = J_q (`IdealFiltration.level`), and a request for more
+degrees continues the cached one from its last boundary.  Every q at or
+past the stabilization level reads the one resolution of A/J_s.
 
 A layer J_q/J_{q+1} whose action is certified trivial is R^N, N = N(q),
 and A/J_1 = A/I = R, so the layer is resolved as the block sum of N
@@ -88,8 +90,8 @@ import numpy as np
 from .algebra import GroupAlgebra, IdealFiltration, j_filtration
 from .groups import FiniteGroup, NormalSubgroup
 from .linalg import (
-    Field, Matrix, QuotientMap, Subspace, contract, kernel, node_exact, rank,
-    rank_of_int_rows,
+    CertificateError, Field, Matrix, QuotientMap, Subspace, contract, kernel, node_exact,
+    rank, rank_of_int_rows,
 )
 from .modules import GammaModule, regular_module
 
@@ -107,7 +109,7 @@ class ResolutionTooShort(ValueError):
     pass
 
 
-class NontrivialActionError(RuntimeError):
+class NontrivialActionError(CertificateError):
     """A layer J_q/J_{q+1} failed the trivial-action certificate."""
 
 
@@ -225,7 +227,7 @@ def free_cover(field: Field, dim: int, orbit, order: str = "forward") -> tuple[i
         counts = np.count_nonzero(span.basis.array, axis=1).tolist()
         inside = {c for c, n in zip(span.pivots, counts) if n == 1}
     if span.dim != dim:
-        raise RuntimeError("free cover failed to span the module")
+        raise CertificateError("free cover failed to span the module")
     return tuple(chosen)
 
 
@@ -276,7 +278,7 @@ def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
     equals build_resolution(res.target, length, order), since each step
     depends only on the map before it and that map's free rank.  Each kept
     row b of the kernel K's RREF basis becomes a generator sent to b; the
-    exactness certificate fails (RuntimeError) when K is not A-stable.
+    exactness certificate fails (CertificateError) when K is not A-stable.
     From the second step on, the map before is a boundary built here from
     its generator images, as the new one is, so the composite is read on
     the generator columns (the lemma in the `les` docstring)."""
@@ -300,7 +302,7 @@ def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
         # column, since a given augmentation need not be A-linear
         incoming = boundary if i == 1 else images.transpose()
         if not node_exact(incoming, rank(boundary), prev_map, prev_map.cols - ker_sub.dim):
-            raise RuntimeError(f"resolution step {i} failed exactness certification")
+            raise CertificateError(f"resolution step {i} failed exactness certification")
         boundaries.append(boundary)
         ranks.append(images.rows)
         prev_map = boundary
@@ -353,12 +355,18 @@ def ext(resolution: FreeResolution, v: GammaModule, p: int) -> int:
         return delta.cols - rank(delta)
     prev = hom_delta(resolution, v, p - 1)
     if not (delta @ prev).is_zero():
-        raise RuntimeError("coboundaries escape the cocycles: delta^2 != 0")
+        raise CertificateError("coboundaries escape the cocycles: delta^2 != 0")
     return delta.cols - rank(delta) - rank(prev)
 
 
 # ---------------------------------------------------------------------------
 # the composed pipeline and its cache
+#
+# A value that depends on q only through J_q is keyed by level(q), so each
+# distinct ideal of the chain is worked on once: the algebra's cache holds
+# the V-independent ones, and a module's cache (`GammaModule.cached`) the
+# Ext, cocycle and long-exact-sequence results for it, keyed by the algebra
+# object itself.
 
 def filtration_for(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltration:
     return algebra.cached(("filtration", sigma.members), lambda: j_filtration(algebra, sigma))
@@ -366,25 +374,27 @@ def filtration_for(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltrat
 
 def quotient_by_j(algebra: GroupAlgebra, sigma: NormalSubgroup,
                   q: int) -> tuple[AModule, QuotientMap]:
-    """A/J_q as a module in canonical complement coordinates."""
-    return algebra.cached(("ajq", sigma.members, q), lambda: quotient_amodule(
-        algebra, filtration_for(algebra, sigma).j(q),
-        Subspace.whole(algebra.field, algebra.dim), label=f"A/J_{q}"))
+    """A/J_q as a module in canonical complement coordinates, cached per level."""
+    level = filtration_for(algebra, sigma).level(q)
+    return algebra.cached(("ajq", sigma.members, level), lambda: quotient_amodule(
+        algebra, filtration_for(algebra, sigma).j(level),
+        Subspace.whole(algebra.field, algebra.dim), label=f"A/J_{level}"))
 
 
 def resolution_of_quotient(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
                            length: int, order: str = "forward") -> FreeResolution:
-    """The resolution of A/J_q cached per (S, q, order), with at least
+    """The resolution of A/J_q cached per (S, level, order), with at least
     `length` boundaries.
 
     A miss builds it; a cached one that is too short is continued from its
     last boundary and stored again under the same key, so each resolution
     is built once, only as far as the highest degree asked of it.
     """
-    key = ("resolution", sigma.members, q, order)
+    level = filtration_for(algebra, sigma).level(q)
+    key = ("resolution", sigma.members, level, order)
     res = algebra._cache.get(key)
     if res is None:
-        res = build_resolution(quotient_by_j(algebra, sigma, q)[0], length, order)
+        res = build_resolution(quotient_by_j(algebra, sigma, level)[0], length, order)
     elif res.length < length:
         res = _extend(res, length, order)
     else:
@@ -395,10 +405,12 @@ def resolution_of_quotient(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
 
 def layer_module(algebra: GroupAlgebra, sigma: NormalSubgroup,
                  q: int) -> tuple[AModule, QuotientMap]:
-    """J_q/J_{q+1} in canonical complement coordinates (cached)."""
+    """J_q/J_{q+1} in canonical complement coordinates, cached per level; it
+    is zero from the stabilization level on."""
     filt = filtration_for(algebra, sigma)
-    return algebra.cached(("layer", sigma.members, q), lambda: quotient_amodule(
-        algebra, filt.j(q + 1), filt.j(q), label=f"J_{q}/J_{q + 1}"))
+    level = filt.level(q)
+    return algebra.cached(("layer", sigma.members, level), lambda: quotient_amodule(
+        algebra, filt.j(level + 1), filt.j(level), label=f"J_{level}/J_{level + 1}"))
 
 
 def certify_trivial_action(m: AModule) -> None:
@@ -424,8 +436,8 @@ def resolution_of_layer(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
     """The resolution of J_q/J_{q+1}, certified to act trivially, as the
     block sum of N(q) copies of the cached resolution of A/J_1 (the lemma
     in the module docstring).  A request for more degrees extends the
-    A/J_1 resolution and sums it again."""
-    key = ("res_layer", sigma.members, q)
+    A/J_1 resolution and sums it again.  Cached per level."""
+    key = ("res_layer", sigma.members, filtration_for(algebra, sigma).level(q))
     res = algebra._cache.get(key)
     if res is None or res.length < length:
         layer = layer_module(algebra, sigma, q)[0]
@@ -441,10 +453,13 @@ def resolution_of_layer(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
 def higher_cohomology(algebra: GroupAlgebra, sigma: NormalSubgroup,
                       v: GammaModule, q: int, p: int,
                       order: str = "forward") -> int:
-    """dim H_q^p(G, S, V) = dim Ext^p(A/J_q, V), resolutions cached per (S, q, order)."""
+    """dim H_q^p(G, S, V) = dim Ext^p(A/J_q, V), kept with v once per
+    (algebra, S, level, p, order); the resolutions are cached per (S, level, order)."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    return ext(resolution_of_quotient(algebra, sigma, q, p + 1, order), v, p)
+    level = filtration_for(algebra, sigma).level(q)
+    return v.cached(("ext", algebra, sigma.members, level, p, order), lambda: ext(
+        resolution_of_quotient(algebra, sigma, level, p + 1, order), v, p))
 
 
 # ---------------------------------------------------------------------------

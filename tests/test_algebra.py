@@ -1,6 +1,7 @@
 """Group algebra structure: augmentation ideal, A*I_S, and the J_q chain."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,10 @@ from hocohom.groups import (
     Permutation, close_generators, subgroup_closure,
 )
 from hocohom.linalg import Field, Matrix, Subspace, rank_of_int_rows
+from hocohom.problem import load_problem
+
+TESTS = Path(__file__).resolve().parent
+ALL_SPECS = sorted([*(TESTS.parent / "specs").glob("*.json"), *(TESTS / "specs").glob("*.json")])
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -121,6 +126,48 @@ def test_i_power_by_products_matches_pairwise_products(group, field):
     alg = GroupAlgebra(group, field)
     for q in (1, 2, 3):
         assert i_power_by_products(alg, q) == _i_power_pairwise(alg, q)
+
+
+def test_i_power_continues_from_the_cached_power(monkeypatch):
+    """I^1 .. I^6 of D4 over F2 take one product per basis element of I and
+    step, 5 * 7 = 35 in all, where restarting from I for each q took 105."""
+    group = close_generators([Permutation([1, 2, 3, 0]), Permutation([0, 3, 2, 1])])
+    alg = GroupAlgebra(group, F2)
+    translates = GroupAlgebra.translates
+    products = []
+
+    def spy(self, b):
+        products.append(b)
+        return translates(self, b)
+
+    monkeypatch.setattr(GroupAlgebra, "translates", spy)
+    powers = [i_power_by_products(alg, q) for q in range(1, 7)]
+    assert len(products) == 5 * 7
+    assert i_power_by_products(alg, 6) is powers[-1] and len(products) == 35
+    monkeypatch.undo()
+    assert powers == [_i_power_pairwise(GroupAlgebra(group, F2), q) for q in range(1, 7)]
+
+
+def _j_list_by_every_element(algebra, sigma):
+    """The chain J_1 .. J_{s+1} with I^{q+1} spanned by x (g - e) for x in
+    I^q and every group element g, not only the generators."""
+    n = algebra.dim
+    aug = augmentation_ideal(algebra)
+    sig = Subspace.zero(algebra.field, n) if sigma.is_trivial else sigma_ideal(algebra, sigma)
+    power, chain = aug, [aug + sig]
+    while len(chain) < 2 or chain[-1] != chain[-2]:
+        prev = power.basis
+        power = Subspace._spanned_by(Matrix.vstack(algebra.field, [
+            algebra.right(g, prev) - prev for g in range(1, n)], cols=n))
+        chain.append(power + sig)
+    return tuple(chain)
+
+
+@pytest.mark.parametrize("path", ALL_SPECS, ids=lambda path: path.stem)
+def test_generator_shifts_give_the_all_element_chain(path):
+    spec = load_problem(path)
+    alg = spec.algebra()
+    assert j_filtration(alg, spec.sigma).j_list == _j_list_by_every_element(alg, spec.sigma)
 
 
 def test_augmentation_ideal_trivial_group():

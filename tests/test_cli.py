@@ -12,7 +12,7 @@ import pytest
 import hocohom
 from hocohom import cli
 from hocohom.algebra import AlgebraError, j_filtration
-from hocohom.linalg import LinalgError, Subspace
+from hocohom.linalg import LinalgError, Matrix, Subspace
 from hocohom.problem import SpecError, parse_problem, load_problem
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -416,6 +416,52 @@ def test_algebra_and_linalg_errors_exit_2(monkeypatch, capsys, error):
     code = cli.main(["verify", "--spec", str(SPECS / "c2_f2.json")])
     assert code == cli.EXIT_INPUT_ERROR
     assert str(error) in capsys.readouterr().err
+
+
+def test_wrong_corrector_exits_1_with_the_certificate(monkeypatch, capsys):
+    """A failed internal certificate is a failed verification: exit 1 and
+    the certificate's message, never a traceback or the input-error code."""
+    from hocohom import les
+    solve_body = les.solve_column
+    calls = []
+
+    def wrong_corrector(m, b):
+        # the first solve lifts the augmentation; every later one is a corrector
+        calls.append(b)
+        x = solve_body(m, b)
+        if len(calls) == 1:
+            return x
+        j = next(j for j in range(m.cols) if not m.take_columns([j]).is_zero())
+        unit = Matrix(m.field, [[int(r == j)] * x.cols for r in range(m.cols)])
+        return x - unit
+
+    monkeypatch.setattr(les, "solve_column", wrong_corrector)
+    code = cli.main(["les-check", "--spec", str(SPECS / "c2_f2.json")])
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    assert capsys.readouterr().err == (
+        "certificate failed: horseshoe failed exactness at stage 1\n")
+
+
+def test_nonzero_delta_squared_exits_1_with_the_certificate(monkeypatch, capsys):
+    """delta^{p+1} delta^p != 0 in the A/J_q complex reaches the containment
+    check of the cohomology quotient, which exits 1 like every certificate."""
+    from hocohom import les
+    delta_body = les.hom_delta
+    p_max = load_problem(SPECS / "c2_f2.json").p_max
+
+    def broken(resolution, v, i):
+        delta = delta_body(resolution, v, i)
+        if i < p_max + 1:
+            return delta
+        # read only by the quotient at degree p_max + 1, whose coboundaries
+        # delta^{p_max} then escape its cocycles
+        return Matrix.identity(delta.field, delta.cols).take_rows(range(delta.rows))
+
+    monkeypatch.setattr(les, "hom_delta", broken)
+    code = cli.main(["les-check", "--spec", str(SPECS / "c2_f2.json"), "--module", "regular"])
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    assert capsys.readouterr().err == (
+        "certificate failed: the spanning rows are not contained in sup\n")
 
 
 def test_j_filtration_stops_at_its_cap(monkeypatch):

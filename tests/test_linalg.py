@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hocohom.linalg import (
     Field, Matrix, Subspace, QuotientMap,
     rref, rank, kernel, solve_column,
-    rank_of_int_rows, InconsistentSystem, LinalgError,
+    rank_of_int_rows, CertificateError, InconsistentSystem, LinalgError,
     _PRIME_TEST_BOUND, _echelon_f2, _is_prime, _rref_int, _rref_modp,
 )
 
@@ -322,7 +322,7 @@ def test_quotient_map_nested():
 def test_quotient_map_rejects_non_nested():
     sup = Subspace.from_vectors(Q, 3, [[1, 0, 0]])
     sub = Subspace.from_vectors(Q, 3, [[0, 1, 0]])
-    with pytest.raises(LinalgError):
+    with pytest.raises(CertificateError):
         QuotientMap(sup, sub.basis)
 
 
@@ -363,7 +363,7 @@ def test_quotient_map_properties(field, n, data):
     outside = [j for j in range(n) if j not in sup.pivots]
     if outside:
         unit = Matrix(field, [[int(j == outside[0]) for j in range(n)]])
-        with pytest.raises(LinalgError, match="not contained"):
+        with pytest.raises(CertificateError, match="not contained"):
             QuotientMap(sup, Matrix.vstack(field, [spanning, unit]))
 
 
