@@ -21,11 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, NormalSubgroup
-from .linalg import Field, Matrix, Subspace
+from .linalg import CertificateError, Field, Matrix, Subspace
 
 
 class AlgebraError(ValueError):
     pass
+
+
+class IdealCertificateError(CertificateError):
+    """An ideal built here failed its certificate: the dimension of I or of
+    A*I_S, two-sidedness, the containment of A*I_S in I, or the chain J_q
+    stabilizing within dim I + 1 steps."""
 
 
 class GroupAlgebra:
@@ -35,10 +41,10 @@ class GroupAlgebra:
     element, by g on the left or on the right; each is one column selection
     of the rows, and no per-element matrix is built.  Carries a private
     cache used by the resolution engine: the filtration, the powers of I,
-    and per filtration level the quotient modules and the resolutions, each
-    stored once per key (a resolution is replaced by a longer one when
-    extended; concurrent last-writer-wins is safe because all cached values
-    are deterministic).
+    the free modules per rank, and per filtration level the quotient
+    modules and the resolutions, each stored once per key (a resolution is
+    replaced by a longer one when extended; concurrent last-writer-wins is
+    safe because all cached values are deterministic).
     """
 
     __slots__ = ("group", "field", "dim", "_mult", "_cache")
@@ -95,7 +101,8 @@ def augmentation_ideal(algebra: GroupAlgebra) -> Subspace:
     n = algebra.dim
     sub = Subspace.from_vectors(algebra.field, n,
                                 _differences(n, list(range(1, n)), [0] * (n - 1)))
-    assert sub.dim == n - 1 or n == 1
+    if sub.dim != n - 1:
+        raise IdealCertificateError(f"I has dimension {sub.dim}, expected {n - 1}")
     return sub
 
 
@@ -113,18 +120,18 @@ def sigma_ideal(algebra: GroupAlgebra, sigma: NormalSubgroup) -> Subspace:
         n, algebra._mult[:, gens].ravel(), np.repeat(np.arange(n), len(gens))))
     expected = n - n // sigma.order
     if sub.dim != expected:
-        raise AlgebraError(f"A*I_S has dimension {sub.dim}, expected {expected}")
+        raise IdealCertificateError(f"A*I_S has dimension {sub.dim}, expected {expected}")
     _certify_two_sided(algebra, sub)
     return sub
 
 
 def _certify_two_sided(algebra: GroupAlgebra, sub: Subspace):
-    """Raise AlgebraError unless sub is stable under left and right
+    """Raise IdealCertificateError unless sub is stable under left and right
     multiplication by every group generator (hence by all of A)."""
     for g in algebra.group.gen_indices:
         for side, times in (("left", algebra.left), ("right", algebra.right)):
             if sub.first_outside(times(g, sub.basis)) is not None:
-                raise AlgebraError(f"not {side}-stable under element {g}")
+                raise IdealCertificateError(f"not {side}-stable under element {g}")
 
 
 @dataclass(frozen=True)
@@ -170,21 +177,21 @@ def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltratio
 
     Each J_q is certified two-sided.  Stops at the first q with
     J_q = J_{q+1} (always at most dim I + 1 steps, since the chain strictly
-    descends until then); raises AlgebraError if the chain has not
+    descends until then); raises IdealCertificateError if the chain has not
     stabilized after dim I + 1 steps.
     """
     f = algebra.field
     aug = augmentation_ideal(algebra)
     sig = sigma_ideal(algebra, sigma) if not sigma.is_trivial else Subspace.zero(f, algebra.dim)
     if not aug.contains_subspace(sig):
-        raise AlgebraError("A*I_S is not contained in the augmentation ideal")
+        raise IdealCertificateError("A*I_S is not contained in the augmentation ideal")
 
     gens = sorted(set(algebra.group.gen_indices) - {0})
     power = aug     # I^q for the last J_q in j_list
     j_list = [aug + sig]
     while len(j_list) < 2 or j_list[-1] != j_list[-2]:
         if len(j_list) > aug.dim + 1:
-            raise AlgebraError(
+            raise IdealCertificateError(
                 f"J_q did not stabilize within dim I + 1 = {aug.dim + 1} steps")
         prev = power.basis
         power = Subspace._spanned_by(Matrix.vstack(f, [

@@ -21,6 +21,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .algebra import (
     AlgebraError, augmentation_ideal, i_power_by_products, j_by_left_route,
@@ -112,9 +114,13 @@ def _cocycle_column(spec: ProblemSpec, algebra, v):
 
 def _h0_columns(spec: ProblemSpec, algebra, v, q_top: int):
     """H_q^0 for q = 1..q_top as the annihilator of J_q and by the inductive
-    recursion, two lists of subspaces."""
+    recursion, two lists of subspaces.  The annihilator is kept with v once
+    per (algebra, S, level); the recursion, which reads no J_q, per (S, q)
+    (`h_q0_inductive`), so at q = s + 1 it still takes its own step."""
     filt = filtration_for(algebra, spec.sigma)
-    ann = [h_q0_annihilator(v, filt, q) for q in range(1, q_top + 1)]
+    members = spec.sigma.members
+    ann = [v.cached(("h0_annihilator", algebra, members, filt.level(q)),
+                    lambda: h_q0_annihilator(v, filt, q)) for q in range(1, q_top + 1)]
     ind = [h_q0_inductive(v, spec.sigma, q) for q in range(1, q_top + 1)]
     return ann, ind
 
@@ -279,7 +285,8 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
 
     coinduced = coinduced_module(spec.group, spec.field, 1)
     # a spec module with the same permutation table already holds its bar ranks
-    coinduced = next((v for v in modules.values() if v.perm == coinduced.perm), coinduced)
+    coinduced = next((v for v in modules.values() if v.perm is not None
+                      and np.array_equal(v.perm, coinduced.perm)), coinduced)
     vreport = vanishing_check(algebra, spec.sigma, coinduced,
                               min(spec.q_max, 3), spec.p_max,
                               budget=spec.budgets["bar_budget"])

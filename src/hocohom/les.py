@@ -59,7 +59,8 @@ from dataclasses import dataclass
 from .algebra import GroupAlgebra, IdealFiltration
 from .groups import NormalSubgroup
 from .linalg import (
-    CertificateError, Matrix, QuotientMap, kernel, node_exact, rank, solve_column,
+    CertificateError, InconsistentSystem, Matrix, QuotientMap, kernel, node_exact, rank,
+    solve_column,
 )
 from .modules import GammaModule, ModuleMap
 from .resolution import (
@@ -89,8 +90,13 @@ def quotient_ses(algebra: GroupAlgebra, filtration: IdealFiltration,
     left, left_qm = layer_module(algebra, filtration.sigma, q)
     middle, middle_qm = quotient_by_j(algebra, filtration.sigma, q + 1)
     right, right_qm = quotient_by_j(algebra, filtration.sigma, q)
-    inject = ModuleMap(left.module, middle.module, middle_qm.coords(left_qm.reps.transpose()))
-    surject = ModuleMap(middle.module, right.module, right_qm.coords(middle_qm.reps.transpose()))
+    try:
+        inject = ModuleMap(left.module, middle.module,
+                           middle_qm.coords(left_qm.reps.transpose()))
+        surject = ModuleMap(middle.module, right.module,
+                            right_qm.coords(middle_qm.reps.transpose()))
+    except ValueError as err:
+        raise CertificateError(f"quotient sequence at level {q}: {err}") from err
     if rank(inject.matrix) != left.dim:
         raise CertificateError("injection is not injective")
     if rank(surject.matrix) != right.dim:
@@ -118,7 +124,8 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
     solution of dL_{i-1} x = -h_{i-1} dN_i e_j (for i = 1, dL_0 is the
     injected left augmentation and h_0 the right augmentation lifted through
     the surjection).  Each stage is certified exact on its generator
-    columns (the lemma in the module docstring).
+    columns (the lemma in the module docstring), and a corrector system
+    with no solution is a CertificateError that names its stage.
     """
     algebra = ses.left.algebra
     f, n = algebra.field, algebra.dim
@@ -128,9 +135,15 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
     def gens(amap: Matrix) -> Matrix:
         return amap.take_columns(range(0, amap.cols, n))
 
+    def solve(m: Matrix, b: Matrix, what: str) -> Matrix:
+        try:
+            return solve_column(m, b)
+        except InconsistentSystem as err:
+            raise CertificateError(f"horseshoe {what} has no solution") from err
+
     augmentation = amap_from_generator_images(algebra, ses.middle.module, Matrix.hstack(f, [
         ses.inject.matrix @ gens(res_l.augmentation),
-        solve_column(ses.surject.matrix, gens(res_n.augmentation))]).transpose())
+        solve(ses.surject.matrix, gens(res_n.augmentation), "augmentation lift")]).transpose())
     prev_rank = rank(augmentation)
     if prev_rank != ses.middle.dim:
         raise CertificateError("horseshoe augmentation is not surjective")
@@ -142,7 +155,7 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
         solver = _block(prev_map, range(top), range(left_prev))
         corrector = _block(prev_map, range(top), range(left_prev, prev_map.cols))
         d_n = gens(res_n.boundaries[i - 1])
-        h = solve_column(solver, -(corrector @ d_n))
+        h = solve(solver, -(corrector @ d_n), f"corrector at stage {i}")
         columns = Matrix.block(f, [[gens(res_l.boundaries[i - 1]), h], [None, d_n]],
                                [left_prev, prev_map.cols - left_prev],
                                [res_l.ranks[i], res_n.ranks[i]])

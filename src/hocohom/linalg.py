@@ -33,7 +33,8 @@ by `np.packbits`), and an echelon sweep keyed by each row's lowest set bit
 XORs a new row with the basis row at that bit until the bit is a new pivot
 or the row is zero.  Only `rref` back-reduces the basis, once; a rank runs
 the sweep on the shorter side (the transpose of a tall matrix), since
-rank(a) = rank(a.T) and fewer rows reduce to zero.  Over odd primes it is
+rank(a) = rank(a.T) and fewer rows reduce to zero; an `Echelon` continues
+the sweep batch by batch on the basis it holds.  Over odd primes it is
 `_rref_modp` on numpy arrays; ranks and the certificate primes below feed
 it the rows in blocks through `_row_space_modp`.  Over Q it is one
 fraction-free elimination of the numerator rows (`_rref_int`); a rational
@@ -660,9 +661,10 @@ def _bit_rows(a: np.ndarray):
             yield int.from_bytes(data[i:i + width], "little")
 
 
-def _echelon_f2(a: np.ndarray) -> dict[int, int]:
+def _echelon_f2(a: np.ndarray, basis: dict[int, int] | None = None) -> dict[int, int]:
     """An echelon basis over F_2 of the rows of a 0/1 array, as
-    {pivot bit: row} with rows as the bit integers of `_bit_rows`.
+    {pivot bit: row} with rows as the bit integers of `_bit_rows`; a given
+    `basis` is continued, in place, so that it spans its rows and a's.
 
     The pivot of a row is its lowest set bit, and no two rows share one.  A
     new row is XORed with the basis row at its lowest bit until that bit is
@@ -671,8 +673,9 @@ def _echelon_f2(a: np.ndarray) -> dict[int, int]:
     fill every column.
     """
     full = (1 << a.shape[1]) - 1
-    basis = {}
-    pivmask = 0
+    if basis is None:
+        basis = {}
+    pivmask = sum(basis)
     for x in _bit_rows(a):
         while x:
             low = x & -x
@@ -996,6 +999,58 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimension mismatch")
         return Subspace._spanned_by(Matrix.vstack(self.field, [self.basis, other.basis]))
+
+
+class Echelon:
+    """The span of the rows added so far in F^dim, grown batch by batch,
+    with a membership test for the unit vectors; `rank` is its dimension.
+
+    Over F_2 the span is the {pivot bit: row} basis of `_echelon_f2`, which
+    each batch continues: e_i lies in it exactly when reducing 1 << i by
+    the basis rows at its lowest set bits leaves 0.  Over the other fields
+    each batch re-eliminates the span's RREF basis with the new rows, and
+    e_i lies in the span exactly when i is a pivot whose RREF row has one
+    nonzero entry.
+    """
+
+    __slots__ = ("field", "dim", "_bits", "_span", "_units")
+
+    def __init__(self, field: Field, dim: int):
+        self.field, self.dim = field, dim
+        self._bits = {} if field.p == 2 else None
+        self._span = Subspace.zero(field, dim)
+        self._units = set()
+
+    @property
+    def rank(self) -> int:
+        return self._span.dim if self._bits is None else len(self._bits)
+
+    def add(self, rows: Matrix):
+        """Grow the span by the rows of a matrix with `dim` columns."""
+        if rows.cols != self.dim:
+            raise DimensionMismatch("rows do not live in the ambient space")
+        if self._bits is not None:
+            if rows.array.size:
+                _echelon_f2(rows.array, self._bits)
+            return
+        self._span = span = Subspace._spanned_by(
+            Matrix.vstack(self.field, [self._span.basis, rows]))
+        counts = np.count_nonzero(span.basis.array, axis=1).tolist()
+        self._units = {c for c, n in zip(span.pivots, counts) if n == 1}
+
+    def contains_unit(self, i: int) -> bool:
+        """Whether the unit vector e_i lies in the span."""
+        if self.rank == self.dim:
+            return True
+        if self._bits is None:
+            return i in self._units
+        x = 1 << i
+        while x:
+            row = self._bits.get(x & -x)
+            if row is None:
+                return False
+            x ^= row
+        return True
 
 
 class QuotientMap:

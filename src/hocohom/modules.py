@@ -4,7 +4,10 @@ A module is a coordinate space with one invertible action matrix per group
 element (acting on column vectors, on the left).  Constructors cover the
 standard test inputs: trivial modules, the regular module A itself, and
 coinduced modules of functions G -> R^b, which are acyclic for group
-cohomology and serve as certified-vanishing inputs downstream.
+cohomology and serve as certified-vanishing inputs downstream.  The
+regular, coinduced and free modules are permutation modules: each keeps its
+index table `perm` as one read-only intp array, and its inverse table,
+which `orbits` reads, is computed once with the module.
 
 Degree-zero higher-order cohomology H_q^0 is computed in two independent
 ways that must agree: as the annihilator of the ideal J_q, and by the
@@ -39,13 +42,16 @@ class GammaModule:
     common denominator `den` (numerators over Q, residues with den 1 over
     F_p), and the `action` matrices are built from its slices.  A permutation
     module (`GammaModule.permutation`) stores only the index table `perm`,
-    with element g sending basis vector e_j to e_{perm[g][j]}; its stack is
-    built on first access, and `orbits` acts by permuting coordinates
-    without it.  `cached` keeps values derived from the module with it, so
-    they live as long as the module does.
+    one read-only |G| x dim intp array with element g sending basis vector
+    e_j to e_{perm[g][j]}, and its inverse table `inverse_perm`, computed
+    once with the module; its stack is built from `perm` on first access,
+    and `orbits` acts by reading coordinates at `inverse_perm`, without it.
+    `cached` keeps values derived from the module with it, so they live as
+    long as the module does.
     """
 
-    __slots__ = ("group", "field", "dim", "perm", "den", "_stack", "_action", "_cache")
+    __slots__ = ("group", "field", "dim", "perm", "inverse_perm", "den", "_stack", "_action",
+                 "_cache")
 
     def __init__(self, group: FiniteGroup, field: Field, action):
         action = tuple(action)
@@ -59,6 +65,7 @@ class GammaModule:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "perm", None)
+        object.__setattr__(self, "inverse_perm", None)
         arrays, den = common_denominator(action)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_stack", np.stack(arrays))
@@ -68,17 +75,29 @@ class GammaModule:
 
     @classmethod
     def permutation(cls, group: FiniteGroup, field: Field, perm) -> "GammaModule":
-        """The module on which element g sends e_j to e_{perm[g][j]}."""
-        perm = tuple(tuple(images) for images in perm)
-        dim = len(perm[0]) if perm else 0
-        if len(perm) != group.order or any(sorted(images) != list(range(dim))
-                                           for images in perm):
+        """The module on which element g sends e_j to e_{perm[g][j]}; each of
+        the |G| rows of `perm` must sort to 0..dim-1."""
+        try:
+            perm = np.array(perm, dtype=np.intp)
+        except (TypeError, ValueError):
+            perm = None
+        if perm is None or perm.ndim != 2 or perm.shape[0] != group.order:
             raise ValueError("one permutation of the basis per group element required")
+        n, dim = perm.shape
+        inverse = np.zeros_like(perm)
+        in_range = perm.size == 0 or (perm.min() >= 0 and perm.max() < dim)
+        if in_range:
+            inverse[np.arange(n)[:, None], perm] = np.arange(dim)
+        # a row is a permutation exactly when it reads 0..dim-1 back at its inverse
+        if not in_range or (np.take_along_axis(perm, inverse, axis=1) != np.arange(dim)).any():
+            raise ValueError("one permutation of the basis per group element required")
+        perm.flags.writeable = inverse.flags.writeable = False
         module = object.__new__(cls)
         object.__setattr__(module, "group", group)
         object.__setattr__(module, "field", field)
         object.__setattr__(module, "dim", dim)
         object.__setattr__(module, "perm", perm)
+        object.__setattr__(module, "inverse_perm", inverse)
         object.__setattr__(module, "den", 1)
         object.__setattr__(module, "_stack", None)
         object.__setattr__(module, "_action", None)
@@ -90,8 +109,7 @@ class GammaModule:
         """The read-only |G| x dim x dim array of the action matrices, over `den`."""
         if self._stack is None:
             # column j of action[g] is column perm[g][j] of the identity
-            perm = np.array(self.perm, dtype=np.intp).reshape(self.group.order, self.dim)
-            stack = Matrix.identity(self.field, self.dim).array[:, perm].transpose(1, 0, 2)
+            stack = Matrix.identity(self.field, self.dim).array[:, self.perm].transpose(1, 0, 2)
             stack.flags.writeable = False
             object.__setattr__(self, "_stack", stack)
         return self._stack
@@ -109,10 +127,7 @@ class GammaModule:
         whose entry [r, g] is action[g] applied to row r, and its denominator."""
         if self.perm is not None:
             # (g v)[perm[g][j]] = v[j], so g v reads v at the inverse permutation
-            perm = np.array(self.perm, dtype=np.intp).reshape(self.group.order, self.dim)
-            inverse = np.empty_like(perm)
-            np.put_along_axis(inverse, perm, np.arange(self.dim), axis=1)
-            return vectors.array[:, inverse], vectors.den
+            return vectors.array[:, self.inverse_perm], vectors.den
         return (contract(self.field, vectors.array, self.stack.transpose(2, 0, 1)),
                 vectors.den * self.den)
 
@@ -211,10 +226,10 @@ def coinduced_module(group: FiniteGroup, field: Field, base_dim: int = 1) -> Gam
     """Functions G -> R^b with (g.f)(x) = f(xg); coordinates (element, component)."""
     if base_dim < 1:
         raise ValueError("base_dim must be >= 1")
-    # g sends the basis vector (x, j) to (x g^-1, j)
-    return GammaModule.permutation(group, field, [
-        [group.mult[x][group.inv[g]] * base_dim + j for x in range(group.order)
-         for j in range(base_dim)] for g in range(group.order)])
+    # g sends the basis vector (x, j) to (x g^-1, j); moved[g, x] = x g^-1
+    moved = np.array(group.mult, dtype=np.intp)[:, group.inv].T
+    return GammaModule.permutation(group, field, (
+        moved[:, :, None] * base_dim + np.arange(base_dim)).reshape(group.order, -1))
 
 
 def h_q0_annihilator(v: GammaModule, filtration: IdealFiltration, q: int) -> Subspace:
@@ -228,19 +243,23 @@ def h_q0_inductive(v: GammaModule, sigma: NormalSubgroup, q: int) -> Subspace:
 
     H_{q+1}^0 = {v : action[s]v = v for S-generators s, and
     (action[g] - 1)v in H_q^0 for group generators g}.  Both conditions are
-    generator-closed, so generators suffice.
+    generator-closed, so generators suffice.  Each step is kept with v per
+    (S, q), so H_q^0 continues from the cached H_{q-1}^0.  The recursion
+    never reads the ideal J_q, so it stays independent of the annihilator.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    group = v.group
     f = v.field
-    ident = Matrix.identity(f, v.dim)
-    current = v.fixed_points()
-    sigma_gens = [s for s in sigma.gen_indices if s != 0]
-    for _ in range(q - 1):
-        constraints = [v.action[s] - ident for s in sigma_gens]
+
+    def refine(current: Subspace) -> Subspace:
+        ident = Matrix.identity(f, v.dim)
+        constraints = [v.action[s] - ident for s in sigma.gen_indices if s != 0]
         quotient = QuotientMap(Subspace.whole(f, v.dim), current.basis)
-        for g in group.gen_indices:
+        for g in v.group.gen_indices:
             constraints.append(quotient.coords(v.action[g] - ident))
-        current = _joint_kernel(f, v.dim, constraints)
+        return _joint_kernel(f, v.dim, constraints)
+
+    current = v.cached(("h0_inductive", 1), v.fixed_points)
+    for k in range(2, q + 1):
+        current = v.cached(("h0_inductive", sigma.members, k), lambda: refine(current))
     return current

@@ -13,6 +13,15 @@ q' with J_q' = J_q (`IdealFiltration.level`), and a request for more
 degrees continues the cached one from its last boundary.  Every q at or
 past the stabilization level reads the one resolution of A/J_s.
 
+A free module A^k is a permutation module on the multiplication table:
+element g sends the basis vector (i, h) to (i, g h), so its index table is
+i n + mult[g][h], one numpy broadcast, and no action matrix is built.  It
+is kept in the algebra's cache once per (algebra, k), so every resolution
+step and every horseshoe stage of one rank reads the same module.  The
+greedy cover grows one incremental echelon (`linalg.Echelon`); the
+generators it keeps depend only on the span, not on how the span is
+stored (the lemma in `free_cover`).
+
 A layer J_q/J_{q+1} whose action is certified trivial is R^N, N = N(q),
 and A/J_1 = A/I = R, so the layer is resolved as the block sum of N
 copies of the cached resolution of A/J_1: ranks N r_i, and the
@@ -90,8 +99,8 @@ import numpy as np
 from .algebra import GroupAlgebra, IdealFiltration, j_filtration
 from .groups import FiniteGroup, NormalSubgroup
 from .linalg import (
-    CertificateError, Field, Matrix, QuotientMap, Subspace, contract, kernel, node_exact,
-    rank, rank_of_int_rows,
+    CertificateError, Echelon, Field, Matrix, QuotientMap, Subspace, contract, kernel,
+    node_exact, rank, rank_of_int_rows,
 )
 from .modules import GammaModule, regular_module
 
@@ -137,15 +146,19 @@ class AModule:
 
 
 def free_amodule(algebra: GroupAlgebra, k: int) -> AModule:
-    """A^k with coordinates (generator, group element), acting by permutation.
+    """A^k with coordinates (generator, group element), acting by permutation,
+    built once per (algebra, k) and kept in the algebra's cache.
 
-    Element g sends the basis vector (i, h) to (i, g h), read off the group
-    multiplication table; no action matrix is built.
+    Element g sends the basis vector (i, h) to (i, g h): its index table is
+    i n + mult[g][h], one broadcast of the multiplication table; no action
+    matrix is built.
     """
-    n = algebra.dim
-    perm = [[i * n + gh for i in range(k) for gh in row] for row in algebra.group.mult]
-    return AModule(algebra, GammaModule.permutation(algebra.group, algebra.field, perm),
-                   f"free rank {k}")
+    def build():
+        n = algebra.dim
+        perm = (n * np.arange(k)[:, None] + algebra._mult[:, None, :]).reshape(n, k * n)
+        return AModule(algebra, GammaModule.permutation(algebra.group, algebra.field, perm),
+                       f"free rank {k}")
+    return algebra.cached(("free", k), build)
 
 
 def amap_from_generator_images(algebra: GroupAlgebra, target: GammaModule, images) -> Matrix:
@@ -193,13 +206,17 @@ def amodule_from_subspace(algebra: GroupAlgebra, ambient: GammaModule,
 def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
                      label: str = "quotient") -> tuple[AModule, QuotientMap]:
     """The quotient sup/sub of left ideals of A in canonical complement
-    coordinates; both are certified stable under left multiplication.
-    Returns the module and the quotient coordinate map used to build it.
+    coordinates; both are certified stable under left multiplication, and a
+    failure is a CertificateError caused by the NotStableError.  Returns the
+    module and the quotient coordinate map used to build it.
     """
     f, n = algebra.field, algebra.dim
     regular = regular_module(algebra.group, f)
-    _certify_stable(regular, sup)
-    _certify_stable(regular, sub)
+    try:
+        _certify_stable(regular, sup)
+        _certify_stable(regular, sub)
+    except NotStableError as err:
+        raise CertificateError(f"{label}: {err}") from err
     qmap = QuotientMap(sup, sub.basis)
     # column (r, g) holds the quotient coordinates of g reps[r], which lies in sup
     coords = qmap.coords(amap_from_generator_images(algebra, regular, qmap.reps))
@@ -211,22 +228,24 @@ def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
 def free_cover(field: Field, dim: int, orbit, order: str = "forward") -> tuple[int, ...]:
     """Greedy free cover of a module on R^dim: the indices i of the unit
     vectors kept by a sweep that keeps each e_i outside the A-span of those
-    already kept.  orbit(i) is the |G| x dim Matrix of the g e_i.
+    already kept.  orbit(i) is the |G| x dim Matrix of the g e_i.  The span
+    grows as one `linalg.Echelon`, which holds dim rows once it is all of
+    R^dim (the spanning certificate).
 
-    Membership is read off the span's RREF with no product: e_i lies in the
-    span exactly when i is a pivot whose RREF row has one nonzero entry.
+        Lemma.  Any echelon of the kept orbits keeps the same generators as
+        the per-vector sweep, in either sweep order.
+        Proof.  The sweep keeps e_i exactly when e_i lies outside the span
+        of the orbits kept before it.  That test depends on the span alone,
+        not on how it is stored, so by induction on i both keep the same
+        indices and hold the same span.
     """
-    span = Subspace.zero(field, dim)
-    inside = set()
+    span = Echelon(field, dim)
     chosen = []
     for i in (range(dim) if order == "forward" else range(dim - 1, -1, -1)):
-        if i in inside:
-            continue
-        chosen.append(i)
-        span = Subspace._spanned_by(Matrix.vstack(field, [span.basis, orbit(i)]))
-        counts = np.count_nonzero(span.basis.array, axis=1).tolist()
-        inside = {c for c, n in zip(span.pivots, counts) if n == 1}
-    if span.dim != dim:
+        if not span.contains_unit(i):
+            chosen.append(i)
+            span.add(orbit(i))
+    if span.rank != dim:
         raise CertificateError("free cover failed to span the module")
     return tuple(chosen)
 
@@ -290,13 +309,12 @@ def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
     for i in range(len(boundaries) + 1, length + 1):
         ker_sub = kernel(prev_map)
         free = free_amodule(algebra, ranks[-1]).module
-        basis, pivots = ker_sub.basis, list(ker_sub.pivots)
-
-        def orbit(row):
-            moved, den = free.orbits(basis.take_rows([row]))
-            return Matrix._wrap(f, moved[0][:, pivots], den)
-
-        images = basis.take_rows(free_cover(f, ker_sub.dim, orbit, order))
+        basis = ker_sub.basis
+        # (g b)[j] = b[inverse_perm[g][j]], read at K's pivot columns j
+        reads = free.inverse_perm[:, list(ker_sub.pivots)]
+        images = basis.take_rows(free_cover(
+            f, ker_sub.dim, lambda row: Matrix._wrap(f, basis.array[row, reads], basis.den),
+            order))
         boundary = amap_from_generator_images(algebra, free, images)
         # dim K = cols - rank(prev_map); the first composite is taken on every
         # column, since a given augmentation need not be A-linear

@@ -11,7 +11,7 @@ import pytest
 
 import hocohom
 from hocohom import cli
-from hocohom.algebra import AlgebraError, j_filtration
+from hocohom.algebra import AlgebraError, IdealCertificateError, j_filtration
 from hocohom.linalg import LinalgError, Matrix, Subspace
 from hocohom.problem import SpecError, parse_problem, load_problem
 
@@ -468,7 +468,7 @@ def test_j_filtration_stops_at_its_cap(monkeypatch):
     # a chain that never compares equal must raise, not loop forever
     spec = load_problem(SPECS / "c4_f2.json")
     monkeypatch.setattr(Subspace, "__eq__", lambda self, other: False)
-    with pytest.raises(AlgebraError, match="did not stabilize"):
+    with pytest.raises(IdealCertificateError, match="did not stabilize"):
         j_filtration(spec.algebra(), spec.sigma)
 
 
@@ -525,3 +525,131 @@ def test_verify_builds_each_bar_coboundary_once_per_module(monkeypatch):
     pairs = [(v, i) for v, i, _ in built]
     assert len(pairs) == len(set(pairs)) == len(spec.module_names()) * (spec.p_max + 1)
     assert not any(during for *_, during in built)
+
+
+def test_verify_builds_one_free_module_per_algebra_and_rank(monkeypatch):
+    # _extend and the horseshoe read the one A^k kept in the algebra's cache
+    from hocohom import les, resolution
+    made = {}
+    free_amodule = resolution.free_amodule
+
+    def spy(algebra, k):
+        m = free_amodule(algebra, k)
+        made.setdefault((id(algebra), k), []).append(m)
+        return m
+
+    monkeypatch.setattr(resolution, "free_amodule", spy)
+    monkeypatch.setattr(les, "free_amodule", spy)
+    _, ok = cli.cmd_verify(load_problem(SPECS / "d4_f2.json"))
+    assert ok
+    assert sum(map(len, made.values())) > len(made) > 1
+    assert all(all(m is ms[0] for m in ms) for ms in made.values())
+
+
+def test_verify_continues_the_h0_recursion_once_per_step(monkeypatch):
+    # q_top = 3 and two modules: one refinement each from H_1^0 and H_2^0
+    from hocohom import modules
+    made = []
+    quotient_map = modules.QuotientMap
+
+    def spy(*args):
+        made.append(args)
+        return quotient_map(*args)
+
+    monkeypatch.setattr(modules, "QuotientMap", spy)
+    spec = load_problem(SPECS / "d4_f2.json")
+    _, ok = cli.cmd_verify(spec)
+    assert ok
+    assert len(made) == 4 == len(spec.module_names()) * (spec.q_max - 1)
+
+
+def _fails_certificate(capsys, argv, expected):
+    code = cli.main(argv)
+    assert code == cli.EXIT_VERIFICATION_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("certificate failed: ") and expected in err, err
+
+
+def test_inconsistent_horseshoe_system_exits_1(monkeypatch, capsys):
+    from hocohom import les
+    from hocohom.linalg import InconsistentSystem
+
+    def no_solution(m, b):
+        raise InconsistentSystem("no solution")
+
+    monkeypatch.setattr(les, "solve_column", no_solution)
+    _fails_certificate(capsys, ["les-check", "--spec", str(SPECS / "c2_f2.json")],
+                       "horseshoe augmentation lift has no solution")
+
+
+def test_ideal_that_is_not_two_sided_exits_1(monkeypatch, capsys):
+    from hocohom import algebra
+
+    def unit_rows(self, g, rows):
+        # e, the identity element, lies outside every proper ideal
+        return Matrix.identity(self.field, self.dim).take_rows([0] * rows.rows)
+
+    monkeypatch.setattr(algebra.GroupAlgebra, "left", unit_rows)
+    _fails_certificate(capsys, ["ideals", "--spec", str(SPECS / "c2_f2.json")],
+                       "not left-stable under element")
+    assert issubclass(algebra.IdealCertificateError, cli.CertificateError)
+
+
+def test_augmentation_ideal_of_the_wrong_dimension_exits_1(monkeypatch, capsys):
+    from hocohom import algebra
+    differences = algebra._differences
+    monkeypatch.setattr(algebra, "_differences",
+                        lambda n, plus, minus: differences(n, plus[:1], minus[:1]))
+    _fails_certificate(capsys, ["ideals", "--spec", str(SPECS / "s3_f2.json")],
+                       "I has dimension 1, expected 5")
+
+
+def test_chain_that_never_stabilizes_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(Subspace, "__eq__", lambda self, other: False)
+    _fails_certificate(capsys, ["ideals", "--spec", str(SPECS / "c4_f2.json")],
+                       "J_q did not stabilize")
+
+
+def test_sigma_ideal_outside_the_augmentation_ideal_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(Subspace, "contains_subspace", lambda self, other: False)
+    _fails_certificate(capsys, ["ideals", "--spec", str(SPECS / "c2_f2.json")],
+                       "A*I_S is not contained in the augmentation ideal")
+
+
+def test_quotient_sequence_map_that_is_not_equivariant_exits_1(monkeypatch, capsys):
+    from hocohom import les
+
+    def not_equivariant(source, target, matrix):
+        raise ValueError("map is not equivariant at element 1")
+
+    monkeypatch.setattr(les, "ModuleMap", not_equivariant)
+    _fails_certificate(capsys, ["les-check", "--spec", str(SPECS / "c2_f2.json")],
+                       "quotient sequence at level 1: map is not equivariant at element 1")
+
+
+def test_sigma_ideal_of_the_wrong_dimension_exits_1(monkeypatch, capsys):
+    from hocohom import algebra
+    differences = algebra._differences
+
+    def first_only(n, plus, minus):
+        # the augmentation ideal keeps its n - 1 rows; A*I_S keeps one row
+        return differences(n, plus, minus) if len(plus) == n - 1 else \
+            differences(n, plus[:1], minus[:1])
+
+    monkeypatch.setattr(algebra, "_differences", first_only)
+    _fails_certificate(capsys,
+                       ["ideals", "--spec", str(SPECS / "s3_full_f2.json")],
+                       "A*I_S has dimension")
+
+
+def test_unstable_quotient_ideal_exits_1(monkeypatch, capsys):
+    from hocohom import resolution
+    stable = resolution._certify_stable
+
+    def unstable(module, sub):
+        stable(module, sub)
+        raise resolution.NotStableError(1, [0] * module.dim)
+
+    monkeypatch.setattr(resolution, "_certify_stable", unstable)
+    _fails_certificate(capsys, ["cohom", "--spec", str(SPECS / "c2_f2.json")],
+                       "A/J_1: subspace is not stable under group element 1")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hocohom.linalg import (
-    Field, Matrix, Subspace, QuotientMap,
+    Echelon, Field, Matrix, Subspace, QuotientMap,
     rref, rank, kernel, solve_column,
     rank_of_int_rows, CertificateError, InconsistentSystem, LinalgError,
     _PRIME_TEST_BOUND, _echelon_f2, _is_prime, _rref_int, _rref_modp,
@@ -365,6 +365,29 @@ def test_quotient_map_properties(field, n, data):
         unit = Matrix(field, [[int(j == outside[0]) for j in range(n)]])
         with pytest.raises(CertificateError, match="not contained"):
             QuotientMap(sup, Matrix.vstack(field, [spanning, unit]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(field=st.sampled_from([F2, F3, Q]), n=st.integers(0, 9), data=st.data())
+def test_echelon_membership_and_rank_after_each_batch(field, n, data):
+    """Rows added in batches: after each one, e_i lies in the echelon
+    exactly when it lies in the span of every row so far, and the echelon
+    holds as many rows as that span's dimension."""
+    echelon = Echelon(field, n)
+    added = Matrix.zeros(field, 0, n)
+    units = Matrix.identity(field, n)
+    for _ in range(data.draw(st.integers(1, 4))):
+        count = data.draw(st.integers(0, 4))
+        batch = Matrix(field, data.draw(st.lists(st.lists(
+            st.integers(-2, 2), min_size=n, max_size=n), min_size=count, max_size=count)),
+            count, n)
+        echelon.add(batch)
+        added = Matrix.vstack(field, [added, batch])
+        span = Subspace._spanned_by(added)
+        assert echelon.rank == rank(added) == span.dim
+        for i in range(n):
+            inside = span.first_outside(units.take_rows([i])) is None
+            assert echelon.contains_unit(i) == inside
 
 
 def test_subspace_reduce_membership():

@@ -1,5 +1,6 @@
 """Module constructors and the two computations of H_q^0."""
 
+import numpy as np
 import pytest
 
 from hocohom.algebra import GroupAlgebra, j_filtration
@@ -8,7 +9,7 @@ from hocohom.groups import (
 )
 from hocohom.linalg import Field, Matrix, Subspace, column_space, rank
 from hocohom.modules import (
-    ModuleMap, NotARepresentationError,
+    GammaModule, ModuleMap, NotARepresentationError,
     trivial_module, make_module, regular_module, coinduced_module,
     h_q0_annihilator, h_q0_inductive,
 )
@@ -42,6 +43,30 @@ def test_trivial_module():
     v.check_homomorphism()
     assert v.dim == 3
     assert v.fixed_points().dim == 3
+
+
+def test_permutation_module_keeps_read_only_index_tables():
+    g = s3()
+    v = GammaModule.permutation(g, F2, g.mult)
+    assert v.perm.dtype == np.intp and v.perm.shape == (6, 6)
+    assert not v.perm.flags.writeable and not v.inverse_perm.flags.writeable
+    for h in range(6):
+        assert v.perm[h][v.inverse_perm[h]].tolist() == list(range(6))
+        # column k of the action of h is the unit vector of h k
+        assert v.action[h] == Matrix.identity(F2, 6).take_columns(g.mult[h])
+
+
+@pytest.mark.parametrize("perm", [
+    [[0, 1]] * 5,                       # one row short of |G| = 6
+    [[0, 1]] * 7,                       # one row too many
+    [[0, 1]] * 5 + [[1, 1]],            # a repeated index
+    [[0, 1]] * 5 + [[0, 2]],            # an index past dim
+    [[0, 1]] * 5 + [[-1, 0]],           # a negative index
+    [[0, 1]] * 5 + [[0]],               # a ragged row
+])
+def test_permutation_module_rejects_a_table_that_is_not_one_permutation_per_element(perm):
+    with pytest.raises(ValueError, match="one permutation of the basis per group element"):
+        GammaModule.permutation(s3(), F2, perm)
 
 
 def test_make_module_identity_generators():

@@ -89,8 +89,10 @@ def test_quotient_rejects_unstable_subspace():
     g = c2()
     alg = GroupAlgebra(g, F2)
     unstable = Subspace.from_vectors(F2, 2, [[0, 1]])  # span{g} is not an ideal
-    with pytest.raises(NotStableError):
+    # an unstable ideal is an internal certificate failure, caused by NotStableError
+    with pytest.raises(CertificateError) as err:
         quotient_amodule(alg, unstable, Subspace.whole(F2, 2))
+    assert isinstance(err.value.__cause__, NotStableError)
 
 
 # --- free covers ------------------------------------------------------------
@@ -146,9 +148,13 @@ def d4():
     return close_generators([Permutation([1, 2, 3, 0]), Permutation([0, 3, 2, 1])])
 
 
+def s4():
+    return close_generators([Permutation([1, 2, 3, 0]), Permutation([1, 0, 2, 3])])
+
+
 def test_free_cover_matches_the_per_vector_sweep():
-    """Membership read off the span's RREF keeps the generators of the
-    membership test by a product, over F_2, an odd prime and Q."""
+    """The incremental echelon keeps the generators of the membership test
+    by a product, over F_2, an odd prime and Q."""
     d4_f2 = GroupAlgebra(d4(), F2)
     s3_q = GroupAlgebra(s3(), Q)
     modules = [AModule(d4_f2, coinduced_module(d4_f2.group, F2, 1), "coinduced"),
@@ -159,7 +165,12 @@ def test_free_cover_matches_the_per_vector_sweep():
         res = build_resolution(quotient, 1)
         modules += [quotient, amodule_from_subspace(
             alg, free_amodule(alg, res.ranks[0]).module, kernel(res.augmentation), "syzygy")]
-    assert max(len(_cover(m)) for m in modules) > 1
+    # the S4/F2 syzygy of A/J_1 whose forward cover keeps 6 generators
+    s4_f2 = GroupAlgebra(s4(), F2)
+    res = resolution_of_quotient(s4_f2, trivial_subgroup(s4_f2.group), 1, 3)
+    modules.append(amodule_from_subspace(
+        s4_f2, free_amodule(s4_f2, res.ranks[2]).module, kernel(res.boundaries[1]), "syzygy"))
+    assert len(_cover(modules[-1])) == res.ranks[3] == 6
     for m in modules:
         for order in ("forward", "reverse"):
             assert _cover(m, order) == _free_cover_reference(m, order)
@@ -975,6 +986,6 @@ def test_unstable_subspace_rejected_when_only_one_generator_moves_it():
     for h in (0, c, c2):
         vec[h] = 1
     line = Subspace.from_vectors(Q, 6, [vec])
-    with pytest.raises(NotStableError) as err:
+    with pytest.raises(CertificateError) as err:
         quotient_amodule(alg, Subspace.zero(Q, 6), line)
-    assert err.value.element_index == g.gen_indices[1]
+    assert err.value.__cause__.element_index == g.gen_indices[1]
