@@ -325,6 +325,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Verbs whose `--recheck` reports are pinned in tests/golden besides `verify`.
 RECHECK_VERBS = ("verify", "cohom", "h1", "ideals")
+# Verbs whose plain reports are pinned in tests/golden, every shipped spec.
+PLAIN_VERBS = ("verify", "les-check")
 
 
 def golden_path(spec_path: Path, recheck: bool = False, verb: str = "verify") -> Path:
@@ -390,6 +392,23 @@ def test_recheck_reports_match_golden(tmp_path):
                 time.monotonic() - started)
 
 
+def test_les_check_reports_match_golden(tmp_path):
+    """`les-check` once per shipped spec against its golden report: every
+    node verdict, the dimension table and the degenerate isomorphisms of
+    the zero layers."""
+    started = time.monotonic()
+    failures = []
+    for spec_path in SPECS:
+        code, payload = cli_report(spec_path, tmp_path / spec_path.name, verb="les-check")
+        if code != 0:
+            failures.append(("exit", spec_path.name, code))
+        golden = golden_path(spec_path, verb="les-check")
+        if not golden.exists() or payload != golden.read_text():
+            failures.append(("golden", spec_path.name))
+    report_line("les-check reports outside the timing block equal tests/golden, "
+                "every shipped spec", not failures, time.monotonic() - started)
+
+
 def test_scale_reports_match_golden(tmp_path):
     """`verify` on every scale spec in tests/specs, and `les-check` on C2^4,
     against their golden reports.
@@ -413,14 +432,15 @@ def test_scale_reports_match_golden(tmp_path):
 
 
 if __name__ == "__main__":
-    # Rewrites tests/golden (plain `verify` and the --recheck reports of every
-    # verb in RECHECK_VERBS on the shipped specs, and the SCALE_RUNS reports)
-    # from the current code:
+    # Rewrites tests/golden (the plain reports of every verb in PLAIN_VERBS
+    # and the --recheck reports of every verb in RECHECK_VERBS on the shipped
+    # specs, and the SCALE_RUNS reports) from the current code:
     #   PYTHONPATH=src python tests/test_acceptance.py
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     runs = [(spec_path, verb, recheck) for spec_path in SPECS
-            for verb, recheck in [("verify", False)] + [(v, True) for v in RECHECK_VERBS]]
+            for verb, recheck in [(v, False) for v in PLAIN_VERBS] +
+            [(v, True) for v in RECHECK_VERBS]]
     runs += [(spec_path, verb, False) for spec_path, verb in SCALE_RUNS]
     with tempfile.TemporaryDirectory() as tmp:
         for spec_path, verb, recheck in runs:
