@@ -47,13 +47,12 @@ class GroupAlgebra:
     safe because all cached values are deterministic).
     """
 
-    __slots__ = ("group", "field", "dim", "_mult", "_cache")
+    __slots__ = ("group", "field", "dim", "_cache")
 
     def __init__(self, group: FiniteGroup, field: Field):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", group.order)
-        object.__setattr__(self, "_mult", np.array(group.mult, dtype=np.intp))
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -61,18 +60,18 @@ class GroupAlgebra:
 
     def left(self, g: int, rows: Matrix) -> Matrix:
         """The rows multiplied by g on the left: (g x)[k] = x[g^-1 k]."""
-        return rows.take_columns(self._mult[self.group.inv[g]])
+        return rows.take_columns(self.group.mult[self.group.inv[g]])
 
     def right(self, g: int, rows: Matrix) -> Matrix:
         """The rows multiplied by g on the right: (x g)[k] = x[k g^-1]."""
-        return rows.take_columns(self._mult[:, self.group.inv[g]])
+        return rows.take_columns(self.group.mult[:, self.group.inv[g]])
 
     def translates(self, b: Matrix) -> Matrix:
         """The matrix whose row g is g b, for an algebra element b given as a
         1 x |G| matrix; a @ translates(b) is the product a b for every row a."""
         n = self.dim
         shifted = np.empty((n, n), dtype=b.array.dtype)
-        shifted[np.arange(n)[:, None], self._mult] = b.array   # (g b)[g h] = b[h]
+        shifted[np.arange(n)[:, None], self.group.mult] = b.array   # (g b)[g h] = b[h]
         return Matrix._wrap(self.field, shifted, b.den)
 
     def cached(self, key, build):
@@ -117,7 +116,7 @@ def sigma_ideal(algebra: GroupAlgebra, sigma: NormalSubgroup) -> Subspace:
     n = algebra.dim
     gens = [s for s in (sigma.gen_indices or sigma.members) if s != 0]
     sub = Subspace.from_vectors(algebra.field, n, _differences(
-        n, algebra._mult[:, gens].ravel(), np.repeat(np.arange(n), len(gens))))
+        n, algebra.group.mult[:, gens].ravel(), np.repeat(np.arange(n), len(gens))))
     expected = n - n // sigma.order
     if sub.dim != expected:
         raise IdealCertificateError(f"A*I_S has dimension {sub.dim}, expected {expected}")
@@ -239,4 +238,4 @@ def j_by_left_route(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int) -> Sub
             algebra.left(g, basis) - basis for g in range(1, n)], cols=n))
     members = [s for s in sigma.members if s != 0]
     return current + Subspace.from_vectors(f, n, _differences(
-        n, algebra._mult[members].ravel(), np.tile(np.arange(n), len(members))))
+        n, algebra.group.mult[members].ravel(), np.tile(np.arange(n), len(members))))

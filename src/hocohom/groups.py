@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class GroupError(ValueError):
     pass
@@ -78,22 +80,24 @@ class Permutation:
 class FiniteGroup:
     """A finite group with canonical element order and full multiplication tables.
 
-    `mult[i][j]` is the index of elements[i] * elements[j]; `inv[k]` the index
-    of the inverse.  `bfs_parent`/`bfs_gen` record, for each non-identity
-    element, the BFS edge it was discovered through: elements[k] =
-    elements[bfs_parent[k]] * generators[bfs_gen[k]].  Immutable after
-    construction and safe for concurrent reads.
+    `mult[i, j]` is the index of elements[i] * elements[j]; `inv[k]` the index
+    of the inverse; both are read-only intp arrays.  `bfs_parent`/`bfs_gen`
+    record, for each non-identity element, the BFS edge it was discovered
+    through: elements[k] = elements[bfs_parent[k]] * generators[bfs_gen[k]].
+    Immutable after construction and safe for concurrent reads.
     """
 
     __slots__ = ("degree", "order", "elements", "mult", "inv",
                  "gen_indices", "bfs_parent", "bfs_gen", "_index")
 
     def __init__(self, elements, mult, inv, gen_indices, bfs_parent, bfs_gen):
+        mult, inv = np.array(mult, dtype=np.intp), np.array(inv, dtype=np.intp)
+        mult.flags.writeable = inv.flags.writeable = False
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "order", len(self.elements))
         object.__setattr__(self, "degree", self.elements[0].degree)
-        object.__setattr__(self, "mult", tuple(tuple(r) for r in mult))
-        object.__setattr__(self, "inv", tuple(inv))
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "gen_indices", tuple(gen_indices))
         object.__setattr__(self, "bfs_parent", tuple(bfs_parent))
         object.__setattr__(self, "bfs_gen", tuple(bfs_gen))
@@ -112,8 +116,12 @@ class FiniteGroup:
 def close_generators(gens, order_cap: int = 24) -> FiniteGroup:
     """Close a list of permutations into a group by BFS from the identity.
 
-    Raises ClosureCapExceeded if more than order_cap elements appear, and
-    GroupError if the generators have mismatched degrees.
+    The BFS multiplies each element by each generator once, which gives the
+    right-multiplication columns right[g][x] = x * generators[g]; the table
+    follows by associativity, i * k = (i * bfs_parent[k]) * generators[bfs_gen[k]],
+    one column per element in BFS order, and inv[i] is where row i holds
+    the identity.  Raises ClosureCapExceeded if more than order_cap elements
+    appear, and GroupError if the generators have mismatched degrees.
     """
     gens = list(gens)
     if gens:
@@ -128,6 +136,7 @@ def close_generators(gens, order_cap: int = 24) -> FiniteGroup:
     index = {identity.images: 0}
     bfs_parent = [-1]
     bfs_gen = [-1]
+    right = [[] for _ in gens]
     cursor = 0
     while cursor < len(elements):
         current = elements[cursor]
@@ -141,10 +150,15 @@ def close_generators(gens, order_cap: int = 24) -> FiniteGroup:
                 elements.append(candidate)
                 bfs_parent.append(cursor)
                 bfs_gen.append(g_i)
+            right[g_i].append(index[candidate.images])
         cursor += 1
     n = len(elements)
-    mult = [[index[(elements[i] * elements[j]).images] for j in range(n)] for i in range(n)]
-    inv = [index[elements[i].inverse().images] for i in range(n)]
+    right = np.array(right, dtype=np.intp).reshape(len(gens), n)
+    mult = np.empty((n, n), dtype=np.intp)
+    mult[:, 0] = np.arange(n)
+    for k in range(1, n):
+        mult[:, k] = right[bfs_gen[k]][mult[:, bfs_parent[k]]]
+    inv = (mult == 0).argmax(axis=1)
     gen_indices = [index[g.images] for g in gens]
     return FiniteGroup(elements, mult, inv, gen_indices, bfs_parent, bfs_gen)
 
@@ -186,21 +200,19 @@ def subgroup_closure(group: FiniteGroup, gen_indices) -> NormalSubgroup:
     members = {0}
     frontier = [0]
     while frontier:
-        x = frontier.pop()
-        for g in gen_indices:
-            y = group.mult[x][g]
+        for y in group.mult[frontier.pop(), gen_indices].tolist():
             if y not in members:
                 members.add(y)
                 frontier.append(y)
     # closure under inverses is automatic in a finite group, but cheap to confirm
-    for m in list(members):
-        members.add(group.inv[m])
+    members.update(group.inv[sorted(members)].tolist())
     member_tuple = tuple(sorted(members))
-    member_set = set(member_tuple)
-    for g in range(group.order):
-        g_inv = group.inv[g]
-        for s in member_tuple:
-            conj = group.mult[group.mult[g][s]][g_inv]
-            if conj not in member_set:
-                raise NotNormalError(g, s)
+    is_member = np.zeros(group.order, dtype=bool)
+    is_member[list(member_tuple)] = True
+    # outside[g, k]: g s_k g^-1 leaves the subgroup; the first in row-major
+    # order is the witness pair of an exhaustive (g, s) sweep
+    outside = ~is_member[group.mult[group.mult[:, member_tuple], group.inv[:, None]]]
+    if outside.any():
+        g, k = divmod(int(outside.argmax()), len(member_tuple))
+        raise NotNormalError(g, member_tuple[k])
     return NormalSubgroup(group, member_tuple, tuple(gen_indices))

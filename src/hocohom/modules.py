@@ -227,7 +227,7 @@ def coinduced_module(group: FiniteGroup, field: Field, base_dim: int = 1) -> Gam
     if base_dim < 1:
         raise ValueError("base_dim must be >= 1")
     # g sends the basis vector (x, j) to (x g^-1, j); moved[g, x] = x g^-1
-    moved = np.array(group.mult, dtype=np.intp)[:, group.inv].T
+    moved = group.mult[:, group.inv].T
     return GammaModule.permutation(group, field, (
         moved[:, :, None] * base_dim + np.arange(base_dim)).reshape(group.order, -1))
 

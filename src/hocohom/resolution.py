@@ -155,7 +155,7 @@ def free_amodule(algebra: GroupAlgebra, k: int) -> AModule:
     """
     def build():
         n = algebra.dim
-        perm = (n * np.arange(k)[:, None] + algebra._mult[:, None, :]).reshape(n, k * n)
+        perm = (n * np.arange(k)[:, None] + algebra.group.mult[:, None, :]).reshape(n, k * n)
         return AModule(algebra, GammaModule.permutation(algebra.group, algebra.field, perm),
                        f"free rank {k}")
     return algebra.cached(("free", k), build)
@@ -533,7 +533,6 @@ def _bar_coboundary(group: FiniteGroup, v: GammaModule, i: int) -> np.ndarray:
     # g_1 phi(g_2..g_{i+1}): the block action[g_1] at column tuple (g_2..g_{i+1})
     out[out_row, :, tail, :] += act[head]
     t = np.arange(d)
-    mult = np.array(group.mult)
 
     def face(keep, merged, sign):
         tau = np.zeros_like(tail)
@@ -542,7 +541,7 @@ def _bar_coboundary(group: FiniteGroup, v: GammaModule, i: int) -> np.ndarray:
         out[out_row[keep, None], t, tau[keep, None], t] += sign * scale[head[keep]]
 
     for k in range(1, i + 1):
-        product = mult[digits[k - 1], digits[k]]
+        product = group.mult[digits[k - 1], digits[k]]
         face(product != 0, digits[:k - 1] + [product] + digits[k + 1:], (-1) ** k)
     face(slice(None), digits[:i], (-1) ** (i + 1))
     return out.reshape(len(head) * d, m ** i * d)

@@ -1,5 +1,6 @@
 """Group closure, table invariants, and normal subgroup validation."""
 
+import numpy as np
 import pytest
 
 from hocohom.groups import (
@@ -94,6 +95,22 @@ def test_associativity_exhaustive(make):
                 assert g.mult[ab][c] == g.mult[a][g.mult[b][c]]
 
 
+@pytest.mark.parametrize("make", [
+    lambda: close_generators([]), c2, c3, c4, s3, d4, q8, a4, s4,
+    lambda: close_generators([Permutation.identity(3), Permutation([1, 0, 2]),
+                              Permutation([1, 2, 0]), Permutation([1, 0, 2])])])
+def test_tables_are_the_products_of_the_elements(make):
+    # the table is read off the BFS columns by associativity; compare it with
+    # the product of every pair of permutations
+    g = make()
+    for table in (g.mult, g.inv):
+        assert table.dtype == np.intp and not table.flags.writeable
+    for a, x in enumerate(g.elements):
+        assert g.elements[g.inv[a]] == x.inverse()
+        for b, y in enumerate(g.elements):
+            assert g.mult[a][b] == g.index_of(x * y)
+
+
 def test_a4_and_s4_orders():
     assert a4().order == 12
     assert s4().order == 24
@@ -175,4 +192,4 @@ def test_deterministic_element_order():
     g1 = s3()
     g2 = s3()
     assert [e.images for e in g1.elements] == [e.images for e in g2.elements]
-    assert g1.mult == g2.mult
+    assert np.array_equal(g1.mult, g2.mult)

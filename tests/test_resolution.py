@@ -613,7 +613,7 @@ def _rank_identity_cases():
         spec = load_problem(str(path))
         modules = [spec.build_module(name) for name in spec.module_names()]
         for v in modules + [coinduced_module(spec.group, spec.field, 1)]:
-            key = (spec.field.name, spec.group.gen_indices, spec.group.mult,
+            key = (spec.field.name, spec.group.gen_indices, spec.group.mult.tobytes(),
                    v.den, v.stack.tobytes())
             if key not in seen:
                 seen.add(key)
