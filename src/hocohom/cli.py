@@ -6,7 +6,14 @@ cross-oracles), `h1` (the cocycle model), `les-check` (long-exact-sequence
 exactness), `verify` (the full verdict bundle), and `selftest` (built-in
 problems).  Input is a JSON problem file; output is a deterministic JSON
 report (timing is segregated under its own key so reports are diffable),
-with an optional plain-text table rendering.
+with an optional plain-text table rendering.  `VERBS` records each verb's
+report key, its command and the flags it takes: `--module` restricts
+`cohom`, `h1` and `les-check` to one module, and `--recheck` adds the
+alternate oracles of `ideals`, `cohom`, `h1` and `verify`.
+
+Each cross-oracle comparison is one function, called by every verb that
+reports it; `verify` is built from the per-module entries of `cohom` and
+`les-check` and from the ideal identities of `ideals --recheck`.
 
 Exit codes: 0 all verdicts pass, 1 verification failure (a failing verdict,
 or an internal certificate that failed, reported as `certificate failed`),
@@ -20,13 +27,12 @@ import argparse
 import json
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .algebra import (
-    AlgebraError, augmentation_ideal, i_power_by_products, j_by_left_route,
-)
+from .algebra import AlgebraError, i_power_by_products, j_by_left_route
 from .cocycle import h_q1_cocycle
 from .groups import NotNormalError
 from .les import long_exact_sequence, power_identification, vanishing_check
@@ -41,13 +47,115 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
+# the ideal identities of `ideals --recheck` by row key, with their `verify` verdicts
+IDENTITY_VERDICTS = (("recheck_i_power", "ideals.sigma_trivial_j_equals_i_power"),
+                     ("recheck_constant", "ideals.sigma_full_j_constant_at_augmentation"))
 
-def _skeleton(spec: ProblemSpec) -> dict:
-    return {
-        "tool": {"name": "hocohom", "version": __version__},
-        "spec": spec.echo,
+
+# ---------------------------------------------------------------------------
+# the cross-oracle comparisons, one function each
+
+def _ideal_identities(spec: ProblemSpec, algebra, filt, q: int) -> dict[str, bool]:
+    """J_q = I^q (by products of I) when S is trivial and J_q = I when
+    S = G, keyed as in `ideals --recheck`."""
+    checks = {}
+    if spec.sigma.is_trivial:
+        checks["recheck_i_power"] = filt.j(q) == i_power_by_products(algebra, q)
+    if spec.sigma.is_full:
+        checks["recheck_constant"] = filt.j(q) == filt.augmentation
+    return checks
+
+
+def _cocycle_matches(spec: ProblemSpec, algebra, v, p1_column) -> bool:
+    """The cocycle model H_q^1 = Hom_A(J_q, V)/alpha(V) against the p = 1
+    column of Ext, q = 1.., stopping at the first mismatch."""
+    return all(h_q1_cocycle(algebra, spec.sigma, v, q) == d
+               for q, d in enumerate(p1_column, start=1))
+
+
+def _h0_checks(spec: ProblemSpec, algebra, v, grid, q_top: int) -> tuple[bool, bool]:
+    """H_q^0 for q = 1..q_top as the annihilator of J_q, against the p = 0
+    column of the grid and, as subspaces, against the inductive recursion.
+    The annihilator is kept with v once per (algebra, S, level); the
+    recursion, which reads no J_q, per (S, q) (`h_q0_inductive`), so at
+    q = s + 1 it still takes its own step."""
+    filt = filtration_for(algebra, spec.sigma)
+    members = spec.sigma.members
+    ann = [v.cached(("h0_annihilator", algebra, members, filt.level(q)),
+                    lambda: h_q0_annihilator(v, filt, q)) for q in range(1, q_top + 1)]
+    ind = [h_q0_inductive(v, spec.sigma, q) for q in range(1, q_top + 1)]
+    return [a.dim for a in ann] == [row[0] for row in grid[:q_top]], ann == ind
+
+
+def _grid(spec: ProblemSpec, algebra, v, order: str = "forward") -> list[list[int]]:
+    """The H_q^p grid, rows q = 1..q_max and columns p = 0..p_max, from
+    resolutions built in the given sweep order."""
+    return [[higher_cohomology(algebra, spec.sigma, v, q, p, order)
+             for p in range(spec.p_max + 1)]
+            for q in range(1, spec.q_max + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the per-module entries of `cohom`, `h1` and `les-check`
+
+def _per_module(spec: ProblemSpec, module_name: str | None, entry) -> tuple[dict, bool]:
+    """{name: report entry} and whether all passed, from entry(algebra, v)
+    -> (report entry, passed) on the named module or on every module."""
+    algebra = spec.algebra()
+    out, ok = {}, True
+    for name in [module_name] if module_name else spec.module_names():
+        out[name], passed = entry(algebra, spec.build_module(name))
+        ok = ok and passed
+    return out, ok
+
+
+def _cohom_entry(spec: ProblemSpec, algebra, v, h0_top: int,
+                 recheck: bool) -> tuple[dict, bool]:
+    """The grid of one module with its checks: the bar oracle along q = 1
+    and the cocycle model along p = 1; the two H_q^0 routes for q <= h0_top;
+    with recheck, the grid from the reversed sweep."""
+    grid = _grid(spec, algebra, v)
+    # bar_row[p] is None where the bar budget skipped degree p
+    bar_row = [bar_dimension_or_none(algebra.group, v, p, spec.budgets["bar_budget"])
+               for p in range(spec.p_max + 1)]
+    checks = {
+        "q1_row_matches_brute_force":
+            all(b is None or b == grid[0][p] for p, b in enumerate(bar_row)),
+        # parse_problem ensures p_max >= 1
+        "p1_column_matches_cocycle_model":
+            _cocycle_matches(spec, algebra, v, [row[1] for row in grid]),
     }
+    if h0_top:
+        (checks["p0_column_matches_annihilator"],
+         checks["annihilator_matches_inductive"]) = _h0_checks(spec, algebra, v, grid, h0_top)
+    if recheck:
+        checks["resolution_independence"] = _grid(spec, algebra, v, "reverse") == grid
+    return {"grid": grid, "checks": checks, "bar_row": bar_row}, all(checks.values())
 
+
+def _les_entries(spec: ProblemSpec, algebra, v, q_top: int) -> tuple[list, bool]:
+    """The long exact sequence at q = 1..q_top with its node verdicts, and
+    whether it is exact at every node."""
+    entries = []
+    for q in range(1, q_top + 1):
+        report = long_exact_sequence(algebra, spec.sigma, v, q, spec.p_max)
+        entry = {
+            "q": q,
+            "n_q": report.n_q,
+            "terms": report.dims_table(),
+            "exact": report.exact,
+            "nodes": [{**{"p": d.p}, **d.verdicts} for d in report.degrees],
+        }
+        if report.n_q == 0:
+            # zero layer: the sequence degenerates to isomorphisms
+            entry["degenerate_isomorphisms"] = report.exact and all(
+                d.dim_lower == d.dim_upper for d in report.degrees)
+        entries.append(entry)
+    return entries, all(entry["exact"] for entry in entries)
+
+
+# ---------------------------------------------------------------------------
+# the verbs
 
 def cmd_info(spec: ProblemSpec) -> tuple[dict, bool]:
     fragment = {
@@ -75,15 +183,10 @@ def _ideals(spec: ProblemSpec, algebra, recheck: bool) -> tuple[dict, bool]:
         row = {"q": q, "dim_j": filt.j(q).dim, "n": filt.n(q),
                "stabilized": q >= filt.stabilization_q}
         if recheck:
-            row["recheck_left_route"] = filt.j(q) == j_by_left_route(
-                algebra, spec.sigma, q)
-            ok = ok and row["recheck_left_route"]
-            if spec.sigma.is_trivial:
-                row["recheck_i_power"] = filt.j(q) == i_power_by_products(algebra, q)
-                ok = ok and row["recheck_i_power"]
-            if spec.sigma.is_full:
-                row["recheck_constant"] = filt.j(q) == filt.augmentation
-                ok = ok and row["recheck_constant"]
+            checks = {"recheck_left_route": filt.j(q) == j_by_left_route(algebra, spec.sigma, q),
+                      **_ideal_identities(spec, algebra, filt, q)}
+            row.update(checks)
+            ok = ok and all(checks.values())
         rows.append(row)
     fragment = {"rows": rows, "stabilization_q": filt.stabilization_q,
                 "dim_augmentation_ideal": filt.augmentation.dim,
@@ -91,115 +194,31 @@ def _ideals(spec: ProblemSpec, algebra, recheck: bool) -> tuple[dict, bool]:
     return fragment, ok
 
 
-def _grid(spec: ProblemSpec, algebra, v, order: str = "forward") -> list[list[int]]:
-    """The H_q^p grid, rows q = 1..q_max and columns p = 0..p_max, from
-    resolutions built in the given sweep order."""
-    return [[higher_cohomology(algebra, spec.sigma, v, q, p, order)
-             for p in range(spec.p_max + 1)]
-            for q in range(1, spec.q_max + 1)]
-
-
-def _bar_row(spec: ProblemSpec, algebra, v) -> list[int | None]:
-    """dim H^p(G, V) for p = 0..p_max by the bar oracle; None where the bar
-    budget skips degree p."""
-    return [bar_dimension_or_none(algebra.group, v, p, spec.budgets["bar_budget"])
-            for p in range(spec.p_max + 1)]
-
-
-def _cocycle_column(spec: ProblemSpec, algebra, v):
-    """dim H_q^1 for q = 1..q_max by the cocycle model, computed lazily so a
-    caller that stops at the first mismatch computes no more."""
-    return (h_q1_cocycle(algebra, spec.sigma, v, q) for q in range(1, spec.q_max + 1))
-
-
-def _h0_columns(spec: ProblemSpec, algebra, v, q_top: int):
-    """H_q^0 for q = 1..q_top as the annihilator of J_q and by the inductive
-    recursion, two lists of subspaces.  The annihilator is kept with v once
-    per (algebra, S, level); the recursion, which reads no J_q, per (S, q)
-    (`h_q0_inductive`), so at q = s + 1 it still takes its own step."""
-    filt = filtration_for(algebra, spec.sigma)
-    members = spec.sigma.members
-    ann = [v.cached(("h0_annihilator", algebra, members, filt.level(q)),
-                    lambda: h_q0_annihilator(v, filt, q)) for q in range(1, q_top + 1)]
-    ind = [h_q0_inductive(v, spec.sigma, q) for q in range(1, q_top + 1)]
-    return ann, ind
-
-
-def _matches_q1_row(bar_row, grid) -> bool:
-    return all(b is None or b == grid[0][p] for p, b in enumerate(bar_row))
-
-
 def cmd_cohom(spec: ProblemSpec, module_name: str | None = None,
               recheck: bool = False) -> tuple[dict, bool]:
-    algebra = spec.algebra()
-    names = [module_name] if module_name else spec.module_names()
-    out = {}
-    ok = True
-    for name in names:
-        v = spec.build_module(name)
-        grid = _grid(spec, algebra, v)
-        checks = {}
-        # ordinary-cohomology recovery along the q = 1 row
-        bar_row = _bar_row(spec, algebra, v)
-        checks["q1_row_matches_brute_force"] = _matches_q1_row(bar_row, grid)
-        # cocycle model along the p = 1 column (parse_problem ensures p_max >= 1)
-        cocycle_col = list(_cocycle_column(spec, algebra, v))
-        checks["p1_column_matches_cocycle_model"] = cocycle_col == [row[1] for row in grid]
-        if recheck:
-            ann, ind = _h0_columns(spec, algebra, v, spec.q_max)
-            ann_dims = [a.dim for a in ann]
-            checks["p0_column_matches_annihilator"] = ann_dims == [row[0] for row in grid]
-            checks["annihilator_matches_inductive"] = ann_dims == [b.dim for b in ind]
-            checks["resolution_independence"] = _grid(spec, algebra, v, "reverse") == grid
-        ok = ok and all(checks.values())
-        # bar_row[p] is None where the bar budget skipped degree p
-        out[name] = {"grid": grid, "checks": checks, "bar_row": bar_row}
+    out, ok = _per_module(spec, module_name, lambda algebra, v: _cohom_entry(
+        spec, algebra, v, spec.q_max if recheck else 0, recheck))
     return {"modules": out, "q_max": spec.q_max, "p_max": spec.p_max}, ok
 
 
 def cmd_h1(spec: ProblemSpec, module_name: str | None = None,
            recheck: bool = False) -> tuple[dict, bool]:
-    algebra = spec.algebra()
-    names = [module_name] if module_name else spec.module_names()
-    out = {}
-    ok = True
-    for name in names:
-        v = spec.build_module(name)
-        dims = list(_cocycle_column(spec, algebra, v))
-        entry = {"dims_by_q": dims}
+    qs = range(1, spec.q_max + 1)
+
+    def entry(algebra, v):
+        out = {"dims_by_q": [h_q1_cocycle(algebra, spec.sigma, v, q) for q in qs]}
         if recheck:
-            ext_dims = [higher_cohomology(algebra, spec.sigma, v, q, 1)
-                        for q in range(1, spec.q_max + 1)]
-            entry["recheck_ext"] = ext_dims == dims
-            ok = ok and entry["recheck_ext"]
-        out[name] = entry
+            out["recheck_ext"] = _cocycle_matches(spec, algebra, v, (
+                higher_cohomology(algebra, spec.sigma, v, q, 1) for q in qs))
+        return out, out.get("recheck_ext", True)
+
+    out, ok = _per_module(spec, module_name, entry)
     return {"modules": out, "q_max": spec.q_max}, ok
 
 
 def cmd_les(spec: ProblemSpec, module_name: str | None = None) -> tuple[dict, bool]:
-    algebra = spec.algebra()
-    names = [module_name] if module_name else spec.module_names()
-    out = {}
-    ok = True
-    for name in names:
-        v = spec.build_module(name)
-        per_q = []
-        for q in range(1, spec.q_max + 1):
-            report = long_exact_sequence(algebra, spec.sigma, v, q, spec.p_max)
-            entry = {
-                "q": q,
-                "n_q": report.n_q,
-                "terms": report.dims_table(),
-                "exact": report.exact,
-                "nodes": [{**{"p": d.p}, **d.verdicts} for d in report.degrees],
-            }
-            if report.n_q == 0:
-                # zero layer: the sequence degenerates to isomorphisms
-                entry["degenerate_isomorphisms"] = report.exact and all(
-                    d.dim_lower == d.dim_upper for d in report.degrees)
-            per_q.append(entry)
-            ok = ok and report.exact
-        out[name] = per_q
+    out, ok = _per_module(spec, module_name,
+                          lambda algebra, v: _les_entries(spec, algebra, v, spec.q_max))
     return {"modules": out, "p_max": spec.p_max}, ok
 
 
@@ -210,6 +229,8 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
     both cross-oracles, degree-zero agreement, LES exactness, the
     coefficient-power identification, vanishing on a generated coinduced
     module, and the collapse law when the filtration stabilizes at q = 1.
+    The ideal identities, the grid checks and the LES are those of
+    `ideals --recheck`, `cohom` and `les-check`, read up to q = s + 1.
 
     Every per-q value is computed once per level, the least q' with
     J_q' = J_q, so the grid rows q >= s read level s.  The collapse verdict
@@ -231,57 +252,37 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
     stab = filt.stabilization_q
     q_top = min(spec.q_max, stab + 1)
 
-    if spec.sigma.is_trivial:
-        agree = all(filt.j(q) == i_power_by_products(algebra, q)
-                    for q in range(1, stab + 2))
-        record("ideals.sigma_trivial_j_equals_i_power", agree)
-    if spec.sigma.is_full:
-        aug = augmentation_ideal(algebra)
-        agree = all(filt.j(q) == aug for q in range(1, stab + 2))
-        record("ideals.sigma_full_j_constant_at_augmentation", agree)
+    identities = [_ideal_identities(spec, algebra, filt, q) for q in range(1, stab + 2)]
+    for key, name in IDENTITY_VERDICTS:
+        if key in identities[0]:
+            record(name, all(row[key] for row in identities))
 
     grids, modules = {}, {}
     for name in spec.module_names():
         v = modules[name] = spec.build_module(name)
-        grid = _grid(spec, algebra, v)
-        grids[name] = grid
+        entry, _ = _cohom_entry(spec, algebra, v, q_top, recheck)
+        checks, bar_row = entry["checks"], entry["bar_row"]
+        grids[name] = entry["grid"]
 
-        bar_row = _bar_row(spec, algebra, v)
         # the verdicts that read the bar row name the degrees its budget skipped
         skipped = [p for p, b in enumerate(bar_row) if b is None]
         skip_detail = {"bar_budget_skipped_p": skipped} if skipped else None
-        record(f"cohom.{name}.q1_row_matches_brute_force", _matches_q1_row(bar_row, grid),
-               detail=skip_detail)
+        record(f"cohom.{name}.q1_row_matches_brute_force",
+               checks["q1_row_matches_brute_force"], detail=skip_detail)
+        record(f"cohom.{name}.p1_column_matches_cocycle_model",
+               checks["p1_column_matches_cocycle_model"])
+        record(f"cohom.{name}.h0_annihilator_inductive_ext_agree",
+               checks["p0_column_matches_annihilator"]
+               and checks["annihilator_matches_inductive"])
+        record(f"les.{name}.exact_at_all_nodes", _les_entries(spec, algebra, v, q_top)[1])
 
-        cocycle_ok = all(c == row[1] for c, row in
-                         zip(_cocycle_column(spec, algebra, v), grid))
-        record(f"cohom.{name}.p1_column_matches_cocycle_model", cocycle_ok)
-
-        ann, ind = _h0_columns(spec, algebra, v, q_top)
-        h0_ok = ann == ind and all(a.dim == row[0] for a, row in zip(ann, grid))
-        record(f"cohom.{name}.h0_annihilator_inductive_ext_agree", h0_ok)
-
-        les_ok = True
-        for q in range(1, q_top + 1):
-            report = long_exact_sequence(algebra, spec.sigma, v, q, spec.p_max)
-            les_ok = les_ok and report.exact
-        record(f"les.{name}.exact_at_all_nodes", les_ok)
-
-        power_ok = True
-        for q in range(1, q_top + 1):
-            for p, classical in enumerate(bar_row):
-                if classical is None:
-                    continue
-                lhs, rhs = power_identification(algebra, spec.sigma, v, q, p,
-                                                classical_dim=classical)
-                if lhs != rhs:
-                    power_ok = False
-        record(f"power.{name}.ext_of_layer_equals_n_times_classical", power_ok,
-               detail=skip_detail)
+        pairs = (power_identification(algebra, spec.sigma, v, q, p, classical_dim=b)
+                 for q in range(1, q_top + 1) for p, b in enumerate(bar_row) if b is not None)
+        record(f"power.{name}.ext_of_layer_equals_n_times_classical",
+               all(lhs == rhs for lhs, rhs in pairs), detail=skip_detail)
 
         if recheck:
-            record(f"cohom.{name}.resolution_independence",
-                   _grid(spec, algebra, v, "reverse") == grid)
+            record(f"cohom.{name}.resolution_independence", checks["resolution_independence"])
 
     coinduced = coinduced_module(spec.group, spec.field, 1)
     # a spec module with the same permutation table already holds its bar ranks
@@ -338,14 +339,10 @@ SELFTEST_PROBLEMS = {
 
 def cmd_selftest() -> tuple[dict, bool]:
     results = {}
-    ok = True
     for name, doc in sorted(SELFTEST_PROBLEMS.items()):
-        spec = parse_problem(doc)
-        fragment, passed = cmd_verify(spec)
-        results[name] = {"all_pass": passed,
-                         "verdicts": fragment["verdicts"]}
-        ok = ok and passed
-    return {"problems": results}, ok
+        fragment, passed = cmd_verify(parse_problem(doc))
+        results[name] = {"all_pass": passed, "verdicts": fragment["verdicts"]}
+    return {"problems": results}, all(entry["all_pass"] for entry in results.values())
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +405,26 @@ def _emit(report: dict, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
-    if getattr(args, "text", False):
-        sys.stdout.write(render_text(report))
-    else:
-        sys.stdout.write(payload)
+    sys.stdout.write(render_text(report) if args.text else payload)
+
+
+class Verb(NamedTuple):
+    key: str               # the report key of the verb's fragment
+    command: str           # the cmd_* function, looked up when the verb runs
+    spec: bool = True      # takes --spec, --q-max and --p-max
+    module: bool = False   # takes --module
+    recheck: bool = False  # takes --recheck
+
+
+VERBS = {
+    "info": Verb("info", "cmd_info"),
+    "ideals": Verb("filtration", "cmd_ideals", recheck=True),
+    "cohom": Verb("cohomology", "cmd_cohom", module=True, recheck=True),
+    "h1": Verb("h1", "cmd_h1", module=True, recheck=True),
+    "les-check": Verb("les", "cmd_les", module=True),
+    "verify": Verb("verify", "cmd_verify", recheck=True),
+    "selftest": Verb("selftest", "cmd_selftest", spec=False),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,72 +432,47 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hocohom",
         description="Exact higher-order group cohomology of finite groups")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_common(p, needs_spec=True):
-        if needs_spec:
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name)
+        if verb.spec:
             p.add_argument("--spec", required=True, help="path to a JSON problem file")
             p.add_argument("--q-max", type=int, default=None, help="override budgets.q_max")
             p.add_argument("--p-max", type=int, default=None, help="override budgets.p_max")
+        if verb.recheck:
             p.add_argument("--recheck", action="store_true",
                            help="route every claim through its alternate oracle")
         p.add_argument("--out", default=None, help="also write the JSON report here")
         p.add_argument("--text", action="store_true",
                        help="render plain-text tables instead of JSON on stdout")
-
-    for verb in ("info", "ideals", "cohom", "h1", "les-check", "verify"):
-        p = sub.add_parser(verb)
-        add_common(p)
-        if verb in ("cohom", "h1", "les-check"):
+        if verb.module:
             p.add_argument("--module", default=None, help="restrict to one named module")
-    add_common(sub.add_parser("selftest"), needs_spec=False)
     return parser
 
 
 def _load(args) -> ProblemSpec:
     spec = load_problem(args.spec)
-    overrides = {}
-    if args.q_max is not None:
-        overrides["q_max"] = args.q_max
-    if args.p_max is not None:
-        overrides["p_max"] = args.p_max
+    overrides = {key: value for key, value in (("q_max", args.q_max), ("p_max", args.p_max))
+                 if value is not None}
     if overrides:
-        doc = {k: v for k, v in spec.echo.items()}
-        doc["budgets"] = {**spec.budgets, **overrides}
-        spec = parse_problem(doc)
+        spec = parse_problem({**spec.echo, "budgets": {**spec.budgets, **overrides}})
     return spec
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    verb = VERBS[args.verb]
     started = time.monotonic()
+    report = {"tool": {"name": "hocohom", "version": __version__}}
+    params = {}
     try:
-        if args.verb == "selftest":
-            fragment, ok = cmd_selftest()
-            report = {"tool": {"name": "hocohom", "version": __version__},
-                      "selftest": fragment}
-        else:
-            spec = _load(args)
-            report = _skeleton(spec)
-            if args.verb == "info":
-                fragment, ok = cmd_info(spec)
-                report["info"] = fragment
-            elif args.verb == "ideals":
-                fragment, ok = cmd_ideals(spec, args.recheck)
-                report["filtration"] = fragment
-            elif args.verb == "cohom":
-                fragment, ok = cmd_cohom(spec, args.module, args.recheck)
-                report["cohomology"] = fragment
-            elif args.verb == "h1":
-                fragment, ok = cmd_h1(spec, args.module, args.recheck)
-                report["h1"] = fragment
-            elif args.verb == "les-check":
-                fragment, ok = cmd_les(spec, args.module)
-                report["les"] = fragment
-            elif args.verb == "verify":
-                fragment, ok = cmd_verify(spec, args.recheck)
-                report["verify"] = fragment
-            else:  # pragma: no cover
-                raise SpecError(f"unknown verb {args.verb}")
+        if verb.spec:
+            params["spec"] = _load(args)
+            report["spec"] = params["spec"].echo
+        if verb.module:
+            params["module_name"] = args.module
+        if verb.recheck:
+            params["recheck"] = args.recheck
+        report[verb.key], ok = globals()[verb.command](**params)
     except CertificateError as err:
         sys.stderr.write(f"certificate failed: {err}\n")
         return EXIT_VERIFICATION_FAILED

@@ -124,13 +124,9 @@ def close_generators(gens, order_cap: int = 24) -> FiniteGroup:
     appear, and GroupError if the generators have mismatched degrees.
     """
     gens = list(gens)
-    if gens:
-        degree = gens[0].degree
-        for g in gens:
-            if g.degree != degree:
-                raise GroupError("generator degree mismatch")
-    else:
-        degree = 1
+    degree = gens[0].degree if gens else 1
+    if any(g.degree != degree for g in gens):
+        raise GroupError("generator degree mismatch")
     identity = Permutation.identity(degree)
     elements = [identity]
     index = {identity.images: 0}

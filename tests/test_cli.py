@@ -272,6 +272,49 @@ def test_verify_text_rendering(tmp_path):
     assert "all-pass" in proc.stdout
 
 
+@pytest.mark.parametrize("verb, headline", [
+    ("info", "group order 2, degree 2, sigma order 1"),
+    ("ideals", "filtration (stabilizes at q=2):"),
+    ("cohom", "H_q^p grid for module 'trivial'"),
+    ("h1", "cocycle H_q^1 for module 'trivial': q=1:1  q=2:0"),
+    ("les-check", "LES module 'trivial' q=1 (N=1): exact"),
+    ("verify", "overall: all-pass"),
+    ("selftest", "selftest c2_f2: all-pass"),
+])
+def test_every_verb_renders_text(capsys, verb, headline):
+    argv = [verb, "--text"] + ([] if verb == "selftest" else ["--spec", str(SPECS / "c2_f2.json")])
+    assert cli.main(argv) == cli.EXIT_OK
+    assert headline in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["info", "les-check", "selftest"])
+def test_recheck_is_rejected_where_no_verb_reads_it(verb):
+    proc = run_cli([verb, "--recheck"] + ([] if verb == "selftest" else
+                                         ["--spec", str(SPECS / "c2_f2.json")]))
+    assert proc.returncode == cli.EXIT_INPUT_ERROR
+    assert "unrecognized arguments: --recheck" in proc.stderr
+
+
+def test_cohom_recheck_compares_the_h0_subspaces(monkeypatch):
+    # the recursion's H_1^0 of the regular module, span{e_0 + e_1}, replaced
+    # by span{e_0}: the dimensions still agree, the subspaces do not
+    inductive = cli.h_q0_inductive
+
+    def moved(v, sigma, q):
+        true = inductive(v, sigma, q)
+        if q > 1:
+            return true
+        other = Subspace._spanned_by(Matrix.identity(v.field, v.dim).take_rows([0]))
+        assert other != true and other.dim == true.dim
+        return other
+
+    monkeypatch.setattr(cli, "h_q0_inductive", moved)
+    fragment, ok = cli.cmd_cohom(load_problem(SPECS / "c2_f2.json"), "regular", recheck=True)
+    checks = fragment["modules"]["regular"]["checks"]
+    assert not ok and not checks["annihilator_matches_inductive"]
+    assert checks["p0_column_matches_annihilator"]
+
+
 def test_budget_overrides(tmp_path):
     proc = run_cli(["cohom", "--spec", str(SPECS / "c2_f2.json"),
                     "--q-max", "3", "--p-max", "1", "--module", "trivial"])
