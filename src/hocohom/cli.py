@@ -144,7 +144,7 @@ def _les_entries(spec: ProblemSpec, algebra, v, q_top: int) -> tuple[list, bool]
             "n_q": report.n_q,
             "terms": report.dims_table(),
             "exact": report.exact,
-            "nodes": [{**{"p": d.p}, **d.verdicts} for d in report.degrees],
+            "nodes": [{"p": d.p, **d.verdicts} for d in report.degrees],
         }
         if report.n_q == 0:
             # zero layer: the sequence degenerates to isomorphisms

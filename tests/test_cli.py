@@ -287,10 +287,9 @@ def test_every_verb_renders_text(capsys, verb, headline):
     assert headline in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("verb", ["info", "les-check", "selftest"])
+@pytest.mark.parametrize("verb", ["info", "les-check"])
 def test_recheck_is_rejected_where_no_verb_reads_it(verb):
-    proc = run_cli([verb, "--recheck"] + ([] if verb == "selftest" else
-                                         ["--spec", str(SPECS / "c2_f2.json")]))
+    proc = run_cli([verb, "--recheck", "--spec", str(SPECS / "c2_f2.json")])
     assert proc.returncode == cli.EXIT_INPUT_ERROR
     assert "unrecognized arguments: --recheck" in proc.stderr
 
