@@ -27,7 +27,7 @@ from .modules import (
     h_q0_annihilator, h_q0_inductive,
 )
 from .resolution import (
-    AModule, FreeResolution,
+    FreeResolution,
     free_amodule, quotient_amodule, free_cover, build_resolution, ext,
     higher_cohomology, bar_dimension,
 )

@@ -113,7 +113,10 @@ class FiniteGroup:
         return f"FiniteGroup(order {self.order}, degree {self.degree})"
 
 
-def close_generators(gens, order_cap: int = 24) -> FiniteGroup:
+DEFAULT_ORDER_CAP = 24
+
+
+def close_generators(gens, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Close a list of permutations into a group by BFS from the identity.
 
     The BFS multiplies each element by each generator once, which gives the

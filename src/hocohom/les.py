@@ -1,6 +1,7 @@
 """The long exact sequence connecting consecutive levels of the hierarchy.
 
-For each q the ideals give a short exact sequence of modules
+For each q the ideals give a short exact sequence of A-modules, each a
+`GammaModule`,
 
     0 -> J_q/J_{q+1} -> A/J_{q+1} -> A/J_q -> 0,
 
@@ -64,7 +65,7 @@ from .linalg import (
 )
 from .modules import GammaModule, ModuleMap
 from .resolution import (
-    DEFAULT_BAR_BUDGET, AModule, BudgetExceeded, FreeResolution, NontrivialActionError,
+    DEFAULT_BAR_BUDGET, DEGREE_CAP, BudgetExceeded, FreeResolution, NontrivialActionError,
     amap_from_generator_images, bar_dimension, bar_dimension_or_none,
     certify_trivial_action, ext, filtration_for, free_amodule, higher_cohomology,
     hom_delta, layer_module, quotient_by_j, resolution_of_layer, resolution_of_quotient,
@@ -73,13 +74,15 @@ from .resolution import (
 
 @dataclass(frozen=True)
 class ShortExactSequence:
-    """0 -> left -> middle -> right -> 0 in compatible canonical coordinates."""
+    """0 -> left -> middle -> right -> 0 of modules over `algebra`, in
+    compatible canonical coordinates."""
 
+    algebra: GroupAlgebra
     q: int
     sigma: NormalSubgroup
-    left: AModule
-    middle: AModule
-    right: AModule
+    left: GammaModule
+    middle: GammaModule
+    right: GammaModule
     inject: ModuleMap
     surject: ModuleMap
 
@@ -91,10 +94,8 @@ def quotient_ses(algebra: GroupAlgebra, filtration: IdealFiltration,
     middle, middle_qm = quotient_by_j(algebra, filtration.sigma, q + 1)
     right, right_qm = quotient_by_j(algebra, filtration.sigma, q)
     try:
-        inject = ModuleMap(left.module, middle.module,
-                           middle_qm.coords(left_qm.reps.transpose()))
-        surject = ModuleMap(middle.module, right.module,
-                            right_qm.coords(middle_qm.reps.transpose()))
+        inject = ModuleMap(left, middle, middle_qm.coords(left_qm.reps.transpose()))
+        surject = ModuleMap(middle, right, right_qm.coords(middle_qm.reps.transpose()))
     except ValueError as err:
         raise CertificateError(f"quotient sequence at level {q}: {err}") from err
     if rank(inject.matrix) != left.dim:
@@ -103,7 +104,7 @@ def quotient_ses(algebra: GroupAlgebra, filtration: IdealFiltration,
         raise CertificateError("surjection is not surjective")
     if not node_exact(inject.matrix, left.dim, surject.matrix, right.dim):
         raise CertificateError("image of injection differs from kernel of surjection")
-    return ShortExactSequence(q, filtration.sigma, left, middle, right, inject, surject)
+    return ShortExactSequence(algebra, q, filtration.sigma, left, middle, right, inject, surject)
 
 
 def trivial_action_witness(ses: ShortExactSequence) -> None:
@@ -113,7 +114,7 @@ def trivial_action_witness(ses: ShortExactSequence) -> None:
     trivial action, so the identity matrix is an equivariant isomorphism.
     Raises NontrivialActionError otherwise.
     """
-    certify_trivial_action(ses.left)
+    certify_trivial_action(ses.left, f"J_{ses.q}/J_{ses.q + 1}")
 
 
 def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
@@ -127,7 +128,7 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
     columns (the lemma in the module docstring), and a corrector system
     with no solution is a CertificateError that names its stage.
     """
-    algebra = ses.left.algebra
+    algebra = ses.algebra
     f, n = algebra.field, algebra.dim
     res_l = resolution_of_layer(algebra, ses.sigma, ses.q, length)
     res_n = resolution_of_quotient(algebra, ses.sigma, ses.q, length)
@@ -141,7 +142,7 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
         except InconsistentSystem as err:
             raise CertificateError(f"horseshoe {what} has no solution") from err
 
-    augmentation = amap_from_generator_images(algebra, ses.middle.module, Matrix.hstack(f, [
+    augmentation = amap_from_generator_images(algebra, ses.middle, Matrix.hstack(f, [
         ses.inject.matrix @ gens(res_l.augmentation),
         solve(ses.surject.matrix, gens(res_n.augmentation), "augmentation lift")]).transpose())
     prev_rank = rank(augmentation)
@@ -159,7 +160,7 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
         columns = Matrix.block(f, [[gens(res_l.boundaries[i - 1]), h], [None, d_n]],
                                [left_prev, prev_map.cols - left_prev],
                                [res_l.ranks[i], res_n.ranks[i]])
-        free = free_amodule(algebra, res_l.ranks[i - 1] + res_n.ranks[i - 1]).module
+        free = free_amodule(algebra, res_l.ranks[i - 1] + res_n.ranks[i - 1])
         boundary = amap_from_generator_images(algebra, free, columns.transpose())
         boundary_rank = rank(boundary)
         if not node_exact(columns, boundary_rank, prev_map, prev_rank):
@@ -167,7 +168,7 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
         boundaries.append(boundary)
         prev_map, prev_rank, top = boundary, boundary_rank, left_prev
     ranks = tuple(a + b for a, b in zip(res_l.ranks[:length + 1], res_n.ranks))
-    return FreeResolution(ses.middle, ranks, augmentation, tuple(boundaries))
+    return FreeResolution(algebra, ses.middle, ranks, augmentation, tuple(boundaries))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +240,8 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
-    if p_max > 3:
-        raise BudgetExceeded("long-exact-sequence degrees are limited to p_max <= 3")
+    if p_max > DEGREE_CAP:
+        raise BudgetExceeded(f"long-exact-sequence degrees are limited to p_max <= {DEGREE_CAP}")
     level = filtration_for(algebra, sigma).level(q)
     return v.cached(("les", algebra, sigma.members, level, p_max),
                     lambda: _sequence(algebra, sigma, v, level, p_max))

@@ -61,17 +61,10 @@ class GammaModule:
         for m in action:
             if m.rows != dim or m.cols != dim or m.field != field:
                 raise ValueError("action matrices must be square over the module field")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "perm", None)
-        object.__setattr__(self, "inverse_perm", None)
         arrays, den = common_denominator(action)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_stack", np.stack(arrays))
-        self._stack.flags.writeable = False
-        object.__setattr__(self, "_action", None)
-        object.__setattr__(self, "_cache", {})
+        stack = np.stack(arrays)
+        stack.flags.writeable = False
+        self._init(group, field, dim, None, None, den, stack)
 
     @classmethod
     def permutation(cls, group: FiniteGroup, field: Field, perm) -> "GammaModule":
@@ -93,16 +86,15 @@ class GammaModule:
             raise ValueError("one permutation of the basis per group element required")
         perm.flags.writeable = inverse.flags.writeable = False
         module = object.__new__(cls)
-        object.__setattr__(module, "group", group)
-        object.__setattr__(module, "field", field)
-        object.__setattr__(module, "dim", dim)
-        object.__setattr__(module, "perm", perm)
-        object.__setattr__(module, "inverse_perm", inverse)
-        object.__setattr__(module, "den", 1)
-        object.__setattr__(module, "_stack", None)
-        object.__setattr__(module, "_action", None)
-        object.__setattr__(module, "_cache", {})
+        module._init(group, field, dim, perm, inverse, 1, None)
         return module
+
+    def _init(self, group, field, dim, perm, inverse_perm, den, stack):
+        """Set every slot, the arguments in `__slots__` order; the action
+        tuple and the cache start empty."""
+        for name, value in zip(self.__slots__, (group, field, dim, perm, inverse_perm, den,
+                                                stack, None, {})):
+            object.__setattr__(self, name, value)
 
     @property
     def stack(self):

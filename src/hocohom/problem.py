@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .algebra import GroupAlgebra
 from .groups import (
-    FiniteGroup, NormalSubgroup, Permutation, GroupError, NotNormalError,
+    DEFAULT_ORDER_CAP, FiniteGroup, NormalSubgroup, Permutation, GroupError, NotNormalError,
     close_generators, subgroup_closure,
 )
 from .linalg import Field, LinalgError, Matrix
@@ -24,6 +24,7 @@ from .modules import (
     GammaModule, NotARepresentationError,
     coinduced_module, make_module, regular_module, trivial_module,
 )
+from .resolution import DEFAULT_BAR_BUDGET
 
 
 class SpecError(ValueError):
@@ -34,7 +35,8 @@ class SpecError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
-DEFAULT_BUDGETS = {"q_max": 2, "p_max": 2, "order_cap": 24, "bar_budget": 20000}
+DEFAULT_BUDGETS = {"q_max": 2, "p_max": 2, "order_cap": DEFAULT_ORDER_CAP,
+                   "bar_budget": DEFAULT_BAR_BUDGET}
 
 
 @dataclass(frozen=True)
@@ -182,8 +184,8 @@ _MODULE_KINDS = {"trivial", "regular", "coinduced", "explicit"}
 def _validate_module_spec(raw, location) -> dict:
     _expect(isinstance(raw, dict), "a module spec is an object", location)
     kind = raw.get("kind")
-    _expect(kind in _MODULE_KINDS, f"kind must be one of {sorted(_MODULE_KINDS)}",
-            f"{location}.kind")
+    _expect(isinstance(kind, str) and kind in _MODULE_KINDS,
+            f"kind must be one of {sorted(_MODULE_KINDS)}", f"{location}.kind")
     known = {"kind"}
     if kind == "trivial":
         known.add("dim")
@@ -210,6 +212,10 @@ def _validate_module_spec(raw, location) -> dict:
                         f"{location}.generator_matrices[{i}][{j}]")
                 for k, x in enumerate(row):
                     _check_entry(x, f"{location}.generator_matrices[{i}][{j}][{k}]")
+            _expect(len(m) == width, f"a {len(m)}x{width} matrix is not square",
+                    f"{location}.generator_matrices[{i}]")
+            _expect(width == len(mats[0]), "the generator matrices differ in size",
+                    f"{location}.generator_matrices[{i}]")
     unknown = set(raw) - known
     _expect(not unknown, f"unknown keys {sorted(unknown)}", location)
     return {k: raw[k] for k in sorted(raw)}
@@ -230,12 +236,16 @@ def _check_entry(x, location):
 def _build_module(spec: ProblemSpec, name: str, raw: dict) -> GammaModule:
     kind = raw["kind"]
     location = f"modules.{name}"
-    if kind == "trivial":
-        return trivial_module(spec.group, spec.field, raw.get("dim", 1))
     if kind == "regular":
         return regular_module(spec.group, spec.field)
-    if kind == "coinduced":
-        return coinduced_module(spec.group, spec.field, raw.get("base_dim", 1))
+    if kind in ("trivial", "coinduced"):
+        key = "dim" if kind == "trivial" else "base_dim"
+        build = trivial_module if kind == "trivial" else coinduced_module
+        try:
+            return build(spec.group, spec.field, raw.get(key, 1))
+        except (ValueError, OverflowError) as err:
+            # numpy rejects a dimension past its index range before allocating
+            raise SpecError(str(err), f"{location}.{key}") from err
     mats = []
     for i, m in enumerate(raw["generator_matrices"]):
         try:

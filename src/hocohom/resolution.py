@@ -13,6 +13,9 @@ q' with J_q' = J_q (`IdealFiltration.level`), and a request for more
 degrees continues the cached one from its last boundary.  Every q at or
 past the stabilization level reads the one resolution of A/J_s.
 
+A module over A is a representation of G, so every module here, the free
+A^k, the quotients A/J_q and J_q/J_{q+1} and each resolution's target, is
+a plain `modules.GammaModule`, and a resolution carries its algebra.
 A free module A^k is a permutation module on the multiplication table:
 element g sends the basis vector (i, h) to (i, g h), so its index table is
 i n + mult[g][h], one numpy broadcast, and no action matrix is built.  It
@@ -127,25 +130,11 @@ class BudgetExceeded(RuntimeError):
 
 
 DEFAULT_BAR_BUDGET = 20000
+# the highest cohomological degree the bar oracle and the long exact sequence reach
+DEGREE_CAP = 3
 
 
-@dataclass(frozen=True)
-class AModule:
-    """A module over the group algebra, tagged with a provenance label."""
-
-    algebra: GroupAlgebra
-    module: GammaModule
-    label: str
-
-    @property
-    def dim(self) -> int:
-        return self.module.dim
-
-    def __repr__(self) -> str:
-        return f"AModule({self.label!r}, dim {self.dim})"
-
-
-def free_amodule(algebra: GroupAlgebra, k: int) -> AModule:
+def free_amodule(algebra: GroupAlgebra, k: int) -> GammaModule:
     """A^k with coordinates (generator, group element), acting by permutation,
     built once per (algebra, k) and kept in the algebra's cache.
 
@@ -156,8 +145,7 @@ def free_amodule(algebra: GroupAlgebra, k: int) -> AModule:
     def build():
         n = algebra.dim
         perm = (n * np.arange(k)[:, None] + algebra.group.mult[:, None, :]).reshape(n, k * n)
-        return AModule(algebra, GammaModule.permutation(algebra.group, algebra.field, perm),
-                       f"free rank {k}")
+        return GammaModule.permutation(algebra.group, algebra.field, perm)
     return algebra.cached(("free", k), build)
 
 
@@ -189,8 +177,7 @@ def _certify_stable(module: GammaModule, sub: Subspace):
         raise NotStableError(gens[g], sub.basis.entries[row])
 
 
-def amodule_from_subspace(algebra: GroupAlgebra, ambient: GammaModule,
-                          sub: Subspace, label: str) -> AModule:
+def amodule_from_subspace(ambient: GammaModule, sub: Subspace) -> GammaModule:
     """A stable subspace repackaged as a module in its RREF basis coordinates.
 
     Stability is certified under the group generators; the coordinates of
@@ -199,12 +186,13 @@ def amodule_from_subspace(algebra: GroupAlgebra, ambient: GammaModule,
     _certify_stable(ambient, sub)
     moved, den = ambient.orbits(sub.basis)
     at_pivots = moved[:, :, list(sub.pivots)]
-    action = [Matrix._wrap(algebra.field, at_pivots[:, g].T, den) for g in range(algebra.dim)]
-    return AModule(algebra, GammaModule(algebra.group, algebra.field, action), label)
+    action = [Matrix._wrap(ambient.field, at_pivots[:, g].T, den)
+              for g in range(ambient.group.order)]
+    return GammaModule(ambient.group, ambient.field, action)
 
 
 def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
-                     label: str = "quotient") -> tuple[AModule, QuotientMap]:
+                     label: str = "quotient") -> tuple[GammaModule, QuotientMap]:
     """The quotient sup/sub of left ideals of A in canonical complement
     coordinates; both are certified stable under left multiplication, and a
     failure is a CertificateError caused by the NotStableError.  Returns the
@@ -222,7 +210,7 @@ def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
     coords = qmap.coords(amap_from_generator_images(algebra, regular, qmap.reps))
     blocks = coords.array.reshape(qmap.dim, qmap.dim, n)
     action = [Matrix._wrap(f, blocks[:, :, g], coords.den) for g in range(n)]
-    return AModule(algebra, GammaModule(algebra.group, f, action), label), qmap
+    return GammaModule(algebra.group, f, action), qmap
 
 
 def free_cover(field: Field, dim: int, orbit, order: str = "forward") -> tuple[int, ...]:
@@ -252,49 +240,50 @@ def free_cover(field: Field, dim: int, orbit, order: str = "forward") -> tuple[i
 
 @dataclass(frozen=True)
 class FreeResolution:
-    """... -> A^{n_2} -> A^{n_1} -> A^{n_0} -> target -> 0, exact throughout.
+    """... -> A^{n_2} -> A^{n_1} -> A^{n_0} -> target -> 0, exact throughout,
+    over the group algebra `algebra`.
 
     boundaries[i] is the R-matrix of d_{i+1} : A^{n_{i+1}} -> A^{n_i}; its
     image is the kernel of the map out of A^{n_i} (the augmentation for
     i = 0).
     """
 
-    target: AModule
+    algebra: GroupAlgebra
+    target: GammaModule
     ranks: tuple[int, ...]
     augmentation: Matrix
     boundaries: tuple[Matrix, ...]
-
-    @property
-    def algebra(self) -> GroupAlgebra:
-        return self.target.algebra
 
     @property
     def length(self) -> int:
         return len(self.boundaries)
 
     def __repr__(self) -> str:
-        return f"FreeResolution({self.target.label!r}, ranks {list(self.ranks)})"
+        return f"FreeResolution(target dim {self.target.dim}, ranks {list(self.ranks)})"
 
 
-def build_resolution(m: AModule, length: int, order: str = "forward") -> FreeResolution:
-    """Iterated-kernel free resolution of m with `length` boundary maps.
+def build_resolution(algebra: GroupAlgebra, module: GammaModule, length: int,
+                     order: str = "forward") -> FreeResolution:
+    """Iterated-kernel free resolution of the A-module `module` with
+    `length` boundary maps.
 
     Exactness is certified at every stage: the image of each boundary is the
     kernel of the previous map (they compose to zero and have equal rank).
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    f, module = m.algebra.field, m.module
-    chosen = free_cover(f, m.dim, lambda i: Matrix._wrap(f, module.stack[:, :, i], module.den),
+    f, dim = algebra.field, module.dim
+    chosen = free_cover(f, dim, lambda i: Matrix._wrap(f, module.stack[:, :, i], module.den),
                         order)
-    augmentation = amap_from_generator_images(m.algebra, module,
-                                              Matrix.identity(f, m.dim).take_rows(chosen))
-    return _extend(FreeResolution(m, (len(chosen),), augmentation, ()), length, order)
+    augmentation = amap_from_generator_images(algebra, module,
+                                              Matrix.identity(f, dim).take_rows(chosen))
+    return _extend(FreeResolution(algebra, module, (len(chosen),), augmentation, ()),
+                   length, order)
 
 
 def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
     """res continued from its last map to `length` boundaries; the result
-    equals build_resolution(res.target, length, order), since each step
+    equals build_resolution(res.algebra, res.target, length, order), since each step
     depends only on the map before it and that map's free rank.  Each kept
     row b of the kernel K's RREF basis becomes a generator sent to b; the
     exactness certificate fails (CertificateError) when K is not A-stable.
@@ -308,7 +297,7 @@ def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
     prev_map = boundaries[-1] if boundaries else res.augmentation
     for i in range(len(boundaries) + 1, length + 1):
         ker_sub = kernel(prev_map)
-        free = free_amodule(algebra, ranks[-1]).module
+        free = free_amodule(algebra, ranks[-1])
         basis = ker_sub.basis
         # (g b)[j] = b[inverse_perm[g][j]], read at K's pivot columns j
         reads = free.inverse_perm[:, list(ker_sub.pivots)]
@@ -324,7 +313,8 @@ def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
         boundaries.append(boundary)
         ranks.append(images.rows)
         prev_map = boundary
-    return FreeResolution(res.target, tuple(ranks), res.augmentation, tuple(boundaries))
+    return FreeResolution(algebra, res.target, tuple(ranks), res.augmentation,
+                          tuple(boundaries))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +381,7 @@ def filtration_for(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltrat
 
 
 def quotient_by_j(algebra: GroupAlgebra, sigma: NormalSubgroup,
-                  q: int) -> tuple[AModule, QuotientMap]:
+                  q: int) -> tuple[GammaModule, QuotientMap]:
     """A/J_q as a module in canonical complement coordinates, cached per level."""
     level = filtration_for(algebra, sigma).level(q)
     return algebra.cached(("ajq", sigma.members, level), lambda: quotient_amodule(
@@ -412,7 +402,7 @@ def resolution_of_quotient(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
     key = ("resolution", sigma.members, level, order)
     res = algebra._cache.get(key)
     if res is None:
-        res = build_resolution(quotient_by_j(algebra, sigma, level)[0], length, order)
+        res = build_resolution(algebra, quotient_by_j(algebra, sigma, level)[0], length, order)
     elif res.length < length:
         res = _extend(res, length, order)
     else:
@@ -422,7 +412,7 @@ def resolution_of_quotient(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
 
 
 def layer_module(algebra: GroupAlgebra, sigma: NormalSubgroup,
-                 q: int) -> tuple[AModule, QuotientMap]:
+                 q: int) -> tuple[GammaModule, QuotientMap]:
     """J_q/J_{q+1} in canonical complement coordinates, cached per level; it
     is zero from the stabilization level on."""
     filt = filtration_for(algebra, sigma)
@@ -431,13 +421,13 @@ def layer_module(algebra: GroupAlgebra, sigma: NormalSubgroup,
         algebra, filt.j(level + 1), filt.j(level), label=f"J_{level}/J_{level + 1}"))
 
 
-def certify_trivial_action(m: AModule) -> None:
-    """Raise NontrivialActionError unless every group element acts on m as
-    the identity; m is then R^{dim m} with trivial action."""
-    ident = Matrix.identity(m.algebra.field, m.dim)
-    for g, mat in enumerate(m.module.action):
+def certify_trivial_action(m: GammaModule, label: str) -> None:
+    """Raise NontrivialActionError, naming m by `label`, unless every group
+    element acts on m as the identity; m is then R^{dim m} with trivial action."""
+    ident = Matrix.identity(m.field, m.dim)
+    for g, mat in enumerate(m.action):
         if mat != ident:
-            raise NontrivialActionError(f"group element {g} acts nontrivially on {m.label}")
+            raise NontrivialActionError(f"group element {g} acts nontrivially on {label}")
 
 
 def _block_sum(m: Matrix, copies: int) -> Matrix:
@@ -455,14 +445,15 @@ def resolution_of_layer(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
     block sum of N(q) copies of the cached resolution of A/J_1 (the lemma
     in the module docstring).  A request for more degrees extends the
     A/J_1 resolution and sums it again.  Cached per level."""
-    key = ("res_layer", sigma.members, filtration_for(algebra, sigma).level(q))
+    level = filtration_for(algebra, sigma).level(q)
+    key = ("res_layer", sigma.members, level)
     res = algebra._cache.get(key)
     if res is None or res.length < length:
         layer = layer_module(algebra, sigma, q)[0]
-        certify_trivial_action(layer)
+        certify_trivial_action(layer, f"J_{level}/J_{level + 1}")
         base = resolution_of_quotient(algebra, sigma, 1, length)
         res = algebra._cache[key] = FreeResolution(
-            layer, tuple(layer.dim * r for r in base.ranks),
+            algebra, layer, tuple(layer.dim * r for r in base.ranks),
             _block_sum(base.augmentation, layer.dim),
             tuple(_block_sum(b, layer.dim) for b in base.boundaries))
     return res
@@ -555,14 +546,14 @@ def bar_dimension(group: FiniteGroup, v: GammaModule, p: int,
     dim N^p - rank delta^p - rank delta^{p-1}, with dim N^p =
     (|G|-1)^p dim V, and each rank is read off the generator rows of the
     normalized coboundary (the lemmas in the module docstring).  Raises
-    BudgetExceeded, before anything is built, when p > 3 or when
+    BudgetExceeded, before anything is built, when p > DEGREE_CAP or when
     dim C^{p+1} = |G|^{p+1} * dim V, the largest cochain space of the full
     complex (not the rows built), exceeds the budget.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    if p > 3:
-        raise BudgetExceeded("inhomogeneous cochains are limited to p <= 3")
+    if p > DEGREE_CAP:
+        raise BudgetExceeded(f"inhomogeneous cochains are limited to p <= {DEGREE_CAP}")
     n = group.order
     if n ** (p + 1) * v.dim > budget:
         raise BudgetExceeded(

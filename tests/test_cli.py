@@ -1,5 +1,6 @@
 """The batch interface: parsing, verbs, reports, exit codes, determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hocohom
 from hocohom import cli
@@ -114,6 +116,11 @@ def _explicit(entry, field="F2"):
                                               "generator_matrices": [[[entry]]]}}}
 
 
+def _explicit_s3(matrices):
+    return {"group": {"generators": [[1, 2, 0], [1, 0, 2]]},
+            "modules": {"m": {"kind": "explicit", "generator_matrices": matrices}}}
+
+
 MALFORMED = [
     ({"sigma": {"permutations": 5}}, "sigma.permutations"),
     ({"sigma": {"permutations": {"0": [1, 0]}}}, "sigma.permutations"),
@@ -128,6 +135,9 @@ MALFORMED = [
     ({"sigma": {"permutations": [[True, 0]]}}, "sigma.permutations[0]"),
     ({"budgets": {"q_max": True}}, "budgets.q_max"),
     ({"budgets": {"p_max": True}}, "budgets.p_max"),
+    ({"modules": {"m": {"kind": []}}}, "modules.m.kind"),
+    (_explicit_s3([[[1, 0]], [[1, 0]]]), "modules.m.generator_matrices[0]"),
+    (_explicit_s3([[[1]], [[1, 0], [0, 1]]]), "modules.m.generator_matrices[1]"),
 ]
 
 
@@ -139,6 +149,60 @@ def test_malformed_specs_exit_2_at_their_json_path(tmp_path, capsys, patch, loca
         err = capsys.readouterr().err
         assert code == cli.EXIT_INPUT_ERROR, (verb, err)
         assert f"{location}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("module, location", [
+    ({"kind": "trivial", "dim": 10 ** 30}, "modules.m.dim"),
+    ({"kind": "coinduced", "base_dim": 10 ** 30}, "modules.m.base_dim"),
+])
+def test_a_dimension_past_the_index_range_exits_2_at_its_json_path(tmp_path, capsys,
+                                                                   module, location):
+    # `info` builds no module, so these parse and fail only where a verb builds one
+    path = write_spec(tmp_path, {**BASE_C2, "modules": {"m": module}})
+    code = cli.main(["cohom", "--spec", path])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT_ERROR, err
+    assert f"{location}:" in err
+
+
+SHIPPED_DOCS = [json.loads(path.read_text(encoding="utf-8"))
+                for path in sorted(SPECS.glob("*.json"))]
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 30) | st.text("F0123Q/-", max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "dim", "base_dim", "generator_matrices", "generators",
+                         "generator_indices", "permutations", "q_max", "order_cap"]),
+        children, max_size=2),
+    max_leaves=6)
+
+
+def _paths(value, path=()):
+    """The path of value and of every value nested in it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _paths(child, path + (key,))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_shipped_specs_parse_or_fail_at_a_json_path(data):
+    """One or two values of a shipped spec changed or deleted: parse_problem
+    builds a spec or raises SpecError with a location, never another error."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(SHIPPED_DOCS)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(SMALL_JSON)
+    try:
+        parse_problem(doc)
+    except SpecError as err:
+        assert err.location, err
 
 
 def test_large_characteristic_parses_fast_and_past_the_bound_exits_2(tmp_path, capsys):
@@ -524,9 +588,9 @@ def test_one_resolution_build_and_one_filtration_per_request(monkeypatch, verb, 
     builds, chains = [], []
     build, chain = resolution.build_resolution, resolution.j_filtration
 
-    def spy_build(m, length, order="forward"):
-        builds.append((m.label, order))
-        return build(m, length, order)
+    def spy_build(algebra, m, length, order="forward"):
+        builds.append((algebra, m, order))
+        return build(algebra, m, length, order)
 
     def spy_chain(algebra, sigma):
         chains.append(sigma.members)
@@ -537,8 +601,10 @@ def test_one_resolution_build_and_one_filtration_per_request(monkeypatch, verb, 
     _, ok = verb(load_problem(SPECS / spec_name))
     assert ok
     assert builds and len(builds) == len(set(builds)), builds
-    # the layers J_q/J_{q+1} are block sums of the A/J_1 resolution, never built
-    assert all(label.startswith("A/J_") for label, _ in builds), builds
+    # the layers J_q/J_{q+1} are block sums of the A/J_1 resolution, never built:
+    # every module built is an A/J_q kept in the algebra's cache
+    assert all(any(key[0] == "ajq" and value[0] is m for key, value in algebra._cache.items())
+               for algebra, m, _ in builds), builds
     assert len(chains) == 1
 
 

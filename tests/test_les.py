@@ -81,7 +81,7 @@ def test_trivial_action_witness_c2():
     ses = quotient_ses(alg, filt, 1)
     trivial_action_witness(ses)
     assert ses.left.dim == 1
-    assert all(mat == Matrix.identity(F2, 1) for mat in ses.left.module.action)
+    assert all(mat == Matrix.identity(F2, 1) for mat in ses.left.action)
 
 
 def test_trivial_action_witness_c3_q2():
@@ -122,7 +122,7 @@ def test_horseshoe_soundness():
         assert (b1 @ b2).is_zero()
     # each boundary is the A-linear map of its own generator columns
     for i, b in enumerate(middle.boundaries):
-        free = free_amodule(alg, middle.ranks[i]).module
+        free = free_amodule(alg, middle.ranks[i])
         generator_images = b.take_columns(range(0, b.cols, alg.dim)).transpose()
         assert b == amap_from_generator_images(alg, free, generator_images)
 

@@ -72,18 +72,20 @@ def test_verify_runs_each_body_once_per_level(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(resolution, "build_resolution", spy(
-        "build", resolution.build_resolution, lambda m, length, order: (m.label, order)))
+        "build", resolution.build_resolution, lambda alg, m, length, order: (alg, m, order)))
     monkeypatch.setattr(les, "horseshoe", spy(
         "horseshoe", les.horseshoe, lambda ses, length: ses.q))
     monkeypatch.setattr(les, "_sequence", spy(
         "sequence", les._sequence, lambda alg, sigma, v, q, p_max: (v, q, p_max)))
     monkeypatch.setattr(resolution, "ext", spy(
-        "ext", resolution.ext, lambda res, v, p: (res.target.label, v, p)))
+        "ext", resolution.ext, lambda res, v, p: (res.target, v, p)))
     monkeypatch.setattr(cocycle, "hom_a_space", spy(
         "hom", cocycle.hom_a_space, lambda alg, filt, q, v: (q, v)))
     fragment, ok = cli.cmd_verify(spec)
     assert ok
-    assert calls["build"] == [("A/J_1", "forward")]
+    [(alg, built, order)] = calls["build"]
+    a_mod_j1 = quotient_by_j(alg, spec.sigma, 1)[0]
+    assert built is a_mod_j1 and order == "forward"
     assert calls["horseshoe"] == [1]
     modules = len(spec.module_names())
     for name in ("sequence", "ext", "hom"):
@@ -95,7 +97,7 @@ def test_verify_runs_each_body_once_per_level(monkeypatch):
     # Ext in degrees 0..p_max once per module, and in degrees 1..p_max for the
     # generated coinduced module of the vanishing check, all off the A/J_1 resolution
     assert len(calls["ext"]) == modules * (spec.p_max + 1) + spec.p_max
-    assert {label for label, _, _ in calls["ext"]} == {"A/J_1"}
+    assert {target for target, _, _ in calls["ext"]} == {a_mod_j1}
 
 
 def _values(alg, spec, v, q):
@@ -103,9 +105,9 @@ def _values(alg, spec, v, q):
     length = spec.p_max + 2
     res = resolution_of_quotient(alg, spec.sigma, q, length)
     layer = resolution_of_layer(alg, spec.sigma, q, length)
-    return (quotient_by_j(alg, spec.sigma, q)[0].module.action,
+    return (quotient_by_j(alg, spec.sigma, q)[0].action,
             (res.ranks, res.augmentation, res.boundaries),
-            layer_module(alg, spec.sigma, q)[0].module.action,
+            layer_module(alg, spec.sigma, q)[0].action,
             (layer.ranks, layer.augmentation, layer.boundaries),
             [higher_cohomology(alg, spec.sigma, v, q, p) for p in range(spec.p_max + 1)],
             h_q1_cocycle(alg, spec.sigma, v, q),

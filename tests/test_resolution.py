@@ -22,7 +22,7 @@ from hocohom.modules import (
     h_q0_annihilator,
 )
 from hocohom.resolution import (
-    AModule, FreeResolution, amodule_from_subspace, free_amodule, quotient_amodule,
+    FreeResolution, amodule_from_subspace, free_amodule, quotient_amodule,
     free_cover, build_resolution, ext, hom_delta, _extend,
     higher_cohomology, quotient_by_j, filtration_for, resolution_of_quotient,
     layer_module, resolution_of_layer, bar_dimension,
@@ -72,7 +72,7 @@ def test_a_mod_j1_is_trivial_one_dimensional():
     alg = GroupAlgebra(g, F2)
     m, _ = quotient_by_j(alg, trivial_subgroup(g), 1)
     assert m.dim == 1
-    assert all(mat == Matrix.identity(F2, 1) for mat in m.module.action)
+    assert all(mat == Matrix.identity(F2, 1) for mat in m.action)
 
 
 def test_j1_mod_j2_s3_a3_trivial_action():
@@ -82,7 +82,7 @@ def test_j1_mod_j2_s3_a3_trivial_action():
     filt = j_filtration(alg, a3)
     m, _ = quotient_amodule(alg, filt.j(2), filt.j(1), label="J1/J2")
     assert m.dim == 1
-    assert all(mat == Matrix.identity(F2, 1) for mat in m.module.action)
+    assert all(mat == Matrix.identity(F2, 1) for mat in m.action)
 
 
 def test_quotient_rejects_unstable_subspace():
@@ -99,24 +99,24 @@ def test_quotient_rejects_unstable_subspace():
 
 def _cover(m, order="forward"):
     """free_cover of m's unit vectors, each orbit read off the action matrices."""
-    f = m.algebra.field
+    f = m.field
     return free_cover(f, m.dim, lambda i: Matrix.vstack(
-        f, [a.take_columns([i]).transpose() for a in m.module.action]), order)
+        f, [a.take_columns([i]).transpose() for a in m.action]), order)
 
 
 def test_free_cover_zero_module():
     g = c2()
     alg = GroupAlgebra(g, F2)
-    m = AModule(alg, trivial_module(g, F2, 0), "zero")
+    m = trivial_module(g, F2, 0)
     assert _cover(m) == ()
-    assert build_resolution(m, 0).ranks == (0,)
+    assert build_resolution(alg, m, 0).ranks == (0,)
 
 
 def test_free_cover_regular_is_cyclic():
     alg = GroupAlgebra(s3(), F3)
-    m = AModule(alg, regular_module(alg.group, alg.field), "A")
+    m = regular_module(alg.group, alg.field)
     assert _cover(m) == (0,)
-    res = build_resolution(m, 0)
+    res = build_resolution(alg, m, 0)
     assert res.ranks == (1,)
     assert rank(res.augmentation) == 6
 
@@ -132,7 +132,7 @@ def test_free_cover_a_mod_j2_c3():
 def _free_cover_reference(m, order):
     """The generators of the per-vector sweep: one membership test per basis
     vector, and the span grown by the orbit of each vector kept."""
-    f, dim, n = m.algebra.field, m.dim, m.algebra.dim
+    f, dim, n = m.field, m.dim, m.group.order
     units = Matrix.identity(f, dim)
     span = Subspace.zero(f, dim)
     chosen = []
@@ -140,7 +140,7 @@ def _free_cover_reference(m, order):
         if span.first_outside(units.take_rows([i])) is not None:
             chosen.append(i)
             span = span + Subspace.from_vectors(
-                f, dim, [[row[i] for row in m.module.action[g].entries] for g in range(n)])
+                f, dim, [[row[i] for row in m.action[g].entries] for g in range(n)])
     return tuple(chosen)
 
 
@@ -157,19 +157,18 @@ def test_free_cover_matches_the_per_vector_sweep():
     by a product, over F_2, an odd prime and Q."""
     d4_f2 = GroupAlgebra(d4(), F2)
     s3_q = GroupAlgebra(s3(), Q)
-    modules = [AModule(d4_f2, coinduced_module(d4_f2.group, F2, 1), "coinduced"),
-               AModule(s3_q, regular_module(s3_q.group, s3_q.field), "regular")]
+    modules = [coinduced_module(d4_f2.group, F2, 1), regular_module(s3_q.group, s3_q.field)]
     # modules that need several generators: A/J_2 and its first syzygy
     for alg in (d4_f2, s3_q, GroupAlgebra(s3(), F3)):
         quotient, _ = quotient_by_j(alg, trivial_subgroup(alg.group), 2)
-        res = build_resolution(quotient, 1)
+        res = build_resolution(alg, quotient, 1)
         modules += [quotient, amodule_from_subspace(
-            alg, free_amodule(alg, res.ranks[0]).module, kernel(res.augmentation), "syzygy")]
+            free_amodule(alg, res.ranks[0]), kernel(res.augmentation))]
     # the S4/F2 syzygy of A/J_1 whose forward cover keeps 6 generators
     s4_f2 = GroupAlgebra(s4(), F2)
     res = resolution_of_quotient(s4_f2, trivial_subgroup(s4_f2.group), 1, 3)
     modules.append(amodule_from_subspace(
-        s4_f2, free_amodule(s4_f2, res.ranks[2]).module, kernel(res.boundaries[1]), "syzygy"))
+        free_amodule(s4_f2, res.ranks[2]), kernel(res.boundaries[1])))
     assert len(_cover(modules[-1])) == res.ranks[3] == 6
     for m in modules:
         for order in ("forward", "reverse"):
@@ -183,10 +182,10 @@ def test_kernel_sweep_in_pivot_coordinates_keeps_the_boundary(order):
     repackaged as a module: column (j, g) is g applied to kept row j."""
     for alg in (GroupAlgebra(d4(), F2), GroupAlgebra(s3(), Q)):
         quotient, _ = quotient_by_j(alg, trivial_subgroup(alg.group), 2)
-        res = build_resolution(quotient, 1, order)
-        free = free_amodule(alg, res.ranks[0]).module
+        res = build_resolution(alg, quotient, 1, order)
+        free = free_amodule(alg, res.ranks[0])
         ker = kernel(res.augmentation)
-        chosen = _free_cover_reference(amodule_from_subspace(alg, free, ker, "syzygy"), order)
+        chosen = _free_cover_reference(amodule_from_subspace(free, ker), order)
         expected = Matrix.hstack(alg.field, [
             free.action[g] @ ker.basis.take_rows([j]).transpose()
             for j in chosen for g in range(alg.dim)])
@@ -200,13 +199,12 @@ def test_extend_rejects_an_augmentation_that_is_not_A_linear():
     submodule fails it."""
     g = s3()
     alg = GroupAlgebra(g, F2)
-    target = AModule(alg, trivial_module(g, F2), "trivial")
+    target = trivial_module(g, F2)
     identity_coefficient = Matrix(F2, [[1, 0, 0, 0, 0, 0]])
     with pytest.raises(NotStableError):
-        amodule_from_subspace(alg, free_amodule(alg, 1).module,
-                              kernel(identity_coefficient), "not a syzygy")
+        amodule_from_subspace(free_amodule(alg, 1), kernel(identity_coefficient))
     with pytest.raises(CertificateError):
-        _extend(FreeResolution(target, (1,), identity_coefficient, ()), 1, "forward")
+        _extend(FreeResolution(alg, target, (1,), identity_coefficient, ()), 1, "forward")
 
 
 def _d4():
@@ -225,7 +223,7 @@ def test_extend_certifies_later_steps_on_generator_columns(monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(Matrix, "__matmul__", spy)
-    short = build_resolution(m, 1)
+    short = build_resolution(alg, m, 1)
     assert products == [short.ranks[1] * alg.dim]
     products.clear()
     res = _extend(short, 4, "forward")
@@ -237,7 +235,7 @@ def test_extend_rejects_a_non_kernel_image_at_a_later_step(monkeypatch, step):
     """A boundary step whose generator images leave the kernel of the map
     before fails the generator-column certificate."""
     alg = GroupAlgebra(_d4(), F2)
-    short = build_resolution(quotient_by_j(alg, trivial_subgroup(alg.group), 1)[0], 1)
+    short = build_resolution(alg, quotient_by_j(alg, trivial_subgroup(alg.group), 1)[0], 1)
     true_kernel, calls = resolution_module.kernel, []
 
     def mutant(prev_map):
@@ -260,8 +258,7 @@ def test_extend_rejects_a_non_kernel_image_at_a_later_step(monkeypatch, step):
 def test_resolution_zero_module():
     g = c2()
     alg = GroupAlgebra(g, F2)
-    m = AModule(alg, trivial_module(g, F2, 0), "zero")
-    res = build_resolution(m, 3)
+    res = build_resolution(alg, trivial_module(g, F2, 0), 3)
     assert res.ranks == (0, 0, 0, 0)
 
 
@@ -310,8 +307,8 @@ def test_resolution_equivariance_of_boundaries():
     alg = GroupAlgebra(g, F2)
     res = resolution_of_quotient(alg, trivial_subgroup(g), 2, 2)
     for i, b in enumerate(res.boundaries):
-        src = free_amodule(alg, res.ranks[i + 1]).module
-        dst = free_amodule(alg, res.ranks[i]).module
+        src = free_amodule(alg, res.ranks[i + 1])
+        dst = free_amodule(alg, res.ranks[i])
         for gamma in range(alg.dim):
             assert b @ src.action[gamma] == dst.action[gamma] @ b
 
@@ -355,7 +352,7 @@ def test_ext_free_module_vanishes_positively():
     g = cyclic(4)
     alg = GroupAlgebra(g, F2)
     free = free_amodule(alg, 2)
-    res = build_resolution(free, 3)
+    res = build_resolution(alg, free, 3)
     assert res.ranks == (2, 0, 0, 0)
     v = regular_module(g, F2)
     assert ext(res, v, 0) == 8
@@ -886,7 +883,7 @@ def test_extended_resolution_equals_a_fresh_build():
                 extended = resolution_of_quotient(alg, sigma, q, 4, order)
                 assert short.length == 1 and extended.length == 4
                 assert resolution_of_quotient(alg, sigma, q, 2, order) is extended
-                fresh = build_resolution(quotient_by_j(alg, sigma, q)[0], 4, order)
+                fresh = build_resolution(alg, quotient_by_j(alg, sigma, q)[0], 4, order)
                 assert extended.ranks == fresh.ranks
                 assert extended.augmentation == fresh.augmentation
                 assert extended.boundaries == fresh.boundaries
@@ -907,7 +904,7 @@ def test_layer_resolution_is_the_greedy_resolution_of_the_layer(path, monkeypatc
     extended = []
 
     def spy(res, *args):
-        extended.append(res.target.label)
+        extended.append(res.target)
         return _extend(res, *args)
 
     monkeypatch.setattr(resolution_module, "_extend", spy)
@@ -917,11 +914,11 @@ def test_layer_resolution_is_the_greedy_resolution_of_the_layer(path, monkeypatc
         sums.append(resolution_of_layer(alg, spec.sigma, q, length))
         assert sums[-1].length == length
         assert sums[-1].boundaries[:short.length] == short.boundaries
-    assert set(extended) <= {"A/J_1"}
+    assert set(extended) <= {quotient_by_j(alg, spec.sigma, 1)[0]}
     monkeypatch.undo()
     for q, res in enumerate(sums, start=1):
         layer = layer_module(alg, spec.sigma, q)[0]
-        reference = build_resolution(layer, length)
+        reference = build_resolution(alg, layer, length)
         assert res.target is layer
         assert res.ranks == reference.ranks
         assert res.augmentation == reference.augmentation
@@ -934,7 +931,7 @@ def test_layer_resolution_is_the_greedy_resolution_of_the_layer(path, monkeypatc
 def test_free_module_permutation_action_matches_dense_blocks(k):
     for group, field in [(s3(), F2), (cyclic(4), F3), (s3(), Q)]:
         alg = GroupAlgebra(group, field)
-        free = free_amodule(alg, k).module
+        free = free_amodule(alg, k)
         n = alg.dim
         rng_rows = Matrix(field, [[(3 * i + j) % 5 for j in range(n * k)] for i in range(4)])
         moved, den = free.orbits(rng_rows)
@@ -962,17 +959,17 @@ def test_orbits_of_a_dense_rational_module():
 def test_unstable_subspace_of_free_module_rejected_by_generators():
     g = s3()
     alg = GroupAlgebra(g, F2)
-    free = free_amodule(alg, 2).module
+    free = free_amodule(alg, 2)
     # span of (e, 0) and (0, e): not stable, since g e = g is not in it
     unstable = Subspace.from_vectors(
         F2, 12, [[1] + [0] * 11, [0] * 6 + [1] + [0] * 5])
     with pytest.raises(NotStableError) as err:
-        amodule_from_subspace(alg, free, unstable, "unstable")
+        amodule_from_subspace(free, unstable)
     assert err.value.element_index in g.gen_indices
     # the sum-of-all-elements line of the first copy is stable
     stable = Subspace.from_vectors(F2, 12, [[1] * 6 + [0] * 6])
-    m = amodule_from_subspace(alg, free, stable, "norm line")
-    assert all(mat == Matrix.identity(F2, 1) for mat in m.module.action)
+    m = amodule_from_subspace(free, stable)
+    assert all(mat == Matrix.identity(F2, 1) for mat in m.action)
 
 
 def test_unstable_subspace_rejected_when_only_one_generator_moves_it():
