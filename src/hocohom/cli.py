@@ -231,6 +231,9 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
     module, and the collapse law when the filtration stabilizes at q = 1.
     The ideal identities, the grid checks and the LES are those of
     `ideals --recheck`, `cohom` and `les-check`, read up to q = s + 1.
+    The vanishing check reads a spec module with the coinduced module's
+    table when there is one, such as `regular` (base_dim 1 is the regular
+    module in regular coordinates), so its bar ranks and grid are reused.
 
     Every per-q value is computed once per level, the least q' with
     J_q' = J_q, so the grid rows q >= s read level s.  The collapse verdict
@@ -285,7 +288,7 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
             record(f"cohom.{name}.resolution_independence", checks["resolution_independence"])
 
     coinduced = coinduced_module(spec.group, spec.field, 1)
-    # a spec module with the same permutation table already holds its bar ranks
+    # a spec module with the same permutation table already holds its bar ranks and grid
     coinduced = next((v for v in modules.values() if v.perm is not None
                       and np.array_equal(v.perm, coinduced.perm)), coinduced)
     vreport = vanishing_check(algebra, spec.sigma, coinduced,

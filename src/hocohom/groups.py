@@ -61,12 +61,6 @@ class Permutation:
             raise GroupError("degree mismatch")
         return Permutation(tuple(self.images[other.images[i]] for i in range(self.degree)))
 
-    def inverse(self) -> "Permutation":
-        out = [0] * self.degree
-        for i, x in enumerate(self.images):
-            out[x] = i
-        return Permutation(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -119,8 +113,10 @@ DEFAULT_ORDER_CAP = 24
 def close_generators(gens, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Close a list of permutations into a group by BFS from the identity.
 
-    The BFS multiplies each element by each generator once, which gives the
-    right-multiplication columns right[g][x] = x * generators[g]; the table
+    The BFS multiplies each element by each generator once, composing image
+    tuples, which gives the right-multiplication columns
+    right[g][x] = x * generators[g], and wraps each new element in one
+    `Permutation` at the end; the table
     follows by associativity, i * k = (i * bfs_parent[k]) * generators[bfs_gen[k]],
     one column per element in BFS order, and inv[i] is where row i holds
     the identity.  Raises ClosureCapExceeded if more than order_cap elements
@@ -130,26 +126,28 @@ def close_generators(gens, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     degree = gens[0].degree if gens else 1
     if any(g.degree != degree for g in gens):
         raise GroupError("generator degree mismatch")
-    identity = Permutation.identity(degree)
+    identity = tuple(range(degree))
+    images = [g.images for g in gens]
     elements = [identity]
-    index = {identity.images: 0}
+    index = {identity: 0}
     bfs_parent = [-1]
     bfs_gen = [-1]
     right = [[] for _ in gens]
     cursor = 0
     while cursor < len(elements):
         current = elements[cursor]
-        for g_i, g in enumerate(gens):
-            candidate = current * g
-            if candidate.images not in index:
+        for g_i, g in enumerate(images):
+            # (current * g)(x) = current(g(x))
+            candidate = tuple([current[x] for x in g])
+            if candidate not in index:
                 if len(elements) >= order_cap:
                     raise ClosureCapExceeded(
                         f"closure exceeds order cap {order_cap}")
-                index[candidate.images] = len(elements)
+                index[candidate] = len(elements)
                 elements.append(candidate)
                 bfs_parent.append(cursor)
                 bfs_gen.append(g_i)
-            right[g_i].append(index[candidate.images])
+            right[g_i].append(index[candidate])
         cursor += 1
     n = len(elements)
     right = np.array(right, dtype=np.intp).reshape(len(gens), n)
@@ -158,8 +156,9 @@ def close_generators(gens, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     for k in range(1, n):
         mult[:, k] = right[bfs_gen[k]][mult[:, bfs_parent[k]]]
     inv = (mult == 0).argmax(axis=1)
-    gen_indices = [index[g.images] for g in gens]
-    return FiniteGroup(elements, mult, inv, gen_indices, bfs_parent, bfs_gen)
+    gen_indices = [index[g] for g in images]
+    return FiniteGroup([Permutation(x) for x in elements], mult, inv, gen_indices,
+                       bfs_parent, bfs_gen)
 
 
 @dataclass(frozen=True)

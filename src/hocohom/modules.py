@@ -4,10 +4,14 @@ A module is a coordinate space with one invertible action matrix per group
 element (acting on column vectors, on the left).  Constructors cover the
 standard test inputs: trivial modules, the regular module A itself, and
 coinduced modules of functions G -> R^b, which are acyclic for group
-cohomology and serve as certified-vanishing inputs downstream.  The
-regular, coinduced and free modules are permutation modules: each keeps its
-index table `perm` as one read-only intp array, and its inverse table,
-which `orbits` reads, is computed once with the module.
+cohomology and serve as certified-vanishing inputs downstream.  A
+coinduced module is taken in regular coordinates: coordinate (y, j) holds
+f(y^-1)_j, so g sends the basis vector (y, j) to (g y, j), and for b = 1 it
+is the regular module R[G], table for table (Brown, *Cohomology of
+Groups*, 1982, III (5.9)).  The regular, coinduced and free modules are
+permutation modules: each keeps its index table `perm` as one read-only
+intp array, and its inverse table, which `orbits` reads, is computed once
+with the module.
 
 Degree-zero higher-order cohomology H_q^0 is computed in two independent
 ways that must agree: as the annihilator of the ideal J_q, and by the
@@ -215,13 +219,17 @@ def regular_module(group: FiniteGroup, field: Field) -> GammaModule:
 
 
 def coinduced_module(group: FiniteGroup, field: Field, base_dim: int = 1) -> GammaModule:
-    """Functions G -> R^b with (g.f)(x) = f(xg); coordinates (element, component)."""
+    """Functions G -> R^b with (g.f)(x) = f(xg), in regular coordinates.
+
+    Coordinate (y, j) holds f(y^-1)_j.  Then (g.f)(y^-1) = f((g^-1 y)^-1),
+    so g sends the basis vector (y, j) to (g y, j): the index table is
+    mult[g][y] b + j, and for base_dim 1 it is the multiplication table,
+    the regular module's.
+    """
     if base_dim < 1:
         raise ValueError("base_dim must be >= 1")
-    # g sends the basis vector (x, j) to (x g^-1, j); moved[g, x] = x g^-1
-    moved = group.mult[:, group.inv].T
     return GammaModule.permutation(group, field, (
-        moved[:, :, None] * base_dim + np.arange(base_dim)).reshape(group.order, -1))
+        group.mult[:, :, None] * base_dim + np.arange(base_dim)).reshape(group.order, -1))
 
 
 def h_q0_annihilator(v: GammaModule, filtration: IdealFiltration, q: int) -> Subspace:

@@ -243,8 +243,9 @@ def _build_module(spec: ProblemSpec, name: str, raw: dict) -> GammaModule:
         build = trivial_module if kind == "trivial" else coinduced_module
         try:
             return build(spec.group, spec.field, raw.get(key, 1))
-        except (ValueError, OverflowError) as err:
-            # numpy rejects a dimension past its index range before allocating
+        except (ValueError, OverflowError, MemoryError) as err:
+            # numpy rejects a dimension past its index range before allocating,
+            # and one whose array the allocator refuses when it asks
             raise SpecError(str(err), f"{location}.{key}") from err
     mats = []
     for i, m in enumerate(raw["generator_matrices"]):

@@ -48,7 +48,13 @@ Ext is the cohomology of the Hom_A(-, V) complex of such a resolution: a
 hom from a free module of rank k is the tuple of its generator images in
 V, and the coboundary is precomposition with the boundary.  Every caller
 needs only dim Ext^p, so `ext` reads it off the ranks of two coboundaries
-once their composite is checked to be zero.
+once their composite is checked to be zero.  Each coboundary and its rank
+are kept with V, once per boundary: `ext` at p and p + 1, the long exact
+sequence's complex of A/J_q and the layer Ext of the power law read one
+build and one rank.  The key is the content of the generator columns,
+all that the coboundary reads, and never an object's id: the block-sum
+layer resolution is summed again when it is extended, so an old
+boundary's id may be reused by a new matrix.
 
 `bar_dimension` computes classical group cohomology through the
 normalized inhomogeneous cochain complex (Mac Lane, *Homology*, 1963,
@@ -339,12 +345,29 @@ def hom_precompose(algebra: GroupAlgebra, amap: Matrix, gens_from: int,
                         .reshape(gens_from * d_v, gens_to * d_v), amap.den * v.den)
 
 
-def hom_delta(resolution: FreeResolution, v: GammaModule, i: int) -> Matrix:
-    """delta^i : V^{n_i} -> V^{n_{i+1}} by precomposition with boundary i+1."""
+def _coboundary(resolution: FreeResolution, v: GammaModule, i: int) -> tuple[Matrix, tuple]:
+    """delta^i with its key in v's cache: the generator columns of boundary
+    i+1, which are all that `hom_precompose` reads, and whose shape fixes
+    both free ranks."""
     if i >= resolution.length:
         raise ResolutionTooShort(f"need boundary {i + 1}, have {resolution.length}")
-    return hom_precompose(resolution.algebra, resolution.boundaries[i],
-                          resolution.ranks[i + 1], resolution.ranks[i], v)
+    boundary = resolution.boundaries[i]
+    key = ("hom_delta", boundary.take_columns(range(0, boundary.cols, resolution.algebra.dim)))
+    return v.cached(key, lambda: hom_precompose(
+        resolution.algebra, boundary, resolution.ranks[i + 1], resolution.ranks[i], v)), key
+
+
+def hom_delta(resolution: FreeResolution, v: GammaModule, i: int) -> Matrix:
+    """delta^i : V^{n_i} -> V^{n_{i+1}} by precomposition with boundary i+1,
+    built once per boundary content and kept with v."""
+    return _coboundary(resolution, v, i)[0]
+
+
+def _coboundary_and_rank(resolution: FreeResolution, v: GammaModule,
+                         i: int) -> tuple[Matrix, int]:
+    """delta^i and its rank, both kept with v."""
+    delta, key = _coboundary(resolution, v, i)
+    return delta, v.cached(("rank", key), lambda: rank(delta))
 
 
 def ext(resolution: FreeResolution, v: GammaModule, p: int) -> int:
@@ -358,13 +381,13 @@ def ext(resolution: FreeResolution, v: GammaModule, p: int) -> int:
     if resolution.length < p + 1:
         raise ResolutionTooShort(
             f"resolution length {resolution.length} cannot reach degree {p}")
-    delta = hom_delta(resolution, v, p)
+    delta, rank_delta = _coboundary_and_rank(resolution, v, p)
     if p == 0:
-        return delta.cols - rank(delta)
-    prev = hom_delta(resolution, v, p - 1)
+        return delta.cols - rank_delta
+    prev, rank_prev = _coboundary_and_rank(resolution, v, p - 1)
     if not (delta @ prev).is_zero():
         raise CertificateError("coboundaries escape the cocycles: delta^2 != 0")
-    return delta.cols - rank(delta) - rank(prev)
+    return delta.cols - rank_delta - rank_prev
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,8 @@ def test_malformed_specs_exit_2_at_their_json_path(tmp_path, capsys, patch, loca
 @pytest.mark.parametrize("module, location", [
     ({"kind": "trivial", "dim": 10 ** 30}, "modules.m.dim"),
     ({"kind": "coinduced", "base_dim": 10 ** 30}, "modules.m.base_dim"),
+    # an index numpy accepts, whose 8 TiB array the allocator refuses at once
+    ({"kind": "coinduced", "base_dim": 2 ** 40}, "modules.m.base_dim"),
 ])
 def test_a_dimension_past_the_index_range_exits_2_at_its_json_path(tmp_path, capsys,
                                                                    module, location):
@@ -608,8 +610,9 @@ def test_one_resolution_build_and_one_filtration_per_request(monkeypatch, verb, 
     assert len(chains) == 1
 
 
-def test_verify_builds_each_bar_coboundary_once_per_module(monkeypatch):
-    # the vanishing check reads the ranks kept with the spec's coinduced module
+def _bar_coboundary_builds(monkeypatch, spec) -> list:
+    """(module id, degree, inside the vanishing check) of each bar coboundary
+    that a passing `verify` builds."""
     from hocohom import resolution
     built, inside_vanishing = [], []
     coboundary, vanishing = resolution._bar_coboundary, cli.vanishing_check
@@ -627,12 +630,43 @@ def test_verify_builds_each_bar_coboundary_once_per_module(monkeypatch):
 
     monkeypatch.setattr(resolution, "_bar_coboundary", spy_coboundary)
     monkeypatch.setattr(cli, "vanishing_check", spy_vanishing)
-    spec = load_problem(SPECS / "d4_f2.json")
     _, ok = cli.cmd_verify(spec)
     assert ok
+    return built
+
+
+def test_verify_builds_each_bar_coboundary_once_per_module(monkeypatch):
+    # the vanishing check reads the ranks kept with the spec's coinduced module
+    spec = load_problem(SPECS / "d4_f2.json")
+    built = _bar_coboundary_builds(monkeypatch, spec)
     pairs = [(v, i) for v, i, _ in built]
     assert len(pairs) == len(set(pairs)) == len(spec.module_names()) * (spec.p_max + 1)
     assert not any(during for *_, during in built)
+
+
+def test_verify_on_q_reads_the_regular_module_for_the_vanishing_check(monkeypatch):
+    # the coinduced module of the vanishing check has the `regular` module's table
+    spec = load_problem(SPECS / "s3_q.json")
+    built = _bar_coboundary_builds(monkeypatch, spec)
+    pairs = [(v, i) for v, i, _ in built]
+    assert len(pairs) == len(set(pairs)) == len(spec.module_names()) * (spec.p_max + 1) == 9
+    assert not any(during for *_, during in built)
+
+
+def test_verify_builds_each_hom_coboundary_once_per_boundary_and_module(monkeypatch):
+    # Ext at p and p + 1, the long exact sequence and the power law share each build
+    from hocohom import resolution
+    calls = []
+    precompose = resolution.hom_precompose
+
+    def spy(algebra, amap, gens_from, gens_to, v):
+        calls.append((v, amap))
+        return precompose(algebra, amap, gens_from, gens_to, v)
+
+    monkeypatch.setattr(resolution, "hom_precompose", spy)
+    _, ok = cli.cmd_verify(load_problem(SPECS / "d4_f2.json"))
+    assert ok
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_verify_builds_one_free_module_per_algebra_and_rank(monkeypatch):

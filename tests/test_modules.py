@@ -1,5 +1,7 @@
 """Module constructors and the two computations of H_q^0."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from hocohom.modules import (
     trivial_module, make_module, regular_module, coinduced_module,
     h_q0_annihilator, h_q0_inductive,
 )
+from hocohom.problem import load_problem
 
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json"))
 
 
 def trivial_subgroup(group):
@@ -136,13 +140,12 @@ def test_coinduced_c2_isomorphic_to_regular():
 
 
 def test_coinduced_equivariant_iso_to_regular_s3():
+    # in regular coordinates the isomorphism f -> sum_x f(x) x^{-1} is the identity
     g = s3()
     co = coinduced_module(g, F3, 1)
     reg = regular_module(g, F3)
-    grid = [[0] * 6 for _ in range(6)]
-    for i in range(6):
-        grid[g.inv[i]][i] = 1
-    iso = ModuleMap(co, reg, Matrix(F3, grid))
+    assert np.array_equal(co.perm, reg.perm)
+    iso = ModuleMap(co, reg, Matrix.identity(F3, 6))
     assert rank(iso.matrix) == 6
 
 
@@ -151,6 +154,29 @@ def test_coinduced_homomorphism_property():
     co = coinduced_module(g, F2, 2)
     assert co.dim == 12
     co.check_homomorphism()
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_coinduced_in_regular_coordinates_on_every_shipped_group(path):
+    # base_dim 1 is the regular module table for table; base_dim 2 is a representation
+    spec = load_problem(path)
+    g, field = spec.group, spec.field
+    assert np.array_equal(coinduced_module(g, field, 1).perm, regular_module(g, field).perm)
+    coinduced_module(g, field, 2).check_homomorphism()
+
+
+def test_coinduced_coordinates_hold_f_at_inverse_elements():
+    # coordinate (y, j) holds f(y^-1)_j, and (g.f)(x) = f(xg)
+    g, b = s3(), 2
+    co = coinduced_module(g, Q, b)
+    f = np.arange(g.order * b).reshape(g.order, b) ** 2 - 7   # f(x)_j = f[x, j]
+
+    def coords(func):
+        return Matrix(Q, [[func[g.inv[y], j]] for y in range(g.order) for j in range(b)])
+
+    for h in range(g.order):
+        moved = f[g.mult[:, h]]                                # (h.f)(x) = f(xh)
+        assert co.action[h] @ coords(f) == coords(moved)
 
 
 def test_annihilator_trivial_module_is_everything():
