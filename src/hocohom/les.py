@@ -6,34 +6,50 @@ For each q the ideals give a short exact sequence of A-modules, each a
     0 -> J_q/J_{q+1} -> A/J_{q+1} -> A/J_q -> 0,
 
 whose left term carries the trivial action (I J_q and J_q I land in
-J_{q+1}), hence is a direct sum of N(q) copies of the trivial module.  The
-horseshoe construction combines the cached resolutions of the outer terms
-into a termwise-split resolution of the middle term with block boundaries
-[[dL, h], [0, dN]], where the correctors h are solved degree by degree by
-exact linear algebra.  Applying Hom_A(-, V) gives a termwise-split short
-exact sequence of cochain complexes, and the snake construction extracts
-the six-terms-per-degree long exact sequence
+J_{q+1}), hence is a direct sum of N(q) copies of the trivial module.
+Write L, M and N for its terms, and P_M and P_N for the resolutions of M
+and N that the grid already caches (`resolution_of_quotient`).  By the
+comparison theorem (Weibel, *An Introduction to Homological Algebra*,
+1994, 2.2.6) the surjection M -> N lifts to a chain map phi : P_M -> P_N,
+and `comparison_map` builds it degree by degree by exact linear algebra.
+Applying Hom_A(-, V) gives cochain complexes C_N and C_M and the cochain
+map phi^* : C_N -> C_M, whose mapping cone (Weibel 1.5)
+
+    K^p = C_N^p + C_M^{p-1},    d(x, y) = (delta_N x, phi^* x - delta_M y),
+
+sits in a short exact sequence 0 -> C_M[-1] -> K -> C_N -> 0 of cochain
+complexes, with connecting map phi^*.  The cone of phi on the chain side
+is a complex of free modules with homology L alone, in degree 1, so
+H^{p+1}(K) = Ext^p(L, V), and the long exact sequence of that short
+exact sequence is the six-terms-per-degree sequence
 
     0 -> H_q^0 -> H_{q+1}^0 -> H^0(G,V)^{N(q)} -> H_q^1 -> ...
 
-with explicit matrices.  Every exactness claim, image = kernel, is
-certified one way, by `linalg.node_exact`: for maps a into a node of
-dimension n and b out of it, b a = 0 says image(a) lies in kernel(b), and
-then rank(a) + rank(b) = n says the two have equal dimension, since
-dim kernel(b) = n - rank(b); together they are exactly image(a) = kernel(b).
+with maps phi^* on classes, y -> (0, y) and (x, y) -> x.  No resolution
+of M is built beyond the grid's, and none of L.
 
-The horseshoe solves only for generator columns.  Each middle boundary
-is built from its generator images by `amap_from_generator_images`,
-so it is A-linear by construction, and so is the augmentation before it.
-Its composite with the map before it is then read on generator columns:
+Every exactness claim, image = kernel, is certified one way, by
+`linalg.node_exact`: for maps a into a node of dimension n and b out of
+it, b a = 0 says image(a) lies in kernel(b), and then rank(a) + rank(b)
+= n says the two have equal dimension, since dim kernel(b) = n - rank(b);
+together they are exactly image(a) = kernel(b).
+
+The comparison map solves only for generator columns.  Each phi_i is
+built from its generator images by `amap_from_generator_images`, so it is
+A-linear by construction, as the boundaries and augmentations are.  Its
+defining square is then read on generator columns:
 
     Lemma.  Let a : A^k -> A^m and b : A^m -> M be A-linear.  Then b a = 0
     exactly when b a e_j = 0 for every generator e_j of A^k.
     Proof.  The g e_j span A^k over R, and (b a)(g e_j) = g (b a)(e_j).
 
-So `node_exact` on the generator columns and the rank of the full
-boundary decides exactness, and a wrong corrector makes the composite on
-the generator columns nonzero.
+So d_N,i phi_i = phi_{i-1} d_M,i (with the augmentations and the
+surjection at i = 0), checked exactly on the generator columns, makes phi
+a chain map lifting the surjection.  A lift with no solution or one that
+fails this check is a CertificateError.  The check cannot be left to the
+cone: a wrong lift breaks d d = 0 on K only where Hom(-, V) sees the
+error, and into a trivial V it may not, so the sequence could come out
+exact and wrong.
 
 Each cohomology space H^p = Z^p / B^p is one `linalg.QuotientMap` and
 takes two eliminations: the kernel of delta^p gives Z^p in its RREF
@@ -41,16 +57,18 @@ basis, where a cocycle x has coordinates x at the basis's pivot columns,
 and the RREF of the coboundaries read at those columns gives B^p inside
 Z^p, with canonical class coordinates and one cocycle lifting each.  The
 quotient certifies that the coboundaries lie in Z^p, which is
-delta^p delta^{p-1} = 0, and every induced or connecting image is
-certified a cocycle, delta x = 0.  Only the complex of A/J_q is read in
-degree p_max + 1, where the connecting map out of degree p_max lands.
+delta^p delta^{p-1} = 0, and every image of phi^*, y -> (0, y) and
+(x, y) -> x is certified a cocycle, delta x = 0, by `_class_of`.  C_N is
+read in degrees 0..p_max + 1, where the map out of degree p_max lands,
+C_M in degrees 0..p_max and K in degrees 1..p_max + 1.
 
 The sequence depends on q only through J_q and J_{q+1}, so it is built
-once per level (`IdealFiltration.level`): the short exact sequence and its
-horseshoe are kept on the algebra, and the sequence itself with the module,
-per (algebra, S, level, p_max).  At the stabilization level s the layer
-J_s/J_{s+1} is zero, and the middle and right terms are the one cached
-A/J_s; every q past s reads that same sequence.
+once per level (`IdealFiltration.level`): the short exact sequence and the
+comparison map are kept on the algebra, and the sequence itself with the
+module, per (algebra, S, level, p_max).  At the stabilization level s the
+layer J_s/J_{s+1} is zero and M = N is the one cached A/J_s: there is no
+cone, the maps are the identity of H_s^p and zero, and every q past s
+reads that same sequence.
 """
 
 from __future__ import annotations
@@ -68,7 +86,8 @@ from .resolution import (
     DEFAULT_BAR_BUDGET, DEGREE_CAP, BudgetExceeded, FreeResolution, NontrivialActionError,
     amap_from_generator_images, bar_dimension, bar_dimension_or_none,
     certify_trivial_action, ext, filtration_for, free_amodule, higher_cohomology,
-    hom_delta, layer_module, quotient_by_j, resolution_of_layer, resolution_of_quotient,
+    hom_delta, hom_precompose, layer_module, quotient_by_j, resolution_of_layer,
+    resolution_of_quotient,
 )
 
 
@@ -117,6 +136,15 @@ def trivial_action_witness(ses: ShortExactSequence) -> None:
     certify_trivial_action(ses.left, f"J_{ses.q}/J_{ses.q + 1}")
 
 
+def _solve(m: Matrix, b: Matrix, what: str) -> Matrix:
+    """`solve_column`, with a system that has no solution a CertificateError
+    naming `what`."""
+    try:
+        return solve_column(m, b)
+    except InconsistentSystem as err:
+        raise CertificateError(f"{what} has no solution") from err
+
+
 def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
     """The middle resolution with `length` boundaries, ranks rL_i + rN_i.
 
@@ -126,7 +154,9 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
     injected left augmentation and h_0 the right augmentation lifted through
     the surjection).  Each stage is certified exact on its generator
     columns (the lemma in the module docstring), and a corrector system
-    with no solution is a CertificateError that names its stage.
+    with no solution is a CertificateError that names its stage.  No verb
+    calls it: the long exact sequence reads the grid's resolution of the
+    middle term, and the tests compare the two routes.
     """
     algebra = ses.algebra
     f, n = algebra.field, algebra.dim
@@ -136,15 +166,9 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
     def gens(amap: Matrix) -> Matrix:
         return amap.take_columns(range(0, amap.cols, n))
 
-    def solve(m: Matrix, b: Matrix, what: str) -> Matrix:
-        try:
-            return solve_column(m, b)
-        except InconsistentSystem as err:
-            raise CertificateError(f"horseshoe {what} has no solution") from err
-
+    lifted = _solve(ses.surject.matrix, gens(res_n.augmentation), "horseshoe augmentation lift")
     augmentation = amap_from_generator_images(algebra, ses.middle, Matrix.hstack(f, [
-        ses.inject.matrix @ gens(res_l.augmentation),
-        solve(ses.surject.matrix, gens(res_n.augmentation), "augmentation lift")]).transpose())
+        ses.inject.matrix @ gens(res_l.augmentation), lifted]).transpose())
     prev_rank = rank(augmentation)
     if prev_rank != ses.middle.dim:
         raise CertificateError("horseshoe augmentation is not surjective")
@@ -153,10 +177,10 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
     prev_map, top = augmentation, ses.middle.dim
     for i in range(1, length + 1):
         left_prev = res_l.ranks[i - 1] * n
-        solver = _block(prev_map, range(top), range(left_prev))
-        corrector = _block(prev_map, range(top), range(left_prev, prev_map.cols))
+        solver = prev_map.take_rows(range(top)).take_columns(range(left_prev))
+        corrector = prev_map.take_rows(range(top)).take_columns(range(left_prev, prev_map.cols))
         d_n = gens(res_n.boundaries[i - 1])
-        h = solve(solver, -(corrector @ d_n), f"corrector at stage {i}")
+        h = _solve(solver, -(corrector @ d_n), f"horseshoe corrector at stage {i}")
         columns = Matrix.block(f, [[gens(res_l.boundaries[i - 1]), h], [None, d_n]],
                                [left_prev, prev_map.cols - left_prev],
                                [res_l.ranks[i], res_n.ranks[i]])
@@ -171,16 +195,42 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
     return FreeResolution(algebra, ses.middle, ranks, augmentation, tuple(boundaries))
 
 
-# ---------------------------------------------------------------------------
-# cohomology of the three complexes and the snake construction
+def comparison_map(ses: ShortExactSequence, res_m: FreeResolution, res_n: FreeResolution,
+                   length: int) -> tuple[Matrix, ...]:
+    """A-linear maps phi_i : P_M,i -> P_N,i for i <= length lifting the
+    surjection of `ses` from the middle term, resolved by res_m, to the
+    right term, resolved by res_n (the comparison theorem).
 
-def _cohomology_spaces(deltas: list[Matrix], up_to: int, field) -> list[QuotientMap]:
-    """H^p = Z^p / B^p for p <= up_to: the kernel of delta^p, and the
-    coboundaries as the rows of delta^{p-1}.T, whose certified containment
-    in Z^p is delta^p delta^{p-1} = 0."""
+    The generator images of phi_i are the canonical solutions x of
+    d_N,i x = phi_{i-1} d_M,i e_j (aug_N x = surject aug_M e_j at i = 0),
+    one `solve_column` per degree, and the square is certified exactly on
+    the generator columns (the lemma in the module docstring).  A system
+    with no solution or a lift that fails its certificate is a
+    CertificateError that names its degree.
+    """
+    algebra, n = ses.algebra, ses.algebra.dim
+    maps = [ses.surject.matrix]
+    for i, (d_m, d_n) in enumerate(zip(((res_m.augmentation,) + res_m.boundaries)[:length + 1],
+                                       ((res_n.augmentation,) + res_n.boundaries)[:length + 1])):
+        wanted = maps[-1] @ d_m.take_columns(range(0, d_m.cols, n))
+        lift = _solve(d_n, wanted, f"comparison map at degree {i}")
+        if d_n @ lift != wanted:
+            raise CertificateError(f"comparison map at degree {i} is not a chain map")
+        maps.append(amap_from_generator_images(
+            algebra, free_amodule(algebra, res_n.ranks[i]), lift.transpose()))
+    return tuple(maps[1:])
+
+
+# ---------------------------------------------------------------------------
+# cohomology of the complexes and the cone
+
+def _cohomology_spaces(deltas: list[Matrix], up_to: int, field, start=0) -> list[QuotientMap]:
+    """H^p = Z^p / B^p for start <= p <= up_to: the kernel of delta^p, and
+    the coboundaries as the rows of delta^{p-1}.T, whose certified
+    containment in Z^p is delta^p delta^{p-1} = 0."""
     return [QuotientMap(kernel(deltas[p]), deltas[p - 1].transpose() if p > 0
                         else Matrix.zeros(field, 0, deltas[0].cols))
-            for p in range(up_to + 1)]
+            for p in range(start, up_to + 1)]
 
 
 def _class_of(delta: Matrix, space: QuotientMap, cochains: Matrix, what: str) -> Matrix:
@@ -189,10 +239,6 @@ def _class_of(delta: Matrix, space: QuotientMap, cochains: Matrix, what: str) ->
     if not (delta @ cochains).is_zero():
         raise CertificateError(f"{what} is not a cocycle")
     return space.coords(cochains)
-
-
-def _block(m: Matrix, rows: range, cols: range) -> Matrix:
-    return Matrix._wrap(m.field, m.array[rows.start:rows.stop, cols.start:cols.stop], m.den)
 
 
 @dataclass(frozen=True)
@@ -231,12 +277,13 @@ def long_exact_sequence(algebra: GroupAlgebra, sigma: NormalSubgroup,
 
     Verifies, as subspace identities on class coordinates: injectivity at
     the start, image = kernel at every interior node up to degree p_max,
-    using the connecting homomorphism into degree p_max + 1.  Each identity
-    is certified by `node_exact`: a zero composite and ranks that fill the
-    node.  The horseshoe takes p_max + 1 boundaries of the cached forward
-    outer resolutions (those of the grid); only the resolution of A/J_q is
-    extended to p_max + 2, for the connecting map into degree p_max + 1.
-    Kept with v once per (algebra, S, level, p_max).
+    using the map into degree p_max + 1.  Each identity is certified by
+    `node_exact`: a zero composite and ranks that fill the node.  The
+    sequence is read off the cone of the comparison map between the grid's
+    cached resolutions (the module docstring): that of A/J_{q+1} with
+    p_max + 1 boundaries, and that of A/J_q extended to p_max + 2, for the
+    map into degree p_max + 1.  Kept with v once per (algebra, S, level,
+    p_max).
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
@@ -252,75 +299,55 @@ def _sequence(algebra: GroupAlgebra, sigma: NormalSubgroup, v: GammaModule,
     """The body of `long_exact_sequence`, at the level q."""
     f = algebra.field
     filt = filtration_for(algebra, sigma)
-    length = p_max + 1
-    # the sequence and its horseshoe depend only on (S, level), not on V
+    # the sequence and its comparison map depend only on (S, level), not on V
     def certified_ses():
         ses = quotient_ses(algebra, filt, q)
         trivial_action_witness(ses)
         return ses
 
     ses = algebra.cached(("ses", sigma.members, q), certified_ses)
-    res_m = algebra.cached(("horseshoe", sigma.members, q, length),
-                           lambda: horseshoe(ses, length))
-    res_l = resolution_of_layer(algebra, sigma, q, length)
-    res_n = resolution_of_quotient(algebra, sigma, q, length + 1)
-
-    deltas_n = [hom_delta(res_n, v, i) for i in range(length + 1)]
-    deltas_m = [hom_delta(res_m, v, i) for i in range(length)]
-    deltas_l = [hom_delta(res_l, v, i) for i in range(length)]
-
-    d_v = v.dim
-    # C_M^i = C_L^i + C_N^i, and delta_M = [[delta_L, 0], [*, delta_N]] exactly
-    # when the embedding of C_N and the projection onto C_L are cochain maps
-    for i in range(length):
-        rl, rl1 = res_l.ranks[i] * d_v, res_l.ranks[i + 1] * d_v
-        dm = deltas_m[i]
-        corner_zero = _block(dm, range(rl1), range(rl, dm.cols)).is_zero()
-        if not corner_zero or _block(dm, range(rl1, dm.rows), range(rl, dm.cols)) != deltas_n[i]:
-            raise CertificateError(f"embedding is not a cochain map at degree {i}")
-        if not corner_zero or _block(dm, range(rl1), range(rl)) != deltas_l[i]:
-            raise CertificateError(f"projection is not a cochain map at degree {i}")
-
-    # only the connecting map reads degree p_max + 1, of the N complex alone
+    res_n = resolution_of_quotient(algebra, sigma, q, p_max + 2)
+    deltas_n = [hom_delta(res_n, v, i) for i in range(p_max + 2)]
     h_n = _cohomology_spaces(deltas_n, p_max + 1, f)
-    h_m = _cohomology_spaces(deltas_m, p_max, f)
-    h_l = _cohomology_spaces(deltas_l, p_max, f)
-
-    # embed the N-cocycles in the R-slot of C_M and project the M-cocycles onto C_L
-    image = "the image of a cochain map"
-    lower_maps, upper_maps = [], []
-    for p in range(p_max + 1):
-        r_l = res_l.ranks[p] * d_v
-        embedded = Matrix.vstack(f, [Matrix.zeros(f, r_l, h_n[p].dim), h_n[p].reps.transpose()])
-        lower_maps.append(_class_of(deltas_m[p], h_m[p], embedded, image))
-        projected = h_m[p].reps.take_columns(range(r_l)).transpose()
-        upper_maps.append(_class_of(deltas_l[p], h_l[p], projected, image))
-
-    def connecting(p: int) -> Matrix:
-        # lift each class of C_L^p by zero on the C_N block, apply delta_M
-        r_l, r_l1 = res_l.ranks[p], res_l.ranks[p + 1]
-        moved = (deltas_m[p].take_columns(range(r_l * d_v))
-                 @ h_l[p].reps.transpose())
-        if not moved.take_rows(range(r_l1 * d_v)).is_zero():
-            raise CertificateError("snake lift has a nonzero projection part")
-        w = moved.take_rows(range(r_l1 * d_v, moved.rows))
-        return _class_of(deltas_n[p + 1], h_n[p + 1], w, "the connecting image")
-
-    connectings = [connecting(p) for p in range(p_max + 1)]
+    if filt.level(q + 1) == q:
+        # J_q = J_{q+1}: M = N, one resolution, and a zero layer
+        maps = [(Matrix.identity(f, h_n[p].dim), Matrix.zeros(f, 0, h_n[p].dim),
+                 Matrix.zeros(f, h_n[p + 1].dim, 0)) for p in range(p_max + 1)]
+    else:
+        res_m = resolution_of_quotient(algebra, sigma, q + 1, p_max + 1)
+        phis = algebra.cached(("comparison", sigma.members, q, p_max),
+                              lambda: comparison_map(ses, res_m, res_n, p_max + 1))
+        deltas_m = [hom_delta(res_m, v, i) for i in range(p_max + 1)]
+        phi_star = [hom_precompose(algebra, phi, res_m.ranks[i], res_n.ranks[i], v)
+                 for i, phi in enumerate(phis)]
+        # d_K^p : C_N^p + C_M^{p-1} -> C_N^{p+1} + C_M^p is
+        # [[delta_N^p, 0], [phi_p^*, -delta_M^{p-1}]]
+        deltas_k = [Matrix.block(f, [[deltas_n[p], None],
+                                     [phi_star[p], -deltas_m[p - 1] if p else None]],
+                                 [deltas_n[p].rows, phi_star[p].rows],
+                                 [deltas_n[p].cols, deltas_m[p - 1].cols if p else 0])
+                    for p in range(p_max + 2)]
+        h_m = _cohomology_spaces(deltas_m, p_max, f)
+        h_k = _cohomology_spaces(deltas_k, p_max + 1, f, start=1)   # h_k[p] = H^{p+1}(K)
+        image = "the image of a cochain map"
+        # phi^* on classes, y -> (0, y) and (x, y) -> x, with x in C_N^{p+1}, the first c rows
+        maps = [(_class_of(deltas_m[p], h_m[p], phi_star[p] @ h_n[p].reps.transpose(), image),
+                 _class_of(deltas_k[p + 1], h_k[p], Matrix.vstack(f, [
+                     Matrix.zeros(f, c, h_m[p].dim), h_m[p].reps.transpose()]), image),
+                 _class_of(deltas_n[p + 1], h_n[p + 1],
+                           h_k[p].reps.take_columns(range(c)).transpose(), "the connecting image"))
+                for p, c in enumerate(delta.cols for delta in deltas_n[1:])]
 
     # the sequence 0 -> H_q^0 -> H_{q+1}^0 -> H^0(G,V)^{N(q)} -> H_q^1 -> ...
     # as one chain of maps, each ranked once: node k lies between maps k and k + 1
-    chain = [Matrix.zeros(f, h_n[0].dim, 0)]
-    for p in range(p_max + 1):
-        chain += [lower_maps[p], upper_maps[p], connectings[p]]
+    chain = [Matrix.zeros(f, h_n[0].dim, 0)] + [m for triple in maps for m in triple]
     ranks = [rank(m) for m in chain]
     degrees = []
-    for p in range(p_max + 1):
+    for p, (lower, upper, connecting) in enumerate(maps):
         verdicts = {node: node_exact(chain[k], ranks[k], chain[k + 1], ranks[k + 1])
                     for k, node in enumerate(("at_H_q", "at_H_q_plus_1", "at_power"), 3 * p)}
-        degrees.append(LesDegree(
-            p, h_n[p].dim, h_m[p].dim, h_l[p].dim,
-            lower_maps[p], upper_maps[p], connectings[p], verdicts))
+        degrees.append(LesDegree(p, h_n[p].dim, lower.rows, upper.rows,
+                                 lower, upper, connecting, verdicts))
     return LongExactSequenceReport(filt.n(q), tuple(degrees))
 
 

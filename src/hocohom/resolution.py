@@ -20,10 +20,10 @@ A free module A^k is a permutation module on the multiplication table:
 element g sends the basis vector (i, h) to (i, g h), so its index table is
 i n + mult[g][h], one numpy broadcast, and no action matrix is built.  It
 is kept in the algebra's cache once per (algebra, k), so every resolution
-step and every horseshoe stage of one rank reads the same module.  The
-greedy cover grows one incremental echelon (`linalg.Echelon`); the
-generators it keeps depend only on the span, not on how the span is
-stored (the lemma in `free_cover`).
+step and every comparison map (`les.comparison_map`) of one rank reads the
+same module.  The greedy cover grows one incremental echelon
+(`linalg.Echelon`); the generators it keeps depend only on the span, not
+on how the span is stored (the lemma in `free_cover`).
 
 A layer J_q/J_{q+1} whose action is certified trivial is R^N, N = N(q),
 and A/J_1 = A/I = R, so the layer is resolved as the block sum of N

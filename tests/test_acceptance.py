@@ -32,7 +32,8 @@ SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json")
 SCALE_SPECS = Path(__file__).resolve().parent / "specs"
 # (spec, verb) runs on the larger problems whose plain reports are pinned in tests/golden
 SCALE_RUNS = [(SCALE_SPECS / f"{stem}.json", "verify")
-              for stem in ("a4_f2", "s4_f2", "a5_f2", "c2x4_f2", "c2x4_q3_f2")] + [
+              for stem in ("a4_f2", "s4_f2", "a5_f2", "c2x4_f2", "c2x4_q3_f2",
+                           "c2x4_p3_f2", "c2x4_q3_coind_f2")] + [
     (SCALE_SPECS / "c2x4_f2.json", "les-check")]
 
 Q = Field.rationals()
@@ -416,6 +417,9 @@ def test_scale_reports_match_golden(tmp_path):
     These are the cases where the greedy cover is not minimal (C2^4 has
     ranks 1, 4, 10, 22) and where the bar oracle skips degrees, and
     C2^4 at q_max 3 has the grid [[1, 4, 10], [1, 6, 20], [1, 4, 15]].
+    C2^4 at p_max 3, and at q_max 3 with a coinduced module, are the depth
+    cases of the long exact sequence: its resolutions reach degree 5, and
+    its complexes carry a 16-dimensional module.
     """
     started = time.monotonic()
     failures = []

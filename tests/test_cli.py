@@ -526,28 +526,29 @@ def test_algebra_and_linalg_errors_exit_2(monkeypatch, capsys, error):
     assert str(error) in capsys.readouterr().err
 
 
-def test_wrong_corrector_exits_1_with_the_certificate(monkeypatch, capsys):
+LIFTED_SPECS = ["c2_f2.json", "c2c2_f2.json", "d4_f2.json"]
+
+
+@pytest.mark.parametrize("spec_name", LIFTED_SPECS)
+def test_wrong_comparison_lift_exits_1_with_the_certificate(monkeypatch, capsys, spec_name):
     """A failed internal certificate is a failed verification: exit 1 and
-    the certificate's message, never a traceback or the input-error code."""
+    the certificate's message, never a traceback or the input-error code.
+    The node verdicts alone need not see a wrong lift (Hom into a trivial
+    module can hide it), so the lift's own certificate must."""
     from hocohom import les
     solve_body = les.solve_column
-    calls = []
 
-    def wrong_corrector(m, b):
-        # the first solve lifts the augmentation; every later one is a corrector
-        calls.append(b)
+    def wrong_lift(m, b):
         x = solve_body(m, b)
-        if len(calls) == 1:
-            return x
         j = next(j for j in range(m.cols) if not m.take_columns([j]).is_zero())
         unit = Matrix(m.field, [[int(r == j)] * x.cols for r in range(m.cols)])
         return x - unit
 
-    monkeypatch.setattr(les, "solve_column", wrong_corrector)
-    code = cli.main(["les-check", "--spec", str(SPECS / "c2_f2.json")])
+    monkeypatch.setattr(les, "solve_column", wrong_lift)
+    code = cli.main(["les-check", "--spec", str(SPECS / spec_name)])
     assert code == cli.EXIT_VERIFICATION_FAILED
     assert capsys.readouterr().err == (
-        "certificate failed: horseshoe failed exactness at stage 1\n")
+        "certificate failed: comparison map at degree 0 is not a chain map\n")
 
 
 def test_nonzero_delta_squared_exits_1_with_the_certificate(monkeypatch, capsys):
@@ -610,6 +611,37 @@ def test_one_resolution_build_and_one_filtration_per_request(monkeypatch, verb, 
     assert len(chains) == 1
 
 
+@pytest.mark.parametrize("verb", ["les-check", "verify"])
+def test_the_long_exact_sequence_builds_only_the_grid_resolutions(monkeypatch, verb):
+    # the sequence at q reads the cached resolutions of A/J_q and A/J_{q+1},
+    # so a request resolves A/J_1 .. A/J_{q_top + 1} once each, and nothing else
+    from hocohom import les, resolution
+    builds, horseshoes = [], []
+    build, horseshoe = resolution.build_resolution, les.horseshoe
+
+    def spy_build(algebra, m, length, order="forward"):
+        builds.append((algebra, m))
+        return build(algebra, m, length, order)
+
+    def spy_horseshoe(ses, length):
+        horseshoes.append(ses.q)
+        return horseshoe(ses, length)
+
+    monkeypatch.setattr(resolution, "build_resolution", spy_build)
+    monkeypatch.setattr(les, "horseshoe", spy_horseshoe)
+    spec = load_problem(SPECS / "d4_f2.json")
+    _, ok = (cli.cmd_les if verb == "les-check" else cli.cmd_verify)(spec)
+    assert ok and not horseshoes
+    algebra = builds[0][0]
+    filt = resolution.filtration_for(algebra, spec.sigma)
+    q_top = spec.q_max if verb == "les-check" else min(spec.q_max, filt.stabilization_q + 1)
+    assert q_top == 3
+    built = [id(m) for _, m in builds]
+    expected = {id(resolution.quotient_by_j(algebra, spec.sigma, q)[0])
+                for q in range(1, q_top + 2)}
+    assert len(built) == len(set(built)) == len(expected) and set(built) == expected
+
+
 def _bar_coboundary_builds(monkeypatch, spec) -> list:
     """(module id, degree, inside the vanishing check) of each bar coboundary
     that a passing `verify` builds."""
@@ -670,7 +702,7 @@ def test_verify_builds_each_hom_coboundary_once_per_boundary_and_module(monkeypa
 
 
 def test_verify_builds_one_free_module_per_algebra_and_rank(monkeypatch):
-    # _extend and the horseshoe read the one A^k kept in the algebra's cache
+    # _extend and the comparison map read the one A^k kept in the algebra's cache
     from hocohom import les, resolution
     made = {}
     free_amodule = resolution.free_amodule
@@ -712,7 +744,8 @@ def _fails_certificate(capsys, argv, expected):
     assert err.startswith("certificate failed: ") and expected in err, err
 
 
-def test_inconsistent_horseshoe_system_exits_1(monkeypatch, capsys):
+@pytest.mark.parametrize("spec_name", LIFTED_SPECS)
+def test_missing_comparison_lift_exits_1(monkeypatch, capsys, spec_name):
     from hocohom import les
     from hocohom.linalg import InconsistentSystem
 
@@ -720,8 +753,8 @@ def test_inconsistent_horseshoe_system_exits_1(monkeypatch, capsys):
         raise InconsistentSystem("no solution")
 
     monkeypatch.setattr(les, "solve_column", no_solution)
-    _fails_certificate(capsys, ["les-check", "--spec", str(SPECS / "c2_f2.json")],
-                       "horseshoe augmentation lift has no solution")
+    _fails_certificate(capsys, ["les-check", "--spec", str(SPECS / spec_name)],
+                       "comparison map at degree 0 has no solution")
 
 
 def test_ideal_that_is_not_two_sided_exits_1(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """The long exact sequence: construction, exactness, and the dimension laws."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hocohom.linalg import (
     CertificateError, DimensionMismatch, Field, Matrix, column_space, kernel, rank,
 )
 from hocohom.modules import trivial_module, regular_module, coinduced_module
+from hocohom.problem import load_problem
 from hocohom import resolution
 from hocohom.resolution import (
     amap_from_generator_images, filtration_for, free_amodule, higher_cohomology,
@@ -21,6 +24,7 @@ from hocohom.les import (
     long_exact_sequence, node_exact, power_identification, vanishing_check,
 )
 
+SHIPPED_SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json"))
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -143,21 +147,40 @@ def test_horseshoe_middle_matches_direct_ext():
             assert ext(middle, v, p) == ext(direct, v, p)
 
 
-def test_horseshoe_and_ses_built_once_per_level(monkeypatch):
+@pytest.mark.parametrize("path", SHIPPED_SPECS, ids=lambda path: path.stem)
+def test_les_terms_match_the_horseshoe_route(path):
+    # the sequence reads the grid's resolution of A/J_{q+1} and the cone; the
+    # horseshoe resolves A/J_{q+1} and the layer another way, from the outer terms
+    from hocohom.resolution import ext
+    spec = load_problem(path)
+    alg = spec.algebra()
+    filt = filtration_for(alg, spec.sigma)
+    for q in range(1, min(spec.q_max, filt.stabilization_q + 1) + 1):
+        middle = horseshoe(quotient_ses(alg, filt, q), spec.p_max + 1)
+        layer = resolution_of_layer(alg, spec.sigma, q, spec.p_max + 1)
+        for name in spec.module_names():
+            v = spec.build_module(name)
+            report = long_exact_sequence(alg, spec.sigma, v, q, spec.p_max)
+            assert [(d.dim_upper, d.dim_power) for d in report.degrees] == [
+                (ext(middle, v, p), ext(layer, v, p)) for p in range(spec.p_max + 1)]
+
+
+def test_comparison_map_and_ses_built_once_per_level(monkeypatch):
     from hocohom import les
-    built = {"ses": [], "horseshoe": []}
-    quotient_ses_body, horseshoe_body = les.quotient_ses, les.horseshoe
+    built = {"ses": [], "comparison": [], "horseshoe": []}
+    quotient_ses_body, comparison_body = les.quotient_ses, les.comparison_map
 
     def spy_ses(algebra, filtration, q):
         built["ses"].append(q)
         return quotient_ses_body(algebra, filtration, q)
 
-    def spy_horseshoe(ses, length):
-        built["horseshoe"].append((ses.q, length))
-        return horseshoe_body(ses, length)
+    def spy_comparison(ses, res_m, res_n, length):
+        built["comparison"].append((ses.q, length))
+        return comparison_body(ses, res_m, res_n, length)
 
     monkeypatch.setattr(les, "quotient_ses", spy_ses)
-    monkeypatch.setattr(les, "horseshoe", spy_horseshoe)
+    monkeypatch.setattr(les, "comparison_map", spy_comparison)
+    monkeypatch.setattr(les, "horseshoe", lambda *args: built["horseshoe"].append(args))
     g = s3()
     alg = GroupAlgebra(g, F2)
     sigma = a3_in(g)
@@ -165,10 +188,54 @@ def test_horseshoe_and_ses_built_once_per_level(monkeypatch):
     reports = {(q, v.dim): long_exact_sequence(alg, sigma, v, q, 2)
                for q in (1, 2) for v in (trivial, regular)}
     assert built["ses"] == [1, 2]
-    assert built["horseshoe"] == [(1, 3), (2, 3)]
-    # the second module's report, from the cached horseshoe, equals a fresh one
+    # q = 2 is the stabilization level: J_2 = J_3, and there is no cone
+    assert built["comparison"] == [(1, 3)]
+    assert not built["horseshoe"]
+    # the second module's report, from the cached comparison map, equals a fresh one
     assert reports[(1, regular.dim)] == long_exact_sequence(
         GroupAlgebra(g, F2), sigma, regular, 1, 2)
+
+
+def test_comparison_map_is_a_chain_map_lifting_the_surjection():
+    # checked on every column, not only the generator columns it certifies
+    from hocohom.les import comparison_map
+    g = s3()
+    alg = GroupAlgebra(g, F2)
+    sigma = a3_in(g)
+    ses = quotient_ses(alg, filtration_for(alg, sigma), 1)
+    res_m = resolution_of_quotient(alg, sigma, 2, 3)
+    res_n = resolution_of_quotient(alg, sigma, 1, 3)
+    phis = comparison_map(ses, res_m, res_n, 3)
+    assert [(phi.rows, phi.cols) for phi in phis] == [
+        (res_n.ranks[i] * alg.dim, res_m.ranks[i] * alg.dim) for i in range(4)]
+    assert res_n.augmentation @ phis[0] == ses.surject.matrix @ res_m.augmentation
+    for i in range(1, 4):
+        assert res_n.boundaries[i - 1] @ phis[i] == phis[i - 1] @ res_m.boundaries[i - 1]
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_comparison_map_rejects_a_wrong_lift_at_its_degree(monkeypatch, degree):
+    from hocohom import les
+    g = s3()
+    alg = GroupAlgebra(g, F2)
+    sigma = a3_in(g)
+    ses = quotient_ses(alg, filtration_for(alg, sigma), 1)
+    res_m = resolution_of_quotient(alg, sigma, 2, 3)
+    res_n = resolution_of_quotient(alg, sigma, 1, 3)
+    solve_body, solves = les.solve_column, []
+
+    def wrong_at_degree(m, b):
+        x = solve_body(m, b)
+        solves.append(x)
+        if len(solves) - 1 != degree:
+            return x
+        flipped = x.array.copy()
+        flipped[int(np.flatnonzero(m.array.any(axis=0))[0])] ^= 1
+        return Matrix(m.field, flipped.tolist(), x.rows, x.cols)
+
+    monkeypatch.setattr(les, "solve_column", wrong_at_degree)
+    with pytest.raises(CertificateError, match=f"comparison map at degree {degree} is not"):
+        les.comparison_map(ses, res_m, res_n, 3)
 
 
 def test_horseshoe_rejects_a_wrong_corrector(monkeypatch):
@@ -223,7 +290,7 @@ def test_les_runs_two_eliminations_per_cohomology_degree(monkeypatch):
     sigma = a3_in(g)
     v = regular_module(g, F2)
     p_max = 2
-    fresh = long_exact_sequence(alg, sigma, v, 1, p_max)   # caches the sequence and horseshoe
+    fresh = long_exact_sequence(alg, sigma, v, 1, p_max)   # caches the comparison map
     rref_body, quotient_init = linalg.rref, linalg.QuotientMap.__init__
     calls = {"rref": 0, "QuotientMap": 0}
 
@@ -239,8 +306,9 @@ def test_les_runs_two_eliminations_per_cohomology_degree(monkeypatch):
     monkeypatch.setattr(linalg.QuotientMap, "__init__", spy_quotient)
     # a fresh module, since the sequence is kept with the module it was built for
     report = long_exact_sequence(alg, sigma, regular_module(g, F2), 1, p_max)
-    # three complexes in degrees 0 .. p_max, and the A/J_q complex in p_max + 1,
-    # each one quotient of at most two eliminations
+    # the complexes of A/J_q in degrees 0 .. p_max + 1, of A/J_{q+1} in
+    # 0 .. p_max and of the cone in 1 .. p_max + 1, each one quotient of at
+    # most two eliminations
     assert 0 < calls["rref"] <= 2 * (3 * (p_max + 1) + 1)
     assert calls["QuotientMap"] == 3 * (p_max + 1) + 1
     assert report == fresh and report.exact

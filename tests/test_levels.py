@@ -58,12 +58,14 @@ def test_level_is_the_least_index_of_the_same_ideal(filt):
 
 def test_verify_runs_each_body_once_per_level(monkeypatch):
     """`verify` on S3 over Q (s = 1, q_max = 2): one resolution build per
-    (level, order), one horseshoe, and each Ext, cocycle and long-exact-
+    (level, order), no comparison map, since the one level is the
+    stabilization level, no horseshoe, and each Ext, cocycle and long-exact-
     sequence body once per (level, module)."""
     spec = load_problem(SPECS / "s3_q.json")
     filt = filtration_for(spec.algebra(), spec.sigma)
     assert filt.stabilization_q == 1 and spec.q_max == 2
-    calls = {"build": [], "horseshoe": [], "sequence": [], "ext": [], "hom": []}
+    calls = {"build": [], "comparison": [], "horseshoe": [], "sequence": [], "ext": [],
+             "hom": []}
 
     def spy(name, body, key):
         def wrapper(*args):
@@ -73,6 +75,8 @@ def test_verify_runs_each_body_once_per_level(monkeypatch):
 
     monkeypatch.setattr(resolution, "build_resolution", spy(
         "build", resolution.build_resolution, lambda alg, m, length, order: (alg, m, order)))
+    monkeypatch.setattr(les, "comparison_map", spy(
+        "comparison", les.comparison_map, lambda ses, res_m, res_n, length: ses.q))
     monkeypatch.setattr(les, "horseshoe", spy(
         "horseshoe", les.horseshoe, lambda ses, length: ses.q))
     monkeypatch.setattr(les, "_sequence", spy(
@@ -86,7 +90,8 @@ def test_verify_runs_each_body_once_per_level(monkeypatch):
     [(alg, built, order)] = calls["build"]
     a_mod_j1 = quotient_by_j(alg, spec.sigma, 1)[0]
     assert built is a_mod_j1 and order == "forward"
-    assert calls["horseshoe"] == [1]
+    # J_1 = J_2: the sequence at level 1 is the identity on one complex
+    assert calls["comparison"] == calls["horseshoe"] == []
     modules = len(spec.module_names())
     for name in ("sequence", "ext", "hom"):
         keys = calls[name]
