@@ -133,12 +133,17 @@ def _cohom_entry(spec: ProblemSpec, algebra, v, h0_top: int,
     return {"grid": grid, "checks": checks, "bar_row": bar_row}, all(checks.values())
 
 
-def _les_entries(spec: ProblemSpec, algebra, v, q_top: int) -> tuple[list, bool]:
-    """The long exact sequence at q = 1..q_top with its node verdicts, and
-    whether it is exact at every node."""
+def _les_reports(spec: ProblemSpec, algebra, v, q_top: int) -> list:
+    """The long exact sequences at q = 1..q_top, each kept with v."""
+    return [long_exact_sequence(algebra, spec.sigma, v, q, spec.p_max)
+            for q in range(1, q_top + 1)]
+
+
+def _les_entries(reports: list) -> tuple[list, bool]:
+    """The long exact sequences at q = 1.. with their node verdicts, and
+    whether they are exact at every node."""
     entries = []
-    for q in range(1, q_top + 1):
-        report = long_exact_sequence(algebra, spec.sigma, v, q, spec.p_max)
+    for q, report in enumerate(reports, start=1):
         entry = {
             "q": q,
             "n_q": report.n_q,
@@ -217,8 +222,8 @@ def cmd_h1(spec: ProblemSpec, module_name: str | None = None,
 
 
 def cmd_les(spec: ProblemSpec, module_name: str | None = None) -> tuple[dict, bool]:
-    out, ok = _per_module(spec, module_name,
-                          lambda algebra, v: _les_entries(spec, algebra, v, spec.q_max))
+    out, ok = _per_module(spec, module_name, lambda algebra, v: _les_entries(
+        _les_reports(spec, algebra, v, spec.q_max)))
     return {"modules": out, "p_max": spec.p_max}, ok
 
 
@@ -231,6 +236,9 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
     module, and the collapse law when the filtration stabilizes at q = 1.
     The ideal identities, the grid checks and the LES are those of
     `ideals --recheck`, `cohom` and `les-check`, read up to q = s + 1.
+    The power identification compares the power term of those same
+    sequences, the cone's H^{p+1} = Ext^p(J_q/J_{q+1}, V), with N(q) times
+    the bar oracle's dim H^p(G, V), at every degree the bar budget decides.
     The vanishing check reads a spec module with the coinduced module's
     table when there is one, such as `regular` (base_dim 1 is the regular
     module in regular coordinates), so its bar ranks and grid are reused.
@@ -277,10 +285,11 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
         record(f"cohom.{name}.h0_annihilator_inductive_ext_agree",
                checks["p0_column_matches_annihilator"]
                and checks["annihilator_matches_inductive"])
-        record(f"les.{name}.exact_at_all_nodes", _les_entries(spec, algebra, v, q_top)[1])
+        reports = _les_reports(spec, algebra, v, q_top)
+        record(f"les.{name}.exact_at_all_nodes", _les_entries(reports)[1])
 
-        pairs = (power_identification(algebra, spec.sigma, v, q, p, classical_dim=b)
-                 for q in range(1, q_top + 1) for p, b in enumerate(bar_row) if b is not None)
+        pairs = (power_identification(report, p, b)
+                 for report in reports for p, b in enumerate(bar_row) if b is not None)
         record(f"power.{name}.ext_of_layer_equals_n_times_classical",
                all(lhs == rhs for lhs, rhs in pairs), detail=skip_detail)
 

@@ -47,19 +47,9 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
-    @staticmethod
-    def identity(degree: int) -> "Permutation":
-        return Permutation(range(degree))
-
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (a * b)(x) = a(b(x))."""
-        if self.degree != other.degree:
-            raise GroupError("degree mismatch")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.degree)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

@@ -26,11 +26,12 @@ same module.  The greedy cover grows one incremental echelon
 on how the span is stored (the lemma in `free_cover`).
 
 A layer J_q/J_{q+1} whose action is certified trivial is R^N, N = N(q),
-and A/J_1 = A/I = R, so the layer is resolved as the block sum of N
-copies of the cached resolution of A/J_1: ranks N r_i, and the
-augmentation and every boundary block-diagonal.  This is the greedy
-resolution of the layer, entry for entry, so no verdict reads a different
-matrix:
+and A/J_1 = A/I = R, so `resolution_of_layer` resolves the layer as the
+block sum of N copies of the cached resolution of A/J_1: ranks N r_i,
+and the augmentation and every boundary block-diagonal.  No verb reads
+it (the power law reads the long exact sequence); it is the reference
+route of the tests, and it is the greedy resolution of the layer, entry
+for entry:
 
     Lemma.  For R^N with trivial action, the forward greedy resolution is
     the N-fold block sum of the forward greedy resolution of R.
@@ -49,12 +50,12 @@ hom from a free module of rank k is the tuple of its generator images in
 V, and the coboundary is precomposition with the boundary.  Every caller
 needs only dim Ext^p, so `ext` reads it off the ranks of two coboundaries
 once their composite is checked to be zero.  Each coboundary and its rank
-are kept with V, once per boundary: `ext` at p and p + 1, the long exact
-sequence's complex of A/J_q and the layer Ext of the power law read one
-build and one rank.  The key is the content of the generator columns,
-all that the coboundary reads, and never an object's id: the block-sum
-layer resolution is summed again when it is extended, so an old
-boundary's id may be reused by a new matrix.
+are kept with V, once per boundary: `ext` at p and p + 1 and the long
+exact sequence's complexes of A/J_q and A/J_{q+1} read one build and one
+rank.  The key is the content of the generator columns, all that the
+coboundary reads, and never an object's id: the block-sum layer
+resolution is summed again when it is extended, so an old boundary's id
+may be reused by a new matrix.
 
 `bar_dimension` computes classical group cohomology through the
 normalized inhomogeneous cochain complex (Mac Lane, *Homology*, 1963,
@@ -111,7 +112,7 @@ from .linalg import (
     CertificateError, Echelon, Field, Matrix, QuotientMap, Subspace, contract, kernel,
     node_exact, rank, rank_of_int_rows,
 )
-from .modules import GammaModule, regular_module
+from .modules import GammaModule
 
 
 class NotStableError(ValueError):
@@ -205,7 +206,7 @@ def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
     module and the quotient coordinate map used to build it.
     """
     f, n = algebra.field, algebra.dim
-    regular = regular_module(algebra.group, f)
+    regular = free_amodule(algebra, 1)      # A acting on itself by left multiplication
     try:
         _certify_stable(regular, sup)
         _certify_stable(regular, sub)

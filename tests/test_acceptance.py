@@ -223,8 +223,10 @@ def test_criterion_5_power_identification():
         filt = filtration_for(algebra, sigma)
         for name, v in modules:
             for q in range(1, min(filt.stabilization_q + 2, 4)):
+                report = long_exact_sequence(algebra, sigma, v, q, 2)
                 for p in (0, 1, 2):
-                    lhs, rhs = power_identification(algebra, sigma, v, q, p)
+                    lhs, rhs = power_identification(
+                        report, p, bar_dimension(algebra.group, v, p))
                     if lhs != rhs:
                         failures.append((algebra.group.order, algebra.field.name,
                                          name, q, p, lhs, rhs))

@@ -616,8 +616,8 @@ def test_the_long_exact_sequence_builds_only_the_grid_resolutions(monkeypatch, v
     # the sequence at q reads the cached resolutions of A/J_q and A/J_{q+1},
     # so a request resolves A/J_1 .. A/J_{q_top + 1} once each, and nothing else
     from hocohom import les, resolution
-    builds, horseshoes = [], []
-    build, horseshoe = resolution.build_resolution, les.horseshoe
+    builds, horseshoes, layers = [], [], []
+    build, horseshoe, layer = resolution.build_resolution, les.horseshoe, les.resolution_of_layer
 
     def spy_build(algebra, m, length, order="forward"):
         builds.append((algebra, m))
@@ -627,11 +627,16 @@ def test_the_long_exact_sequence_builds_only_the_grid_resolutions(monkeypatch, v
         horseshoes.append(ses.q)
         return horseshoe(ses, length)
 
+    def spy_layer(algebra, sigma, q, length):
+        layers.append(q)
+        return layer(algebra, sigma, q, length)
+
     monkeypatch.setattr(resolution, "build_resolution", spy_build)
     monkeypatch.setattr(les, "horseshoe", spy_horseshoe)
+    monkeypatch.setattr(les, "resolution_of_layer", spy_layer)
     spec = load_problem(SPECS / "d4_f2.json")
     _, ok = (cli.cmd_les if verb == "les-check" else cli.cmd_verify)(spec)
-    assert ok and not horseshoes
+    assert ok and not horseshoes and not layers
     algebra = builds[0][0]
     filt = resolution.filtration_for(algebra, spec.sigma)
     q_top = spec.q_max if verb == "les-check" else min(spec.q_max, filt.stabilization_q + 1)
@@ -640,6 +645,31 @@ def test_the_long_exact_sequence_builds_only_the_grid_resolutions(monkeypatch, v
     expected = {id(resolution.quotient_by_j(algebra, spec.sigma, q)[0])
                 for q in range(1, q_top + 2)}
     assert len(built) == len(set(built)) == len(expected) and set(built) == expected
+
+
+def test_the_power_verdict_reads_the_power_term_of_the_sequence(monkeypatch):
+    # one power term of the trivial module raised by 1, at a degree the bar
+    # budget decides, fails the power verdict and no other
+    import dataclasses
+    spec = load_problem(SPECS / "d4_f2.json")
+    sequence = cli.long_exact_sequence
+
+    def mutant(algebra, sigma, v, q, p_max):
+        report = sequence(algebra, sigma, v, q, p_max)
+        if v.dim != 1 or q != 1:      # d4_f2's only one-dimensional module is `trivial`
+            return report
+        degrees = list(report.degrees)
+        degrees[1] = dataclasses.replace(degrees[1], dim_power=degrees[1].dim_power + 1)
+        return dataclasses.replace(report, degrees=tuple(degrees))
+
+    monkeypatch.setattr(cli, "long_exact_sequence", mutant)
+    fragment, ok = cli.cmd_verify(spec)
+    assert not ok
+    assert [v["check"] for v in fragment["verdicts"] if not v["pass"]] == [
+        "power.trivial.ext_of_layer_equals_n_times_classical"]
+    power = next(v for v in fragment["verdicts"]
+                 if v["check"] == "power.trivial.ext_of_layer_equals_n_times_classical")
+    assert "detail" not in power        # the bar budget decides every degree of d4_f2
 
 
 def _bar_coboundary_builds(monkeypatch, spec) -> list:

@@ -1,5 +1,6 @@
 """The long exact sequence: construction, exactness, and the dimension laws."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -459,12 +460,19 @@ def test_les_alternating_sum_identity():
 
 # --- the two dimension laws -------------------------------------------------
 
+def _power(alg, sigma, v, q, p_max, p):
+    """The power law at (q, p): the power term of the sequence at level q
+    read with p_max, against N(q) times the bar oracle's dim H^p(G, V)."""
+    report = long_exact_sequence(alg, sigma, v, q, p_max)
+    return power_identification(report, p, bar_dimension(alg.group, v, p))
+
+
 def test_power_identification_zero_case():
     g = s3()
     alg = GroupAlgebra(g, Q)
     sigma = trivial_subgroup(g)
     v = trivial_module(g, Q, 1)
-    lhs, rhs = power_identification(alg, sigma, v, 1, 1)
+    lhs, rhs = _power(alg, sigma, v, 1, 1, 1)
     assert lhs == rhs == 0
 
 
@@ -473,7 +481,7 @@ def test_power_identification_c2():
     alg = GroupAlgebra(g, F2)
     sigma = trivial_subgroup(g)
     v = trivial_module(g, F2, 1)
-    assert power_identification(alg, sigma, v, 1, 1) == (1, 1)
+    assert _power(alg, sigma, v, 1, 1, 1) == (1, 1)
 
 
 def test_power_identification_s3_a3():
@@ -481,7 +489,7 @@ def test_power_identification_s3_a3():
     alg = GroupAlgebra(g, F2)
     sigma = a3_in(g)
     v = trivial_module(g, F2, 1)
-    assert power_identification(alg, sigma, v, 1, 0) == (1, 1)
+    assert _power(alg, sigma, v, 1, 0, 0) == (1, 1)
 
 
 def test_power_identification_suite():
@@ -491,13 +499,15 @@ def test_power_identification_suite():
         for v in (trivial_module(group, field, 1), regular_module(group, field)):
             for q in (1, 2):
                 for p in (0, 1, 2):
-                    lhs, rhs = power_identification(alg, sigma, v, q, p)
+                    lhs, rhs = _power(alg, sigma, v, q, 2, p)
                     assert lhs == rhs, (group.order, field.name, q, p)
 
 
 def test_layer_with_a_nontrivial_action_is_rejected(monkeypatch):
     """A layer that does not act trivially is not a sum of copies of A/J_1:
-    neither its resolution nor the power law is built on it."""
+    neither its resolution nor the long exact sequence that holds the power
+    term is built on it."""
+    from hocohom import les
     assert NontrivialActionError is resolution.NontrivialActionError
     g = c2()
     alg = GroupAlgebra(g, F2)
@@ -507,9 +517,15 @@ def test_layer_with_a_nontrivial_action_is_rejected(monkeypatch):
     monkeypatch.setattr(resolution, "layer_module", lambda algebra, s, q: regular)
     with pytest.raises(NontrivialActionError, match="group element 1"):
         resolution_of_layer(alg, sigma, 1, 2)
-    with pytest.raises(NontrivialActionError):
-        power_identification(alg, sigma, trivial_module(g, F2, 1), 1, 1)
     assert ("res_layer", sigma.members, 1) not in alg._cache
+    ses_body = les.quotient_ses
+    monkeypatch.setattr(les, "quotient_ses", lambda algebra, filtration, q: dataclasses.replace(
+        ses_body(algebra, filtration, q), left=regular[0]))
+    v = trivial_module(g, F2, 1)
+    with pytest.raises(NontrivialActionError, match="group element 1"):
+        long_exact_sequence(alg, sigma, v, 1, 1)
+    assert ("ses", sigma.members, 1) not in alg._cache
+    assert not any(key[0] == "les" for key in v._cache)
 
 
 def test_vanishing_trivial_group():

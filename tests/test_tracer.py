@@ -47,4 +47,4 @@ def test_traced_verify_request_reports_as_the_untraced_one():
     assert json.dumps(traced, sort_keys=True) == json.dumps(untraced, sort_keys=True)
     metrics = tracer.request_metrics(1)
     assert metrics["resolution.bar_calls"] > 0 and metrics["resolution.builds"] > 0
-    assert "resolution.resolution_of_layer" in tracer.reached
+    assert "les.power_identification" in tracer.reached
