@@ -21,7 +21,8 @@ element g sends the basis vector (i, h) to (i, g h), so its index table is
 i n + mult[g][h], one numpy broadcast, and no action matrix is built.  It
 is kept in the algebra's cache once per (algebra, k), so every resolution
 step and every comparison map (`les.comparison_map`) of one rank reads the
-same module.  The greedy cover grows one incremental echelon
+same module, and every quotient (`quotient_amodule`) is cut out of A^1,
+which is A acting on itself by left multiplication.  The greedy cover grows one incremental echelon
 (`linalg.Echelon`); the generators it keeps depend only on the span, not
 on how the span is stored (the lemma in `free_cover`).
 
@@ -206,7 +207,7 @@ def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
     module and the quotient coordinate map used to build it.
     """
     f, n = algebra.field, algebra.dim
-    regular = free_amodule(algebra, 1)      # A acting on itself by left multiplication
+    regular = free_amodule(algebra, 1)
     try:
         _certify_stable(regular, sup)
         _certify_stable(regular, sub)
