@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, NormalSubgroup
-from .linalg import CertificateError, Field, Matrix, Subspace
+from .linalg import CertificateError, Field, Matrix, Subspace, rref
 
 
 class AlgebraError(ValueError):
@@ -193,7 +193,7 @@ def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltratio
             raise IdealCertificateError(
                 f"J_q did not stabilize within dim I + 1 = {aug.dim + 1} steps")
         prev = power.basis
-        power = Subspace._spanned_by(Matrix.vstack(f, [
+        power = rref(Matrix.vstack(f, [
             algebra.right(g, prev) - prev for g in gens], cols=algebra.dim))
         j_list.append(power + sig)
     for sub in j_list:
@@ -214,7 +214,7 @@ def i_power_by_products(algebra: GroupAlgebra, q: int) -> Subspace:
         raise AlgebraError("q must be >= 1")
     aug = current = algebra.cached(("i_power", 1), lambda: augmentation_ideal(algebra))
     for k in range(2, q + 1):
-        current = algebra.cached(("i_power", k), lambda: Subspace._spanned_by(Matrix.vstack(
+        current = algebra.cached(("i_power", k), lambda: rref(Matrix.vstack(
             algebra.field, [current.basis @ algebra.translates(aug.basis.take_rows([b]))
                             for b in range(aug.dim)], cols=algebra.dim)))
     return current
@@ -234,7 +234,7 @@ def j_by_left_route(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int) -> Sub
     current = augmentation_ideal(algebra)
     for _ in range(q - 1):
         basis = current.basis
-        current = Subspace._spanned_by(Matrix.vstack(f, [
+        current = rref(Matrix.vstack(f, [
             algebra.left(g, basis) - basis for g in range(1, n)], cols=n))
     members = [s for s in sigma.members if s != 0]
     return current + Subspace.from_vectors(f, n, _differences(

@@ -412,12 +412,20 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args) -> bool:
+    """Write the report to --out, if given, then to stdout; False, with a
+    message on stderr, when --out cannot be written."""
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as err:
+            sys.stderr.write(f"input error: cannot write --out {args.out}: "
+                             f"{err.strerror or err}\n")
+            return False
     sys.stdout.write(render_text(report) if args.text else payload)
+    return True
 
 
 class Verb(NamedTuple):
@@ -495,7 +503,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT_ERROR
     report["timing"] = {"elapsed_seconds": round(time.monotonic() - started, 6)}
-    _emit(report, args)
+    if not _emit(report, args):
+        return EXIT_INPUT_ERROR
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 

@@ -46,7 +46,14 @@ those bounds the same code runs on Python-int (`object`) arrays.  Every
 path is exact.  Over F_2 a difference is an XOR of the stored bits and a
 negation the identity, so neither widens.
 
-Null spaces.  `kernel` eliminates once.  The pivot columns of an RREF
+Row, null and column spaces.  `rref`, `kernel` and `column_space` each
+return a `Subspace`: the row space, the null space and the column space of
+their matrix, held by its unique RREF basis (the nonzero rows of the
+reduced row-echelon form) and its pivot columns.  A sum of subspaces, a
+span of vectors and the span an `Echelon` grows are each one `rref` of
+stacked rows.
+
+`kernel` eliminates once.  The pivot columns of an RREF
 are the greedy-first basis of its matrix's column matroid: each column
 that is independent of the columns before it.  The pivot set of the
 kernel's RREF is therefore the greedy-first basis of the dual matroid
@@ -63,10 +70,11 @@ A/J_q and J_q/J_{q+1}, the H_q^0 recursion and each cohomology space
 Z^p / B^p of the long exact sequence.  It certifies B <= sup once
 (`CertificateError` otherwise), then eliminates once: a vector of sup is
 determined by its entries at sup's pivot columns, so the free-column rows
-of the RREF of `spanning` read at those columns give coordinates whose
-kernel is exactly B, and the unit rows of sup's basis at the free columns
-lift them.  Coordinates are read
-at the pivots, never through an ambient dim x n matrix.
+of the row space of `spanning` read at those columns give coordinates
+whose kernel is exactly B, and the unit rows of sup's basis at the free
+columns lift them.  When B or sup is zero that row space is zero and its
+free-column rows are the identity.  Coordinates are read at the pivots,
+never through an ambient dim x n matrix.
 
 Rational rank.  A rank over Q is taken of an integer matrix M (the
 numerators of a rational matrix) and is certified, never estimated.
@@ -492,13 +500,6 @@ def _index(indices) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # row reduction
 
-@dataclass(frozen=True)
-class RrefResult:
-    rank: int
-    reduced: Matrix
-    pivots: tuple[int, ...]
-
-
 def _clear_column(a: np.ndarray, targets: np.ndarray, r: int, c: int, p: int):
     """Subtract a[t, c] times pivot row r from each row t in targets, mod p.
 
@@ -586,27 +587,29 @@ def _rref_int(work, cols: int):
     return r, work, tuple(pivots)
 
 
-def rref(m: Matrix) -> RrefResult:
-    """The unique reduced row-echelon form of m, with rank and pivot columns."""
+def rref(m: Matrix) -> "Subspace":
+    """The row space of m in its unique RREF basis: the nonzero rows of m's
+    reduced row-echelon form, led by its pivot columns."""
+    f = m.field
     if m.rows == 0 or m.cols == 0:
-        return RrefResult(0, m, ())
-    p = m.field.p
+        return Subspace.zero(f, m.cols)
+    p = f.p
     if p == 2:
         return _rref_f2(m)
     if p is not None:
-        rank, a, pivots = _rref_modp(m.array.astype(_elimination_dtype(p)), p)
-        return RrefResult(rank, Matrix._wrap(m.field, a), pivots)
+        r, a, pivots = _rref_modp(m.array.astype(_elimination_dtype(p)), p)
+        return Subspace(m.cols, Matrix._wrap(f, a[:r]), pivots)
     # row i of the echelon form is work[i] / lead_i, or work[i] * (den / lead_i) over den
-    rank, work, pivots = _rref_int(m.array.tolist(), m.cols)
+    r, work, pivots = _rref_int(m.array.tolist(), m.cols)
     leads = [work[i][c] for i, c in enumerate(pivots)]
     den = lcm(*leads)
-    out = np.zeros(m.array.shape, dtype=object)
+    out = np.zeros((r, m.cols), dtype=object)
     for i, lead in enumerate(leads):
         out[i] = [x * (den // lead) for x in work[i]]
-    return RrefResult(rank, Matrix._wrap(m.field, out, den), pivots)
+    return Subspace(m.cols, Matrix._wrap(f, out, den), pivots)
 
 
-def _rref_f2(m: Matrix) -> RrefResult:
+def _rref_f2(m: Matrix) -> "Subspace":
     """rref over F_2: the basis of `_echelon_f2` back-reduced once, highest
     pivot first, then unpacked into storage."""
     basis = _echelon_f2(m.array)
@@ -623,10 +626,9 @@ def _rref_f2(m: Matrix) -> RrefResult:
     width = -(-m.cols // 8)
     packed = np.frombuffer(b"".join(basis[b].to_bytes(width, "little") for b in bits),
                            dtype=np.uint8).reshape(len(bits), width)
-    out = np.zeros(m.array.shape, dtype=np.uint8)
-    out[:len(bits)] = np.unpackbits(packed, axis=1, count=m.cols, bitorder="little")
-    return RrefResult(len(bits), Matrix._wrap(m.field, out),
-                      tuple(b.bit_length() - 1 for b in bits))
+    out = np.unpackbits(packed, axis=1, count=m.cols, bitorder="little")
+    return Subspace(m.cols, Matrix._wrap(m.field, out),
+                    tuple(b.bit_length() - 1 for b in bits))
 
 
 def rank(m: Matrix) -> int:
@@ -886,13 +888,14 @@ def kernel(m: Matrix) -> "Subspace":
     """
     n = m.cols
     res = rref(_view(m, m.array[:, ::-1]))
-    rows = _free_column_rows(res.reduced.take_rows(range(res.rank)), res.pivots)
+    rows = _free_column_rows(res.basis, res.pivots)
     pivots = tuple(n - 1 - int(j) for j in _free_columns(n, res.pivots)[::-1])
     return Subspace(n, _view(rows, rows.array[::-1, ::-1]), pivots)
 
 
 def column_space(m: Matrix) -> "Subspace":
-    return Subspace._spanned_by(m.transpose())
+    """The span of the columns of m, in its RREF basis."""
+    return rref(m.transpose())
 
 
 def solve_column(m: Matrix, b: Matrix) -> Matrix:
@@ -902,10 +905,10 @@ def solve_column(m: Matrix, b: Matrix) -> Matrix:
     res = rref(Matrix.hstack(f, [m, b]))
     if res.pivots and res.pivots[-1] >= m.cols:
         raise InconsistentSystem("no solution")
-    reduced = res.reduced
-    x = np.zeros((m.cols, b.cols), dtype=reduced.array.dtype)
-    x[list(res.pivots)] = reduced.array[:res.rank, m.cols:]
-    return Matrix._wrap(f, x, reduced.den)
+    basis = res.basis
+    x = np.zeros((m.cols, b.cols), dtype=basis.array.dtype)
+    x[list(res.pivots)] = basis.array[:, m.cols:]
+    return Matrix._wrap(f, x, basis.den)
 
 
 def node_exact(incoming: Matrix, incoming_rank: int,
@@ -945,15 +948,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("vector does not live in the ambient space")
-        return Subspace._spanned_by(Matrix(field, vectors, len(vectors), ambient_dim))
-
-    @staticmethod
-    def _spanned_by(m: Matrix) -> "Subspace":
-        """The span of the rows of m."""
-        if m.rows == 0:
-            return Subspace.zero(m.field, m.cols)
-        res = rref(m)
-        return Subspace(m.cols, res.reduced.take_rows(range(res.rank)), res.pivots)
+        return rref(Matrix(field, vectors, len(vectors), ambient_dim))
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
@@ -998,7 +993,7 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimension mismatch")
-        return Subspace._spanned_by(Matrix.vstack(self.field, [self.basis, other.basis]))
+        return rref(Matrix.vstack(self.field, [self.basis, other.basis]))
 
 
 class Echelon:
@@ -1033,8 +1028,7 @@ class Echelon:
             if rows.array.size:
                 _echelon_f2(rows.array, self._bits)
             return
-        self._span = span = Subspace._spanned_by(
-            Matrix.vstack(self.field, [self._span.basis, rows]))
+        self._span = span = rref(Matrix.vstack(self.field, [self._span.basis, rows]))
         counts = np.count_nonzero(span.basis.array, axis=1).tolist()
         self._units = {c for c, n in zip(span.pivots, counts) if n == 1}
 
@@ -1068,16 +1062,11 @@ class QuotientMap:
     def __init__(self, sup: Subspace, spanning: Matrix):
         if sup.first_outside(spanning) is not None:
             raise CertificateError("the spanning rows are not contained in sup")
-        f, d = sup.field, sup.dim
-        at_pivots = spanning.take_columns(sup.pivots)
-        if at_pivots.rows == 0 or d == 0:
-            classes, lifted = Matrix.identity(f, d), np.arange(d)
-        else:
-            res = rref(at_pivots)
-            classes = _free_column_rows(res.reduced.take_rows(range(res.rank)), res.pivots)
-            lifted = _free_columns(d, res.pivots)
+        res = rref(spanning.take_columns(sup.pivots))
+        classes = _free_column_rows(res.basis, res.pivots)
+        lifted = _free_columns(sup.dim, res.pivots)
         # the lifts read at the pivots are the unit rows at `lifted`, since sup is in RREF
-        if classes.take_columns(lifted) != Matrix.identity(f, classes.rows):
+        if classes.take_columns(lifted) != Matrix.identity(sup.field, classes.rows):
             raise CertificateError("class coordinates do not read the identity on their lifts")
         object.__setattr__(self, "pivots", sup.pivots)
         object.__setattr__(self, "classes", classes)

@@ -12,7 +12,7 @@ from hocohom.algebra import (
 from hocohom.groups import (
     Permutation, close_generators, subgroup_closure,
 )
-from hocohom.linalg import Field, Matrix, Subspace, rank_of_int_rows
+from hocohom.linalg import Field, Matrix, Subspace, rank_of_int_rows, rref
 from hocohom.problem import load_problem
 
 TESTS = Path(__file__).resolve().parent
@@ -157,7 +157,7 @@ def _j_list_by_every_element(algebra, sigma):
     power, chain = aug, [aug + sig]
     while len(chain) < 2 or chain[-1] != chain[-2]:
         prev = power.basis
-        power = Subspace._spanned_by(Matrix.vstack(algebra.field, [
+        power = rref(Matrix.vstack(algebra.field, [
             algebra.right(g, prev) - prev for g in range(1, n)], cols=n))
         chain.append(power + sig)
     return tuple(chain)

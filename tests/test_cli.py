@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import hocohom
 from hocohom import cli
 from hocohom.algebra import AlgebraError, IdealCertificateError, j_filtration
-from hocohom.linalg import LinalgError, Matrix, Subspace
+from hocohom.linalg import LinalgError, Matrix, Subspace, rref
 from hocohom.problem import SpecError, parse_problem, load_problem
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -331,6 +331,17 @@ def test_verify_all_pass_and_out_file(tmp_path):
     assert "vanishing.coinduced_module" in names
 
 
+@pytest.mark.parametrize("place", ["missing/report.json", "."])
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, place):
+    # a file in a directory that does not exist, and a directory
+    out = str(tmp_path / place)
+    code = cli.main(["info", "--spec", str(SPECS / "c2_f2.json"), "--out", out])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT_ERROR
+    assert f"--out {out}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_verify_text_rendering(tmp_path):
     proc = run_cli(["verify", "--spec", str(SPECS / "c2_f2.json"), "--text"])
     assert proc.returncode == 0
@@ -369,7 +380,7 @@ def test_cohom_recheck_compares_the_h0_subspaces(monkeypatch):
         true = inductive(v, sigma, q)
         if q > 1:
             return true
-        other = Subspace._spanned_by(Matrix.identity(v.field, v.dim).take_rows([0]))
+        other = rref(Matrix.identity(v.field, v.dim).take_rows([0]))
         assert other != true and other.dim == true.dim
         return other
 

@@ -20,6 +20,7 @@ Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
+F_BIG = Field.prime(4294967311)   # past every int64 product: the object-dtype path
 
 
 def _scaled(m, s):
@@ -77,49 +78,54 @@ def test_field_coerce_canonical():
 
 def test_rref_empty_matrix():
     res = rref(Matrix.zeros(Q, 0, 0))
-    assert res.rank == 0
+    assert res == Subspace.zero(Q, 0) and res.dim == 0
     assert res.pivots == ()
 
 
 def test_rref_identity():
     m = Matrix.identity(Q, 3)
     res = rref(m)
-    assert res.rank == 3
-    assert res.reduced == m
+    assert res.dim == 3
+    assert res.basis == m
     assert res.pivots == (0, 1, 2)
 
 
 def test_rref_f2_duplicate_rows():
     m = Matrix(F2, [[1, 1], [1, 1]])
     res = rref(m)
-    assert res.rank == 1
-    assert res.reduced.entries == ((1, 1), (0, 0))
+    assert res.dim == 1 == rank(m)
+    assert res.basis.entries == ((1, 1),)
     assert res.pivots == (0,)
 
 
 def test_rref_rational_leading_ones():
     m = Matrix(Q, [[2, 4, 6], [1, 2, 4]])
     res = rref(m)
-    assert res.rank == 2
-    assert res.reduced.entries == (
+    assert res.dim == 2 == rank(m)
+    assert res.basis.entries == (
         (Fraction(1), Fraction(2), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(1)),
     )
 
 
-@pytest.mark.parametrize("field", [Q, F2, F3, F5])
+@pytest.mark.parametrize("field", [Q, F2, F3, F5, F_BIG])
 def test_rref_idempotent_and_rank_nullity(field):
+    # the row space of a 0 x n, an n x 0 and a zero matrix is the zero subspace
+    for rows, cols in ((0, 4), (4, 0), (3, 4), (0, 0)):
+        res, zero = rref(Matrix.zeros(field, rows, cols)), Subspace.zero(field, cols)
+        assert res == zero and hash(res) == hash(zero) and res.pivots == ()
+        assert res.basis.array.dtype == zero.basis.array.dtype
     rng = random.Random(20240 + (field.p or 0))
     for _ in range(25):
         rows = rng.randrange(0, 7)
         cols = rng.randrange(0, 7)
         m = random_matrix(rng, field, rows, cols)
         res = rref(m)
-        again = rref(res.reduced)
-        assert again.reduced == res.reduced
+        again = rref(res.basis)
+        assert again == res
         assert again.pivots == res.pivots
-        assert res.rank + kernel(m).dim == m.cols
-        assert rank(m) == res.rank
+        assert res.dim + kernel(m).dim == m.cols
+        assert rank(m) == res.dim
 
 
 def _intersect(a, b):
@@ -168,14 +174,14 @@ def _two_elimination_kernel(m):
     """The kernel as two eliminations: the free-column rows of rref(m),
     built from its entries, then their span brought to RREF."""
     res = rref(m)
-    reduced = res.reduced.entries
+    reduced = res.basis.entries
     free = [j for j in range(m.cols) if j not in res.pivots]
     rows = [[0] * m.cols for _ in free]
     for row, j in zip(rows, free):
         row[j] = 1
         for k, c in enumerate(res.pivots):
             row[c] = -reduced[k][j]
-    return Subspace._spanned_by(Matrix(m.field, rows, len(free), m.cols))
+    return rref(Matrix(m.field, rows, len(free), m.cols))
 
 
 def _kernel_test_matrices(rng, field):
@@ -252,8 +258,8 @@ def test_determinism_bit_identical():
     m = random_matrix(rng, Q, 6, 8)
     r1 = rref(m)
     r2 = rref(Matrix(Q, [list(r) for r in m.entries]))
-    assert r1.reduced.entries == r2.reduced.entries
-    assert repr(r1.reduced.entries) == repr(r2.reduced.entries)
+    assert r1.basis.entries == r2.basis.entries
+    assert repr(r1.basis.entries) == repr(r2.basis.entries)
 
 
 def test_solve_and_inconsistent():
@@ -337,13 +343,13 @@ def _ambient_quotient(sup, sub):
         row = [0] * sup.ambient_dim
         row[sup.pivots[j]] = 1
         for r, c in enumerate(res.pivots):
-            row[sup.pivots[c]] = -res.reduced.entries[r][j]
+            row[sup.pivots[c]] = -res.basis.entries[r][j]
         rows.append(row)
     return Matrix(sup.field, rows, len(rows), sup.ambient_dim), sup.basis.take_rows(free)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(field=st.sampled_from([F2, F3, Q]), n=st.integers(0, 6), data=st.data())
+@given(field=st.sampled_from([F2, F3, F_BIG, Q]), n=st.integers(0, 6), data=st.data())
 def test_quotient_map_properties(field, n, data):
     def rows(count, width):
         return Matrix(field, data.draw(st.lists(st.lists(
@@ -365,6 +371,13 @@ def test_quotient_map_properties(field, n, data):
         unit = Matrix(field, [[int(j == outside[0]) for j in range(n)]])
         with pytest.raises(CertificateError, match="not contained"):
             QuotientMap(sup, Matrix.vstack(field, [spanning, unit]))
+    # no spanning rows, or only zero ones: sup itself in its own coordinates,
+    # and a sup of dim 0 has the one class 0
+    for nothing in (Matrix.zeros(field, 0, n), Matrix.zeros(field, 2, n)):
+        whole = QuotientMap(sup, nothing)
+        assert whole.classes == Matrix.identity(field, sup.dim) and whole.reps == sup.basis
+        zero = QuotientMap(Subspace.zero(field, n), nothing)
+        assert zero.dim == 0 and zero.reps == Matrix.zeros(field, 0, n)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -383,7 +396,7 @@ def test_echelon_membership_and_rank_after_each_batch(field, n, data):
             count, n)
         echelon.add(batch)
         added = Matrix.vstack(field, [added, batch])
-        span = Subspace._spanned_by(added)
+        span = rref(added)
         assert echelon.rank == rank(added) == span.dim
         for i in range(n):
             inside = span.first_outside(units.take_rows([i])) is None
@@ -412,7 +425,7 @@ def test_internal_producers_stay_canonical():
     rng = random.Random(7)
     a = random_matrix(rng, F5, 3, 4)
     b = random_matrix(rng, F5, 4, 2)
-    for m in (a - (-a), a - a, -a, _scaled(a, -3), a @ b, a.transpose(), rref(a).reduced,
+    for m in (a - (-a), a - a, -a, _scaled(a, -3), a @ b, a.transpose(), rref(a).basis,
               Matrix.block(F5, [[a, None]], [3], [4, 2])):
         assert all(type(x) is int and 0 <= x < 5 for row in m.entries for x in row)
         assert Matrix(F5, m.entries) == m
@@ -420,12 +433,10 @@ def test_internal_producers_stay_canonical():
 
 # --- array storage -----------------------------------------------------------
 
-F_BIG = Field.prime(4294967311)   # past every int64 product: the object-dtype path
-
 
 def test_matrix_storage_is_read_only():
     m = Matrix(F5, [[1, 2], [3, 4]])
-    for stored in (m, m.transpose(), m.take_columns([1, 0]), m @ m, rref(m).reduced,
+    for stored in (m, m.transpose(), m.take_columns([1, 0]), m @ m, rref(m).basis,
                    Matrix.identity(Q, 2)):
         with pytest.raises(ValueError):
             stored.array[0, 0] = 0
@@ -437,7 +448,7 @@ def test_entries_are_python_scalars():
     grid = [[7, -1, "1/2"], [0, 3, "-2/3"]]
     for field in (F5, F_BIG, Q):
         m = Matrix(field, grid)
-        for derived in (m, m @ m.transpose(), -m, m - _scaled(m, 3), rref(m).reduced,
+        for derived in (m, m @ m.transpose(), -m, m - _scaled(m, 3), rref(m).basis,
                         kernel(m).basis):
             for x in (x for row in derived.entries for x in row):
                 if field.p is None:
@@ -473,7 +484,7 @@ def test_f2_difference_is_xor_and_negation_the_identity(monkeypatch):
 def test_f2_and_f3_are_stored_as_uint8():
     for field in (F2, F3):
         m = Matrix(field, [[1, 2], [0, 1]])
-        for stored in (m, m @ m, m - (-m), -m, rref(m).reduced, kernel(m).basis,
+        for stored in (m, m @ m, m - (-m), -m, rref(m).basis, kernel(m).basis,
                        Matrix.identity(field, 2), Matrix.zeros(field, 1, 2)):
             assert stored.array.dtype == np.uint8
 
@@ -531,8 +542,8 @@ def test_large_prime_kernels_match_reference(p):
         a.append([(x * (p - 1) + y * 3) % p for x, y in zip(a[0], a[1])])
         r, reduced = _reference_rref(a, p)
         res = rref(Matrix(field, a))
-        assert res.rank == r == rank(Matrix(field, a))
-        assert res.reduced.entries == reduced
+        assert res.dim == r == rank(Matrix(field, a))
+        assert res.basis.entries == reduced[:r]
         assert rank_of_int_rows(field, a, inner) == r
 
 
@@ -606,9 +617,9 @@ def _assert_f2_matches_generic(a):
     m = Matrix(F2, (a % 2).tolist(), rows, cols)
     assert rank(m) == expected
     res = rref(m)
-    assert (res.rank, res.pivots) == (expected, pivots)
-    assert res.reduced.array.dtype == np.uint8
-    assert np.array_equal(res.reduced.array, reduced)
+    assert (res.dim, res.pivots) == (expected, pivots)
+    assert res.basis.array.dtype == np.uint8
+    assert np.array_equal(res.basis.array, reduced[:expected])
 
 
 @pytest.mark.parametrize("cols", [1, 2, 7, 63, 64, 65, 100, 127, 128, 129, 200])
@@ -678,15 +689,15 @@ def test_f2_rref_back_reduces_the_echelon_basis():
     assert _echelon_f2(a) == {0b001: 0b111, 0b010: 0b110, 0b100: 0b100}
     res = rref(Matrix(F2, a.tolist()))
     expected, reduced, pivots = _rref_modp(a.copy(), 2)
-    assert (res.rank, res.pivots) == (expected, pivots) == (3, (0, 1, 2))
-    assert np.array_equal(res.reduced.array, reduced)
+    assert (res.dim, res.pivots) == (expected, pivots) == (3, (0, 1, 2))
+    assert np.array_equal(res.basis.array, reduced)
 
 
 def test_f2_rref_and_rank_leave_the_stored_array_unchanged():
     rng = np.random.default_rng(5)
     m = Matrix(F2, rng.integers(0, 2, size=(30, 70)).tolist())
     before = m.array.copy()
-    assert rref(m).rank == rank(m) == _reference_rref(before.tolist(), 2)[0]
+    assert rref(m).dim == rank(m) == _reference_rref(before.tolist(), 2)[0]
     assert not m.array.flags.writeable
     assert np.array_equal(m.array, before)
 
@@ -708,7 +719,7 @@ def test_f2_echelon_stops_once_the_pivots_fill_every_column(monkeypatch):
     assert rank_of_int_rows(F2, a.copy(), 20) == 20
     assert len(consumed) == 20
     res = rref(Matrix(F2, a.tolist()))
-    assert res.rank == 20 and res.reduced.take_rows(range(20)) == Matrix.identity(F2, 20)
+    assert res.dim == 20 and res.basis == Matrix.identity(F2, 20)
     assert len(consumed) == 40
 
 
@@ -730,8 +741,8 @@ def test_f2_never_reaches_the_generic_kernel(monkeypatch):
     rank_of_int_rows(F2, a.tolist(), 40)
     res = rref(m)
     kernel(m)
-    solve_column(m.transpose(), res.reduced.take_rows([0]).transpose())
-    Subspace._spanned_by(m) + Subspace._spanned_by(m.take_rows(range(5)))
+    solve_column(m.transpose(), res.basis.take_rows([0]).transpose())
+    rref(m) + rref(m.take_rows(range(5)))
     assert calls == []
     rank(Matrix(F3, a.tolist()))
     assert calls == [3]
@@ -977,11 +988,12 @@ def test_rational_elimination_matches_fraction_reference(big):
         m = Matrix(Q, grid, rows, cols)
         reduced, pivots = _reference_echelon(grid, cols)
         res = rref(m)
-        assert (res.reduced.entries, res.pivots, res.rank) == (reduced, pivots, len(pivots))
+        assert (res.basis.entries, res.pivots, res.dim) == (
+            reduced[:len(pivots)], pivots, len(pivots))
         assert rank(m) == len(pivots)
         ker = kernel(m)
         assert ker.basis.entries == _reference_kernel(grid, cols)
-        for out in (res.reduced, ker.basis):
+        for out in (res.basis, ker.basis):
             _assert_canonical(out)
         # two consistent right-hand sides m x for random x, solved in one elimination
         x0 = Matrix(Q, _fraction_grid(rng, cols, 2, big), cols, 2)

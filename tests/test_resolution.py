@@ -15,7 +15,7 @@ from hocohom.groups import (
 )
 from hocohom.linalg import (
     CertificateError, Field, Matrix, QuotientMap, Subspace, column_space, kernel, rank,
-    rank_of_int_rows,
+    rank_of_int_rows, rref,
 )
 from hocohom.modules import (
     trivial_module, regular_module, coinduced_module, make_module,
@@ -269,7 +269,7 @@ def test_extend_rejects_a_non_kernel_image_at_a_later_step(monkeypatch, step):
         # one unit vector outside the kernel joins its basis
         j = next(j for j in range(prev_map.cols) if not prev_map.take_columns([j]).is_zero())
         unit = Matrix(F2, [[int(c == j) for c in range(prev_map.cols)]])
-        return Subspace._spanned_by(Matrix.vstack(F2, [sub.basis, unit]))
+        return rref(Matrix.vstack(F2, [sub.basis, unit]))
 
     monkeypatch.setattr(resolution_module, "kernel", mutant)
     with pytest.raises(CertificateError, match=f"resolution step {step} failed exactness"):
