@@ -138,18 +138,21 @@ class IdealFiltration:
     """The chain J_1 >= J_2 >= ... with J_q = I^q + A*I_S.
 
     j_list holds J_1 through J_{s + 1} and stops at the first s with
-    J_s = J_{s+1}, the stabilization level s = stabilization_q; beyond it
-    the chain is constant.  level(q) = min(q, s) is the least q' with
-    J_q' = J_q: below s the chain strictly descends, so no two levels share
-    an ideal.  Every value that depends on q only through J_q is computed
-    once per level.
+    J_s = J_{s+1}, the stabilization level s = stabilization_q, read off
+    as len(j_list) - 1; beyond it the chain is constant.  level(q) =
+    min(q, s) is the least q' with J_q' = J_q: below s the chain strictly
+    descends, so no two levels share an ideal.  Every value that depends
+    on q only through J_q is computed once per level.
     """
 
     sigma: NormalSubgroup
     augmentation: Subspace
     sigma_full: Subspace
     j_list: tuple[Subspace, ...]
-    stabilization_q: int
+
+    @property
+    def stabilization_q(self) -> int:
+        return len(self.j_list) - 1
 
     def level(self, q: int) -> int:
         if q < 1:
@@ -198,7 +201,7 @@ def j_filtration(algebra: GroupAlgebra, sigma: NormalSubgroup) -> IdealFiltratio
         j_list.append(power + sig)
     for sub in j_list:
         _certify_two_sided(algebra, sub)
-    return IdealFiltration(sigma, aug, sig, tuple(j_list), len(j_list) - 1)
+    return IdealFiltration(sigma, aug, sig, tuple(j_list))
 
 
 def i_power_by_products(algebra: GroupAlgebra, q: int) -> Subspace:

@@ -271,6 +271,8 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
     grids, modules = {}, {}
     for name in spec.module_names():
         v = modules[name] = spec.build_module(name)
+        # the sequences first: the LES degree cap exits before any grid is built
+        reports = _les_reports(spec, algebra, v, q_top)
         entry, _ = _cohom_entry(spec, algebra, v, q_top, recheck)
         checks, bar_row = entry["checks"], entry["bar_row"]
         grids[name] = entry["grid"]
@@ -285,7 +287,6 @@ def cmd_verify(spec: ProblemSpec, recheck: bool = False) -> tuple[dict, bool]:
         record(f"cohom.{name}.h0_annihilator_inductive_ext_agree",
                checks["p0_column_matches_annihilator"]
                and checks["annihilator_matches_inductive"])
-        reports = _les_reports(spec, algebra, v, q_top)
         record(f"les.{name}.exact_at_all_nodes", _les_entries(reports)[1])
 
         pairs = (power_identification(report, p, b)

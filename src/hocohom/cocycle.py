@@ -43,20 +43,17 @@ def hom_a_space(algebra: GroupAlgebra, filtration: IdealFiltration, q: int,
     total = k * d_v
     if total == 0:
         return Subspace.zero(f, total)
-    # row (m, t) of the block of gamma: sum_l c[m, l] phi_l[t] - (action[gamma] phi_m)[t],
-    # where gamma x_m = sum_l c[m, l] x_l
-    t = np.arange(d_v)
+    # the block of gamma is C (x) I_d - I_k (x) action[gamma]: row (m, t) reads
+    # sum_l c[m, l] phi_l[t] - (action[gamma] phi_m)[t], where gamma x_m = sum_l c[m, l] x_l
     blocks = []
     for gamma in algebra.group.gen_indices:
         moved = algebra.left(gamma, jq.basis)
         if jq.first_outside(moved) is not None:
             raise CertificateError("J_q is not left-stable; filtration is broken")
         coords = moved.take_columns(jq.pivots)
-        spread = np.zeros((k, d_v, k, d_v), dtype=coords.array.dtype)
-        spread[:, t, :, t] = coords.array   # c[m, l] at ((m, t), (l, t))
-        acting = Matrix.block(f, [[v.action[gamma] if m == l else None for l in range(k)]
-                                  for m in range(k)], [d_v] * k, [d_v] * k)
-        blocks.append(Matrix._wrap(f, spread.reshape(total, total), coords.den) - acting)
+        spread = np.kron(coords.array, np.eye(d_v, dtype=coords.array.dtype))
+        acting = np.kron(np.eye(k, dtype=v.stack.dtype), v.stack[gamma])
+        blocks.append(Matrix._wrap(f, spread, coords.den) - Matrix._wrap(f, acting, v.den))
     return kernel(Matrix.vstack(f, blocks, cols=total))
 
 

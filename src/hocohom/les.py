@@ -70,9 +70,13 @@ The sequence depends on q only through J_q and J_{q+1}, so it is built
 once per level (`IdealFiltration.level`): the short exact sequence and the
 comparison map are kept on the algebra, and the sequence itself with the
 module, per (algebra, S, level, p_max).  At the stabilization level s the
-layer J_s/J_{s+1} is zero and M = N is the one cached A/J_s: there is no
-cone, the maps are the identity of H_s^p and zero, and every q past s
-reads that same sequence.
+layer J_s/J_{s+1} is zero and M = N is the one cached A/J_s: no short
+exact sequence is built and there is no cone, the maps are the identity
+of H_s^p and zero, and every q past s reads that same sequence.  A degree
+of the report (`LesDegree`) holds its three maps on class coordinates,
+and each term's dimension is read off them: dim H_q^p and dim H_{q+1}^p
+are the column and row counts of the first map, and the power term's the
+row count of the second.
 """
 
 from __future__ import annotations
@@ -184,9 +188,8 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
         corrector = prev_map.take_rows(range(top)).take_columns(range(left_prev, prev_map.cols))
         d_n = gens(res_n.boundaries[i - 1])
         h = _solve(solver, -(corrector @ d_n), f"horseshoe corrector at stage {i}")
-        columns = Matrix.block(f, [[gens(res_l.boundaries[i - 1]), h], [None, d_n]],
-                               [left_prev, prev_map.cols - left_prev],
-                               [res_l.ranks[i], res_n.ranks[i]])
+        d_l = gens(res_l.boundaries[i - 1])
+        columns = Matrix.block(f, [[d_l, h], [Matrix.zeros(f, d_n.rows, d_l.cols), d_n]])
         free = free_amodule(algebra, res_l.ranks[i - 1] + res_n.ranks[i - 1])
         boundary = amap_from_generator_images(algebra, free, columns.transpose())
         boundary_rank = rank(boundary)
@@ -194,8 +197,7 @@ def horseshoe(ses: ShortExactSequence, length: int) -> FreeResolution:
             raise CertificateError(f"horseshoe failed exactness at stage {i}")
         boundaries.append(boundary)
         prev_map, prev_rank, top = boundary, boundary_rank, left_prev
-    ranks = tuple(a + b for a, b in zip(res_l.ranks[:length + 1], res_n.ranks))
-    return FreeResolution(algebra, ses.middle, ranks, augmentation, tuple(boundaries))
+    return FreeResolution(algebra, ses.middle, augmentation, tuple(boundaries))
 
 
 def comparison_map(ses: ShortExactSequence, res_m: FreeResolution, res_n: FreeResolution,
@@ -227,13 +229,13 @@ def comparison_map(ses: ShortExactSequence, res_m: FreeResolution, res_n: FreeRe
 # ---------------------------------------------------------------------------
 # cohomology of the complexes and the cone
 
-def _cohomology_spaces(deltas: list[Matrix], up_to: int, field, start=0) -> list[QuotientMap]:
-    """H^p = Z^p / B^p for start <= p <= up_to: the kernel of delta^p, and
-    the coboundaries as the rows of delta^{p-1}.T, whose certified
+def _cohomology_spaces(deltas: list[Matrix], start=0) -> list[QuotientMap]:
+    """H^p = Z^p / B^p for start <= p < len(deltas): the kernel of delta^p,
+    and the coboundaries as the rows of delta^{p-1}.T, whose certified
     containment in Z^p is delta^p delta^{p-1} = 0."""
     return [QuotientMap(kernel(deltas[p]), deltas[p - 1].transpose() if p > 0
-                        else Matrix.zeros(field, 0, deltas[0].cols))
-            for p in range(start, up_to + 1)]
+                        else Matrix.zeros(deltas[0].field, 0, deltas[0].cols))
+            for p in range(start, len(deltas))]
 
 
 def _class_of(delta: Matrix, space: QuotientMap, cochains: Matrix, what: str) -> Matrix:
@@ -246,14 +248,29 @@ def _class_of(delta: Matrix, space: QuotientMap, cochains: Matrix, what: str) ->
 
 @dataclass(frozen=True)
 class LesDegree:
+    """The three maps of degree p, on class coordinates, and the verdicts
+    at their nodes; each term's dimension is read off the maps."""
+
     p: int
-    dim_lower: int          # H_q^p
-    dim_upper: int          # H_{q+1}^p
-    dim_power: int          # Ext^p(J_q/J_{q+1}, V) = H^p(G,V)^{N(q)}
-    map_lower_to_upper: Matrix
-    map_upper_to_power: Matrix
-    connecting: Matrix
+    map_lower_to_upper: Matrix      # H_q^p -> H_{q+1}^p
+    map_upper_to_power: Matrix      # H_{q+1}^p -> Ext^p(J_q/J_{q+1}, V)
+    connecting: Matrix              # Ext^p(J_q/J_{q+1}, V) -> H_q^{p+1}
     verdicts: dict
+
+    @property
+    def dim_lower(self) -> int:
+        """dim H_q^p."""
+        return self.map_lower_to_upper.cols
+
+    @property
+    def dim_upper(self) -> int:
+        """dim H_{q+1}^p."""
+        return self.map_lower_to_upper.rows
+
+    @property
+    def dim_power(self) -> int:
+        """dim Ext^p(J_q/J_{q+1}, V) = dim H^p(G,V)^{N(q)}."""
+        return self.map_upper_to_power.rows
 
     @property
     def exact(self) -> bool:
@@ -302,36 +319,35 @@ def _sequence(algebra: GroupAlgebra, sigma: NormalSubgroup, v: GammaModule,
     """The body of `long_exact_sequence`, at the level q."""
     f = algebra.field
     filt = filtration_for(algebra, sigma)
-    # the sequence and its comparison map depend only on (S, level), not on V
-    def certified_ses():
-        ses = quotient_ses(algebra, filt, q)
-        trivial_action_witness(ses)
-        return ses
-
-    ses = algebra.cached(("ses", sigma.members, q), certified_ses)
     res_n = resolution_of_quotient(algebra, sigma, q, p_max + 2)
     deltas_n = [hom_delta(res_n, v, i) for i in range(p_max + 2)]
-    h_n = _cohomology_spaces(deltas_n, p_max + 1, f)
+    h_n = _cohomology_spaces(deltas_n)
     if filt.level(q + 1) == q:
         # J_q = J_{q+1}: M = N, one resolution, and a zero layer
         maps = [(Matrix.identity(f, h_n[p].dim), Matrix.zeros(f, 0, h_n[p].dim),
                  Matrix.zeros(f, h_n[p + 1].dim, 0)) for p in range(p_max + 1)]
     else:
+        # the sequence and its comparison map depend only on (S, level), not on V
+        def certified_ses():
+            ses = quotient_ses(algebra, filt, q)
+            trivial_action_witness(ses)
+            return ses
+
+        ses = algebra.cached(("ses", sigma.members, q), certified_ses)
         res_m = resolution_of_quotient(algebra, sigma, q + 1, p_max + 1)
         phis = algebra.cached(("comparison", sigma.members, q, p_max),
                               lambda: comparison_map(ses, res_m, res_n, p_max + 1))
         deltas_m = [hom_delta(res_m, v, i) for i in range(p_max + 1)]
-        phi_star = [hom_precompose(algebra, phi, res_m.ranks[i], res_n.ranks[i], v)
-                 for i, phi in enumerate(phis)]
+        phi_star = [hom_precompose(algebra, phi, v) for phi in phis]
         # d_K^p : C_N^p + C_M^{p-1} -> C_N^{p+1} + C_M^p is
-        # [[delta_N^p, 0], [phi_p^*, -delta_M^{p-1}]]
-        deltas_k = [Matrix.block(f, [[deltas_n[p], None],
-                                     [phi_star[p], -deltas_m[p - 1] if p else None]],
-                                 [deltas_n[p].rows, phi_star[p].rows],
-                                 [deltas_n[p].cols, deltas_m[p - 1].cols if p else 0])
-                    for p in range(p_max + 2)]
-        h_m = _cohomology_spaces(deltas_m, p_max, f)
-        h_k = _cohomology_spaces(deltas_k, p_max + 1, f, start=1)   # h_k[p] = H^{p+1}(K)
+        # [[delta_N^p, 0], [phi_p^*, -delta_M^{p-1}]], and C_M^{-1} = 0
+        deltas_k = []
+        for p, (delta_n, phi) in enumerate(zip(deltas_n, phi_star)):
+            delta_m = deltas_m[p - 1] if p else Matrix.zeros(f, phi.rows, 0)
+            deltas_k.append(Matrix.block(f, [[delta_n, Matrix.zeros(f, delta_n.rows, delta_m.cols)],
+                                             [phi, -delta_m]]))
+        h_m = _cohomology_spaces(deltas_m)
+        h_k = _cohomology_spaces(deltas_k, start=1)     # h_k[p] = H^{p+1}(K)
         image = "the image of a cochain map"
         # phi^* on classes, y -> (0, y) and (x, y) -> x, with x in C_N^{p+1}, the first c rows
         maps = [(_class_of(deltas_m[p], h_m[p], phi_star[p] @ h_n[p].reps.transpose(), image),
@@ -349,8 +365,7 @@ def _sequence(algebra: GroupAlgebra, sigma: NormalSubgroup, v: GammaModule,
     for p, (lower, upper, connecting) in enumerate(maps):
         verdicts = {node: node_exact(chain[k], ranks[k], chain[k + 1], ranks[k + 1])
                     for k, node in enumerate(("at_H_q", "at_H_q_plus_1", "at_power"), 3 * p)}
-        degrees.append(LesDegree(p, h_n[p].dim, lower.rows, upper.rows,
-                                 lower, upper, connecting, verdicts))
+        degrees.append(LesDegree(p, lower, upper, connecting, verdicts))
     return LongExactSequenceReport(filt.n(q), tuple(degrees))
 
 

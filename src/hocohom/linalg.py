@@ -25,7 +25,9 @@ lowest terms.  `entries` is a derived tuple-of-tuples view (Fractions over
 Q) for reports and tests, and the only place where Fractions are built
 from stored data.  The public constructor `Matrix(field, entries)` is the
 only place where entries are coerced into the field; every other matrix is
-wrapped from canonical integers by `Matrix._wrap`.
+wrapped from canonical integers by `Matrix._wrap`.  `Matrix.block(field,
+grid)` assembles a grid of matrices, every block given, and reads each
+block row's height and block column's width off the blocks.
 
 Kernels.  Each field has one elimination kernel.  Over F_2 it is
 `_echelon_f2`: each row becomes one Python int (column j at bit j, packed
@@ -49,7 +51,8 @@ negation the identity, so neither widens.
 Row, null and column spaces.  `rref`, `kernel` and `column_space` each
 return a `Subspace`: the row space, the null space and the column space of
 their matrix, held by its unique RREF basis (the nonzero rows of the
-reduced row-echelon form) and its pivot columns.  A sum of subspaces, a
+reduced row-echelon form) and its pivot columns, `Subspace(basis,
+pivots)`; its ambient dimension is the basis's column count.  A sum of subspaces, a
 span of vectors and the span an `Echelon` grows are each one `rref` of
 stacked rows.
 
@@ -95,6 +98,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -408,24 +412,25 @@ class Matrix:
         return Matrix._wrap(field, np.concatenate(arrays, axis=1), den)
 
     @staticmethod
-    def block(field: Field, grid, row_dims, col_dims) -> "Matrix":
-        """Assemble a block matrix; None blocks are zero of the declared shape."""
-        placed = []
-        r0 = 0
-        for bi, block_row in enumerate(grid):
-            c0 = 0
-            for bj, blk in enumerate(block_row):
-                if blk is not None:
-                    if blk.rows != row_dims[bi] or blk.cols != col_dims[bj] or blk.field != field:
-                        raise DimensionMismatch("block shape mismatch")
-                    placed.append((r0, c0, blk))
-                c0 += col_dims[bj]
-            r0 += row_dims[bi]
-        arrays, den = common_denominator([blk for _, _, blk in placed])
+    def block(field: Field, grid) -> "Matrix":
+        """Assemble a block matrix from a grid of matrices: the blocks of a
+        grid row share their row count, and those of a grid column their
+        column count, read off the first column and the first row."""
+        grid = [list(row) for row in grid]
+        if not grid or not grid[0] or any(len(row) != len(grid[0]) for row in grid):
+            raise DimensionMismatch("empty or ragged block grid")
+        row_dims = [row[0].rows for row in grid]
+        col_dims = [blk.cols for blk in grid[0]]
+        if any(blk.rows != r or blk.cols != c or blk.field != field
+               for row, r in zip(grid, row_dims) for blk, c in zip(row, col_dims)):
+            raise DimensionMismatch("block shape or field mismatch")
+        arrays, den = common_denominator([blk for row in grid for blk in row])
         out = np.zeros((sum(row_dims), sum(col_dims)),
                        dtype=np.result_type(_storage_dtype(field.p), *arrays))
-        for (r0, c0, blk), a in zip(placed, arrays):
-            out[r0:r0 + blk.rows, c0:c0 + blk.cols] = a
+        blocks = iter(arrays)
+        for r0, r in zip(accumulate(row_dims, initial=0), row_dims):
+            for c0, c in zip(accumulate(col_dims, initial=0), col_dims):
+                out[r0:r0 + r, c0:c0 + c] = next(blocks)
         return Matrix._wrap(field, out, den)
 
     def take_rows(self, indices) -> "Matrix":
@@ -598,7 +603,7 @@ def rref(m: Matrix) -> "Subspace":
         return _rref_f2(m)
     if p is not None:
         r, a, pivots = _rref_modp(m.array.astype(_elimination_dtype(p)), p)
-        return Subspace(m.cols, Matrix._wrap(f, a[:r]), pivots)
+        return Subspace(Matrix._wrap(f, a[:r]), pivots)
     # row i of the echelon form is work[i] / lead_i, or work[i] * (den / lead_i) over den
     r, work, pivots = _rref_int(m.array.tolist(), m.cols)
     leads = [work[i][c] for i, c in enumerate(pivots)]
@@ -606,7 +611,7 @@ def rref(m: Matrix) -> "Subspace":
     out = np.zeros((r, m.cols), dtype=object)
     for i, lead in enumerate(leads):
         out[i] = [x * (den // lead) for x in work[i]]
-    return Subspace(m.cols, Matrix._wrap(f, out, den), pivots)
+    return Subspace(Matrix._wrap(f, out, den), pivots)
 
 
 def _rref_f2(m: Matrix) -> "Subspace":
@@ -627,8 +632,7 @@ def _rref_f2(m: Matrix) -> "Subspace":
     packed = np.frombuffer(b"".join(basis[b].to_bytes(width, "little") for b in bits),
                            dtype=np.uint8).reshape(len(bits), width)
     out = np.unpackbits(packed, axis=1, count=m.cols, bitorder="little")
-    return Subspace(m.cols, Matrix._wrap(m.field, out),
-                    tuple(b.bit_length() - 1 for b in bits))
+    return Subspace(Matrix._wrap(m.field, out), tuple(b.bit_length() - 1 for b in bits))
 
 
 def rank(m: Matrix) -> int:
@@ -890,7 +894,7 @@ def kernel(m: Matrix) -> "Subspace":
     res = rref(_view(m, m.array[:, ::-1]))
     rows = _free_column_rows(res.basis, res.pivots)
     pivots = tuple(n - 1 - int(j) for j in _free_columns(n, res.pivots)[::-1])
-    return Subspace(n, _view(rows, rows.array[::-1, ::-1]), pivots)
+    return Subspace(_view(rows, rows.array[::-1, ::-1]), pivots)
 
 
 def column_space(m: Matrix) -> "Subspace":
@@ -930,12 +934,13 @@ def node_exact(incoming: Matrix, incoming_rank: int,
 # subspaces
 
 class Subspace:
-    """An R-linear subspace of a coordinate space, stored by its unique RREF basis."""
+    """An R-linear subspace of a coordinate space, stored by its unique RREF
+    basis and its pivot columns; the ambient dimension is the basis's
+    column count."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("basis", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
+    def __init__(self, basis: Matrix, pivots: tuple[int, ...]):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
 
@@ -952,27 +957,29 @@ class Subspace:
 
     @staticmethod
     def zero(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.zeros(field, 0, ambient_dim), ())
+        return Subspace(Matrix.zeros(field, 0, ambient_dim), ())
 
     @staticmethod
     def whole(field: Field, ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(field, ambient_dim),
-                        tuple(range(ambient_dim)))
+        return Subspace(Matrix.identity(field, ambient_dim), tuple(range(ambient_dim)))
 
     @property
     def field(self) -> Field:
         return self.basis.field
 
     @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
+
+    @property
     def dim(self) -> int:
         return self.basis.rows
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+        return isinstance(other, Subspace) and self.basis == other.basis
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash(self.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim}, {self.field.name})"

@@ -1,17 +1,23 @@
 """Finite-dimensional modules over the group algebra.
 
 A module is a coordinate space with one invertible action matrix per group
-element (acting on column vectors, on the left).  Constructors cover the
-standard test inputs: trivial modules, the regular module A itself, and
-coinduced modules of functions G -> R^b, which are acyclic for group
-cohomology and serve as certified-vanishing inputs downstream.  A
-coinduced module is taken in regular coordinates: coordinate (y, j) holds
-f(y^-1)_j, so g sends the basis vector (y, j) to (g y, j), and for b = 1 it
-is the regular module R[G], table for table (Brown, *Cohomology of
-Groups*, 1982, III (5.9)).  The regular, coinduced and free modules are
-permutation modules: each keeps its index table `perm` as one read-only
-intp array, and its inverse table, which `orbits` reads, is computed once
-with the module.
+element (acting on column vectors, on the left), held as one
+|G| x dim x dim array, the stack, from which the module is built:
+`GammaModule(group, field, stack, den)`, with the dimension read off the
+stack.  Each constructor passes the array it already holds: the trivial
+module one broadcast identity, `make_module` its stacked products, and the
+quotients of `resolution` their quotient coordinates, reshaped.
+
+Constructors cover the standard test inputs: trivial modules, the regular
+module A itself, and coinduced modules of functions G -> R^b, which are
+acyclic for group cohomology and serve as certified-vanishing inputs
+downstream.  A coinduced module is taken in regular coordinates:
+coordinate (y, j) holds f(y^-1)_j, so g sends the basis vector (y, j) to
+(g y, j), and for b = 1 it is the regular module R[G], table for table
+(Brown, *Cohomology of Groups*, 1982, III (5.9)).  The regular, coinduced
+and free modules are permutation modules: each keeps its index table
+`perm` as one read-only intp array, and its inverse table, which `orbits`
+reads, is computed once with the module.
 
 Degree-zero higher-order cohomology H_q^0 is computed in two independent
 ways that must agree: as the annihilator of the ideal J_q, and by the
@@ -43,8 +49,10 @@ class GammaModule:
     """A finite-dimensional representation of a finite group.
 
     `stack` holds the action as one |G| x dim x dim integer array over the
-    common denominator `den` (numerators over Q, residues with den 1 over
-    F_p), and the `action` matrices are built from its slices.  A permutation
+    common denominator `den` (numerators in lowest terms over Q, residues
+    with den 1 over F_p), and the `action` matrices are built from its
+    slices.  The constructor takes that array, action[g] = stack[g] / den,
+    and brings it to the stored form as a `Matrix` would.  A permutation
     module (`GammaModule.permutation`) stores only the index table `perm`,
     one read-only |G| x dim intp array with element g sending basis vector
     e_j to e_{perm[g][j]}, and its inverse table `inverse_perm`, computed
@@ -57,18 +65,14 @@ class GammaModule:
     __slots__ = ("group", "field", "dim", "perm", "inverse_perm", "den", "_stack", "_action",
                  "_cache")
 
-    def __init__(self, group: FiniteGroup, field: Field, action):
-        action = tuple(action)
-        if len(action) != group.order:
-            raise ValueError("one action matrix per group element required")
-        dim = action[0].rows if action else 0
-        for m in action:
-            if m.rows != dim or m.cols != dim or m.field != field:
-                raise ValueError("action matrices must be square over the module field")
-        arrays, den = common_denominator(action)
-        stack = np.stack(arrays)
-        stack.flags.writeable = False
-        self._init(group, field, dim, None, None, den, stack)
+    def __init__(self, group: FiniteGroup, field: Field, stack: np.ndarray, den: int = 1):
+        n = group.order
+        if stack.ndim != 3 or stack.shape[0] != n or stack.shape[1] != stack.shape[2]:
+            raise ValueError("one square action matrix per group element required")
+        dim = stack.shape[1]
+        # canonical as one matrix of the stacked rows: residues, or lowest terms over Q
+        rows = Matrix._wrap(field, stack.reshape(n * dim, dim), den)
+        self._init(group, field, dim, None, None, rows.den, rows.array.reshape(n, dim, dim))
 
     @classmethod
     def permutation(cls, group: FiniteGroup, field: Field, perm) -> "GammaModule":
@@ -138,13 +142,18 @@ class GammaModule:
         raise AttributeError("GammaModule is immutable")
 
     def check_homomorphism(self):
-        """Exhaustive verification of action[g] action[h] = action[gh]."""
-        if self.action[0] != Matrix.identity(self.field, self.dim):
+        """Verify action[e] = 1 and action[x] action[s] = action[x s] for
+        every element x and group generator s.  That gives action[x]
+        action[h] = action[x h] for every h, by induction on the length of h
+        as a word in the generators: action[x h s] = action[x h] action[s]
+        = action[x] action[h] action[s] = action[x] action[h s]."""
+        action, mult = self.action, self.group.mult
+        if action[0] != Matrix.identity(self.field, self.dim):
             raise NotARepresentationError(0, 0)
-        for i in range(self.group.order):
-            for j in range(self.group.order):
-                if self.action[i] @ self.action[j] != self.action[self.group.mult[i][j]]:
-                    raise NotARepresentationError(i, j)
+        for x in range(self.group.order):
+            for s in self.group.gen_indices:
+                if action[x] @ action[s] != action[mult[x][s]]:
+                    raise NotARepresentationError(x, s)
 
     def algebra_action(self, elements: Matrix) -> Matrix:
         """The matrices of the algebra elements sum_g c_g g in the rows of
@@ -187,17 +196,22 @@ class ModuleMap:
 
 
 def trivial_module(group: FiniteGroup, field: Field, dim: int = 1) -> GammaModule:
-    ident = Matrix.identity(field, dim)
-    return GammaModule(group, field, [ident] * group.order)
+    return GammaModule(group, field, np.broadcast_to(
+        Matrix.identity(field, dim).array, (group.order, dim, dim)))
 
 
 def make_module(group: FiniteGroup, field: Field, gen_matrices) -> GammaModule:
     """Extend matrices for the generators to a full representation.
 
     The extension follows the BFS discovery edges of the group enumeration
-    (elements[k] = elements[parent] * gen), then the homomorphism property
-    is verified on all element pairs; an inconsistent assignment raises
-    NotARepresentationError with a witness pair.
+    (elements[k] = elements[parent] * gen), and the products are stacked
+    once; then the homomorphism property is verified on every (element,
+    generator) pair, which covers all element pairs, and each generator's
+    matrix is checked to be the action of its element, since the extension
+    reads one matrix per element (not that of a repeated generator or of
+    the identity given as a generator).  An inconsistent assignment raises
+    NotARepresentationError with a witness pair: (0, s) when the matrix of
+    generator s is not action[e s].
     """
     gen_matrices = [m for m in gen_matrices]
     if len(gen_matrices) != len(group.gen_indices):
@@ -208,8 +222,12 @@ def make_module(group: FiniteGroup, field: Field, gen_matrices) -> GammaModule:
     for k in range(1, group.order):
         parent = action[group.bfs_parent[k]]
         action[k] = parent @ gen_matrices[group.bfs_gen[k]]
-    module = GammaModule(group, field, action)
+    arrays, den = common_denominator(action)
+    module = GammaModule(group, field, np.stack(arrays), den)
     module.check_homomorphism()
+    for s, m in zip(group.gen_indices, gen_matrices):
+        if module.action[s] != m:
+            raise NotARepresentationError(0, s)
     return module
 
 

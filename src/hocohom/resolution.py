@@ -46,6 +46,13 @@ for entry:
     from block k.  The sweep keeps in each block what the sweep of that
     block alone keeps, and the next boundary is block-diagonal again.
 
+A resolution holds its augmentation and boundaries and nothing else: the
+free rank n_i is read off the map out of A^{n_i}, whose R-matrix has
+n_i |G| columns, and `hom_precompose` reads both ranks of a map off its
+shape.  The quotient modules are built from their action stacks
+(`modules.GammaModule`), read off the quotient coordinates in one
+reshape.
+
 Ext is the cohomology of the Hom_A(-, V) complex of such a resolution: a
 hom from a free module of rank k is the tuple of its generator images in
 V, and the coboundary is precomposition with the boundary.  Every caller
@@ -193,10 +200,9 @@ def amodule_from_subspace(ambient: GammaModule, sub: Subspace) -> GammaModule:
     """
     _certify_stable(ambient, sub)
     moved, den = ambient.orbits(sub.basis)
-    at_pivots = moved[:, :, list(sub.pivots)]
-    action = [Matrix._wrap(ambient.field, at_pivots[:, g].T, den)
-              for g in range(ambient.group.order)]
-    return GammaModule(ambient.group, ambient.field, action)
+    # entry [g, j, r] is pivot coordinate j of g b_r
+    return GammaModule(ambient.group, ambient.field,
+                       moved[:, :, list(sub.pivots)].transpose(1, 2, 0), den)
 
 
 def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
@@ -206,7 +212,6 @@ def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
     failure is a CertificateError caused by the NotStableError.  Returns the
     module and the quotient coordinate map used to build it.
     """
-    f, n = algebra.field, algebra.dim
     regular = free_amodule(algebra, 1)
     try:
         _certify_stable(regular, sup)
@@ -216,9 +221,8 @@ def quotient_amodule(algebra: GroupAlgebra, sub: Subspace, sup: Subspace,
     qmap = QuotientMap(sup, sub.basis)
     # column (r, g) holds the quotient coordinates of g reps[r], which lies in sup
     coords = qmap.coords(amap_from_generator_images(algebra, regular, qmap.reps))
-    blocks = coords.array.reshape(qmap.dim, qmap.dim, n)
-    action = [Matrix._wrap(f, blocks[:, :, g], coords.den) for g in range(n)]
-    return GammaModule(algebra.group, f, action), qmap
+    stack = coords.array.reshape(qmap.dim, qmap.dim, algebra.dim).transpose(2, 0, 1)
+    return GammaModule(algebra.group, algebra.field, stack, coords.den), qmap
 
 
 def free_cover(field: Field, dim: int, orbit, order: str = "forward") -> tuple[int, ...]:
@@ -253,18 +257,23 @@ class FreeResolution:
 
     boundaries[i] is the R-matrix of d_{i+1} : A^{n_{i+1}} -> A^{n_i}; its
     image is the kernel of the map out of A^{n_i} (the augmentation for
-    i = 0).
+    i = 0).  The free ranks n_i are read off the column counts.
     """
 
     algebra: GroupAlgebra
     target: GammaModule
-    ranks: tuple[int, ...]
     augmentation: Matrix
     boundaries: tuple[Matrix, ...]
 
     @property
     def length(self) -> int:
         return len(self.boundaries)
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """(n_0, n_1, ...): n_i |G| columns of the map out of A^{n_i}."""
+        n = self.algebra.dim
+        return tuple(m.cols // n for m in (self.augmentation,) + self.boundaries)
 
     def __repr__(self) -> str:
         return f"FreeResolution(target dim {self.target.dim}, ranks {list(self.ranks)})"
@@ -285,27 +294,25 @@ def build_resolution(algebra: GroupAlgebra, module: GammaModule, length: int,
                         order)
     augmentation = amap_from_generator_images(algebra, module,
                                               Matrix.identity(f, dim).take_rows(chosen))
-    return _extend(FreeResolution(algebra, module, (len(chosen),), augmentation, ()),
-                   length, order)
+    return _extend(FreeResolution(algebra, module, augmentation, ()), length, order)
 
 
 def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
     """res continued from its last map to `length` boundaries; the result
-    equals build_resolution(res.algebra, res.target, length, order), since each step
-    depends only on the map before it and that map's free rank.  Each kept
-    row b of the kernel K's RREF basis becomes a generator sent to b; the
-    exactness certificate fails (CertificateError) when K is not A-stable.
+    equals build_resolution(res.algebra, res.target, length, order), since
+    each step depends only on the map before it.  Each kept row b of the
+    kernel K's RREF basis becomes a generator sent to b; the exactness
+    certificate fails (CertificateError) when K is not A-stable.
     From the second step on, the map before is a boundary built here from
     its generator images, as the new one is, so the composite is read on
     the generator columns (the lemma in the `les` docstring)."""
     algebra = res.algebra
     f = algebra.field
-    ranks = list(res.ranks)
     boundaries = list(res.boundaries)
     prev_map = boundaries[-1] if boundaries else res.augmentation
     for i in range(len(boundaries) + 1, length + 1):
         ker_sub = kernel(prev_map)
-        free = free_amodule(algebra, ranks[-1])
+        free = free_amodule(algebra, prev_map.cols // algebra.dim)
         basis = ker_sub.basis
         # (g b)[j] = b[inverse_perm[g][j]], read at K's pivot columns j
         reads = free.inverse_perm[:, list(ker_sub.pivots)]
@@ -319,25 +326,23 @@ def _extend(res: FreeResolution, length: int, order: str) -> FreeResolution:
         if not node_exact(incoming, rank(boundary), prev_map, prev_map.cols - ker_sub.dim):
             raise CertificateError(f"resolution step {i} failed exactness certification")
         boundaries.append(boundary)
-        ranks.append(images.rows)
         prev_map = boundary
-    return FreeResolution(algebra, res.target, tuple(ranks), res.augmentation,
-                          tuple(boundaries))
+    return FreeResolution(algebra, res.target, res.augmentation, tuple(boundaries))
 
 
 # ---------------------------------------------------------------------------
 # Hom complexes and Ext
 
-def hom_precompose(algebra: GroupAlgebra, amap: Matrix, gens_from: int,
-                   gens_to: int, v: GammaModule) -> Matrix:
-    """Hom_A(-, V) applied to an A-map A^{gens_from} -> A^{gens_to}.
+def hom_precompose(algebra: GroupAlgebra, amap: Matrix, v: GammaModule) -> Matrix:
+    """Hom_A(-, V) applied to an A-map A^{gens_from} -> A^{gens_to}, the
+    free ranks read off amap's shape, |G| gens_to x |G| gens_from.
 
     Returns the induced map V^{gens_to} -> V^{gens_from}: block (j, k) is
     the action through V of the algebra coefficient of generator k in the
     image of generator j, all blocks in one contraction with the action.
     """
     n = algebra.dim
-    d_v = v.dim
+    gens_from, gens_to, d_v = amap.cols // n, amap.rows // n, v.dim
     if gens_from == 0 or gens_to == 0 or d_v == 0:
         return Matrix.zeros(algebra.field, gens_from * d_v, gens_to * d_v)
     # coeffs[j, k, g]: entry (k, g) of column (j, e), the image of generator j
@@ -355,8 +360,7 @@ def _coboundary(resolution: FreeResolution, v: GammaModule, i: int) -> tuple[Mat
         raise ResolutionTooShort(f"need boundary {i + 1}, have {resolution.length}")
     boundary = resolution.boundaries[i]
     key = ("hom_delta", boundary.take_columns(range(0, boundary.cols, resolution.algebra.dim)))
-    return v.cached(key, lambda: hom_precompose(
-        resolution.algebra, boundary, resolution.ranks[i + 1], resolution.ranks[i], v)), key
+    return v.cached(key, lambda: hom_precompose(resolution.algebra, boundary, v)), key
 
 
 def hom_delta(resolution: FreeResolution, v: GammaModule, i: int) -> Matrix:
@@ -478,8 +482,7 @@ def resolution_of_layer(algebra: GroupAlgebra, sigma: NormalSubgroup, q: int,
         certify_trivial_action(layer, f"J_{level}/J_{level + 1}")
         base = resolution_of_quotient(algebra, sigma, 1, length)
         res = algebra._cache[key] = FreeResolution(
-            algebra, layer, tuple(layer.dim * r for r in base.ranks),
-            _block_sum(base.augmentation, layer.dim),
+            algebra, layer, _block_sum(base.augmentation, layer.dim),
             tuple(_block_sum(b, layer.dim) for b in base.boundaries))
     return res
 

@@ -658,9 +658,29 @@ def test_the_long_exact_sequence_builds_only_the_grid_resolutions(monkeypatch, v
     assert len(built) == len(set(built)) == len(expected) and set(built) == expected
 
 
+def test_verify_past_the_les_degree_cap_exits_2_before_building_a_resolution(
+        monkeypatch, capsys):
+    # each module's long exact sequences come before its grid, so the cap is
+    # met before any resolution is built
+    from hocohom import resolution
+    builds = []
+    build = resolution.build_resolution
+
+    def spy(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(resolution, "build_resolution", spy)
+    code = cli.main(["verify", "--spec", str(SPECS / "d4_f2.json"), "--p-max", "4"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "p_max <= 3" in capsys.readouterr().err
+    assert not builds
+
+
 def test_the_power_verdict_reads_the_power_term_of_the_sequence(monkeypatch):
-    # one power term of the trivial module raised by 1, at a degree the bar
-    # budget decides, fails the power verdict and no other
+    # one power term of the trivial module raised by 1 (a zero row added to
+    # the map into it), at a degree the bar budget decides, fails the power
+    # verdict and no other
     import dataclasses
     spec = load_problem(SPECS / "d4_f2.json")
     sequence = cli.long_exact_sequence
@@ -670,7 +690,9 @@ def test_the_power_verdict_reads_the_power_term_of_the_sequence(monkeypatch):
         if v.dim != 1 or q != 1:      # d4_f2's only one-dimensional module is `trivial`
             return report
         degrees = list(report.degrees)
-        degrees[1] = dataclasses.replace(degrees[1], dim_power=degrees[1].dim_power + 1)
+        upper = degrees[1].map_upper_to_power
+        degrees[1] = dataclasses.replace(degrees[1], map_upper_to_power=Matrix.vstack(
+            upper.field, [upper, Matrix.zeros(upper.field, 1, upper.cols)]))
         return dataclasses.replace(report, degrees=tuple(degrees))
 
     monkeypatch.setattr(cli, "long_exact_sequence", mutant)
@@ -732,9 +754,9 @@ def test_verify_builds_each_hom_coboundary_once_per_boundary_and_module(monkeypa
     calls = []
     precompose = resolution.hom_precompose
 
-    def spy(algebra, amap, gens_from, gens_to, v):
+    def spy(algebra, amap, v):
         calls.append((v, amap))
-        return precompose(algebra, amap, gens_from, gens_to, v)
+        return precompose(algebra, amap, v)
 
     monkeypatch.setattr(resolution, "hom_precompose", spy)
     _, ok = cli.cmd_verify(load_problem(SPECS / "d4_f2.json"))

@@ -188,8 +188,9 @@ def test_comparison_map_and_ses_built_once_per_level(monkeypatch):
     trivial, regular = trivial_module(g, F2, 1), regular_module(g, F2)
     reports = {(q, v.dim): long_exact_sequence(alg, sigma, v, q, 2)
                for q in (1, 2) for v in (trivial, regular)}
-    assert built["ses"] == [1, 2]
-    # q = 2 is the stabilization level: J_2 = J_3, and there is no cone
+    # q = 2 is the stabilization level: J_2 = J_3, and there is no cone and
+    # no short exact sequence
+    assert built["ses"] == [1]
     assert built["comparison"] == [(1, 3)]
     assert not built["horseshoe"]
     # the second module's report, from the cached comparison map, equals a fresh one
@@ -355,10 +356,10 @@ def test_cohomology_spaces_certify_what_they_read():
     one = Matrix(F2, [[1]])
     # delta squared is nonzero: the coboundaries do not lie in the cocycles
     with pytest.raises(CertificateError, match="not contained"):
-        _cohomology_spaces([one, one], 1, F2)
+        _cohomology_spaces([one, one])
     # 0 -> F^2 -> F -> F: H^0 is spanned by (1, 1), and H^1 = F / F is zero
     delta = Matrix(F2, [[1, 1]])
-    h = _cohomology_spaces([delta, Matrix(F2, [[0]])], 1, F2)
+    h = _cohomology_spaces([delta, Matrix(F2, [[0]])])
     assert [space.dim for space in h] == [1, 0]
     assert _class_of(delta, h[0], Matrix(F2, [[1], [1]]), "x") == Matrix(F2, [[1]])
     with pytest.raises(CertificateError, match="x is not a cocycle"):

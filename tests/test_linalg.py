@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hocohom.linalg import (
     Echelon, Field, Matrix, Subspace, QuotientMap,
     rref, rank, kernel, solve_column,
-    rank_of_int_rows, CertificateError, InconsistentSystem, LinalgError,
+    rank_of_int_rows, CertificateError, DimensionMismatch, InconsistentSystem, LinalgError,
     _PRIME_TEST_BOUND, _echelon_f2, _is_prime, _rref_int, _rref_modp,
 )
 
@@ -426,9 +426,25 @@ def test_internal_producers_stay_canonical():
     a = random_matrix(rng, F5, 3, 4)
     b = random_matrix(rng, F5, 4, 2)
     for m in (a - (-a), a - a, -a, _scaled(a, -3), a @ b, a.transpose(), rref(a).basis,
-              Matrix.block(F5, [[a, None]], [3], [4, 2])):
+              Matrix.block(F5, [[a, Matrix.zeros(F5, 3, 2)]])):
         assert all(type(x) is int and 0 <= x < 5 for row in m.entries for x in row)
         assert Matrix(F5, m.entries) == m
+
+
+_A, _B = Matrix.zeros(F5, 2, 3), Matrix.zeros(F5, 2, 1)
+
+
+@pytest.mark.parametrize("grid", [
+    [],                                         # no block rows
+    [[]],                                       # no blocks
+    [[_A, _B], [_A]],                           # a ragged grid
+    [[_A, _B], [_A, Matrix.zeros(F5, 1, 1)]],   # heights differ along a grid row
+    [[_A, _B], [_B, _B]],                       # widths differ down a grid column
+    [[_A, Matrix.zeros(F3, 2, 1)]],             # a block over another field
+])
+def test_block_rejects_a_grid_whose_sizes_do_not_line_up(grid):
+    with pytest.raises(DimensionMismatch):
+        Matrix.block(F5, grid)
 
 
 # --- array storage -----------------------------------------------------------
@@ -1031,8 +1047,7 @@ def test_rational_storage_is_canonical_across_routes():
             _scaled(_scaled(a, Fraction(3, 2 ** 20)), Fraction(2 ** 20, 3)),
             Matrix.vstack(Q, [a.take_rows([0]), a.take_rows([1])]),
             Matrix.hstack(Q, [a.take_columns([0]), a.take_columns(range(1, n))]),
-            Matrix.block(Q, [[a.take_columns([0]), a.take_columns(range(1, n))]],
-                         [a.rows], [1, n - 1]),
+            Matrix.block(Q, [[a.take_columns([0]), a.take_columns(range(1, n))]]),
             a.transpose().transpose(),
         )
         for b in routes:

@@ -73,6 +73,26 @@ def test_permutation_module_rejects_a_table_that_is_not_one_permutation_per_elem
         GammaModule.permutation(s3(), F2, perm)
 
 
+@pytest.mark.parametrize("shape", [
+    (5, 2, 2),      # one matrix short of |G| = 6
+    (7, 2, 2),      # one matrix too many
+    (6, 2, 3),      # non-square matrices
+    (6, 4),         # no matrix axis
+])
+def test_module_rejects_a_stack_that_is_not_one_square_matrix_per_element(shape):
+    with pytest.raises(ValueError, match="one square action matrix per group element"):
+        GammaModule(s3(), F2, np.zeros(shape, dtype=np.uint8))
+
+
+def test_module_stack_is_stored_in_lowest_terms():
+    # the action [[0, 2], [1/2, 0]] of the generator of C2, over the denominator 4
+    v = GammaModule(c2(), Q, np.array([[[4, 0], [0, 4]], [[0, 8], [2, 0]]]), 4)
+    w = make_module(c2(), Q, [Matrix(Q, [[0, 2], ["1/2", 0]])])
+    assert v.den == w.den == 2 and np.array_equal(v.stack, w.stack)
+    assert v.stack.dtype == np.int64 and not v.stack.flags.writeable
+    assert v.action == w.action
+
+
 def test_make_module_identity_generators():
     g = s3()
     v = make_module(g, Q, [Matrix.identity(Q, 2), Matrix.identity(Q, 2)])
@@ -93,6 +113,17 @@ def test_make_module_rejects_non_representation():
     with pytest.raises(NotARepresentationError) as err:
         make_module(g, Q, [Matrix(Q, [[2]])])
     assert err.value.witness == (1, 1)
+
+
+@pytest.mark.parametrize("perms, witness", [
+    ([[1, 2, 0], [1, 2, 0]], (0, 1)),      # C3 with its generator given twice
+    ([[1, 0], [0, 1]], (0, 0)),            # C2 with the identity given as a generator
+])
+def test_make_module_rejects_a_generator_matrix_the_extension_never_reads(perms, witness):
+    g = close_generators([Permutation(p) for p in perms])
+    with pytest.raises(NotARepresentationError) as err:
+        make_module(g, F3, [Matrix(F3, [[1]]), Matrix(F3, [[2]])])
+    assert err.value.witness == witness
 
 
 def test_sign_module_s3():
